@@ -20,8 +20,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-GENERATED_FAMILIES = ("aulas", "saulas", "tsaulas", "cotsaulas", "ula")
-
 
 def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -35,18 +33,15 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_output(parser: argparse.ArgumentParser, formats: bool = True) -> None:
     parser.add_argument("--output", help="write results here instead of stdout")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default=None,
-        help="output format where the command supports both",
-    )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario RNG seed")
+    if formats:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                            help="output format (default csv)")
 
 
 def _add_array_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=GENERATED_FAMILIES + ("nested",))
+    parser.add_argument("--family", choices=geometry.GENERATED_FAMILIES + ("nested",))
     parser.add_argument("--n", type=int, help="sensor count for generated families")
     parser.add_argument("--n-dense", type=int, help="dense stage size (nested only)")
     parser.add_argument("--n-sparse", type=int, help="sparse stage size (nested only)")
@@ -83,7 +78,7 @@ def cmd_analyze(args) -> int:
     array = _resolve_array(args)
     model = coupling.get_preset(args.coupling)
     report, leakage = _analysis_payload(array, model)
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         payload = report.to_dict()
         payload["coupling_leakage"] = leakage
         _emit(_json_dumps(payload), args.output)
@@ -97,10 +92,9 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     families = [f.strip().lower() for f in args.families.split(",") if f.strip()]
     for fam in families:
-        if fam not in GENERATED_FAMILIES:
-            raise geometry.DesignError(
-                f"unknown family {fam!r} (sweep supports {', '.join(GENERATED_FAMILIES)})"
-            )
+        if fam not in geometry.GENERATED_FAMILIES:
+            supported = ", ".join(geometry.GENERATED_FAMILIES)
+            raise geometry.DesignError(f"unknown family {fam!r} (sweep supports {supported})")
     if args.n_min > args.n_max:
         raise geometry.DesignError("--n-min must not exceed --n-max")
     model = coupling.get_preset(args.coupling)
@@ -113,7 +107,7 @@ def cmd_sweep(args) -> int:
                 continue  # family not defined at this sensor count
             report, leakage = _analysis_payload(array, model)
             rows.append((fam, n, report, leakage))
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         payload = []
         for fam, n, report, leakage in rows:
             entry = report.to_dict()
@@ -149,7 +143,7 @@ def _resolve_scenario(args):
                 {**scenario.to_dict(), "seed": args.seed}
             )
         music = estimation.MusicConfig.for_step(
-            scenario.num_sources, args.grid_step if args.grid_step else 0.01
+            scenario.num_sources, 0.01 if args.grid_step is None else args.grid_step
         )
     if args.coupling is not None:
         model = coupling.get_preset(args.coupling)
@@ -172,7 +166,11 @@ def cmd_music(args) -> int:
         x = signal.simulate_snapshots(array, scenario, coupling=model, trial=0)
         signal.write_snapshots(args.dump_snapshots, x)
 
-    first = estimation.estimate_doas(array, scenario, music, coupling=model, trial=0)
+    results = [
+        estimation.estimate_doas(array, scenario, music, coupling=model, trial=t)
+        for t in range(trials)
+    ]
+    first = results[0]
     summary = {
         "array": array.name,
         "n": array.n,
@@ -189,7 +187,7 @@ def cmd_music(args) -> int:
         },
     }
     if trials > 1:
-        mc = estimation.monte_carlo(array, scenario, music, trials, coupling=model)
+        mc = estimation.aggregate_trials(results, scenario, music)
         summary["rmse_deg"] = round(mc.rmse_deg, 6)
         summary["detection_rate"] = mc.detection_rate
 
@@ -207,13 +205,13 @@ def cmd_music(args) -> int:
 
 def cmd_verify_lemmas(args) -> int:
     reports: list[verify.LemmaReport] = []
-    for check, (lo, hi) in verify.LEMMA_RANGES.items():
-        lo = max(lo, args.n_min) if check != "lemma3" else max(5, args.tsaulas_n_min)
-        hi = min(hi, args.n_max)
-        if lo <= hi:
-            reports.extend(verify.run_lemma_sweep(check, range(lo, hi + 1)))
+    for check, family in verify.LEMMA_FAMILIES.items():
+        n_min = args.tsaulas_n_min if family == "tsaulas" else args.n_min
+        sizes = verify.lemma_sizes(check, args.n_max, n_min)
+        if sizes:
+            reports.extend(verify.run_lemma_sweep(check, sizes))
     failures = [r for r in reports if not r.passed]
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         _emit(_json_dumps([r.to_dict() for r in reports]), args.output)
     else:
         lines = ["check,family,n,passed,failed_claims"]
@@ -237,19 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_design = sub.add_parser("design", help="emit a geometry descriptor (JSON)")
-    _add_common(p_design)
+    _add_output(p_design, formats=False)
     _add_array_source(p_design)
     p_design.set_defaults(func=cmd_design)
 
     p_analyze = sub.add_parser("analyze", help="co-array metrics for one array")
-    _add_common(p_analyze)
+    _add_output(p_analyze)
     _add_array_source(p_analyze)
     p_analyze.add_argument("--coupling", default="paper-v",
                            choices=coupling.preset_names())
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_sweep = sub.add_parser("sweep", help="metrics across a sensor-count range")
-    _add_common(p_sweep)
+    _add_output(p_sweep)
     p_sweep.add_argument("--families", required=True,
                          help="comma-separated family names")
     p_sweep.add_argument("--n-min", type=int, required=True)
@@ -259,8 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_music = sub.add_parser("music", help="simulate snapshots and estimate DOAs")
-    _add_common(p_music)
+    _add_output(p_music, formats=False)
     _add_array_source(p_music)
+    p_music.add_argument("--seed", type=int, default=None,
+                         help="override the scenario RNG seed")
     p_music.add_argument("--scenario", help="scenario JSON path")
     p_music.add_argument("--preset", choices=presets.preset_names(),
                          help="named reference scenario")
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-lemmas",
                               help="closed-form vs brute-force co-array checks")
-    _add_common(p_verify)
+    _add_output(p_verify)
     p_verify.add_argument("--n-min", type=int, default=9)
     p_verify.add_argument("--n-max", type=int, default=64)
     p_verify.add_argument("--tsaulas-n-min", type=int, default=5)

@@ -108,8 +108,7 @@ def weight_function(a, f: int) -> int:
     |f|, so this single definition serves both conventions (w(f) = w(-f), and
     w(0) = N).
     """
-    p = _positions(a)
-    return int(np.count_nonzero((p[:, None] - p[None, :]) == int(f)))
+    return weight_table(a, (f,))[int(f)]
 
 
 def weight_table(a, lags: Iterable[int] | None = None) -> dict[int, int]:

@@ -33,8 +33,12 @@ class CouplingModel:
     band_limit: int = 100
 
     def __post_init__(self) -> None:
-        if self.c1_magnitude < 0:
-            raise ValueError("c1_magnitude must be nonnegative")
+        if not 0.0 <= self.c1_magnitude < math.inf:
+            raise ValueError("c1_magnitude must be finite and nonnegative")
+        if not (math.isfinite(self.c1_phase) and math.isfinite(self.phase_decrement)):
+            raise ValueError("c1_phase and phase_decrement must be finite")
+        if isinstance(self.band_limit, bool) or not float(self.band_limit).is_integer():
+            raise ValueError(f"band_limit must be an integer, got {self.band_limit!r}")
         if self.band_limit < 0:
             raise ValueError("band_limit must be nonnegative")
         if self.c1_magnitude > 1.0:

@@ -9,8 +9,9 @@ Carlo" are literally the same code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,10 +54,14 @@ class MusicConfig:
 
     @classmethod
     def for_step(cls, num_sources: int, step_deg: float, **kwargs) -> "MusicConfig":
-        """Config whose grid covers (-90, 90) exclusive at the given pitch."""
-        if step_deg <= 0:
+        """Config whose grid covers (-90, 90) exclusive at the given pitch,
+        which must divide 180 degrees (to a relative 1e-9)."""
+        if not step_deg > 0:
             raise ValueError("grid step must be positive")
-        points = int(round(180.0 / step_deg)) - 1
+        intervals = 180.0 / step_deg
+        if not math.isclose(intervals, round(intervals), rel_tol=1e-9):
+            raise ValueError(f"grid step {step_deg} does not divide 180 degrees")
+        points = int(round(intervals)) - 1
         edge = 90.0 - step_deg
         return cls(num_sources=num_sources, grid_start=-edge, grid_stop=edge,
                    grid_points=points, **kwargs)
@@ -275,20 +280,29 @@ def monte_carlo(
             estimates_per_trial=per_trial,
             insufficient_dofs=True,
         )
+    results = (
+        estimate_doas(array, scenario, config, coupling=coupling, trial=t)
+        for t in range(trials)
+    )
+    return aggregate_trials(results, scenario, config)
+
+
+def aggregate_trials(
+    results: Iterable[EstimationResult], scenario: Scenario, config: MusicConfig
+) -> MonteCarloResult:
+    """RMSE, detection rate and per-trial estimates over single-trial
+    results, in trial order."""
     estimates_per_trial = []
     detected = 0
-    for t in range(trials):
-        result = estimate_doas(array, scenario, config, coupling=coupling, trial=t)
+    for result in results:
         estimates_per_trial.append(tuple(float(e) for e in result.estimates))
-        if not result.under_detected:
-            detected += 1
-    value = rmse(estimates_per_trial, scenario.angles_deg, config.error_cap_deg)
+        detected += not result.under_detected
+    trials = len(estimates_per_trial)
     return MonteCarloResult(
-        rmse_deg=value,
+        rmse_deg=rmse(estimates_per_trial, scenario.angles_deg, config.error_cap_deg),
         detection_rate=detected / trials,
         trials=trials,
         estimates_per_trial=tuple(estimates_per_trial),
-        insufficient_dofs=False,
     )
 
 

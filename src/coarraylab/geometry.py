@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import numbers
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -33,13 +34,9 @@ class SensorArray:
     unit: str = POSITION_UNIT
 
     def __post_init__(self) -> None:
-        if not self.positions:
-            raise DesignError("array needs at least one sensor")
-        pos = tuple(int(p) for p in self.positions)
-        if any(int(p) != p for p in self.positions):
-            raise DesignError("sensor positions must be integers")
+        pos = _integer_positions(self.positions)
         if any(b <= a for a, b in zip(pos, pos[1:])):
-            raise DesignError("sensor positions must be strictly increasing")
+            raise DesignError("sensor positions must be distinct and increasing")
         object.__setattr__(self, "positions", pos)
         if self.unit != POSITION_UNIT:
             raise DesignError(f"unsupported position unit {self.unit!r}")
@@ -88,13 +85,28 @@ class SensorArray:
         return from_positions(name, positions, unit=unit)
 
 
+class Family(NamedTuple):
+    """One generated augmented-ULA family.
+
+    With the sparse spacing m = 2*ceil(n/4), the family puts
+    n1 = n - m + n1_offset sensors on the coarse grid and sizes its second
+    dense tail as n3 = m/2 - n3_offset.
+    """
+
+    display_name: str
+    min_n: int
+    n1_offset: int
+    n3_offset: int
+    build: Callable[[int], "SensorArray"]
+
+
 @dataclass(frozen=True)
 class AulasParams:
     """Sub-array bookkeeping for the augmented-ULA family.
 
     m is the sparse spacing 2*ceil(n/4); n1 sensors sit on the coarse grid and
-    n2 / n3 form the dense tail(s).  Each family fixes (n1, n2, n3) its own
-    way, so use the family-specific constructors.
+    n2 / n3 form the dense tail(s).  Each family fixes (n1, n3) its own way
+    in FAMILIES; ``for_family`` reads it from there.
     """
 
     n: int
@@ -103,90 +115,62 @@ class AulasParams:
     n2: int
     n3: int
 
-    @staticmethod
-    def _spacing(n: int) -> int:
-        return 2 * math.ceil(n / 4)
-
     @classmethod
-    def for_aulas(cls, n: int) -> "AulasParams":
-        if n < 9:
-            raise DesignError(f"AULAs needs n >= 9, got {n}")
-        m = cls._spacing(n)
-        return cls(n=n, m=m, n1=n - m + 1, n2=m // 2 - 1, n3=m // 2 - 2)
-
-    @classmethod
-    def for_saulas(cls, n: int) -> "AulasParams":
-        if n < 9:
-            raise DesignError(f"SAULAs needs n >= 9, got {n}")
-        m = cls._spacing(n)
-        return cls(n=n, m=m, n1=n - m + 1, n2=m // 2 - 1, n3=m // 2 - 2)
-
-    @classmethod
-    def for_tsaulas(cls, n: int) -> "AulasParams":
-        if n < 5:
-            raise DesignError(f"TSAULAs needs n >= 5, got {n}")
-        m = cls._spacing(n)
-        return cls(n=n, m=m, n1=n - m + 1, n2=m // 2 - 1, n3=m // 2 - 1)
-
-    @classmethod
-    def for_cotsaulas(cls, n: int) -> "AulasParams":
-        m = cls._spacing(n)
-        if n - m < 1 or m < 6:
-            raise DesignError(
-                f"Co-TSAULAs needs n - m >= 1 and m >= 6 (n >= 9), got n={n}"
-            )
-        return cls(n=n, m=m, n1=n - m, n2=m // 2 - 1, n3=m // 2 - 1)
+    def for_family(cls, family: str, n: int) -> "AulasParams":
+        try:
+            spec = FAMILIES[family]
+        except KeyError:
+            raise DesignError(f"no augmented-ULA family {family!r}") from None
+        if n < spec.min_n:
+            raise DesignError(f"{spec.display_name} needs n >= {spec.min_n}, got {n}")
+        m = 2 * math.ceil(n / 4)
+        return cls(n=n, m=m, n1=n - m + spec.n1_offset, n2=m // 2 - 1,
+                   n3=m // 2 - spec.n3_offset)
 
 
-def _coarse_run(n1: int, m: int) -> list[int]:
-    return [k * m for k in range(n1)]
+def _family_array(family: str, positions: list[int]) -> SensorArray:
+    return SensorArray(FAMILIES[family].display_name, tuple(sorted(positions)))
 
 
 def design_aulas(n: int) -> SensorArray:
     """Augmented ULA: a coarse n1-element grid of pitch m plus two dense
     tails straddling the last coarse sensor."""
-    p = AulasParams.for_aulas(n)
+    p = AulasParams.for_family("aulas", n)
     n1m, half = p.n1 * p.m, p.m // 2
-    part1 = _coarse_run(p.n1, p.m)
+    part1 = [k * p.m for k in range(p.n1)]
     part2 = [n1m - half - 1 + k for k in range(1, half + 1)]
     part3 = [n1m + k for k in range(1, half)]
-    return SensorArray("AULAs", tuple(sorted(part1 + part2 + part3)))
+    return _family_array("aulas", part1 + part2 + part3)
 
 
 def design_saulas(n: int) -> SensorArray:
     """Shifted variant: the same structure as design_aulas moved up by m/2,
     which relocates the sum co-array without touching the difference set."""
-    p = AulasParams.for_saulas(n)
+    p = AulasParams.for_family("saulas", n)
+    return design_aulas(n).translated(p.m // 2, name=FAMILIES["saulas"].display_name)
+
+
+def _transformed_shifted(p: AulasParams) -> list[int]:
     n1m, half = p.n1 * p.m, p.m // 2
     part1 = [half + k * p.m for k in range(p.n1)]
-    part2 = [n1m - 1 + k for k in range(1, half + 1)]
-    part3 = [n1m + half + k for k in range(1, half)]
-    return SensorArray("SAULAs", tuple(sorted(part1 + part2 + part3)))
+    part2 = [n1m - half + 2 * k for k in range(1, half)] + [-n1m - half + 1]
+    part3 = [n1m + half - 1 + 2 * k for k in range(1, half)]
+    return part1 + part2 + part3
 
 
 def design_tsaulas(n: int) -> SensorArray:
     """Transformed-shifted variant: dense tails opened up to pitch 2 and a
     single mirrored sensor far on the negative axis."""
-    p = AulasParams.for_tsaulas(n)
-    n1m, half = p.n1 * p.m, p.m // 2
-    part1 = [half + k * p.m for k in range(p.n1)]
-    part2 = [n1m - half + 2 * k for k in range(1, half)]
-    part2.append(-n1m - half + 1)
-    part3 = [n1m + half - 1 + 2 * k for k in range(1, half)]
-    return SensorArray("TSAULAs", tuple(sorted(part1 + part2 + part3)))
+    p = AulasParams.for_family("tsaulas", n)
+    return _family_array("tsaulas", _transformed_shifted(p))
 
 
 def design_cotsaulas(n: int) -> SensorArray:
     """Compressed variant of design_tsaulas: one fewer coarse sensor and one
     extra tail sensor, trading a shorter span for a hole-free co-array."""
-    p = AulasParams.for_cotsaulas(n)
-    n1m, half = p.n1 * p.m, p.m // 2
-    part1 = [half + k * p.m for k in range(p.n1)]
-    part2 = [n1m - half + 2 * k for k in range(1, half)]
-    part2.append(-n1m - half + 1)
-    part3 = [n1m + half - 1 + 2 * k for k in range(1, half)]
-    part3.append(n1m + 3 * half - 2)
-    return SensorArray("Co-TSAULAs", tuple(sorted(part1 + part2 + part3)))
+    p = AulasParams.for_family("cotsaulas", n)
+    tail = p.n1 * p.m + 3 * (p.m // 2) - 2
+    return _family_array("cotsaulas", _transformed_shifted(p) + [tail])
 
 
 def design_ula(n: int) -> SensorArray:
@@ -208,13 +192,18 @@ def design_nested(n_dense: int, n_sparse: int) -> SensorArray:
     return SensorArray("NA", tuple(sorted(set(dense + sparse))))
 
 
-_FAMILY_BUILDERS = {
-    "aulas": design_aulas,
-    "saulas": design_saulas,
-    "tsaulas": design_tsaulas,
-    "cotsaulas": design_cotsaulas,
-    "ula": design_ula,
+#: The generated augmented-ULA families, by CLI name.
+FAMILIES: dict[str, Family] = {
+    "aulas": Family("AULAs", 9, n1_offset=1, n3_offset=2, build=design_aulas),
+    "saulas": Family("SAULAs", 9, n1_offset=1, n3_offset=2, build=design_saulas),
+    "tsaulas": Family("TSAULAs", 5, n1_offset=1, n3_offset=1, build=design_tsaulas),
+    "cotsaulas": Family("Co-TSAULAs", 9, n1_offset=0, n3_offset=1, build=design_cotsaulas),
 }
+
+_FAMILY_BUILDERS = {**{name: f.build for name, f in FAMILIES.items()}, "ula": design_ula}
+
+#: Every family ``design`` builds from a sensor count alone.
+GENERATED_FAMILIES = tuple(_FAMILY_BUILDERS)
 
 
 def design(family: str, n: int) -> SensorArray:
@@ -228,22 +217,28 @@ def design(family: str, n: int) -> SensorArray:
     return builder(n)
 
 
+def _integer_positions(values: Iterable) -> tuple[int, ...]:
+    """The one definition of a valid sensor position: a finite, integer-valued
+    real number (bools are not positions)."""
+    cleaned = []
+    for p in values:
+        if type(p) is not int:  # plain ints pass as they are; bools do not
+            if (isinstance(p, bool) or not isinstance(p, numbers.Real)
+                    or not math.isfinite(p) or int(p) != p):
+                raise DesignError(f"non-integer sensor position {p!r}")
+            p = int(p)
+        cleaned.append(p)
+    if not cleaned:
+        raise DesignError("array needs at least one sensor")
+    return tuple(cleaned)
+
+
 def from_positions(
     name: str, positions: Iterable[int], unit: str = POSITION_UNIT
 ) -> SensorArray:
-    """Wrap externally supplied sensor locations; sorts and rejects
-    duplicates and non-integers."""
-    pos = list(positions)
-    if len(pos) == 0:
-        raise DesignError("array needs at least one sensor")
-    cleaned = []
-    for p in pos:
-        if isinstance(p, bool) or int(p) != p:
-            raise DesignError(f"non-integer sensor position {p!r}")
-        cleaned.append(int(p))
-    if len(set(cleaned)) != len(cleaned):
-        raise DesignError("duplicate sensor positions")
-    return SensorArray(str(name), tuple(sorted(cleaned)), unit=unit)
+    """Wrap externally supplied sensor locations in any order; duplicates
+    and non-integers are rejected."""
+    return SensorArray(str(name), tuple(sorted(_integer_positions(positions))), unit=unit)
 
 
 def load_descriptor(path) -> SensorArray:

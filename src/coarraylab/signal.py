@@ -53,35 +53,31 @@ class Scenario:
         angles = tuple(float(a) for a in np.atleast_1d(self.angles_deg))
         if len(angles) == 0:
             raise ValueError("scenario needs at least one source")
-        if any(abs(a) >= 90.0 for a in angles):
+        if not all(-90.0 < a < 90.0 for a in angles):
             raise ValueError("source angles must lie strictly inside (-90, 90)")
         if len(set(angles)) != len(angles):
             raise ValueError("source angles must be distinct")
         object.__setattr__(self, "angles_deg", angles)
 
-        powers = self.powers
-        if powers is None:
-            powers = (1.0,) * len(angles)
-        powers = tuple(float(p) for p in np.atleast_1d(powers))
-        if len(powers) != len(angles):
-            raise ValueError("powers length must match angles")
-        if any(p < 0 for p in powers):
-            raise ValueError("source powers must be nonnegative")
+        powers = _per_source(self.powers, 1.0, len(angles), "powers")
+        if not all(0.0 <= p < math.inf for p in powers):
+            raise ValueError("source powers must be finite and nonnegative")
         object.__setattr__(self, "powers", powers)
-
-        phases = self.nc_phases
-        if phases is None:
-            phases = (0.0,) * len(angles)
-        phases = tuple(float(p) for p in np.atleast_1d(phases))
-        if len(phases) != len(angles):
-            raise ValueError("nc_phases length must match angles")
+        phases = _per_source(self.nc_phases, 0.0, len(angles), "nc_phases")
+        if not all(math.isfinite(p) for p in phases):
+            raise ValueError("nc_phases must be finite")
         object.__setattr__(self, "nc_phases", phases)
 
+        if isinstance(self.snapshots, bool) or not float(self.snapshots).is_integer():
+            raise ValueError(f"snapshots must be an integer, got {self.snapshots!r}")
         if int(self.snapshots) < 1:
             raise ValueError("snapshots must be >= 1")
         object.__setattr__(self, "snapshots", int(self.snapshots))
         if self.snr_db is not None:
-            object.__setattr__(self, "snr_db", float(self.snr_db))
+            snr = float(self.snr_db)
+            if math.isnan(snr) or snr == -math.inf:
+                raise ValueError("snr_db must be a number, +inf or null")
+            object.__setattr__(self, "snr_db", snr)
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -122,6 +118,16 @@ class Scenario:
         )
 
 
+def _per_source(values, default: float, count: int, what: str) -> tuple[float, ...]:
+    """One float per source: ``values`` converted, or ``default`` repeated."""
+    if values is None:
+        return (default,) * count
+    values = tuple(float(v) for v in np.atleast_1d(values))
+    if len(values) != count:
+        raise ValueError(f"{what} length must match angles")
+    return values
+
+
 def load_scenario(path) -> tuple[Scenario, CouplingModel | None]:
     """Read a scenario JSON file; an optional "coupling" key holds either a
     preset name or an inline coefficient model."""
@@ -141,22 +147,15 @@ def load_scenario(path) -> tuple[Scenario, CouplingModel | None]:
 
 def steering_vector(array: SensorArray, theta_deg: float) -> np.ndarray:
     """a(theta) with a_u = exp(-j*pi*m_u*sin(theta)) at half-wavelength pitch."""
-    theta = float(theta_deg)
-    if abs(theta) >= 90.0:
-        raise ValueError(f"source angle {theta} out of range (-90, 90)")
-    return _steering(array.as_array(), np.array([theta]))[:, 0]
-
-
-def _steering(positions: np.ndarray, angles_deg: np.ndarray) -> np.ndarray:
-    phase = -np.pi * positions[:, None] * np.sin(np.deg2rad(angles_deg))[None, :]
-    return np.exp(1j * phase)
+    return steering_matrix(array, [theta_deg])[:, 0]
 
 
 def steering_matrix(array: SensorArray, angles_deg: Sequence[float]) -> np.ndarray:
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    if np.any(np.abs(angles) >= 90.0):
+    if not np.all(np.abs(angles) < 90.0):
         raise ValueError("source angles must lie strictly inside (-90, 90)")
-    return _steering(array.as_array(), angles)
+    positions = array.as_array()
+    return np.exp(-1j * np.pi * positions[:, None] * np.sin(np.deg2rad(angles))[None, :])
 
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
@@ -300,8 +299,8 @@ def virtual_observation(ec: ExtendedCovariance, array: SensorArray) -> VirtualOb
     counts = np.bincount(inverse, minlength=lags.size)
     means = sums / counts
 
-    sdc = coarray.sum_difference_coarray(array)
-    udofs, _ = coarray.contiguous_stats(sdc)
+    # the distinct extended lags are exactly the sum-difference co-array
+    udofs, _ = coarray.contiguous_stats(lags)
     half = (udofs - 1) // 2
     segment = np.arange(-half, half + 1, dtype=np.int64)
     index = np.searchsorted(lags, segment)

@@ -25,8 +25,10 @@ from .coarray import (
     weight_table,
 )
 from .geometry import (
+    FAMILIES,
     AulasParams,
     SensorArray,
+    design,
     design_aulas,
     design_cotsaulas,
     design_saulas,
@@ -79,52 +81,12 @@ def _interval_covered(lags: np.ndarray, lo: int, hi: int) -> bool:
     return all(f in present for f in range(lo, hi + 1))
 
 
-def check_lemma1(n: int) -> LemmaReport:
-    """Difference/sum structure of the base augmented ULA.
-
-    Claims: the positive difference set is contiguous up to the aperture with
-    a single hole at n1*m; the sum set is contiguous from n1*m - m/2 through
-    twice the aperture and supplies the lag n1*m that plugs the difference
-    hole; together the sum-difference co-array is hole-free with
-    4*n1*m + 2*m - 3 usable DOFs.
-    """
-    p = AulasParams.for_aulas(n)
-    array = design_aulas(n)
-    n1m, half = p.n1 * p.m, p.m // 2
-    dc = difference_set(array)
-    sc = sum_set(array)
-    sdc = sum_difference_coarray(array)
-    udofs, _ = contiguous_stats(sdc)
-
-    top = n1m + half - 1
-    expected_dc_pos = np.setdiff1d(
-        np.arange(0, top + 1, dtype=np.int64), [n1m], assume_unique=True
-    )
-    dc_pos = dc[dc >= 0]
-    closed_udofs = 4 * n1m + 2 * p.m - 3
-    claims = {
-        "dc_contiguous_single_hole": bool(np.array_equal(dc_pos, expected_dc_pos)),
-        "sc_band_contiguous": _interval_covered(sc, n1m - half, 2 * n1m + p.m - 2),
-        "sc_max_is_twice_aperture": int(sc[-1]) == 2 * n1m + p.m - 2,
-        "sum_lag_fills_dc_hole": n1m in set(int(x) for x in sc),
-        "sdc_hole_free": holes(sdc).size == 0,
-        "udofs_matches_closed_form": udofs == closed_udofs,
-    }
-    details = {
-        "udofs_brute": udofs,
-        "udofs_closed": closed_udofs,
-        "dc_hole": n1m,
-        "sc_band": (n1m - half, 2 * n1m + p.m - 2),
-    }
-    return LemmaReport("lemma1", array.name, n, claims, details)
-
-
-def check_lemma2(n: int) -> LemmaReport:
-    """Same structure for the shifted variant, where the roles invert: now
-    the difference set plugs the two holes just above n1*m that the shifted
-    sum set leaves behind, and the co-array keeps 4*n1*m + 4*m - 3 DOFs."""
-    p = AulasParams.for_saulas(n)
-    array = design_saulas(n)
+def _check_augmented(
+    check: str, array: SensorArray, p: AulasParams, shift: int
+) -> LemmaReport:
+    """Shared body of lemmas 1 and 2: the base augmented ULA and its copy
+    slid up by ``shift``.  The difference set does not move; the sum set and
+    its band move up by 2*shift."""
     n1m, half = p.n1 * p.m, p.m // 2
     dc = difference_set(array)
     sc = sum_set(array)
@@ -136,35 +98,57 @@ def check_lemma2(n: int) -> LemmaReport:
         np.arange(0, top + 1, dtype=np.int64), [n1m], assume_unique=True
     )
     sc_set = set(int(x) for x in sc)
-    dc_set = set(int(x) for x in dc)
-    closed_udofs = 4 * n1m + 4 * p.m - 3
+    band = (n1m - half + 2 * shift, 2 * n1m + p.m - 2 + 2 * shift)
+    closed_udofs = 4 * n1m + 2 * p.m - 3 + 4 * shift
     claims = {
         "dc_contiguous_single_hole": bool(
             np.array_equal(dc[dc >= 0], expected_dc_pos)
         ),
-        "sc_band_contiguous": _interval_covered(sc, n1m + half, 2 * n1m + 2 * p.m - 2),
-        "sc_max_is_twice_aperture": int(sc[-1]) == 2 * n1m + 2 * p.m - 2,
+        "sc_band_contiguous": _interval_covered(sc, *band),
+        "sc_max_is_twice_aperture": int(sc[-1]) == band[1],
         "sum_lag_fills_dc_hole": n1m in sc_set,
-        "dc_fills_sc_holes": (
-            {n1m + 1, n1m + 2} <= dc_set and not ({n1m + 1, n1m + 2} & sc_set)
-        ),
-        "sdc_hole_free": holes(sdc).size == 0,
-        "udofs_matches_closed_form": udofs == closed_udofs,
     }
+    if shift:
+        plugs = {n1m + 1, n1m + 2}
+        dc_set = set(int(x) for x in dc)
+        claims["dc_fills_sc_holes"] = plugs <= dc_set and not (plugs & sc_set)
+    claims["sdc_hole_free"] = holes(sdc).size == 0
+    claims["udofs_matches_closed_form"] = udofs == closed_udofs
     details = {
         "udofs_brute": udofs,
         "udofs_closed": closed_udofs,
         "dc_hole": n1m,
-        "sc_band": (n1m + half, 2 * n1m + 2 * p.m - 2),
+        "sc_band": band,
     }
-    return LemmaReport("lemma2", array.name, n, claims, details)
+    return LemmaReport(check, array.name, p.n, claims, details)
+
+
+def check_lemma1(n: int) -> LemmaReport:
+    """Difference/sum structure of the base augmented ULA.
+
+    Claims: the positive difference set is contiguous up to the aperture with
+    a single hole at n1*m; the sum set is contiguous from n1*m - m/2 through
+    twice the aperture and supplies the lag n1*m that plugs the difference
+    hole; together the sum-difference co-array is hole-free with
+    4*n1*m + 2*m - 3 usable DOFs.
+    """
+    p = AulasParams.for_family("aulas", n)
+    return _check_augmented("lemma1", design_aulas(n), p, shift=0)
+
+
+def check_lemma2(n: int) -> LemmaReport:
+    """Same structure for the shifted variant, where the roles invert: now
+    the difference set plugs the two holes just above n1*m that the shifted
+    sum set leaves behind, and the co-array keeps 4*n1*m + 4*m - 3 DOFs."""
+    p = AulasParams.for_family("saulas", n)
+    return _check_augmented("lemma2", design_saulas(n), p, shift=p.m // 2)
 
 
 def check_lemma3(n: int) -> LemmaReport:
     """Transformed-shifted variant: contiguous through 2*n1*m + 2*m - 4 on
     each side (4*n1*m + 4*m - 7 DOFs) and every remaining hole lies strictly
     outside that segment, m - 2 of them in total."""
-    p = AulasParams.for_tsaulas(n)
+    p = AulasParams.for_family("tsaulas", n)
     array = design_tsaulas(n)
     n1m = p.n1 * p.m
     sdc = sum_difference_coarray(array)
@@ -192,7 +176,7 @@ def check_lemma3(n: int) -> LemmaReport:
 def check_lemma4(n: int) -> LemmaReport:
     """Compressed variant: the sum-difference co-array is hole-free over its
     whole span, 4*n1*m + 6*m - 7 DOFs with n1 = n - m."""
-    p = AulasParams.for_cotsaulas(n)
+    p = AulasParams.for_family("cotsaulas", n)
     array = design_cotsaulas(n)
     n1m = p.n1 * p.m
     sdc = sum_difference_coarray(array)
@@ -210,20 +194,10 @@ def check_lemma4(n: int) -> LemmaReport:
     return LemmaReport("lemma4", array.name, n, claims, details)
 
 
-_PARAM_BUILDERS = {
-    "aulas": AulasParams.for_aulas,
-    "saulas": AulasParams.for_saulas,
-    "tsaulas": AulasParams.for_tsaulas,
-    "cotsaulas": AulasParams.for_cotsaulas,
-}
-
-
 def closed_form_weights(family: str, n: int) -> dict[int, int]:
     """Predicted pair counts at lags 1..3 for each generated family."""
     family = family.lower()
-    if family not in _PARAM_BUILDERS:
-        raise ValueError(f"no closed-form weights for family {family!r}")
-    m = _PARAM_BUILDERS[family](n).m
+    m = AulasParams.for_family(family, n).m
     if family in ("aulas", "saulas"):
         return {1: m - 3, 2: m - 4, 3: (m - 5 if m > 6 else m // 2)}
     if family == "tsaulas":
@@ -231,29 +205,29 @@ def closed_form_weights(family: str, n: int) -> dict[int, int]:
     return {1: 1, 2: m - 3, 3: 2}
 
 
-_DESIGNERS = {
-    "aulas": design_aulas,
-    "saulas": design_saulas,
-    "tsaulas": design_tsaulas,
-    "cotsaulas": design_cotsaulas,
-}
-
-
 def check_weights(family: str, n: int) -> LemmaReport:
     """Compare closed-form w(1..3) against direct pair counting."""
     predicted = closed_form_weights(family, n)
-    array = _DESIGNERS[family.lower()](n)
+    array = design(family, n)
     counted = weight_table(array, (1, 2, 3))
     claims = {f"w{f}_matches": counted[f] == predicted[f] for f in (1, 2, 3)}
     details = {"counted": counted, "closed_form": predicted}
     return LemmaReport("weights", array.name, n, claims, details)
 
 
+#: The family each lemma makes its claims about.
+LEMMA_FAMILIES = {
+    "lemma1": "aulas",
+    "lemma2": "saulas",
+    "lemma3": "tsaulas",
+    "lemma4": "cotsaulas",
+}
+
+#: Sensor counts each lemma is verified over: from its family's smallest
+#: admissible size up to N_MAX.
+N_MAX = 64
 LEMMA_RANGES: dict[str, tuple[int, int]] = {
-    "lemma1": (9, 64),
-    "lemma2": (9, 64),
-    "lemma3": (5, 64),
-    "lemma4": (9, 64),
+    check: (FAMILIES[family].min_n, N_MAX) for check, family in LEMMA_FAMILIES.items()
 }
 
 _CHECKERS = {
@@ -264,26 +238,30 @@ _CHECKERS = {
 }
 
 
+def lemma_sizes(check: str, n_max: int = N_MAX, n_min: int = 0) -> range:
+    """Sensor counts one lemma's sweep covers: its verified range clipped to
+    [n_min, n_max]."""
+    lo, hi = LEMMA_RANGES[check]
+    return range(max(lo, n_min), min(hi, n_max) + 1)
+
+
 def run_lemma_sweep(
     check: str, n_values: Iterable[int] | None = None
 ) -> list[LemmaReport]:
     checker = _CHECKERS[check]
     if n_values is None:
-        lo, hi = LEMMA_RANGES[check]
-        n_values = range(lo, hi + 1)
+        n_values = lemma_sizes(check)
     return [checker(n) for n in n_values]
 
 
-def run_all(n_max: int = 64) -> list[LemmaReport]:
+def run_all(n_max: int = N_MAX) -> list[LemmaReport]:
     """Every lemma at every admissible sensor count up to n_max, plus the
     closed-form weight checks."""
     reports: list[LemmaReport] = []
-    for check, (lo, hi) in LEMMA_RANGES.items():
-        reports.extend(run_lemma_sweep(check, range(lo, min(hi, n_max) + 1)))
-    for family in _DESIGNERS:
-        lo = 5 if family == "tsaulas" else 9
-        for n in range(lo, n_max + 1):
-            reports.append(check_weights(family, n))
+    for check in LEMMA_RANGES:
+        reports.extend(run_lemma_sweep(check, lemma_sizes(check, n_max)))
+    for family, spec in FAMILIES.items():
+        reports.extend(check_weights(family, n) for n in range(spec.min_n, n_max + 1))
     return reports
 
 

@@ -106,7 +106,7 @@ def test_criterion_06_consecutive_sizes_share_inbuilt_locations():
         a = geometry.design_aulas(n)
         b = geometry.design_aulas(n + 1)
         shared = geometry.inbuilt_shared_locations(a, b)
-        m = geometry.AulasParams.for_aulas(n).m
+        m = geometry.AulasParams.for_family("aulas", n).m
         assert len(shared) >= m - 2, f"N={n}: {len(shared)} shared < {m - 2}"
 
 

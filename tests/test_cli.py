@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from coarraylab import geometry, signal, verify
+import coarraylab
+from coarraylab import cli, coarray, estimation, geometry, signal, verify
 from coarraylab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -78,6 +79,23 @@ def test_design_usage_errors(capsys, argv):
 def test_unknown_family_is_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["design", "--family", "mystery", "--n", "12"])
+    assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("design", "--family", "aulas", "--n", "12", "--seed", "4"),
+        ("design", "--family", "aulas", "--n", "12", "--format", "json"),
+        ("analyze", "--family", "aulas", "--n", "12", "--seed", "4"),
+        ("sweep", "--families", "aulas", "--n-min", "9", "--n-max", "9", "--seed", "4"),
+        ("verify-lemmas", "--n-max", "9", "--seed", "4"),
+        ("music", "--family", "aulas", "--n", "9", "--preset", "fig12", "--format", "csv"),
+    ],
+)
+def test_flags_a_subcommand_does_not_use_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
     assert exc.value.code == EXIT_USAGE
 
 
@@ -380,6 +398,84 @@ def test_music_usage_errors(capsys, extra):
     )
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"angles_deg": [float("nan"), 22.0]},
+        {"snr_db": float("nan")},
+        {"powers": [1.0, float("nan")]},
+        {"snapshots": 2.7},
+        {"coupling": {"c1_magnitude": float("nan")}},
+        {"coupling": {"band_limit": 2.5}},
+    ],
+)
+def test_music_rejects_non_finite_or_non_integral_scenario(tmp_path, capsys, fields):
+    path = tmp_path / "bad.json"
+    scenario = {"angles_deg": [-15.0, 22.0], "snapshots": 400, "snr_db": 10.0}
+    path.write_text(json.dumps({**scenario, **fields}))
+    code, _, err = run_cli(
+        capsys, "music", "--family", "aulas", "--n", "9", "--scenario", str(path),
+        "--grid-step", "0.5",
+    )
+    assert code == EXIT_USAGE
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("step", ["0.07", "0"])
+def test_music_rejects_grid_step_that_does_not_divide_180(capsys, scenario_file, step):
+    code, _, err = run_cli(
+        capsys,
+        "music", "--family", "aulas", "--n", "9",
+        "--scenario", str(scenario_file), "--grid-step", step,
+    )
+    assert code == EXIT_USAGE
+    assert "error:" in err
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each named function in every package namespace that holds it."""
+    counts = dict.fromkeys(names, 0)
+    namespaces = [coarraylab, cli, coarray, estimation, geometry, signal, verify]
+    for name in names:
+        module, attr = name.split(".")
+        original = getattr(getattr(coarraylab, module), attr)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for namespace in namespaces:
+            for key, value in list(vars(namespace).items()):
+                if value is original:
+                    monkeypatch.setattr(namespace, key, counting)
+    return counts
+
+
+def test_music_runs_each_trial_stage_once(tmp_path, monkeypatch, capsys, scenario_file):
+    counts = _count_calls(
+        monkeypatch,
+        [
+            "estimation.estimate_doas",
+            "estimation.music_spectrum",
+            "signal.simulate_snapshots",
+            "coarray.sum_difference_coarray",
+        ],
+    )
+    code, _, _ = run_cli(
+        capsys,
+        "music", "--family", "saulas", "--n", "9",
+        "--scenario", str(scenario_file), "--grid-step", "0.5", "--trials", "3",
+        "--dump-snapshots", str(tmp_path / "snaps.bin"), "--output", str(tmp_path / "run"),
+    )
+    assert code == EXIT_OK
+    assert counts["estimation.estimate_doas"] == 3
+    assert counts["estimation.music_spectrum"] == 3
+    # three trials plus the trial-0 dump
+    assert counts["signal.simulate_snapshots"] <= 4
+    # the insufficient-DOF check; each trial reads its lags off the covariance
+    assert counts["coarray.sum_difference_coarray"] <= 1
 
 
 def test_music_rejects_zero_trials(capsys, scenario_file):

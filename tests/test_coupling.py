@@ -85,6 +85,23 @@ def test_negative_band_limit_rejected():
         CouplingModel(band_limit=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"c1_magnitude": float("nan")},
+        {"c1_magnitude": float("inf")},
+        {"c1_phase": float("nan")},
+        {"phase_decrement": float("inf")},
+        {"band_limit": 2.5},
+        {"band_limit": float("nan")},
+        {"band_limit": True},
+    ],
+)
+def test_model_rejects_non_finite_or_non_integral_fields(kwargs):
+    with pytest.raises(ValueError):
+        CouplingModel(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Matrix structure
 # ---------------------------------------------------------------------------

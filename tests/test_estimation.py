@@ -75,6 +75,17 @@ def test_for_step_rejects_nonpositive_step():
         MusicConfig.for_step(2, 0.0)
 
 
+@pytest.mark.parametrize(("step", "points"), [(0.01, 17999), (0.05, 3599), (0.5, 359), (1.0, 179)])
+def test_for_step_accepts_pitches_that_divide_180(step, points):
+    assert MusicConfig.for_step(2, step).grid_points == points
+
+
+@pytest.mark.parametrize("step", [0.07, 0.7, 7.0, float("nan")])
+def test_for_step_rejects_pitches_that_do_not_divide_180(step):
+    with pytest.raises(ValueError):
+        MusicConfig.for_step(2, step)
+
+
 # ---------------------------------------------------------------------------
 # Spatial smoothing
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coarraylab.geometry import (
+    FAMILIES,
     AulasParams,
     DesignError,
     SensorArray,
@@ -67,14 +68,14 @@ def test_sensor_count_equals_n(builder, lo, hi):
 
 
 def test_spacing_parameter():
-    assert AulasParams.for_aulas(9).m == 6
-    assert AulasParams.for_aulas(12).m == 6
-    assert AulasParams.for_aulas(13).m == 8
-    assert AulasParams.for_aulas(16).m == 8
-    assert AulasParams.for_aulas(64).m == 32
-    p = AulasParams.for_aulas(12)
+    assert AulasParams.for_family("aulas", 9).m == 6
+    assert AulasParams.for_family("aulas", 12).m == 6
+    assert AulasParams.for_family("aulas", 13).m == 8
+    assert AulasParams.for_family("aulas", 16).m == 8
+    assert AulasParams.for_family("aulas", 64).m == 32
+    p = AulasParams.for_family("aulas", 12)
     assert (p.n1, p.n2, p.n3) == (7, 2, 1)
-    assert AulasParams.for_cotsaulas(12).n1 == 6
+    assert AulasParams.for_family("cotsaulas", 12).n1 == 6
 
 
 @pytest.mark.parametrize(
@@ -97,7 +98,7 @@ def test_out_of_range_parameters_raise(bad_call):
 
 def test_saulas_is_a_rigid_translation():
     for n in range(9, 41):
-        m = AulasParams.for_aulas(n).m
+        m = AulasParams.for_family("aulas", n).m
         shifted = tuple(p + m // 2 for p in design_aulas(n).positions)
         assert design_saulas(n).positions == shifted
 
@@ -117,7 +118,9 @@ def test_from_positions_accepts_integer_valued_floats():
     assert from_positions("x", [2.0, 1.0]).positions == (1, 2)
 
 
-@pytest.mark.parametrize("bad", [[], [1, 1, 2], [0.5], [True, 2]])
+@pytest.mark.parametrize(
+    "bad", [[], [1, 1, 2], [0.5], [True, 2], [float("nan"), 1], [float("inf")]]
+)
 def test_from_positions_rejects_bad_input(bad):
     with pytest.raises(DesignError):
         from_positions("bad", bad)
@@ -173,12 +176,20 @@ def test_descriptor_rejects_malformed(tmp_path):
 
 
 def test_sensor_array_validation():
-    with pytest.raises(DesignError):
-        SensorArray("x", (3, 3))
-    with pytest.raises(DesignError):
-        SensorArray("x", (5, 1))
-    with pytest.raises(DesignError):
-        SensorArray("x", ())
+    bad_inputs = [
+        (3, 3),
+        (5, 1),
+        (),
+        (True, 2),
+        (float("nan"), 1),
+        (float("inf"),),
+        (float("-inf"), 0),
+        (0.5, 1),
+        ("0", 1),
+    ]
+    for positions in bad_inputs:
+        with pytest.raises(DesignError):
+            SensorArray("x", positions)
 
 
 def test_inbuilt_shared_locations():
@@ -192,3 +203,33 @@ def test_from_positions_always_sorted(points):
     arr = from_positions("rand", list(points))
     assert list(arr.positions) == sorted(points)
     assert arr.n == len(points)
+
+
+def _aulas_params_oracle(family, n):
+    """The per-family sizing rules as first written, one formula each."""
+    m = 2 * ((n + 3) // 4)
+    n1 = n - m if family == "cotsaulas" else n - m + 1
+    n3 = m // 2 - 2 if family in ("aulas", "saulas") else m // 2 - 1
+    return AulasParams(n=n, m=m, n1=n1, n2=m // 2 - 1, n3=n3)
+
+
+@given(st.integers(9, 64))
+def test_family_table_params_match_oracle(n):
+    for family in FAMILIES:
+        assert AulasParams.for_family(family, n) == _aulas_params_oracle(family, n)
+
+
+@given(st.integers(9, 64))
+def test_saulas_is_aulas_shifted_by_half_spacing(n):
+    m = _aulas_params_oracle("saulas", n).m
+    shifted = tuple(p + m // 2 for p in design_aulas(n).positions)
+    assert design_saulas(n).positions == shifted
+
+
+def test_family_table_minimum_sizes():
+    for family, spec in FAMILIES.items():
+        assert design(family, spec.min_n).n == spec.min_n
+        with pytest.raises(DesignError):
+            design(family, spec.min_n - 1)
+    with pytest.raises(DesignError):
+        AulasParams.for_family("ula", 12)

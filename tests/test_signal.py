@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coarraylab import coarray, coupling, geometry, signal
 from coarraylab.signal import (
@@ -54,11 +56,22 @@ def test_scenario_defaults():
         {"angles_deg": (10.0,), "snapshots": 10, "powers": (1.0, 2.0)},
         {"angles_deg": (10.0,), "snapshots": 10, "powers": (-0.5,)},
         {"angles_deg": (10.0,), "snapshots": 10, "nc_phases": (0.0, 0.1)},
+        {"angles_deg": (float("nan"),), "snapshots": 10},
+        {"angles_deg": (10.0,), "snapshots": 10, "snr_db": float("nan")},
+        {"angles_deg": (10.0,), "snapshots": 10, "powers": (float("nan"),)},
+        {"angles_deg": (10.0,), "snapshots": 10, "powers": (float("inf"),)},
+        {"angles_deg": (10.0,), "snapshots": 10, "nc_phases": (float("nan"),)},
+        {"angles_deg": (10.0,), "snapshots": 2.7},
+        {"angles_deg": (10.0,), "snapshots": float("nan")},
     ],
 )
 def test_scenario_rejects_bad_inputs(kwargs):
     with pytest.raises(ValueError):
         Scenario(**kwargs)
+
+
+def test_scenario_accepts_integral_float_snapshots():
+    assert Scenario(angles_deg=(10.0,), snapshots=12.0).snapshots == 12
 
 
 def test_scenario_allows_zero_power_source():
@@ -310,6 +323,14 @@ def test_extended_lag_matrix_spans_sum_difference_coarray():
     ):
         lags = np.unique(extended_lag_matrix(arr))
         np.testing.assert_array_equal(lags, coarray.sum_difference_coarray(arr))
+
+
+@given(st.sets(st.integers(-40, 40), min_size=1, max_size=10))
+def test_extended_lags_equal_sum_difference_coarray(points):
+    arr = geometry.from_positions("rand", sorted(points))
+    np.testing.assert_array_equal(
+        np.unique(extended_lag_matrix(arr)), coarray.sum_difference_coarray(arr)
+    )
 
 
 def test_virtual_observation_lag_axis():
