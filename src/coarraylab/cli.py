@@ -10,6 +10,7 @@ byte-identical across reruns of the same invocation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Sequence
@@ -166,11 +167,10 @@ def cmd_music(args) -> int:
         x = signal.simulate_snapshots(array, scenario, coupling=model, trial=0)
         signal.write_snapshots(args.dump_snapshots, x)
 
-    results = [
-        estimation.estimate_doas(array, scenario, music, coupling=model, trial=t)
-        for t in range(trials)
-    ]
-    first = results[0]
+    def estimate(t):
+        return estimation.estimate_doas(array, scenario, music, coupling=model, trial=t)
+
+    first = estimate(0)
     summary = {
         "array": array.name,
         "n": array.n,
@@ -187,7 +187,8 @@ def cmd_music(args) -> int:
         },
     }
     if trials > 1:
-        mc = estimation.aggregate_trials(results, scenario, music)
+        rest = (estimate(t) for t in range(1, trials))
+        mc = estimation.aggregate_trials(itertools.chain([first], rest), scenario, music)
         summary["rmse_deg"] = round(mc.rmse_deg, 6)
         summary["detection_rate"] = mc.detection_rate
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -218,16 +217,17 @@ def design(family: str, n: int) -> SensorArray:
 
 
 def _integer_positions(values: Iterable) -> tuple[int, ...]:
-    """The one definition of a valid sensor position: a finite, integer-valued
-    real number (bools are not positions)."""
+    """The one definition of a valid sensor position: a finite number equal
+    to its integer value (bools and strings are not positions)."""
     cleaned = []
     for p in values:
-        if type(p) is not int:  # plain ints pass as they are; bools do not
-            if (isinstance(p, bool) or not isinstance(p, numbers.Real)
-                    or not math.isfinite(p) or int(p) != p):
-                raise DesignError(f"non-integer sensor position {p!r}")
-            p = int(p)
-        cleaned.append(p)
+        try:
+            q = int(p)
+        except (TypeError, ValueError, OverflowError):  # non-numbers, NaN, ±inf
+            q = None
+        if q is None or q != p or isinstance(p, bool):
+            raise DesignError(f"non-integer sensor position {p!r}")
+        cleaned.append(q)
     if not cleaned:
         raise DesignError("array needs at least one sensor")
     return tuple(cleaned)
