@@ -17,6 +17,25 @@ import numpy as np
 from .geometry import SensorArray
 
 
+def real_field(value, name: str) -> float:
+    """``value`` as a float, or a ValueError naming the field when it is not
+    a number (a JSON null, a string, a list)."""
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def integer_field(value, name: str) -> int:
+    """``value`` as an int, or a ValueError naming the field when it is not
+    a number or not integral (bools, NaN and +-inf included)."""
+    if isinstance(value, bool) or not real_field(value, name).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CouplingModel:
     """Separation-indexed coupling coefficients.
@@ -33,13 +52,12 @@ class CouplingModel:
     band_limit: int = 100
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.c1_magnitude < math.inf:
+        if not 0.0 <= real_field(self.c1_magnitude, "c1_magnitude") < math.inf:
             raise ValueError("c1_magnitude must be finite and nonnegative")
-        if not (math.isfinite(self.c1_phase) and math.isfinite(self.phase_decrement)):
-            raise ValueError("c1_phase and phase_decrement must be finite")
-        if isinstance(self.band_limit, bool) or not float(self.band_limit).is_integer():
-            raise ValueError(f"band_limit must be an integer, got {self.band_limit!r}")
-        if self.band_limit < 0:
+        for name in ("c1_phase", "phase_decrement"):
+            if not math.isfinite(real_field(getattr(self, name), name)):
+                raise ValueError(f"{name} must be finite")
+        if integer_field(self.band_limit, "band_limit") < 0:
             raise ValueError("band_limit must be nonnegative")
         if self.c1_magnitude > 1.0:
             warnings.warn(

@@ -111,6 +111,27 @@ def _check_hermitian(r: np.ndarray) -> np.ndarray:
     return r
 
 
+#: The polynomial's absolute rounding error is of order L^2 * eps: Horner's
+#: rule takes L steps with |z| = 1 over coefficients c_0 = L - K and
+#: |c_d| <= K for d >= 1 (a unit vector's autocorrelation is at most 1), and
+#: z^d carries a phase error of about d * eps.  On random and rank-K
+#: noiseless matrices (L 20-575, K 1-55) the error stayed below
+#: 0.7 * L^2 * eps.  Near a true DOA the exact value falls to 1e-26 or less,
+#: where the polynomial returns rounding noise of either sign, so values
+#: below GUARD_FACTOR * L^2 * eps are recomputed by the direct projection.
+#: Above that bound the relative error is below 1 / GUARD_FACTOR = 1e-8, far
+#: inside the 1e-5 dB to which spectra are compared.
+GUARD_FACTOR = 1e8
+
+
+def _null_spectrum_direct(noise: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """||E_n^H a(theta)||^2 by projecting each steering vector onto the noise
+    eigenvectors (the columns of ``noise``): O(L * (L-K)) per angle."""
+    k = np.arange(noise.shape[0])
+    steering = np.exp(-1j * np.pi * k[:, None] * np.sin(np.deg2rad(angles))[None, :])
+    return np.sum(np.abs(noise.conj().T @ steering) ** 2, axis=0)
+
+
 def music_spectrum(
     r_ss: np.ndarray, config: MusicConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -118,6 +139,15 @@ def music_spectrum(
 
     a(theta) is the steering vector of the length-L contiguous virtual ULA at
     half-wavelength pitch.  Returns (grid angles in degrees, spectrum values).
+
+    The denominator a^H P a, with P = E_n E_n^H = I - E_s E_s^H, is the
+    trigonometric polynomial f(z) = c_0 + 2 Re sum_{d>=1} c_d z^d in
+    z = exp(j pi sin theta) that Root-MUSIC roots; c_d is the sum of the d-th
+    subdiagonal of P.  The c_d come from the autocorrelations of the K signal
+    eigenvectors (one zero-padded FFT), and f is evaluated on the grid by
+    Horner's rule, so no L x G steering matrix is formed.  Grid points where
+    f falls below the rounding bound (see GUARD_FACTOR), which occur only
+    next to a near-exact null, are recomputed by the direct projection.
     """
     r_ss = _check_hermitian(r_ss)
     length = r_ss.shape[0]
@@ -127,12 +157,26 @@ def music_spectrum(
             f"subarray longer than {config.num_sources}, got {length}"
         )
     _, vectors = np.linalg.eigh(r_ss)
-    noise = vectors[:, : length - config.num_sources]
+    split = length - config.num_sources
+    spectra = np.fft.fft(vectors[:, split:], n=2 * length, axis=0)
+    autocorr = np.fft.ifft(np.sum(spectra.real**2 + spectra.imag**2, axis=1))
+    coeffs = -autocorr[:length]
+    coeffs[0] += length
+
     angles = config.grid
-    k = np.arange(length)
-    steering = np.exp(-1j * np.pi * k[:, None] * np.sin(np.deg2rad(angles))[None, :])
-    projection = noise.conj().T @ steering
-    denom = np.sum(np.abs(projection) ** 2, axis=0)
+    z = np.exp(1j * np.pi * np.sin(np.deg2rad(angles)))
+    tail = np.full(angles.shape, coeffs[-1])
+    for c in coeffs[-2:0:-1]:
+        tail *= z
+        tail += c
+    tail *= z
+    denom = coeffs[0].real + 2.0 * tail.real
+
+    low = denom < GUARD_FACTOR * length**2 * np.finfo(float).eps
+    if low.any():
+        # An exact null can round to 0; the floor keeps the spectrum finite.
+        direct = _null_spectrum_direct(vectors[:, :split], angles[low])
+        denom[low] = np.maximum(direct, np.finfo(float).tiny)
     return angles, 1.0 / denom
 
 

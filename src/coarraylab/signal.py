@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import coarray
-from .coupling import CouplingModel, coupling_matrix, get_preset
+from .coupling import CouplingModel, coupling_matrix, get_preset, integer_field, real_field
 from .geometry import SensorArray
 
 SNAPSHOT_MAGIC = b"CALB"
@@ -50,7 +50,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        angles = tuple(float(a) for a in np.atleast_1d(self.angles_deg))
+        angles = tuple(real_field(a, "angles_deg") for a in np.atleast_1d(self.angles_deg))
         if len(angles) == 0:
             raise ValueError("scenario needs at least one source")
         if not all(-90.0 < a < 90.0 for a in angles):
@@ -68,17 +68,16 @@ class Scenario:
             raise ValueError("nc_phases must be finite")
         object.__setattr__(self, "nc_phases", phases)
 
-        if isinstance(self.snapshots, bool) or not float(self.snapshots).is_integer():
-            raise ValueError(f"snapshots must be an integer, got {self.snapshots!r}")
-        if int(self.snapshots) < 1:
+        snapshots = integer_field(self.snapshots, "snapshots")
+        if snapshots < 1:
             raise ValueError("snapshots must be >= 1")
-        object.__setattr__(self, "snapshots", int(self.snapshots))
+        object.__setattr__(self, "snapshots", snapshots)
         if self.snr_db is not None:
-            snr = float(self.snr_db)
+            snr = real_field(self.snr_db, "snr_db")
             if math.isnan(snr) or snr == -math.inf:
                 raise ValueError("snr_db must be a number, +inf or null")
             object.__setattr__(self, "snr_db", snr)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", integer_field(self.seed, "seed"))
 
     @property
     def num_sources(self) -> int:
@@ -109,7 +108,7 @@ class Scenario:
         if "angles_deg" not in data or "snapshots" not in data:
             raise ValueError("scenario needs angles_deg and snapshots")
         return cls(
-            angles_deg=tuple(data["angles_deg"]),
+            angles_deg=data["angles_deg"],
             snapshots=data["snapshots"],
             snr_db=data.get("snr_db", 0.0),
             powers=data.get("powers"),
@@ -122,7 +121,7 @@ def _per_source(values, default: float, count: int, what: str) -> tuple[float, .
     """One float per source: ``values`` converted, or ``default`` repeated."""
     if values is None:
         return (default,) * count
-    values = tuple(float(v) for v in np.atleast_1d(values))
+    values = tuple(real_field(v, what) for v in np.atleast_1d(values))
     if len(values) != count:
         raise ValueError(f"{what} length must match angles")
     return values

@@ -409,6 +409,11 @@ def test_music_usage_errors(capsys, extra):
         {"snapshots": 2.7},
         {"coupling": {"c1_magnitude": float("nan")}},
         {"coupling": {"band_limit": 2.5}},
+        {"snapshots": None},
+        {"seed": None},
+        {"seed": 2.5},
+        {"angles_deg": None},
+        {"coupling": {"c1_magnitude": None}},
     ],
 )
 def test_music_rejects_non_finite_or_non_integral_scenario(tmp_path, capsys, fields):
@@ -421,6 +426,8 @@ def test_music_rejects_non_finite_or_non_integral_scenario(tmp_path, capsys, fie
     )
     assert code == EXIT_USAGE
     assert "error:" in err
+    nulls = [k for k, v in {**fields, **fields.get("coupling", {})}.items() if v is None]
+    assert all(k in err for k in nulls)
 
 
 @pytest.mark.parametrize("step", ["0.07", "0"])

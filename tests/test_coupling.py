@@ -95,6 +95,10 @@ def test_negative_band_limit_rejected():
         {"band_limit": 2.5},
         {"band_limit": float("nan")},
         {"band_limit": True},
+        {"c1_magnitude": None},
+        {"c1_phase": None},
+        {"phase_decrement": "0.1"},
+        {"band_limit": None},
     ],
 )
 def test_model_rejects_non_finite_or_non_integral_fields(kwargs):

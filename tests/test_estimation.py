@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarraylab import estimation, geometry
 from coarraylab.estimation import (
@@ -181,6 +183,71 @@ def test_spectrum_peaks_at_on_grid_sources_exactly():
     estimates, under = pick_peaks(angles, spec, 3)
     assert not under
     np.testing.assert_allclose(estimates, np.sort(truth), atol=1e-9)
+
+
+def _kth_maxima_tie(spectrum, k):
+    """Whether the k-th and (k+1)-th highest strict local maxima lie within
+    1e-9 relative of each other, so rounding may order them either way."""
+    s = np.asarray(spectrum)
+    heights = np.sort(s[1:-1][(s[1:-1] > s[:-2]) & (s[1:-1] > s[2:])])[::-1]
+    return heights.size > k and heights[k - 1] - heights[k] <= 1e-9 * heights[k - 1]
+
+
+@st.composite
+def _psd_cases(draw):
+    """A random Hermitian PSD matrix (L 2-120) with a source count K < L.
+    Half the cases are rank-K and noiseless, built from steering vectors at
+    grid angles, so the spectrum has exact nulls on the grid."""
+    length = draw(st.integers(2, 120))
+    k = draw(st.integers(1, length - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    config = MusicConfig.for_step(k, 0.5)
+    if draw(st.booleans()):
+        thetas = rng.choice(config.grid, size=k, replace=False)
+        x = np.exp(-1j * np.pi * np.arange(length)[:, None]
+                   * np.sin(np.deg2rad(thetas))[None, :])
+        x = x * np.sqrt(rng.uniform(0.5, 2.0, size=k))
+    else:
+        rank = draw(st.integers(1, length))
+        x = rng.standard_normal((length, rank)) + 1j * rng.standard_normal((length, rank))
+    r = x @ x.conj().T
+    return (r + r.conj().T) / 2, config
+
+
+@settings(deadline=None, max_examples=150)
+@given(_psd_cases())
+def test_spectrum_matches_direct_projection(case):
+    r, config = case
+    k = config.num_sources
+    angles, spec = music_spectrum(r, config)
+    assert np.all(np.isfinite(spec)) and np.all(spec > 0)
+    _, vectors = np.linalg.eigh(r)  # the oracle projects onto the same E_n
+    direct = estimation._null_spectrum_direct(vectors[:, : r.shape[0] - k], angles)
+    with np.errstate(divide="ignore"):
+        direct_spec = 1.0 / direct
+    above = direct > estimation.GUARD_FACTOR * r.shape[0] ** 2 * np.finfo(float).eps
+    np.testing.assert_allclose(1.0 / spec[above], direct[above], rtol=1e-6)
+    if not _kth_maxima_tie(direct_spec, k):
+        np.testing.assert_array_equal(
+            pick_peaks(angles, spec, k)[0], pick_peaks(angles, direct_spec, k)[0]
+        )
+
+
+@pytest.mark.parametrize("family", ["aulas", "saulas", "tsaulas", "cotsaulas"])
+@pytest.mark.parametrize("theta", [-60.0, 0.0, 37.0])
+def test_noiseless_null_peaks_exactly_at_its_grid_point(family, theta):
+    """Criterion 07's cases: the null at theta is exact to 1e-26, far below
+    the polynomial's rounding error, so without the guard the peak can move
+    a grid step or the spectrum become infinite."""
+    arr = geometry.design(family, 12)
+    cfg = MusicConfig(num_sources=1)
+    sc = Scenario(angles_deg=(theta,), snapshots=1, snr_db=None)
+    vo = virtual_observation(exact_extended_covariance(arr, sc), arr)
+    angles, spec = music_spectrum(spatial_smoothing(vo), cfg)
+    assert np.all(np.isfinite(spec)) and np.all(spec > 0)
+    peaks, under = pick_peaks(angles, spec, 1)
+    assert not under
+    assert peaks[0] == angles[np.abs(angles - theta).argmin()]
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,17 @@ def test_scenario_defaults():
         {"angles_deg": (10.0,), "snapshots": 10, "nc_phases": (float("nan"),)},
         {"angles_deg": (10.0,), "snapshots": 2.7},
         {"angles_deg": (10.0,), "snapshots": float("nan")},
+        {"angles_deg": (10.0,), "snapshots": None},
+        {"angles_deg": (10.0,), "snapshots": "10"},
+        {"angles_deg": (10.0,), "snapshots": 10, "seed": 2.5},
+        {"angles_deg": (10.0,), "snapshots": 10, "seed": True},
+        {"angles_deg": (10.0,), "snapshots": 10, "seed": None},
+        {"angles_deg": (10.0,), "snapshots": 10, "seed": float("inf")},
+        {"angles_deg": (None,), "snapshots": 10},
+        {"angles_deg": None, "snapshots": 10},
+        {"angles_deg": (10.0,), "snapshots": 10, "powers": (None,)},
+        {"angles_deg": (10.0,), "snapshots": 10, "nc_phases": (None,)},
+        {"angles_deg": (10.0,), "snapshots": 10, "snr_db": "10"},
     ],
 )
 def test_scenario_rejects_bad_inputs(kwargs):
