@@ -26,6 +26,8 @@ from coarraylab.signal import (
     Scenario,
     VirtualObservation,
     exact_extended_covariance,
+    extended_covariance,
+    simulate_snapshots,
     virtual_observation,
 )
 
@@ -233,6 +235,111 @@ def test_spectrum_matches_direct_projection(case):
         )
 
 
+@st.composite
+def _centro_hermitian_cases(draw):
+    """A centro-Hermitian PSD matrix (L 2-120) plus a noise floor sigma^2 I,
+    with a source count K < L: either K steering vectors at random angles,
+    or (X + Pi X* Pi) / 2 for a random PSD X and the exchange matrix Pi.
+    The steering phases are taken about the middle sensor, so Pi a* = a
+    holds to the last bit; the unit factor this adds cancels in a a^H."""
+    length = draw(st.integers(2, 120))
+    k = draw(st.integers(1, length - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    config = MusicConfig.for_step(k, 0.5)
+    if draw(st.booleans()):
+        thetas = rng.uniform(-90.0, 90.0, size=k)
+        centred = np.arange(length) - (length - 1) / 2
+        x = np.exp(-1j * np.pi * centred[:, None] * np.sin(np.deg2rad(thetas))[None, :])
+        x = x * np.sqrt(rng.uniform(0.5, 2.0, size=k))
+        r = x @ x.conj().T
+    else:
+        rank = draw(st.integers(1, length))
+        x = rng.standard_normal((length, rank)) + 1j * rng.standard_normal((length, rank))
+        r = x @ x.conj().T
+        r = (r + r[::-1, ::-1].conj()) / 2
+    noise = 10.0 ** draw(st.floats(-3.0, 0.0))
+    return (r + r.conj().T) / 2 + noise * np.eye(length), config
+
+
+@settings(deadline=None, max_examples=150)
+@given(_centro_hermitian_cases())
+def test_real_form_spectrum_matches_complex_eigh(case):
+    """The oracle is the direct projection onto E_n from the complex eigh,
+    which is also the fallback of ``music_spectrum``."""
+    r, config = case
+    k = config.num_sources
+    assert estimation._real_form(r) is not None
+    angles, spec = music_spectrum(r, config)
+    assert np.all(np.isfinite(spec)) and np.all(spec > 0)
+    _, vectors = np.linalg.eigh(r)
+    direct = estimation._null_spectrum_direct(vectors[:, : r.shape[0] - k], angles)
+    above = direct > estimation.GUARD_FACTOR * r.shape[0] ** 2 * np.finfo(float).eps
+    np.testing.assert_allclose(1.0 / spec[above], direct[above], rtol=1e-6)
+    if not _kth_maxima_tie(1.0 / direct, k):
+        np.testing.assert_array_equal(
+            pick_peaks(angles, spec, k)[0], pick_peaks(angles, 1.0 / direct, k)[0]
+        )
+
+
+@pytest.mark.parametrize("length", [2, 3, 8, 9])
+def test_real_form_is_real_symmetric_with_the_same_eigenpairs(length):
+    rng = np.random.default_rng(length)
+    x = rng.standard_normal((length, length)) + 1j * rng.standard_normal((length, length))
+    r = x @ x.conj().T
+    r = (r + r[::-1, ::-1].conj()) / 2
+    m = estimation._real_form(r)
+    assert m.dtype == float
+    np.testing.assert_allclose(m, m.T, atol=1e-13 * np.abs(r).max())
+    values, w = np.linalg.eigh(m)
+    v = estimation._from_real_basis(w)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(length), atol=1e-13)
+    np.testing.assert_allclose(r @ v, v * values, atol=1e-12 * np.abs(r).max())
+
+
+def test_real_form_rejects_a_matrix_that_is_not_centro_hermitian():
+    r = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    assert estimation._real_form(r) is None
+
+
+def test_real_form_serves_a_noisy_pipeline_trial():
+    """On a noisy smoothed covariance the eigenvectors are those of the real
+    form, not of the complex fallback."""
+    arr = geometry.design_saulas(12)
+    sc = Scenario(angles_deg=(-33.21, 4.04, 48.88), snapshots=500, snr_db=0.0, seed=6)
+    r = spatial_smoothing(virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), arr))
+    _, w = np.linalg.eigh(estimation._real_form(r))
+    np.testing.assert_array_equal(estimation._eigenvectors(r, 3), estimation._from_real_basis(w))
+
+
+@st.composite
+def _noisy_smoothing_cases(draw):
+    """A random integer geometry containing a lag-1 pair, a noisy scenario
+    and either the default or an explicit smoothing length."""
+    points = draw(st.sets(st.integers(-30, 30), max_size=8)) | {0, 1}
+    arr = geometry.from_positions("rand", sorted(points))
+    angles = draw(st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=4, unique=True))
+    sc = Scenario(
+        angles_deg=tuple(angles),
+        snapshots=draw(st.integers(1, 200)),
+        snr_db=draw(st.floats(-10.0, 30.0)),
+        nc_phases=tuple(draw(st.floats(0.0, np.pi)) for _ in angles),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    v = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), arr)
+    m = v.half_width
+    length = draw(st.one_of(st.none(), st.integers(2, 2 * m + 1)))
+    return spatial_smoothing(v, length)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_noisy_smoothing_cases())
+def test_smoothed_covariance_is_centro_hermitian_to_rounding(r_ss):
+    """Condition (a) of the real form holds on every smoothed covariance, so
+    a change that broke the virtual observation's conjugate symmetry would
+    fail here instead of moving every trial onto the complex eigh."""
+    assert estimation._real_form(r_ss) is not None
+
+
 @pytest.mark.parametrize("family", ["aulas", "saulas", "tsaulas", "cotsaulas"])
 @pytest.mark.parametrize("theta", [-60.0, 0.0, 37.0])
 def test_noiseless_null_peaks_exactly_at_its_grid_point(family, theta):
@@ -278,6 +385,13 @@ def test_pick_peaks_requires_strict_maxima():
     got, under = pick_peaks(np.arange(4.0), np.array([0.0, 2.0, 2.0, 0.0]), 1)
     assert got.size == 0 and under
     got, under = pick_peaks(np.arange(4.0), np.ones(4), 1)
+    assert got.size == 0 and under
+
+
+def test_pick_peaks_flat_top_is_not_a_peak():
+    """A plateau of equal samples has no strict maximum, so it yields no
+    peak and the trial counts as under-detected."""
+    got, under = pick_peaks(np.arange(5.0), np.array([0.0, 1.0, 2.0, 2.0, 0.0]), 1)
     assert got.size == 0 and under
 
 

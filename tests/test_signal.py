@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarraylab import coarray, coupling, geometry, signal
@@ -344,6 +346,24 @@ def test_extended_lags_equal_sum_difference_coarray(points):
     )
 
 
+@settings(deadline=None)
+@given(
+    st.sets(st.integers(-40, 40), min_size=1, max_size=10),
+    st.lists(st.floats(-89.0, 89.0), min_size=1, max_size=4, unique=True),
+    st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4),
+)
+def test_exact_covariance_gives_ideal_virtual_observation(points, angles, powers):
+    """Without noise and with zero non-circularity phases, every extended
+    covariance entry at lag l is sum_z p_z exp(-j pi l sin theta_z)."""
+    arr = geometry.from_positions("rand", sorted(points))
+    sc = Scenario(angles_deg=tuple(angles), snapshots=1, snr_db=None,
+                  powers=tuple(powers[: len(angles)]))
+    vo = virtual_observation(exact_extended_covariance(arr, sc), arr)
+    sines = np.sin(np.deg2rad(sc.angles_deg))
+    ideal = np.exp(-1j * np.pi * vo.lags[:, None] * sines[None, :]) @ np.asarray(sc.powers)
+    np.testing.assert_allclose(vo.values, ideal, rtol=0, atol=1e-12 * sum(sc.powers))
+
+
 def test_virtual_observation_lag_axis():
     arr = geometry.design_saulas(12)
     sc = Scenario(angles_deg=(10.0,), snapshots=16, seed=1)
@@ -416,6 +436,21 @@ def test_snapshot_file_round_trip(tmp_path):
     assert back.shape == (5, 7)
     assert back.dtype == np.complex128
     np.testing.assert_array_equal(back, x.astype(np.complex64).astype(np.complex128))
+
+
+@given(st.integers(1, 6), st.integers(1, 20), st.integers(0, 2**32 - 1))
+@example(1, 1, 0)
+@example(1, 20, 0)
+@example(6, 1, 0)
+def test_snapshot_dump_round_trips_as_complex64(n, t, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.bin"
+        write_snapshots(path, x)
+        back = read_snapshots(path)
+    assert back.shape == (n, t)
+    np.testing.assert_array_equal(back, x.astype(np.complex64))
 
 
 def test_snapshot_file_header_layout(tmp_path):
