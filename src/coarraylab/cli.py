@@ -163,14 +163,15 @@ def cmd_music(args) -> int:
     if trials < 1:
         raise ValueError("--trials must be >= 1")
 
-    if args.dump_snapshots:
-        x = signal.simulate_snapshots(array, scenario, coupling=model, trial=0)
-        signal.write_snapshots(args.dump_snapshots, x)
-
     def estimate(t):
         return estimation.estimate_doas(array, scenario, music, coupling=model, trial=t)
 
-    first = estimate(0)
+    if args.dump_snapshots:
+        x = signal.simulate_snapshots(array, scenario, coupling=model, trial=0)
+        signal.write_snapshots(args.dump_snapshots, x)
+        first = estimation.estimate_from_snapshots(x, array, scenario, music)
+    else:
+        first = estimate(0)
     summary = {
         "array": array.name,
         "n": array.n,

@@ -17,22 +17,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import SensorArray
+from .geometry import SensorArray, _integer_positions
 
 LagSet = np.ndarray
 
 
 def _positions(a) -> np.ndarray:
+    """Sensor positions as int64; raw input must pass the SensorArray rule."""
     if isinstance(a, SensorArray):
         return a.as_array()
-    arr = np.asarray(a)
-    if arr.size == 0:
-        raise ValueError("empty position set")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise ValueError("positions must be integers")
-        arr = arr.astype(np.int64)
-    return arr.astype(np.int64).ravel()
+    return np.asarray(_integer_positions(a), dtype=np.int64)
 
 
 def _lagset(values: np.ndarray) -> LagSet:
@@ -59,9 +53,13 @@ def sum_set(a, b=None) -> LagSet:
     return _lagset(np.concatenate([sums, -sums]))
 
 
+def _union(dc: LagSet, sc: LagSet) -> LagSet:
+    return _lagset(np.concatenate([dc, sc]))
+
+
 def sum_difference_coarray(a) -> LagSet:
     """Union of the self-difference set and the symmetric self-sum set."""
-    return _lagset(np.concatenate([difference_set(a), sum_set(a)]))
+    return _union(difference_set(a), sum_set(a))
 
 
 def contiguous_stats(lags) -> tuple[int, int]:
@@ -94,11 +92,11 @@ def spatial_efficiency(lags) -> float:
     efficient.
     """
     ls = _lagset(lags)
-    udofs, _ = contiguous_stats(ls)
-    top = int(ls[-1])
-    if top == 0:
-        return 1.0
-    return ((udofs - 1) // 2) / top
+    return _efficiency(contiguous_stats(ls)[0], int(ls[-1]))
+
+
+def _efficiency(udofs: int, top: int) -> float:
+    return 1.0 if top == 0 else ((udofs - 1) // 2) / top
 
 
 def weight_function(a, f: int) -> int:
@@ -156,10 +154,11 @@ class CoarrayReport:
 
 def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -> CoarrayReport:
     """Compute difference / sum / sum-difference sets and the derived merit
-    figures (uDOFs, CVA, holes, spatial efficiency, small-lag weights)."""
+    figures (uDOFs, CVA, holes, spatial efficiency, small-lag weights) in one
+    pass that enumerates each set once."""
     dc = difference_set(array)
     sc = sum_set(array)
-    sdc = _lagset(np.concatenate([dc, sc]))
+    sdc = _union(dc, sc)
     udofs, cva = contiguous_stats(sdc)
     hole_set = holes(sdc)
     return CoarrayReport(
@@ -172,7 +171,7 @@ def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -
         cva=cva,
         hole_count=int(hole_set.size),
         hole_positions=tuple(int(h) for h in hole_set),
-        spatial_efficiency=spatial_efficiency(sdc),
+        spatial_efficiency=_efficiency(udofs, int(sdc[-1])),
         weights=weight_table(array, weight_lags),
     )
 

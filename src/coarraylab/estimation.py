@@ -105,6 +105,8 @@ def _check_hermitian(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("covariance must be square")
+    if not np.isfinite(r).all():
+        raise ValueError("covariance has non-finite entries")
     scale = max(np.abs(r).max(), 1.0)
     if np.abs(r - r.conj().T).max() > 1e-9 * scale:
         raise ValueError("covariance is not Hermitian")
@@ -362,6 +364,14 @@ def estimate_doas(
 ) -> EstimationResult:
     """Run the full single-trial pipeline and score it against the scenario."""
     x = simulate_snapshots(array, scenario, coupling=coupling, trial=trial)
+    return estimate_from_snapshots(x, array, scenario, config)
+
+
+def estimate_from_snapshots(
+    x: np.ndarray, array: SensorArray, scenario: Scenario, config: MusicConfig
+) -> EstimationResult:
+    """The single-trial pipeline after simulation: covariance, virtual
+    observation, smoothing, MUSIC and scoring of the snapshots ``x``."""
     ec = extended_covariance(x)
     v = virtual_observation(ec, array)
     r_ss = spatial_smoothing(v, config.smoothing_length)

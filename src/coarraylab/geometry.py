@@ -225,7 +225,7 @@ def _integer_positions(values: Iterable) -> tuple[int, ...]:
             q = int(p)
         except (TypeError, ValueError, OverflowError):  # non-numbers, NaN, ±inf
             q = None
-        if q is None or q != p or isinstance(p, bool):
+        if q is None or q != p or isinstance(p, (bool, np.bool_)):
             raise DesignError(f"non-integer sensor position {p!r}")
         cleaned.append(q)
     if not cleaned:

@@ -1,10 +1,10 @@
 """Brute-force verification of the closed-form co-array claims.
 
 Each geometry family ships with closed-form expressions for its contiguous
-lag range, total usable DOFs, hole layout and small-lag weights.  The
-checkers here recompute everything by raw pair enumeration (difference_set /
-sum_set) and compare; the closed forms under test are never used to produce
-the reference side.
+lag range, total usable DOFs, hole layout and small-lag weights.  Each
+checker enumerates its array once by raw pair enumeration (one
+``coarray_report``) and compares; the closed forms under test are never used
+to produce the reference side.
 """
 
 from __future__ import annotations
@@ -14,16 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .coarray import (
-    CoarrayReport,
-    coarray_report,
-    contiguous_stats,
-    difference_set,
-    holes,
-    sum_difference_coarray,
-    sum_set,
-    weight_table,
-)
+from .coarray import CoarrayReport, coarray_report, weight_table
+from .coarray import difference_set  # noqa: F401  (benchmarks/ reads verify.difference_set)
 from .geometry import (
     FAMILIES,
     AulasParams,
@@ -76,9 +68,9 @@ def _plain(value):
     return value
 
 
-def _interval_covered(lags: np.ndarray, lo: int, hi: int) -> bool:
-    present = set(int(x) for x in lags)
-    return all(f in present for f in range(lo, hi + 1))
+def _count_in(lags: np.ndarray, lo: int, hi: int) -> int:
+    """How many lags of a sorted lag set lie in [lo, hi]."""
+    return int(np.searchsorted(lags, hi, "right") - np.searchsorted(lags, lo))
 
 
 def _check_augmented(
@@ -88,34 +80,32 @@ def _check_augmented(
     slid up by ``shift``.  The difference set does not move; the sum set and
     its band move up by 2*shift."""
     n1m, half = p.n1 * p.m, p.m // 2
-    dc = difference_set(array)
-    sc = sum_set(array)
-    sdc = sum_difference_coarray(array)
-    udofs, _ = contiguous_stats(sdc)
+    rep = coarray_report(array)
+    dc, sc = rep.dc, rep.sc
 
     top = n1m + half - 1
     expected_dc_pos = np.setdiff1d(
         np.arange(0, top + 1, dtype=np.int64), [n1m], assume_unique=True
     )
-    sc_set = set(int(x) for x in sc)
-    band = (n1m - half + 2 * shift, 2 * n1m + p.m - 2 + 2 * shift)
+    lo, hi = band = (n1m - half + 2 * shift, 2 * n1m + p.m - 2 + 2 * shift)
     closed_udofs = 4 * n1m + 2 * p.m - 3 + 4 * shift
     claims = {
         "dc_contiguous_single_hole": bool(
             np.array_equal(dc[dc >= 0], expected_dc_pos)
         ),
-        "sc_band_contiguous": _interval_covered(sc, *band),
-        "sc_max_is_twice_aperture": int(sc[-1]) == band[1],
-        "sum_lag_fills_dc_hole": n1m in sc_set,
+        "sc_band_contiguous": _count_in(sc, lo, hi) == hi - lo + 1,
+        "sc_max_is_twice_aperture": int(sc[-1]) == hi,
+        "sum_lag_fills_dc_hole": _count_in(sc, n1m, n1m) == 1,
     }
     if shift:
-        plugs = {n1m + 1, n1m + 2}
-        dc_set = set(int(x) for x in dc)
-        claims["dc_fills_sc_holes"] = plugs <= dc_set and not (plugs & sc_set)
-    claims["sdc_hole_free"] = holes(sdc).size == 0
-    claims["udofs_matches_closed_form"] = udofs == closed_udofs
+        # both plugs n1m + 1, n1m + 2 are differences and neither is a sum
+        claims["dc_fills_sc_holes"] = (
+            _count_in(dc, n1m + 1, n1m + 2) == 2 and _count_in(sc, n1m + 1, n1m + 2) == 0
+        )
+    claims["sdc_hole_free"] = rep.hole_count == 0
+    claims["udofs_matches_closed_form"] = rep.udofs == closed_udofs
     details = {
-        "udofs_brute": udofs,
+        "udofs_brute": rep.udofs,
         "udofs_closed": closed_udofs,
         "dc_hole": n1m,
         "sc_band": band,
@@ -151,24 +141,22 @@ def check_lemma3(n: int) -> LemmaReport:
     p = AulasParams.for_family("tsaulas", n)
     array = design_tsaulas(n)
     n1m = p.n1 * p.m
-    sdc = sum_difference_coarray(array)
-    udofs, _ = contiguous_stats(sdc)
-    hole_set = holes(sdc)
+    rep = coarray_report(array)
 
     l_t1 = 2 * n1m + 2 * p.m - 4
     closed_udofs = 4 * n1m + 4 * p.m - 7
     claims = {
-        "contiguous_through_l_t1": (udofs - 1) // 2 == l_t1,
-        "udofs_matches_closed_form": udofs == closed_udofs,
-        "holes_outside_segment": bool(np.all(np.abs(hole_set) > l_t1)),
-        "hole_count_matches": hole_set.size == p.m - 2,
-        "span_matches": int(sdc[-1]) == 2 * n1m + 3 * p.m - 6,
+        "contiguous_through_l_t1": (rep.udofs - 1) // 2 == l_t1,
+        "udofs_matches_closed_form": rep.udofs == closed_udofs,
+        "holes_outside_segment": all(abs(h) > l_t1 for h in rep.hole_positions),
+        "hole_count_matches": rep.hole_count == p.m - 2,
+        "span_matches": int(rep.sdc[-1]) == 2 * n1m + 3 * p.m - 6,
     }
     details = {
-        "udofs_brute": udofs,
+        "udofs_brute": rep.udofs,
         "udofs_closed": closed_udofs,
         "l_t1": l_t1,
-        "holes": hole_set,
+        "holes": rep.hole_positions,
     }
     return LemmaReport("lemma3", array.name, n, claims, details)
 
@@ -179,18 +167,16 @@ def check_lemma4(n: int) -> LemmaReport:
     p = AulasParams.for_family("cotsaulas", n)
     array = design_cotsaulas(n)
     n1m = p.n1 * p.m
-    sdc = sum_difference_coarray(array)
-    udofs, _ = contiguous_stats(sdc)
-    hole_set = holes(sdc)
+    rep = coarray_report(array)
 
     closed_udofs = 4 * n1m + 6 * p.m - 7
     span = 2 * n1m + 3 * p.m - 4
     claims = {
-        "sdc_hole_free": hole_set.size == 0,
-        "udofs_matches_closed_form": udofs == closed_udofs,
-        "span_matches": int(sdc[-1]) == span and udofs == 2 * span + 1,
+        "sdc_hole_free": rep.hole_count == 0,
+        "udofs_matches_closed_form": rep.udofs == closed_udofs,
+        "span_matches": int(rep.sdc[-1]) == span and rep.udofs == 2 * span + 1,
     }
-    details = {"udofs_brute": udofs, "udofs_closed": closed_udofs, "span": span}
+    details = {"udofs_brute": rep.udofs, "udofs_closed": closed_udofs, "span": span}
     return LemmaReport("lemma4", array.name, n, claims, details)
 
 
@@ -215,26 +201,21 @@ def check_weights(family: str, n: int) -> LemmaReport:
     return LemmaReport("weights", array.name, n, claims, details)
 
 
-#: The family each lemma makes its claims about.
-LEMMA_FAMILIES = {
-    "lemma1": "aulas",
-    "lemma2": "saulas",
-    "lemma3": "tsaulas",
-    "lemma4": "cotsaulas",
-}
+#: Each lemma check: the family it makes its claims about and its checker.
+_LEMMAS = (
+    ("lemma1", "aulas", check_lemma1),
+    ("lemma2", "saulas", check_lemma2),
+    ("lemma3", "tsaulas", check_lemma3),
+    ("lemma4", "cotsaulas", check_lemma4),
+)
+LEMMA_FAMILIES = {check: family for check, family, _ in _LEMMAS}
+_CHECKERS = {check: checker for check, _, checker in _LEMMAS}
 
 #: Sensor counts each lemma is verified over: from its family's smallest
 #: admissible size up to N_MAX.
 N_MAX = 64
 LEMMA_RANGES: dict[str, tuple[int, int]] = {
     check: (FAMILIES[family].min_n, N_MAX) for check, family in LEMMA_FAMILIES.items()
-}
-
-_CHECKERS = {
-    "lemma1": check_lemma1,
-    "lemma2": check_lemma2,
-    "lemma3": check_lemma3,
-    "lemma4": check_lemma4,
 }
 
 

@@ -465,6 +465,7 @@ def test_music_runs_each_trial_stage_once(tmp_path, monkeypatch, capsys, scenari
         monkeypatch,
         [
             "estimation.estimate_doas",
+            "estimation.estimate_from_snapshots",
             "estimation.music_spectrum",
             "signal.simulate_snapshots",
             "coarray.sum_difference_coarray",
@@ -477,10 +478,12 @@ def test_music_runs_each_trial_stage_once(tmp_path, monkeypatch, capsys, scenari
         "--dump-snapshots", str(tmp_path / "snaps.bin"), "--output", str(tmp_path / "run"),
     )
     assert code == EXIT_OK
-    assert counts["estimation.estimate_doas"] == 3
+    # trial 0 is estimated from the dumped snapshots, trials 1 and 2 end to end
+    assert counts["estimation.estimate_doas"] == 2
+    assert counts["estimation.estimate_from_snapshots"] == 3
     assert counts["estimation.music_spectrum"] == 3
-    # three trials plus the trial-0 dump
-    assert counts["signal.simulate_snapshots"] <= 4
+    # one simulation per trial: the dump reuses trial 0's snapshots
+    assert counts["signal.simulate_snapshots"] == 3
     # the insufficient-DOF check; each trial reads its lags off the covariance
     assert counts["coarray.sum_difference_coarray"] <= 1
 

@@ -56,6 +56,16 @@ def test_contiguous_stats_requires_lag_zero():
         contiguous_stats([1, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[0, np.inf], [0, np.nan], [True, False, True], np.array([True, False]), [0, 0.5], []],
+)
+def test_raw_positions_follow_the_sensor_array_rule(bad):
+    for enumerate_lags in (difference_set, sum_set, sum_difference_coarray, weight_table):
+        with pytest.raises(ValueError):
+            enumerate_lags(bad)
+
+
 def test_two_argument_sets():
     assert difference_set([0, 1], [10]).tolist() == [9, 10]
     assert sum_set([0, 1], [10]).tolist() == [-11, -10, 10, 11]

@@ -14,6 +14,7 @@ from coarraylab import estimation, geometry
 from coarraylab.estimation import (
     MusicConfig,
     estimate_doas,
+    estimate_from_snapshots,
     monte_carlo,
     music_spectrum,
     pick_peaks,
@@ -165,6 +166,14 @@ def test_spectrum_rejects_non_hermitian():
         music_spectrum(bad, cfg)
     with pytest.raises(ValueError):
         music_spectrum(np.ones((2, 3), dtype=complex), cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectrum_rejects_non_finite_covariance(bad):
+    r = np.eye(6, dtype=complex)
+    r[2, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        music_spectrum(r, MusicConfig(num_sources=1, grid_points=91))
 
 
 def test_spectrum_of_white_covariance_is_flat():
@@ -475,6 +484,17 @@ def test_estimate_doas_consistent_across_families(family):
     result = estimate_doas(arr, sc, cfg)
     assert not result.under_detected
     assert result.per_source_error.max() <= cfg.grid_step + 1e-9
+
+
+def test_estimate_from_snapshots_is_estimate_doas_after_simulation():
+    arr = geometry.design_saulas(9)
+    cfg = MusicConfig.for_step(2, 0.5)
+    sc = Scenario(angles_deg=(-15.0, 22.0), snapshots=400, snr_db=10.0, seed=3)
+    direct = estimate_doas(arr, sc, cfg, trial=1)
+    split = estimate_from_snapshots(simulate_snapshots(arr, sc, trial=1), arr, sc, cfg)
+    np.testing.assert_array_equal(split.spectrum, direct.spectrum)
+    np.testing.assert_array_equal(split.estimates, direct.estimates)
+    assert split.rmse_deg == direct.rmse_deg
 
 
 def test_required_subarray_length():

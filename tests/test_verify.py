@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coarraylab import coarray, geometry, verify
 from coarraylab.verify import (
@@ -18,6 +20,7 @@ from coarraylab.verify import (
     check_lemma4,
     check_weights,
     closed_form_weights,
+    lemma_sizes,
     run_all,
     run_lemma_sweep,
     shift_study,
@@ -90,6 +93,60 @@ def test_brute_force_count_agrees_with_direct_enumeration():
         coarray.sum_difference_coarray(geometry.design_saulas(12))
     )
     assert check_lemma2(12).details["udofs_brute"] == direct
+
+
+LEMMA_CASES = [(check, n) for check in LEMMA_RANGES for n in lemma_sizes(check)]
+
+
+@given(st.sampled_from(LEMMA_CASES))
+def test_checker_reads_the_direct_enumerations(case):
+    """Every brute-force figure a checker reads off its one coarray_report
+    equals the separate direct enumeration of the same array."""
+    check, n = case
+    report = verify._CHECKERS[check](n)
+    array = geometry.design(verify.LEMMA_FAMILIES[check], n)
+    rep = coarray.coarray_report(array)
+    sdc = coarray.sum_difference_coarray(array)
+    udofs, cva = coarray.contiguous_stats(sdc)
+    np.testing.assert_array_equal(rep.dc, coarray.difference_set(array))
+    np.testing.assert_array_equal(rep.sc, coarray.sum_set(array))
+    np.testing.assert_array_equal(rep.sdc, sdc)
+    assert (rep.udofs, rep.cva) == (udofs, cva)
+    assert rep.hole_positions == tuple(coarray.holes(sdc).tolist())
+    assert rep.spatial_efficiency == coarray.spatial_efficiency(sdc)
+    assert report.details["udofs_brute"] == udofs
+    if check == "lemma3":
+        assert list(report.details["holes"]) == coarray.holes(sdc).tolist()
+    assert report.passed, report.failures()
+
+
+@given(st.sets(st.integers(-30, 30), max_size=20), st.integers(-35, 35), st.integers(0, 12))
+def test_count_in_counts_set_members_in_the_interval(lags, lo, width):
+    hi = lo + width
+    expected = sum(lo <= f <= hi for f in lags)
+    assert verify._count_in(np.array(sorted(lags), dtype=np.int64), lo, hi) == expected
+
+
+def test_run_all_enumerates_each_lemma_array_once(monkeypatch):
+    counts = dict.fromkeys(("difference_set", "sum_set", "sum_difference_coarray"), 0)
+    for name in counts:
+        original = getattr(coarray, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for namespace in (coarray, verify):
+            if getattr(namespace, name, None) is original:
+                monkeypatch.setattr(namespace, name, counting)
+    reports = run_all(16)
+    lemma_checks = sum(r.check.startswith("lemma") for r in reports)
+    assert lemma_checks == sum(len(lemma_sizes(check, 16)) for check in LEMMA_RANGES)
+    assert counts == {
+        "difference_set": lemma_checks,
+        "sum_set": lemma_checks,
+        "sum_difference_coarray": 0,
+    }
 
 
 # ---------------------------------------------------------------------------
