@@ -163,15 +163,10 @@ def cmd_music(args) -> int:
     if trials < 1:
         raise ValueError("--trials must be >= 1")
 
-    def estimate(t):
-        return estimation.estimate_doas(array, scenario, music, coupling=model, trial=t)
-
+    x = signal.simulate_snapshots(array, scenario, coupling=model, trial=0)
     if args.dump_snapshots:
-        x = signal.simulate_snapshots(array, scenario, coupling=model, trial=0)
         signal.write_snapshots(args.dump_snapshots, x)
-        first = estimation.estimate_from_snapshots(x, array, scenario, music)
-    else:
-        first = estimate(0)
+    first = estimation.estimate_from_snapshots(x, array, scenario, music)
     summary = {
         "array": array.name,
         "n": array.n,
@@ -188,7 +183,10 @@ def cmd_music(args) -> int:
         },
     }
     if trials > 1:
-        rest = (estimate(t) for t in range(1, trials))
+        rest = (
+            estimation.estimate_doas(array, scenario, music, coupling=model, trial=t)
+            for t in range(1, trials)
+        )
         mc = estimation.aggregate_trials(itertools.chain([first], rest), scenario, music)
         summary["rmse_deg"] = round(mc.rmse_deg, 6)
         summary["detection_rate"] = mc.detection_rate

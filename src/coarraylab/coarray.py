@@ -29,8 +29,9 @@ def _positions(a) -> np.ndarray:
     return np.asarray(_integer_positions(a), dtype=np.int64)
 
 
-def _lagset(values: np.ndarray) -> LagSet:
-    return np.unique(np.asarray(values, dtype=np.int64).ravel())
+def _lagset(*parts) -> LagSet:
+    """The distinct lags of all the given value arrays together, sorted."""
+    return np.unique(np.concatenate([np.asarray(v, dtype=np.int64).ravel() for v in parts]))
 
 
 def difference_set(a, b=None) -> LagSet:
@@ -49,17 +50,13 @@ def sum_set(a, b=None) -> LagSet:
     (u = v included)."""
     pa = _positions(a)
     pb = pa if b is None else _positions(b)
-    sums = (pa[:, None] + pb[None, :]).ravel()
-    return _lagset(np.concatenate([sums, -sums]))
-
-
-def _union(dc: LagSet, sc: LagSet) -> LagSet:
-    return _lagset(np.concatenate([dc, sc]))
+    sums = pa[:, None] + pb[None, :]
+    return _lagset(sums, -sums)
 
 
 def sum_difference_coarray(a) -> LagSet:
     """Union of the self-difference set and the symmetric self-sum set."""
-    return _union(difference_set(a), sum_set(a))
+    return _lagset(difference_set(a), sum_set(a))
 
 
 def contiguous_stats(lags) -> tuple[int, int]:
@@ -110,14 +107,22 @@ def weight_function(a, f: int) -> int:
 
 
 def weight_table(a, lags: Iterable[int] | None = None) -> dict[int, int]:
-    """w(f) for each requested lag (default: every lag in the difference set)."""
+    """w(f) for each requested lag (default: every lag in the difference set).
+
+    A requested lag is counted without enumerating the N^2 differences:
+    w(f) sums, over each position m_u, how many positions equal m_u - f.
+    """
     p = _positions(a)
-    diffs = (p[:, None] - p[None, :]).ravel()
-    values, counts = np.unique(diffs, return_counts=True)
-    table = dict(zip(values.tolist(), counts.tolist()))
     if lags is None:
-        return table
-    return {int(f): table.get(int(f), 0) for f in lags}
+        values, counts = np.unique(p[:, None] - p[None, :], return_counts=True)
+        return dict(zip(values.tolist(), counts.tolist()))
+    s = np.sort(p)
+    table = {}
+    for f in lags:
+        below = s - int(f)
+        hits = np.searchsorted(s, below, "right") - np.searchsorted(s, below, "left")
+        table[int(f)] = int(hits.sum())
+    return table
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,7 @@ def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -
     pass that enumerates each set once."""
     dc = difference_set(array)
     sc = sum_set(array)
-    sdc = _union(dc, sc)
+    sdc = _lagset(dc, sc)
     udofs, cva = contiguous_stats(sdc)
     hole_set = holes(sdc)
     return CoarrayReport(

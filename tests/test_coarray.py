@@ -205,6 +205,16 @@ def test_weights_total_to_squared_sensor_count(points):
     assert all(table[f] == table[-f] for f in table)
 
 
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=8),
+    st.lists(st.integers(-90, 90), max_size=6),
+)
+def test_requested_weights_match_the_full_table(points, lags):
+    # repeated positions count once per pair, as in the full enumeration
+    full = weight_table(points)
+    assert weight_table(points, lags) == {f: full.get(f, 0) for f in lags}
+
+
 @given(position_sets)
 def test_contiguous_stats_shape(points):
     p = sorted(points)
