@@ -33,6 +33,7 @@ from .estimation import (
     music_spectrum,
     pick_peaks,
     rmse,
+    signal_subspace,
     spatial_smoothing,
 )
 from .geometry import (
@@ -115,6 +116,7 @@ __all__ = [
     "rmse",
     "run_all",
     "shift_study",
+    "signal_subspace",
     "simulate_snapshots",
     "spatial_efficiency",
     "spatial_smoothing",

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import coarray
-from .coupling import CouplingModel
+from .coupling import CouplingModel, integer_field
 from .geometry import SensorArray
 from .signal import (
     Scenario,
@@ -43,6 +43,11 @@ class MusicConfig:
     smoothing_length: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("num_sources", "grid_points"):
+            object.__setattr__(self, name, integer_field(getattr(self, name), name))
+        if self.smoothing_length is not None:
+            length = integer_field(self.smoothing_length, "smoothing_length")
+            object.__setattr__(self, "smoothing_length", length)
         if self.num_sources < 1:
             raise ValueError("num_sources must be >= 1")
         if self.grid_points < 2:
@@ -59,7 +64,8 @@ class MusicConfig:
         if not step_deg > 0:
             raise ValueError("grid step must be positive")
         intervals = 180.0 / step_deg
-        if not math.isclose(intervals, round(intervals), rel_tol=1e-9):
+        if not (math.isfinite(intervals)
+                and math.isclose(intervals, round(intervals), rel_tol=1e-9)):
             raise ValueError(f"grid step {step_deg} does not divide 180 degrees")
         points = int(round(intervals)) - 1
         edge = 90.0 - step_deg
@@ -86,31 +92,168 @@ def spatial_smoothing(v: VirtualObservation, subarray_len: int | None = None) ->
 
     With half-width m, window i (i = 0..K-1) is w_i[k] = v(i - m + k); the
     default window length L = m + 1 yields K = L windows and
-    R_ss = (1/L) sum_i w_i w_i^H, an L x L Hermitian PSD matrix whose signal
+    R_ss = (1/K) sum_i w_i w_i^H, an L x L Hermitian PSD matrix whose signal
     eigenvectors align with the length-L virtual steering vectors.
+
+    The window product costs O(K L^2); this builds R_ss in O(L^2 + K L).
+    With u_j = v(j - m) the j-th sample, the first column R[d, 0] is one
+    correlation of the samples, and sliding both windows of an entry one
+    sample on drops one product and adds another:
+    R[a+1, b+1] = R[a, b] + (u_{K+a} conj(u_{K+b}) - u_a conj(u_b)) / K.
+    A cumulative sum down each diagonal applies the recurrence below the
+    diagonal, and the upper triangle is the conjugate mirror.
     """
     lags = np.asarray(v.lags)
     m = int(lags[-1])
     if lags[0] != -m or lags.size != 2 * m + 1:
         raise ValueError("virtual observation must cover a symmetric contiguous segment")
-    length = m + 1 if subarray_len is None else int(subarray_len)
+    length = m + 1 if subarray_len is None else integer_field(subarray_len, "subarray_len")
     if length < 2 or length > 2 * m + 1:
         raise ValueError(f"subarray length {length} not in [2, {2 * m + 1}]")
-    windows = np.lib.stride_tricks.sliding_window_view(v.values, length)
-    k = windows.shape[0]
-    return windows.T @ windows.conj() / k
+    u = np.asarray(v.values, dtype=complex)
+    k = u.size - length + 1
+    weights = u.conj() / k
+    # windows[j, d] = u_{j+d}, zero past the last sample
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([u, np.zeros(length - 1, dtype=complex)]), length
+    )
+    # below[a, d] = R[a + d, a]; rows 1.. first hold the recurrence's steps
+    below = np.empty((length, length), dtype=complex)
+    below[0] = np.correlate(u, u[:k] / k, "valid")
+    np.multiply(windows[k:], weights[k:, None], out=below[1:])
+    flat = np.empty(length * (length + 1), dtype=complex)
+    leaving = flat[: (length - 1) * length].reshape(length - 1, length)
+    np.multiply(windows[: length - 1], weights[: length - 1, None], out=leaving)
+    below[1:] -= leaving
+    np.cumsum(below, axis=0, out=below)
+    # Row stride L + 1 shears below[a, d] onto mirror[a, a + d] = R[a + d, a];
+    # entries with a + d >= L wrap onto slots under the diagonal, which the
+    # mirror image overwrites.
+    step = flat.itemsize
+    np.lib.stride_tricks.as_strided(
+        flat, (length, length), ((length + 1) * step, step)
+    )[...] = below
+    mirror = flat[: length * length].reshape(length, length)
+    r = np.conjugate(mirror, out=below)
+    np.copyto(r, mirror.T, where=np.tri(length, k=-1, dtype=bool))
+    return r
 
 
 def _check_hermitian(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("covariance must be square")
-    if not np.isfinite(r).all():
+    scale = np.abs(r).max()
+    if not np.isfinite(scale):
         raise ValueError("covariance has non-finite entries")
-    scale = max(np.abs(r).max(), 1.0)
-    if np.abs(r - r.conj().T).max() > 1e-9 * scale:
+    # max |r - r^H| one band of rows at a time, so the transposed reads of
+    # a large r stay in cache
+    band = 64
+    defect = max(
+        np.abs(r[i : i + band, i:] - r[i:, i : i + band].T.conj()).max()
+        for i in range(0, r.shape[0], band)
+    )
+    if defect > 1e-9 * max(scale, 1.0):
         raise ValueError("covariance is not Hermitian")
     return r
+
+
+#: The signal subspace comes from block subspace iteration with
+#: Rayleigh-Ritz (Halko, Martinsson & Tropp, SIAM Review 2011; Saad,
+#: Numerical Methods for Large Eigenvalue Problems, 2011) on K + OVERSAMPLE
+#: vectors: the K-th Ritz vector converges at the rate
+#: lambda_{K+OVERSAMPLE+1} / lambda_K per iteration, about 1e-3 on the noisy
+#: SAULAs(32) inputs (L = 575), which converge in 4-5 iterations.
+OVERSAMPLE = 8
+#: The iteration is tried only when L >= SIZE_RATIO * (K + OVERSAMPLE).
+#: Each iteration costs about 0.15 ms of call overhead however small L is,
+#: while the complex eigh grows as L^3: on SAULAs/Co-TSAULAs inputs the
+#: complex eigh won at L / (K + OVERSAMPLE) up to 4.9 (K = 4, 5, 27) and
+#: the iteration from 5.3 (K = 4, L = 64: 0.9 against 1.0 ms) and 7.4
+#: (K = 5, L = 96: 2.2 against 2.6 ms).
+SIZE_RATIO = 6
+#: Iterations before the complex eigh takes over.
+MAX_ITERATIONS = 20
+#: Converged when the Ritz residual ||R X - X Theta||_F over the Ritz gap
+#: theta_K - theta_{K+1}, the Davis-Kahan bound on the sine of the angle to
+#: the signal subspace with Ritz value K+1 standing in for lambda_{L-K}, is
+#: at most SUBSPACE_TOL.  Near a peak the spectrum's relative error is
+#: about 2 sqrt(L / f) times that angle, with f >= GUARD_FACTOR * L^2 * eps
+#: above the guard, so at most 2e-9 wherever the iteration runs (L >= 54).
+SUBSPACE_TOL = 1e-12
+#: Either eigensolver is exact only for a matrix within a small multiple of
+#: u = L * eps * lambda_max of its input, so a gap g determines E_s only to
+#: about u / g (Davis-Kahan).  Where the noise floor or the signal/noise gap
+#: is within ROUNDING_MARGIN units u, the complex eigh decides: such a gap
+#: leaves E_s undetermined at the 1e-8 level, and such a floor is rounding
+#: noise, as on noiseless input (at most 0.07 units on criterion 07's
+#: inputs), whose exact grid-point nulls then stay as they were.  Noisy
+#: SAULAs(32) inputs clear it 40-fold (floor) and 60000-fold (gap).
+ROUNDING_MARGIN = 1e8
+
+
+class Subspace(NamedTuple):
+    """What ``signal_subspace`` found: E_s (L x K), the eigenvalues it
+    knows, and E_n (L x (L-K)) when the complex eigh supplied it."""
+
+    signal: np.ndarray
+    values: np.ndarray
+    noise: np.ndarray | None = None
+
+
+def _ritz_subspace(r: np.ndarray, num_sources: int) -> Subspace | None:
+    """The K Ritz vectors and the K + OVERSAMPLE Ritz values, both in
+    ascending order, from subspace iteration on a fixed start block; None
+    when it has not converged within MAX_ITERATIONS or the floor or gap is
+    within rounding (see ROUNDING_MARGIN)."""
+    length = r.shape[0]
+    start = np.random.default_rng(0).standard_normal((length, num_sources + OVERSAMPLE))
+    basis = np.linalg.qr(r @ start)[0]
+    for _ in range(MAX_ITERATIONS):
+        image = r @ basis
+        values, w = np.linalg.eigh(basis.conj().T @ image)
+        w = w[:, -num_sources:]
+        vectors = basis @ w
+        residual = np.linalg.norm(image @ w - vectors * values[-num_sources:])
+        floor = values[-num_sources - 1]
+        gap = values[-num_sources] - floor
+        if residual <= SUBSPACE_TOL * gap:
+            unit = length * np.finfo(float).eps * values[-1]
+            if min(floor, gap) > ROUNDING_MARGIN * unit:
+                return Subspace(vectors, values)
+            return None
+        basis = np.linalg.qr(image)[0]
+    return None
+
+
+def signal_subspace(r_ss: np.ndarray, num_sources: int) -> Subspace:
+    """E_s, the num_sources principal eigenvectors of r_ss as an L x K
+    matrix in ascending eigenvalue order, and the eigenvalues the solver
+    knows, ascending.
+
+    Block subspace iteration with Rayleigh-Ritz on K + OVERSAMPLE vectors
+    from a fixed start block finds E_s in O(L^2 (K + OVERSAMPLE)) per
+    iteration; the values are then its K + OVERSAMPLE Ritz values.  It
+    stops once the Davis-Kahan bound on the subspace error is at most
+    SUBSPACE_TOL.  The complex eigh of r_ss, with all L eigenvalues and
+    E_n, serves instead when L < SIZE_RATIO * (K + OVERSAMPLE), when the
+    iteration has not converged within MAX_ITERATIONS, and when the noise
+    floor or the gap is within rounding (see ROUNDING_MARGIN).
+    """
+    r_ss = _check_hermitian(r_ss)
+    length = r_ss.shape[0]
+    if num_sources >= length:
+        raise ValueError(
+            f"insufficient uDOFs: {num_sources} sources need a smoothed "
+            f"subarray longer than {num_sources}, got {length}"
+        )
+    if length >= SIZE_RATIO * (num_sources + OVERSAMPLE):
+        found = _ritz_subspace(r_ss, num_sources)
+        if found is not None:
+            return found
+    values, vectors = np.linalg.eigh(r_ss)
+    split = length - num_sources
+    return Subspace(vectors[:, split:], values, vectors[:, :split])
 
 
 #: The polynomial's absolute rounding error is of order L^2 * eps: Horner's
@@ -120,99 +263,31 @@ def _check_hermitian(r: np.ndarray) -> np.ndarray:
 #: noiseless matrices (L 20-575, K 1-55) the error stayed below
 #: 0.7 * L^2 * eps.  Near a true DOA the exact value falls to 1e-26 or less,
 #: where the polynomial returns rounding noise of either sign, so values
-#: below GUARD_FACTOR * L^2 * eps are recomputed by the direct projection.
+#: below GUARD_FACTOR * L^2 * eps are recomputed directly (see
+#: ``music_spectrum``).
 #: Above that bound the relative error is below 1 / GUARD_FACTOR = 1e-8, far
 #: inside the 1e-5 dB to which spectra are compared.
 GUARD_FACTOR = 1e8
 
 
+def _steering(length: int, angles: np.ndarray) -> np.ndarray:
+    k = np.arange(length)
+    return np.exp(-1j * np.pi * k[:, None] * np.sin(np.deg2rad(angles))[None, :])
+
+
+def _null_spectrum_residual(signal: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """||a(theta) - E_s E_s^H a(theta)||^2 as the squared norm of the
+    residual vector, O(L * K) per angle.  The difference of squares
+    ||a||^2 - ||E_s^H a||^2 would cancel to rounding noise near a null."""
+    a = _steering(signal.shape[0], angles)
+    a -= signal @ (signal.conj().T @ a)
+    return np.sum(a.real**2 + a.imag**2, axis=0)
+
+
 def _null_spectrum_direct(noise: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """||E_n^H a(theta)||^2 by projecting each steering vector onto the noise
     eigenvectors (the columns of ``noise``): O(L * (L-K)) per angle."""
-    k = np.arange(noise.shape[0])
-    steering = np.exp(-1j * np.pi * k[:, None] * np.sin(np.deg2rad(angles))[None, :])
-    return np.sum(np.abs(noise.conj().T @ steering) ** 2, axis=0)
-
-
-#: The smoothed covariance of a conjugate-symmetric virtual observation is
-#: centro-Hermitian, Pi R* Pi = R with Pi the exchange matrix, so the unitary
-#: Q of ``_real_form`` turns it into the real symmetric Q^H R Q with the same
-#: eigenvalues and eigenvectors Q W (Huarng & Yeh, IEEE TSP 1991; Pesavento,
-#: Gershman & Haardt, IEEE TSP 2000), and a real eigh costs a fraction of a
-#: complex one.  Either eigh is backward stable, exact for a matrix within a
-#: small multiple of L * eps * lambda_max of its input, so the real form is
-#: used only where that rounding cannot change the answer:
-#:
-#: - The gap lambda_{L-K+1} - lambda_{L-K} exceeds GAP_MARGIN times
-#:   L * eps * lambda_max.  The two forms' noise subspaces differ by about
-#:   the backward error over the gap (Davis-Kahan).  On 7407 random
-#:   centro-Hermitian matrices (L 3-120) with gaps above 100 times that
-#:   unit, their spectra differed above the guard bound by at most
-#:   30 * L * eps * lambda_max / gap relative, so 1e8 keeps the difference
-#:   below 3e-7, inside the 1e-6 to which the tests compare spectra.
-#: - The noise floor lambda_{L-K} exceeds FLOOR_MARGIN times that unit.
-#:   Below it the floor is rounding noise (noiseless input): nulls on grid
-#:   points are exact, and which of them is deepest depends on the basis
-#:   eigh picks inside the noise eigenspace.  The floor is at most 0.07 units
-#:   on criterion 07's noiseless inputs; 1e4 leaves room above that.
-#:
-#: Elsewhere, as for R = I or noiseless input, the complex eigh of R is used.
-#: The benchmark inputs (noisy, L 32-575) clear both margins: their gaps and
-#: floors are at least 4e9 units.
-GAP_MARGIN = 1e8
-FLOOR_MARGIN = 1e4
-
-
-def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F+ x, F- x): the sums x_i + x_{L-1-i} of x's rows and their mirror
-    images, followed for odd L by sqrt2 times the middle row, and the
-    differences x_i - x_{L-1-i}."""
-    n, odd = divmod(x.shape[0], 2)
-    head, tail = x[:n], x[::-1][:n]
-    return np.concatenate([head + tail, math.sqrt(2) * x[n : n + odd]]), head - tail
-
-
-def _real_form(r: np.ndarray) -> np.ndarray | None:
-    """M = Q^H R Q for Q = [F+^T, j F-^T] / sqrt2, the unitary
-    [[I, 0, jI], [0, sqrt2, 0], [Pi, 0, -jPi]] / sqrt2 (middle row and
-    column only for odd L), or None when R is not centro-Hermitian to
-    rounding: max |Im M| above L * eps * max |R|.
-
-    2M = [[F+ R F+^T, j F+ R F-^T], [-j F- R F+^T, F- R F-^T]], so with
-    R = A + jB its real part is [[F+AF+^T, -F+BF-^T], [F-BF+^T, F-AF-^T]]
-    and its imaginary part [[F+BF+^T, F+AF-^T], [-F-AF+^T, F-BF-^T]].
-    Folding the transposed row folds gives each block transposed, which
-    for the symmetric real part is the same matrix.
-    """
-    (ap, am), (bp, bm) = _fold(r.real), _fold(r.imag)
-    (app, apm), (amp, amm) = _fold(ap.T), _fold(am.T)
-    (bpp, bpm), (bmp, bmm) = _fold(bp.T), _fold(bm.T)
-    imag = max(np.abs(block).max() for block in (bpp, apm, amp, bmm)) / 2
-    if imag > r.shape[0] * np.finfo(float).eps * np.abs(r).max():
-        return None
-    return np.block([[app, bmp], [-bpm, amm]]) / 2
-
-
-def _from_real_basis(w: np.ndarray) -> np.ndarray:
-    """Q w: rows i and L-1-i are (w_i +- j w_{n+odd+i}) / sqrt2."""
-    n, odd = divmod(w.shape[0], 2)
-    head = (w[:n] + 1j * w[n + odd :]) / math.sqrt(2)
-    return np.concatenate([head, w[n : n + odd], head[::-1].conj()])
-
-
-def _eigenvectors(r_ss: np.ndarray, num_sources: int) -> np.ndarray:
-    """Eigenvectors of r_ss in ascending eigenvalue order, from its real form
-    when r_ss is centro-Hermitian and its noise subspace is determined (see
-    GAP_MARGIN), otherwise from the complex eigh."""
-    real = _real_form(r_ss)
-    if real is not None:
-        values, w = np.linalg.eigh(real)
-        split = r_ss.shape[0] - num_sources
-        unit = r_ss.shape[0] * np.finfo(float).eps * values[-1]
-        floor, gap = values[split - 1], values[split] - values[split - 1]
-        if floor > FLOOR_MARGIN * unit and gap > GAP_MARGIN * unit:
-            return _from_real_basis(w)
-    return np.linalg.eigh(r_ss)[1]
+    return np.sum(np.abs(noise.conj().T @ _steering(noise.shape[0], angles)) ** 2, axis=0)
 
 
 def music_spectrum(
@@ -223,29 +298,24 @@ def music_spectrum(
     a(theta) is the steering vector of the length-L contiguous virtual ULA at
     half-wavelength pitch.  Returns (grid angles in degrees, spectrum values).
 
-    The eigenvectors come from a real symmetric eigh of Q^H R Q, formed in
-    O(L^2) by slicing, when R is centro-Hermitian to rounding and its noise
-    floor and signal/noise gap clear the rounding bound (see GAP_MARGIN);
-    otherwise from the complex eigh of R.  The denominator a^H P a, with
-    P = E_n E_n^H = I - E_s E_s^H, is the trigonometric polynomial
-    f(z) = c_0 + 2 Re sum_{d>=1} c_d z^d in z = exp(j pi sin theta) that
-    Root-MUSIC roots; c_d is the sum of the d-th subdiagonal of P.  The c_d
-    come from the autocorrelations of the K signal eigenvectors (one
-    zero-padded FFT), and f is evaluated on the grid by Horner's rule, so no
-    L x G steering matrix is formed.  Grid points where f falls below the
-    rounding bound (see GUARD_FACTOR), which occur only next to a near-exact
-    null, are recomputed by the direct projection.
+    Only the K signal eigenvectors E_s are needed (see ``signal_subspace``).
+    The denominator a^H P a, with P = E_n E_n^H = I - E_s E_s^H, is the
+    trigonometric polynomial f(z) = c_0 + 2 Re sum_{d>=1} c_d z^d in
+    z = exp(j pi sin theta) that Root-MUSIC roots; c_d is the sum of the
+    d-th subdiagonal of P.  The c_d come from the autocorrelations of the K
+    signal eigenvectors (one zero-padded FFT), and f is evaluated on the
+    grid by Horner's rule, so no L x G steering matrix is formed.  Grid
+    points where f falls below the rounding bound (see GUARD_FACTOR), which
+    occur only next to a near-exact null, are recomputed as the residual
+    ||a - E_s E_s^H a||^2, or as ||E_n^H a||^2 when the complex eigh
+    supplied E_n.  On noiseless input two adjacent grid points can both be
+    exact nulls, and rounding noise decides which is the peak; projecting
+    onto E_n keeps that choice as it was before the K-vector solver.
     """
-    r_ss = _check_hermitian(r_ss)
-    length = r_ss.shape[0]
-    if config.num_sources >= length:
-        raise ValueError(
-            f"insufficient uDOFs: {config.num_sources} sources need a smoothed "
-            f"subarray longer than {config.num_sources}, got {length}"
-        )
-    vectors = _eigenvectors(r_ss, config.num_sources)
-    split = length - config.num_sources
-    spectra = np.fft.fft(vectors[:, split:], n=2 * length, axis=0)
+    subspace = signal_subspace(r_ss, config.num_sources)
+    signal = subspace.signal
+    length = signal.shape[0]
+    spectra = np.fft.fft(signal, n=2 * length, axis=0)
     autocorr = np.fft.ifft(np.sum(spectra.real**2 + spectra.imag**2, axis=1))
     coeffs = -autocorr[:length]
     coeffs[0] += length
@@ -262,8 +332,11 @@ def music_spectrum(
     low = denom < GUARD_FACTOR * length**2 * np.finfo(float).eps
     if low.any():
         # An exact null can round to 0; the floor keeps the spectrum finite.
-        direct = _null_spectrum_direct(vectors[:, :split], angles[low])
-        denom[low] = np.maximum(direct, np.finfo(float).tiny)
+        if subspace.noise is None:
+            exact = _null_spectrum_residual(signal, angles[low])
+        else:
+            exact = _null_spectrum_direct(subspace.noise, angles[low])
+        denom[low] = np.maximum(exact, np.finfo(float).tiny)
     return angles, 1.0 / denom
 
 
@@ -449,5 +522,5 @@ def aggregate_trials(
 def spectrum_to_csv(angles: np.ndarray, spectrum: np.ndarray) -> str:
     """CSV (angle_deg, power_db) with the peak normalized to 0 dB."""
     power_db = 10.0 * np.log10(spectrum / spectrum.max())
-    rows = zip(angles.tolist(), power_db.tolist())
-    return "angle_deg,power_db\n" + "".join(f"{a:.6f},{p:.6f}\n" for a, p in rows)
+    interleaved = np.column_stack([angles, power_db]).ravel()
+    return "angle_deg,power_db\n" + ("%.6f,%.6f\n" * angles.size) % tuple(interleaved.tolist())

@@ -430,7 +430,7 @@ def test_music_rejects_non_finite_or_non_integral_scenario(tmp_path, capsys, fie
     assert all(k in err for k in nulls)
 
 
-@pytest.mark.parametrize("step", ["0.07", "0"])
+@pytest.mark.parametrize("step", ["0.07", "0", "1e-320"])
 def test_music_rejects_grid_step_that_does_not_divide_180(capsys, scenario_file, step):
     code, _, err = run_cli(
         capsys,
