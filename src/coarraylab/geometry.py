@@ -19,6 +19,10 @@ import numpy as np
 
 POSITION_UNIT = "half-wavelength"
 
+#: Every sensor position p has |p| < POSITION_LIMIT, so every pair sum and
+#: difference (|m_u +/- m_v| < 2**63) fits in int64.
+POSITION_LIMIT = 2**62
+
 
 class DesignError(ValueError):
     """Invalid design parameters or malformed geometry input."""
@@ -218,7 +222,8 @@ def design(family: str, n: int) -> SensorArray:
 
 def _integer_positions(values: Iterable) -> tuple[int, ...]:
     """The one definition of a valid sensor position: a finite number equal
-    to its integer value (bools and strings are not positions)."""
+    to its integer value, below POSITION_LIMIT in magnitude (bools and
+    strings are not positions)."""
     cleaned = []
     for p in values:
         try:
@@ -230,6 +235,11 @@ def _integer_positions(values: Iterable) -> tuple[int, ...]:
         cleaned.append(q)
     if not cleaned:
         raise DesignError("array needs at least one sensor")
+    for q in (min(cleaned), max(cleaned)):
+        if abs(q) >= POSITION_LIMIT:
+            raise DesignError(
+                f"sensor position {q} outside (-2**62, 2**62): its pair sums overflow int64"
+            )
     return tuple(cleaned)
 
 

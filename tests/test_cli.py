@@ -155,6 +155,15 @@ def test_analyze_external_positions_file(tmp_path, capsys):
     assert payload["udofs"] >= 1
 
 
+@pytest.mark.parametrize("far", [2**62, -(2**62), 2**63 - 1])
+def test_analyze_rejects_positions_whose_sums_overflow(tmp_path, capsys, far):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"name": "far", "positions": [0, 1, far]}))
+    code, out, err = run_cli(capsys, "analyze", "--file", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert f"sensor position {far} outside (-2**62, 2**62)" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Co-array analytics against brute-force and hand-enumerated references."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coarraylab import coarray, verify
 from coarraylab.coarray import (
+    BITMAP_SLOTS_PER_VALUE,
     REPORT_COLUMNS,
     coarray_report,
     contiguous_stats,
@@ -20,12 +24,14 @@ from coarraylab.coarray import (
     weight_table,
 )
 from coarraylab.geometry import (
+    POSITION_LIMIT,
     design_aulas,
     design_cotsaulas,
     design_nested,
     design_saulas,
     design_tsaulas,
     design_ula,
+    from_positions,
 )
 
 position_sets = st.sets(st.integers(-40, 40), min_size=1, max_size=8)
@@ -58,7 +64,9 @@ def test_contiguous_stats_requires_lag_zero():
 
 @pytest.mark.parametrize(
     "bad",
-    [[0, np.inf], [0, np.nan], [True, False, True], np.array([True, False]), [0, 0.5], []],
+    [[0, np.inf], [0, np.nan], [True, False, True], np.array([True, False]), [0, 0.5], [],
+     # pair sums or differences would leave int64
+     [0, 2**62, 2**62 + 1], [-(2**62), 0], [-(2**63) + 1, 2**63 - 1]],
 )
 def test_raw_positions_follow_the_sensor_array_rule(bad):
     for enumerate_lags in (difference_set, sum_set, sum_difference_coarray, weight_table):
@@ -236,3 +244,149 @@ def test_holes_disjoint_from_lags(points):
     hole_set = holes(sdc)
     assert not (set(hole_set.tolist()) & set(sdc.tolist()))
     assert hole_set.size + sdc.size == int(sdc.max() - sdc.min()) + 1
+
+
+# ---------------------------------------------------------------------------
+# Bitmap lag sets against the pure-Python set oracle
+# ---------------------------------------------------------------------------
+
+
+def brute_sets(points):
+    """Difference, symmetric sum and union sets as Python sets of Python ints."""
+    dc = {v - u for u in points for v in points}
+    sums = {u + v for u in points for v in points}
+    sc = sums | {-x for x in sums}
+    return dc, sc, dc | sc
+
+
+def brute_coarray(points):
+    """Every figure of merit from Python sets of pairwise sums and differences
+    (the holes are listed one by one, so keep the span small)."""
+    dc, sc, sdc = brute_sets(points)
+    m = 0
+    while m + 1 in sdc and -(m + 1) in sdc:
+        m += 1
+    top = max(sdc)
+    return {
+        "dc": sorted(dc),
+        "sc": sorted(sc),
+        "sdc": sorted(sdc),
+        "udofs": (2 * m + 1, 2 * m),
+        "holes": [f for f in range(min(sdc), top + 1) if f not in sdc],
+        "se": 1.0 if top == 0 else m / top,
+    }
+
+
+class CountingNumpy:
+    """Stand-in for the numpy module inside coarray that counts np.unique."""
+
+    def __init__(self):
+        self.unique_calls = 0
+
+    def unique(self, *args, **kwargs):
+        self.unique_calls += 1
+        return np.unique(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture
+def counting_np(monkeypatch):
+    proxy = CountingNumpy()
+    monkeypatch.setattr(coarray, "np", proxy)
+    return proxy
+
+
+#: Raw geometries, repeats allowed: a few sensors spread over a reach of 3
+#: (always on the bitmap), 40 (either side of the guard) or 5000 (mostly
+#: past it, on np.unique).
+raw_geometries = st.sampled_from([3, 40, 5000]).flatmap(
+    lambda reach: st.lists(st.integers(-reach, reach), min_size=1, max_size=9)
+)
+
+
+@given(raw_geometries)
+def test_lag_sets_match_the_python_set_oracle(points):
+    want = brute_coarray(points)
+    sdc = sum_difference_coarray(points)
+    assert difference_set(points).tolist() == want["dc"]
+    assert sum_set(points).tolist() == want["sc"]
+    assert sdc.tolist() == want["sdc"]
+    assert contiguous_stats(sdc) == want["udofs"]
+    assert holes(sdc).tolist() == want["holes"]
+    assert spatial_efficiency(sdc) == want["se"]
+    # raw, repeated values in any order give the same figures
+    raw = np.concatenate([sdc, sdc[::-1]])
+    assert contiguous_stats(raw) == want["udofs"]
+    assert holes(raw).tolist() == want["holes"]
+    assert spatial_efficiency(raw) == want["se"]
+
+
+@given(raw_geometries)
+def test_report_matches_the_python_set_oracle(points):
+    want = brute_coarray(sorted(set(points)))
+    report = coarray_report(from_positions("raw", set(points)))
+    assert report.dc.tolist() == want["dc"]
+    assert report.sc.tolist() == want["sc"]
+    assert report.sdc.tolist() == want["sdc"]
+    assert (report.udofs, report.cva) == want["udofs"]
+    assert list(report.hole_positions) == want["holes"]
+    assert report.hole_count == len(want["holes"])
+    assert report.spatial_efficiency == want["se"]
+
+
+@given(raw_geometries)
+def test_full_weight_table_matches_the_pair_count_oracle(points):
+    want = Counter(v - u for u in points for v in points)
+    assert weight_table(points) == dict(sorted(want.items()))
+
+
+def test_run_all_lag_sets_take_the_bitmap_path(counting_np):
+    reports = verify.run_all(64)
+    assert len(reports) == 456 and all(r.passed for r in reports)
+    assert counting_np.unique_calls == 0
+
+
+@pytest.mark.parametrize("past_guard", [False, True])
+def test_density_guard_sits_at_its_threshold(counting_np, past_guard):
+    # ten values whose max - min is one short of, or exactly, the guard's
+    # BITMAP_SLOTS_PER_VALUE slots per value
+    top = BITMAP_SLOTS_PER_VALUE * 10 - 1 + past_guard
+    values = [0, top, 3, 3, 7, 1, top - 2, 0, 5, 9]
+    assert coarray._lagset(values).tolist() == sorted(set(values))
+    # two sensors: four differences over [-a, a]
+    a = 2 * BITMAP_SLOTS_PER_VALUE - 1 + past_guard
+    assert weight_table([0, a]) == {-a: 1, 0: 2, a: 1}
+    assert counting_np.unique_calls == 2 * past_guard
+
+
+def test_sparse_raw_geometry_skips_the_bitmap(counting_np):
+    points = [0, 10**12]
+    assert difference_set(points).tolist() == [-(10**12), 0, 10**12]
+    assert sum_set(points).tolist() == [-2 * 10**12, -(10**12), 0, 10**12, 2 * 10**12]
+    assert contiguous_stats(sum_difference_coarray(points)) == (1, 0)
+    assert spatial_efficiency(sum_difference_coarray(points)) == 0.0
+    assert weight_table(points) == {-(10**12): 1, 0: 2, 10**12: 1}
+    # dc, sc, two sum-difference co-arrays of three sets each, the weights
+    assert counting_np.unique_calls == 9
+
+
+@pytest.mark.parametrize("empty_lags", [[], np.array([], dtype=np.int64)])
+@pytest.mark.parametrize("figure", [holes, contiguous_stats, spatial_efficiency])
+def test_empty_lag_set_is_named(figure, empty_lags):
+    with pytest.raises(ValueError, match="empty lag set"):
+        figure(empty_lags)
+
+
+@pytest.mark.parametrize("edge", [POSITION_LIMIT - 1, -(POSITION_LIMIT - 1)])
+def test_positions_inside_the_limit_enumerate_exactly(edge):
+    points = [edge, -edge // 2, 0, 7]
+    dc, sc, sdc = brute_sets(points)
+    assert difference_set(points).tolist() == sorted(dc)
+    assert sum_set(points).tolist() == sorted(sc)
+    assert sum_difference_coarray(points).tolist() == sorted(sdc)
+    assert contiguous_stats(sum_difference_coarray(points)) == (1, 0)
+    assert weight_table(points) == dict(sorted(Counter(
+        v - u for u in points for v in points).items()))
+    assert from_positions("edge", points).positions == tuple(sorted(points))

@@ -119,7 +119,9 @@ def test_from_positions_accepts_integer_valued_floats():
 
 
 @pytest.mark.parametrize(
-    "bad", [[], [1, 1, 2], [0.5], [True, 2], [float("nan"), 1], [float("inf")]]
+    "bad",
+    [[], [1, 1, 2], [0.5], [True, 2], [float("nan"), 1], [float("inf")],
+     [2**62], [-(2**62), 5]],
 )
 def test_from_positions_rejects_bad_input(bad):
     with pytest.raises(DesignError):

@@ -3,6 +3,7 @@ co-array claims against directly enumerated lag sets."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -147,6 +148,16 @@ def test_run_all_enumerates_each_lemma_array_once(monkeypatch):
         "sum_set": lemma_checks,
         "sum_difference_coarray": 0,
     }
+
+
+#: sha256 of run_all(64)'s reports, one sorted-key JSON line each, as
+#: computed by np.unique enumeration before the bitmap lag sets.
+RUN_ALL_64_SHA256 = "d3b0b58c025a2cdb3cb5f3510f70332af39a7bf4819f47dc4ceaf99a18337cf1"
+
+
+def test_run_all_reports_are_unchanged():
+    text = "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in run_all(64))
+    assert hashlib.sha256(text.encode()).hexdigest() == RUN_ALL_64_SHA256
 
 
 # ---------------------------------------------------------------------------
