@@ -52,10 +52,12 @@ from .geometry import (
 )
 from .signal import (
     ExtendedCovariance,
+    LagPlan,
     Scenario,
     VirtualObservation,
     exact_extended_covariance,
     extended_covariance,
+    lag_plan,
     simulate_snapshots,
     steering_matrix,
     steering_vector,
@@ -81,6 +83,7 @@ __all__ = [
     "DesignError",
     "EstimationResult",
     "ExtendedCovariance",
+    "LagPlan",
     "LemmaReport",
     "MonteCarloResult",
     "MusicConfig",
@@ -110,6 +113,7 @@ __all__ = [
     "from_positions",
     "holes",
     "inbuilt_shared_locations",
+    "lag_plan",
     "monte_carlo",
     "music_spectrum",
     "pick_peaks",

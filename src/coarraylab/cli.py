@@ -154,7 +154,8 @@ def _resolve_scenario(args):
 def cmd_music(args) -> int:
     array = _resolve_array(args)
     scenario, music, model = _resolve_scenario(args)
-    if estimation.required_subarray_length(array, music) <= music.num_sources:
+    plan = signal.lag_plan(array)
+    if estimation.required_subarray_length(array, music, plan) <= music.num_sources:
         raise ValueError(
             f"insufficient uDOFs: array {array.name} cannot resolve "
             f"{music.num_sources} sources"
@@ -166,7 +167,7 @@ def cmd_music(args) -> int:
     x = signal.simulate_snapshots(array, scenario, coupling=model, trial=0)
     if args.dump_snapshots:
         signal.write_snapshots(args.dump_snapshots, x)
-    first = estimation.estimate_from_snapshots(x, array, scenario, music)
+    first = estimation.estimate_from_snapshots(x, array, scenario, music, plan)
     summary = {
         "array": array.name,
         "n": array.n,
@@ -184,7 +185,8 @@ def cmd_music(args) -> int:
     }
     if trials > 1:
         rest = (
-            estimation.estimate_doas(array, scenario, music, coupling=model, trial=t)
+            estimation.estimate_doas(array, scenario, music, coupling=model, trial=t,
+                                     plan=plan)
             for t in range(1, trials)
         )
         mc = estimation.aggregate_trials(itertools.chain([first], rest), scenario, music)

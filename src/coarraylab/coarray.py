@@ -32,6 +32,13 @@ LagSet = np.ndarray
 #: 5x at 8 slots and break-even at 256-512 slots per value (1e3-1e5 values).
 BITMAP_SLOTS_PER_VALUE = 8
 
+#: The widest span [min, max] whose holes ``holes`` and ``coarray_report``
+#: list.  Their bitmap and hole list grow with the span, not with the number
+#: of sensors, so a sparse raw geometry such as [0, 10**10] is refused before
+#: anything span-sized is allocated.  The generated families reach about
+#: 1.05e6 lags at N = 1024.
+MAX_SPAN = 2**21
+
 
 def _positions(a) -> np.ndarray:
     """Sensor positions as int64; raw input must pass the SensorArray rule."""
@@ -62,6 +69,15 @@ def _occupancy(lo: int, hi: int, *parts) -> np.ndarray:
     for values in parts:
         occ[values - lo] = True
     return occ
+
+
+def _listable_span(lo: int, hi: int) -> None:
+    """Refuse a span whose hole list could exceed MAX_SPAN entries."""
+    if hi - lo + 1 > MAX_SPAN:
+        raise ValueError(
+            f"lag span [{lo}, {hi}] holds {hi - lo + 1} lags, more than the "
+            f"{MAX_SPAN} whose holes can be listed"
+        )
 
 
 def _segment(occ: np.ndarray, zero: int) -> tuple[int, int]:
@@ -124,9 +140,11 @@ def contiguous_stats(lags) -> tuple[int, int]:
 
 
 def holes(lags) -> LagSet:
-    """Integers missing from a lag set between its min and max."""
+    """Integers missing from a lag set between its min and max (at most
+    MAX_SPAN of them)."""
     values = _values(lags)
     lo, hi, _ = _span(values)
+    _listable_span(lo, hi)
     return np.flatnonzero(~_occupancy(lo, hi, values)) + lo
 
 
@@ -223,10 +241,11 @@ def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -
     The union, its contiguous segment and its holes are read off one
     occupancy bitmap of dc and sc over [-top, top] (both sets are symmetric
     about 0).  That is the range the hole list covers anyway, so the bitmap
-    needs no density guard."""
+    needs no density guard; a span over MAX_SPAN lags is refused."""
     dc = difference_set(array)
     sc = sum_set(array)
     top = max(int(dc[-1]), int(sc[-1]))
+    _listable_span(-top, top)
     occ = _occupancy(-top, top, dc, sc)
     sdc = np.flatnonzero(occ) - top
     udofs, cva = _segment(occ, top)

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import coarray
 from .coupling import CouplingModel, integer_field
 from .geometry import SensorArray
 from .signal import (
+    LagPlan,
     Scenario,
     VirtualObservation,
     extended_covariance,
+    lag_plan,
     simulate_snapshots,
     virtual_observation,
 )
@@ -72,9 +74,19 @@ class MusicConfig:
         return cls(num_sources=num_sources, grid_start=-edge, grid_stop=edge,
                    grid_points=points, **kwargs)
 
-    @property
+    @cached_property
     def grid(self) -> np.ndarray:
-        return np.linspace(self.grid_start, self.grid_stop, self.grid_points)
+        """The search angles in degrees (read-only, computed once)."""
+        grid = np.linspace(self.grid_start, self.grid_stop, self.grid_points)
+        grid.flags.writeable = False
+        return grid
+
+    @cached_property
+    def phasors(self) -> np.ndarray:
+        """z = exp(j pi sin theta) on the grid (read-only, computed once)."""
+        z = np.exp(1j * np.pi * np.sin(np.deg2rad(self.grid)))
+        z.flags.writeable = False
+        return z
 
     @property
     def grid_step(self) -> float:
@@ -320,8 +332,7 @@ def music_spectrum(
     coeffs = -autocorr[:length]
     coeffs[0] += length
 
-    angles = config.grid
-    z = np.exp(1j * np.pi * np.sin(np.deg2rad(angles)))
+    angles, z = config.grid, config.phasors
     tail = np.full(angles.shape, coeffs[-1])
     for c in coeffs[-2:0:-1]:
         tail *= z
@@ -434,19 +445,25 @@ def estimate_doas(
     config: MusicConfig,
     coupling: CouplingModel | None = None,
     trial: int = 0,
+    plan: LagPlan | None = None,
 ) -> EstimationResult:
-    """Run the full single-trial pipeline and score it against the scenario."""
+    """Run the full single-trial pipeline and score it against the scenario.
+    ``plan`` is the array's ``lag_plan``, built per call when not given."""
     x = simulate_snapshots(array, scenario, coupling=coupling, trial=trial)
-    return estimate_from_snapshots(x, array, scenario, config)
+    return estimate_from_snapshots(x, array, scenario, config, plan)
 
 
 def estimate_from_snapshots(
-    x: np.ndarray, array: SensorArray, scenario: Scenario, config: MusicConfig
+    x: np.ndarray,
+    array: SensorArray,
+    scenario: Scenario,
+    config: MusicConfig,
+    plan: LagPlan | None = None,
 ) -> EstimationResult:
     """The single-trial pipeline after simulation: covariance, virtual
     observation, smoothing, MUSIC and scoring of the snapshots ``x``."""
     ec = extended_covariance(x)
-    v = virtual_observation(ec, array)
+    v = virtual_observation(ec, array, plan)
     r_ss = spatial_smoothing(v, config.smoothing_length)
     angles, spectrum = music_spectrum(r_ss, config)
     estimates, under = pick_peaks(angles, spectrum, config.num_sources)
@@ -462,10 +479,14 @@ def estimate_from_snapshots(
     )
 
 
-def required_subarray_length(array: SensorArray, config: MusicConfig) -> int:
-    udofs, _ = coarray.contiguous_stats(coarray.sum_difference_coarray(array))
-    m = (udofs - 1) // 2
-    return m + 1 if config.smoothing_length is None else config.smoothing_length
+def required_subarray_length(
+    array: SensorArray, config: MusicConfig, plan: LagPlan | None = None
+) -> int:
+    """The smoothing subarray length L a run uses: the config's, or m + 1
+    read off the array's ``lag_plan``."""
+    if config.smoothing_length is not None:
+        return config.smoothing_length
+    return (lag_plan(array) if plan is None else plan).default_length
 
 
 def monte_carlo(
@@ -484,7 +505,8 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if required_subarray_length(array, config) <= config.num_sources:
+    plan = lag_plan(array)
+    if required_subarray_length(array, config, plan) <= config.num_sources:
         per_trial = tuple(() for _ in range(trials))
         return MonteCarloResult(
             rmse_deg=config.error_cap_deg,
@@ -494,7 +516,7 @@ def monte_carlo(
             insufficient_dofs=True,
         )
     results = (
-        estimate_doas(array, scenario, config, coupling=coupling, trial=t)
+        estimate_doas(array, scenario, config, coupling=coupling, trial=t, plan=plan)
         for t in range(trials)
     )
     return aggregate_trials(results, scenario, config)

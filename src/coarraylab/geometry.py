@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -38,7 +39,7 @@ class SensorArray:
 
     def __post_init__(self) -> None:
         pos = _integer_positions(self.positions)
-        if any(b <= a for a, b in zip(pos, pos[1:])):
+        if not all(map(operator.lt, pos, pos[1:])):
             raise DesignError("sensor positions must be distinct and increasing")
         object.__setattr__(self, "positions", pos)
         if self.unit != POSITION_UNIT:
@@ -223,16 +224,14 @@ def design(family: str, n: int) -> SensorArray:
 def _integer_positions(values: Iterable) -> tuple[int, ...]:
     """The one definition of a valid sensor position: a finite number equal
     to its integer value, below POSITION_LIMIT in magnitude (bools and
-    strings are not positions)."""
-    cleaned = []
-    for p in values:
-        try:
-            q = int(p)
-        except (TypeError, ValueError, OverflowError):  # non-numbers, NaN, ±inf
-            q = None
-        if q is None or q != p or isinstance(p, (bool, np.bool_)):
-            raise DesignError(f"non-integer sensor position {p!r}")
-        cleaned.append(q)
+    strings are not positions).
+
+    A tuple of plain ints, as the designs and ``translated`` build, needs
+    only the range check and is returned as it is."""
+    if type(values) is tuple and values and set(map(type, values)) == {int}:
+        cleaned = values
+    else:
+        cleaned = tuple(_integer_position(p) for p in values)
     if not cleaned:
         raise DesignError("array needs at least one sensor")
     for q in (min(cleaned), max(cleaned)):
@@ -240,7 +239,17 @@ def _integer_positions(values: Iterable) -> tuple[int, ...]:
             raise DesignError(
                 f"sensor position {q} outside (-2**62, 2**62): its pair sums overflow int64"
             )
-    return tuple(cleaned)
+    return cleaned
+
+
+def _integer_position(p) -> int:
+    try:
+        q = int(p)
+    except (TypeError, ValueError, OverflowError):  # non-numbers, NaN, ±inf
+        q = None
+    if q is None or q != p or isinstance(p, (bool, np.bool_)):
+        raise DesignError(f"non-integer sensor position {p!r}")
+    return q
 
 
 def from_positions(

@@ -6,6 +6,12 @@ standard Gaussian, so both E[x x^H] and the unconjugated E[x x^T] carry
 signal structure.  Stacking the two into an extended covariance doubles the
 virtual aperture: the lags exposed are exactly the sum-difference co-array of
 the physical geometry.
+
+Both covariance blocks come from one real Gram matrix of the snapshots' real
+and imaginary planes.  What depends only on the geometry (the contiguous lag
+segment, which covariance entries fall in it and how many share each lag) is
+a ``LagPlan``, built once per array by ``lag_plan``; each trial then averages
+its entries per lag with two bincounts.
 """
 
 from __future__ import annotations
@@ -186,9 +192,12 @@ def simulate_snapshots(
     x = a @ s
     pn = scenario.noise_power
     if pn > 0:
-        shape = (array.n, scenario.snapshots)
-        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        x = x + np.sqrt(pn / 2.0) * noise
+        # both planes in one draw: the same stream and the same products as
+        # adding sqrt(pn / 2) * (n_re + 1j * n_im)
+        noise = rng.standard_normal((2, array.n, scenario.snapshots))
+        noise *= np.sqrt(pn / 2.0)
+        x.real += noise[0]
+        x.imag += noise[1]
     return x
 
 
@@ -223,12 +232,33 @@ class ExtendedCovariance:
 
 
 def extended_covariance(x: np.ndarray) -> ExtendedCovariance:
-    """Sample covariances R_s = X X^H / T and R_hat = X X^T / T."""
+    """Sample covariances R_s = X X^H / T and R_hat = X X^T / T.
+
+    With X = A + jB both blocks come from the four N x N blocks of one real
+    Gram matrix G = [A; B][A; B]^T / T:
+    R_s = (G_AA + G_BB) + j(G_BA - G_AB) and
+    R_hat = (G_AA - G_BB) + j(G_BA + G_AB).
+    One real product replaces two complex ones.  G is computed as one
+    triangle mirrored (syrk), so R_s is exactly Hermitian and R_hat exactly
+    symmetric.
+    """
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError("snapshot matrix must be 2-D (sensors x time)")
-    t = x.shape[1]
-    return ExtendedCovariance(r_s=x @ x.conj().T / t, r_hat=x @ x.T / t)
+    n, t = x.shape
+    planes = np.empty((2 * n, t))
+    planes[:n] = x.real
+    planes[n:] = x.imag
+    gram = planes @ planes.T
+    gram /= t
+    aa, bb, cross = gram[:n, :n], gram[n:, n:], gram[:n, n:]
+    r_s = np.empty((n, n), dtype=complex)
+    r_hat = np.empty((n, n), dtype=complex)
+    np.add(aa, bb, out=r_s.real)
+    np.subtract(cross.T, cross, out=r_s.imag)
+    np.subtract(aa, bb, out=r_hat.real)
+    np.add(cross.T, cross, out=r_hat.imag)
+    return ExtendedCovariance(r_s=r_s, r_hat=r_hat)
 
 
 def exact_extended_covariance(
@@ -284,26 +314,74 @@ def extended_lag_matrix(array: SensorArray) -> np.ndarray:
     return ext[:, None] - ext[None, :]
 
 
-def virtual_observation(ec: ExtendedCovariance, array: SensorArray) -> VirtualObservation:
+@dataclass(frozen=True, eq=False)
+class LagPlan:
+    """What the virtual observation of one array averages, worked out once.
+
+    ``index`` holds the flat indices into the N x 2N upper blocks
+    [R_s | R_hat] of the entries whose lag l (p_u - p_v in R_s, p_u + p_v
+    in R_hat) lies in the contiguous segment [-m, m], and ``bins`` their
+    l + m.  The lower blocks of r_so are the conjugates of the upper blocks
+    at -l, so ``counts`` holds c(l) + c(-l), the entries of r_so at each lag.
+    """
+
+    positions: tuple[int, ...]
+    lags: np.ndarray
+    index: np.ndarray
+    bins: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def half_width(self) -> int:
+        return int(self.lags[-1])
+
+    @property
+    def default_length(self) -> int:
+        """The smoothing subarray length L = m + 1."""
+        return self.half_width + 1
+
+
+def lag_plan(array: SensorArray) -> LagPlan:
+    """The lag bookkeeping of ``virtual_observation`` for one array: the
+    co-array is enumerated here, once, and every trial reuses the plan."""
+    udofs, _ = coarray.contiguous_stats(coarray.sum_difference_coarray(array))
+    half = (udofs - 1) // 2
+    upper = extended_lag_matrix(array)[: array.n].ravel()
+    index = np.flatnonzero(np.abs(upper) <= half)
+    bins = upper[index] + half
+    counts = np.bincount(bins, minlength=2 * half + 1)
+    counts = counts + counts[::-1]
+    lags = np.arange(-half, half + 1, dtype=np.int64)
+    for shared in (lags, index, bins, counts):
+        shared.flags.writeable = False
+    return LagPlan(array.positions, lags, index, bins, counts)
+
+
+def virtual_observation(
+    ec: ExtendedCovariance, array: SensorArray, plan: LagPlan | None = None
+) -> VirtualObservation:
     """Average extended-covariance entries sharing a lag and keep the
-    zero-centered contiguous segment of the sum-difference co-array."""
+    zero-centered contiguous segment of the sum-difference co-array.
+
+    With S(l) the sum of the upper-block entries at lag l (two bincounts,
+    real and imaginary parts), the mean of r_so at lag l is
+    (S(l) + conj S(-l)) / (c(l) + c(-l)).  ``plan`` is ``lag_plan(array)``,
+    built here when not given.
+    """
     if ec.n != array.n:
         raise ValueError("covariance size does not match array")
-    lag_matrix = extended_lag_matrix(array)
-    flat_lags = lag_matrix.ravel()
-    flat_vals = ec.r_so.ravel()
-    lags, inverse = np.unique(flat_lags, return_inverse=True)
-    sums = np.zeros(lags.size, dtype=complex)
-    np.add.at(sums, inverse, flat_vals)
-    counts = np.bincount(inverse, minlength=lags.size)
-    means = sums / counts
-
-    # the distinct extended lags are exactly the sum-difference co-array
-    udofs, _ = coarray.contiguous_stats(lags)
-    half = (udofs - 1) // 2
-    segment = np.arange(-half, half + 1, dtype=np.int64)
-    index = np.searchsorted(lags, segment)
-    return VirtualObservation(lags=segment, values=means[index])
+    if plan is None:
+        plan = lag_plan(array)
+    elif plan.positions != array.positions:
+        raise ValueError("lag plan was built for another array")
+    entries = np.concatenate([ec.r_s, ec.r_hat], axis=1).ravel()[plan.index]
+    width = plan.lags.size
+    real = np.bincount(plan.bins, entries.real, width)
+    imag = np.bincount(plan.bins, entries.imag, width)
+    values = np.empty(width, dtype=complex)
+    np.divide(real + real[::-1], plan.counts, out=values.real)
+    np.divide(imag - imag[::-1], plan.counts, out=values.imag)
+    return VirtualObservation(lags=plan.lags, values=values)
 
 
 def write_snapshots(path, x: np.ndarray) -> None:

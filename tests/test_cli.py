@@ -8,8 +8,7 @@ import json
 import numpy as np
 import pytest
 
-import coarraylab
-from coarraylab import cli, coarray, estimation, geometry, signal, verify
+from coarraylab import estimation, geometry, signal, verify
 from coarraylab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -162,6 +161,14 @@ def test_analyze_rejects_positions_whose_sums_overflow(tmp_path, capsys, far):
     code, out, err = run_cli(capsys, "analyze", "--file", str(path))
     assert code == EXIT_USAGE and out == ""
     assert f"sensor position {far} outside (-2**62, 2**62)" in err
+
+
+def test_analyze_refuses_a_sparse_descriptor_with_its_span(tmp_path, capsys, bounded_bitmaps):
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"name": "sparse", "positions": [0, 10**10]}))
+    code, out, err = run_cli(capsys, "analyze", "--file", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert "lag span [-20000000000, 20000000000]" in err
 
 
 # ---------------------------------------------------------------------------
@@ -450,34 +457,17 @@ def test_music_rejects_grid_step_that_does_not_divide_180(capsys, scenario_file,
     assert "error:" in err
 
 
-def _count_calls(monkeypatch, names):
-    """Wrap each named function in every package namespace that holds it."""
-    counts = dict.fromkeys(names, 0)
-    namespaces = [coarraylab, cli, coarray, estimation, geometry, signal, verify]
-    for name in names:
-        module, attr = name.split(".")
-        original = getattr(getattr(coarraylab, module), attr)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for namespace in namespaces:
-            for key, value in list(vars(namespace).items()):
-                if value is original:
-                    monkeypatch.setattr(namespace, key, counting)
-    return counts
-
-
-def test_music_runs_each_trial_stage_once(tmp_path, monkeypatch, capsys, scenario_file):
-    counts = _count_calls(
-        monkeypatch,
+def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
+                                          count_calls, numpy_calls):
+    counts = count_calls(
         [
             "estimation.estimate_doas",
             "estimation.estimate_from_snapshots",
             "estimation.music_spectrum",
             "signal.simulate_snapshots",
+            "signal.lag_plan",
             "coarray.sum_difference_coarray",
+            "coarray.contiguous_stats",
         ],
     )
     code, _, _ = run_cli(
@@ -493,8 +483,12 @@ def test_music_runs_each_trial_stage_once(tmp_path, monkeypatch, capsys, scenari
     assert counts["estimation.music_spectrum"] == 3
     # one simulation per trial: the dump reuses trial 0's snapshots
     assert counts["signal.simulate_snapshots"] == 3
-    # the insufficient-DOF check; each trial reads its lags off the covariance
-    assert counts["coarray.sum_difference_coarray"] <= 1
+    # one lag plan serves the insufficient-DOF check and every trial
+    assert counts["signal.lag_plan"] == 1
+    assert counts["coarray.sum_difference_coarray"] == 1
+    assert counts["coarray.contiguous_stats"] == 1
+    assert numpy_calls["np.unique"] == 0 and numpy_calls["np.add.at"] == 0
+    assert numpy_calls["np.linspace"] == 1
 
 
 def test_music_rejects_zero_trials(capsys, scenario_file):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coarraylab import coarray, verify
 from coarraylab.coarray import (
     BITMAP_SLOTS_PER_VALUE,
+    MAX_SPAN,
     REPORT_COLUMNS,
     coarray_report,
     contiguous_stats,
@@ -24,7 +25,9 @@ from coarraylab.coarray import (
     weight_table,
 )
 from coarraylab.geometry import (
+    GENERATED_FAMILIES,
     POSITION_LIMIT,
+    design,
     design_aulas,
     design_cotsaulas,
     design_nested,
@@ -277,27 +280,6 @@ def brute_coarray(points):
     }
 
 
-class CountingNumpy:
-    """Stand-in for the numpy module inside coarray that counts np.unique."""
-
-    def __init__(self):
-        self.unique_calls = 0
-
-    def unique(self, *args, **kwargs):
-        self.unique_calls += 1
-        return np.unique(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
-@pytest.fixture
-def counting_np(monkeypatch):
-    proxy = CountingNumpy()
-    monkeypatch.setattr(coarray, "np", proxy)
-    return proxy
-
-
 #: Raw geometries, repeats allowed: a few sensors spread over a reach of 3
 #: (always on the bitmap), 40 (either side of the guard) or 5000 (mostly
 #: past it, on np.unique).
@@ -342,14 +324,14 @@ def test_full_weight_table_matches_the_pair_count_oracle(points):
     assert weight_table(points) == dict(sorted(want.items()))
 
 
-def test_run_all_lag_sets_take_the_bitmap_path(counting_np):
+def test_run_all_lag_sets_take_the_bitmap_path(numpy_calls):
     reports = verify.run_all(64)
     assert len(reports) == 456 and all(r.passed for r in reports)
-    assert counting_np.unique_calls == 0
+    assert numpy_calls["np.unique"] == 0
 
 
 @pytest.mark.parametrize("past_guard", [False, True])
-def test_density_guard_sits_at_its_threshold(counting_np, past_guard):
+def test_density_guard_sits_at_its_threshold(numpy_calls, past_guard):
     # ten values whose max - min is one short of, or exactly, the guard's
     # BITMAP_SLOTS_PER_VALUE slots per value
     top = BITMAP_SLOTS_PER_VALUE * 10 - 1 + past_guard
@@ -358,10 +340,10 @@ def test_density_guard_sits_at_its_threshold(counting_np, past_guard):
     # two sensors: four differences over [-a, a]
     a = 2 * BITMAP_SLOTS_PER_VALUE - 1 + past_guard
     assert weight_table([0, a]) == {-a: 1, 0: 2, a: 1}
-    assert counting_np.unique_calls == 2 * past_guard
+    assert numpy_calls["np.unique"] == 2 * past_guard
 
 
-def test_sparse_raw_geometry_skips_the_bitmap(counting_np):
+def test_sparse_raw_geometry_skips_the_bitmap(numpy_calls):
     points = [0, 10**12]
     assert difference_set(points).tolist() == [-(10**12), 0, 10**12]
     assert sum_set(points).tolist() == [-2 * 10**12, -(10**12), 0, 10**12, 2 * 10**12]
@@ -369,7 +351,7 @@ def test_sparse_raw_geometry_skips_the_bitmap(counting_np):
     assert spatial_efficiency(sum_difference_coarray(points)) == 0.0
     assert weight_table(points) == {-(10**12): 1, 0: 2, 10**12: 1}
     # dc, sc, two sum-difference co-arrays of three sets each, the weights
-    assert counting_np.unique_calls == 9
+    assert numpy_calls["np.unique"] == 9
 
 
 @pytest.mark.parametrize("empty_lags", [[], np.array([], dtype=np.int64)])
@@ -390,3 +372,43 @@ def test_positions_inside_the_limit_enumerate_exactly(edge):
     assert weight_table(points) == dict(sorted(Counter(
         v - u for u in points for v in points).items()))
     assert from_positions("edge", points).positions == tuple(sorted(points))
+
+
+@pytest.mark.parametrize("past", [False, True])
+def test_holes_refuse_a_span_past_the_limit(bounded_bitmaps, past):
+    raw = [0, MAX_SPAN - 1 + past]  # MAX_SPAN + past lags
+    if not past:
+        assert holes(raw).size == MAX_SPAN - 2
+        return
+    with pytest.raises(ValueError, match=rf"lag span \[0, {MAX_SPAN}\] holds {MAX_SPAN + 1} lags"):
+        holes(raw)
+
+
+def test_report_refuses_a_span_past_the_limit(bounded_bitmaps):
+    # sensors [0, q] reach the lags [-2q, 2q]: MAX_SPAN + 1 of them
+    q = MAX_SPAN // 4
+    with pytest.raises(ValueError, match=rf"lag span \[{-2 * q}, {2 * q}\]"):
+        coarray_report(from_positions("wide", [0, q]))
+
+
+def test_sparse_descriptor_is_refused_before_any_span_sized_allocation(bounded_bitmaps):
+    points = from_positions("sparse", [0, 10**10])
+    with pytest.raises(ValueError, match=r"\[-20000000000, 20000000000\]"):
+        coarray_report(points)
+    with pytest.raises(ValueError, match="whose holes can be listed"):
+        holes(sum_difference_coarray(points))
+    # the figures that need no hole list still work
+    assert contiguous_stats(sum_difference_coarray(points)) == (1, 0)
+
+
+def test_generated_families_stay_inside_the_span_limit():
+    for family in GENERATED_FAMILIES:
+        for n in range(1, 1025):
+            try:
+                p = design(family, n).positions
+            except ValueError:
+                continue
+            top = max(p[-1] - p[0], 2 * max(-p[0], p[-1]))
+            assert 2 * top + 1 <= MAX_SPAN, (family, n)
+        report = coarray_report(design(family, 1024))
+        assert report.udofs > 1024

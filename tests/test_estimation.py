@@ -690,6 +690,50 @@ def test_monte_carlo_result_serializes_to_json():
     assert len(payload["estimates_per_trial"]) == 2
 
 
+PLAN_STAGES = [
+    "coarray.sum_difference_coarray",
+    "coarray.contiguous_stats",
+    "signal.lag_plan",
+    "estimation.estimate_doas",
+]
+
+
+def test_monte_carlo_plans_once_per_call(count_calls, numpy_calls):
+    arr, sc, cfg = _tiny_mc_setup()
+    counts = count_calls(PLAN_STAGES)
+    result = monte_carlo(arr, sc, cfg, trials=4)
+    assert result.trials == 4 and not result.insufficient_dofs
+    assert counts["estimation.estimate_doas"] == 4
+    # the co-array is enumerated and the plan built once for all trials
+    assert counts["coarray.sum_difference_coarray"] == 1
+    assert counts["coarray.contiguous_stats"] == 1
+    assert counts["signal.lag_plan"] == 1
+    # the trials average lags by bincount; the grid is the config's
+    assert numpy_calls["np.unique"] == 0 and numpy_calls["np.add.at"] == 0
+    assert numpy_calls["np.linspace"] == 1
+    assert monte_carlo(arr, sc, cfg, trials=2).trials == 2
+    assert numpy_calls["np.linspace"] == 1 and counts["signal.lag_plan"] == 2
+
+
+def test_insufficient_dofs_is_read_off_the_plan(count_calls):
+    arr = geometry.design_nested(2, 2)
+    cfg = MusicConfig.for_step(9, 1.0)
+    sc = Scenario(angles_deg=tuple(range(-40, 50, 10)), snapshots=10)
+    counts = count_calls(PLAN_STAGES)
+    assert monte_carlo(arr, sc, cfg, trials=3).insufficient_dofs
+    assert counts["signal.lag_plan"] == 1 and counts["estimation.estimate_doas"] == 0
+
+
+def test_music_config_grid_and_phasors_are_shared_and_read_only():
+    cfg = MusicConfig.for_step(2, 0.5)
+    assert cfg.grid is cfg.grid and cfg.phasors is cfg.phasors
+    assert not cfg.grid.flags.writeable and not cfg.phasors.flags.writeable
+    np.testing.assert_array_equal(
+        cfg.phasors, np.exp(1j * np.pi * np.sin(np.deg2rad(cfg.grid)))
+    )
+    assert cfg == MusicConfig.for_step(2, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Spectrum CSV
 # ---------------------------------------------------------------------------

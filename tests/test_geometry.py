@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from coarraylab.geometry import (
     FAMILIES,
+    POSITION_LIMIT,
     AulasParams,
     DesignError,
     SensorArray,
@@ -22,6 +24,7 @@ from coarraylab.geometry import (
     inbuilt_shared_locations,
     load_descriptor,
     save_descriptor,
+    _integer_positions,
 )
 
 # Hand-evaluated location sets for the generated families.
@@ -192,6 +195,41 @@ def test_sensor_array_validation():
     for positions in bad_inputs:
         with pytest.raises(DesignError):
             SensorArray("x", positions)
+
+
+def test_valid_int_tuples_take_the_fast_path_and_keep_the_range_check():
+    positions = (-7, 0, 3, 10)
+    assert SensorArray("x", positions).positions is positions
+    for edge in (POSITION_LIMIT, -POSITION_LIMIT):
+        with pytest.raises(DesignError, match="outside"):
+            SensorArray("x", tuple(sorted((0, edge))))
+    assert _integer_positions((POSITION_LIMIT - 1, 1 - POSITION_LIMIT)) == (
+        POSITION_LIMIT - 1, 1 - POSITION_LIMIT)
+
+
+position_items = st.one_of(
+    st.integers(-(2**63), 2**63),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-50, 50).map(np.int64),
+    st.integers(-50, 50).map(float),
+    st.just("3"),
+)
+
+
+@given(st.lists(position_items, max_size=6))
+def test_tuple_fast_path_agrees_with_the_item_by_item_check(items):
+    """A tuple is checked exactly as the same items in a list are."""
+
+    def outcome(values):
+        try:
+            result = _integer_positions(values)
+        except DesignError as err:
+            return "error", str(err)
+        assert all(type(q) is int for q in result)
+        return "ok", result
+
+    assert outcome(tuple(items)) == outcome(list(items))
 
 
 def test_inbuilt_shared_locations():

@@ -21,6 +21,7 @@ from coarraylab.signal import (
     exact_extended_covariance,
     extended_covariance,
     extended_lag_matrix,
+    lag_plan,
     load_scenario,
     read_snapshots,
     simulate_snapshots,
@@ -30,6 +31,8 @@ from coarraylab.signal import (
     virtual_observation,
     write_snapshots,
 )
+
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +269,48 @@ def test_sources_are_strictly_non_circular():
     assert np.allclose(ratios, ratios[0][None, :], rtol=1e-12, atol=1e-13)
 
 
+def two_draw_snapshots(array, scenario, coupling_model=None, trial=0):
+    """Oracle: the snapshots with the two noise planes drawn one call each
+    and added as sqrt(p_n / 2) * (n_re + 1j * n_im)."""
+    rng = trial_rng(scenario.seed, trial)
+    a = steering_matrix(array, scenario.angles_deg)
+    if coupling_model is not None:
+        a = coupling.coupling_matrix(array, coupling_model) @ a
+    p = np.asarray(scenario.powers)
+    phases = np.exp(1j * np.asarray(scenario.nc_phases))
+    amplitudes = rng.standard_normal((scenario.num_sources, scenario.snapshots))
+    x = a @ ((np.sqrt(p) * phases)[:, None] * amplitudes)
+    pn = scenario.noise_power
+    if pn > 0:
+        shape = (array.n, scenario.snapshots)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = x + np.sqrt(pn / 2.0) * noise
+    return x
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sets(st.integers(-30, 30), min_size=1, max_size=8),
+    st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=3, max_size=3),
+    st.sampled_from([None, float("inf"), 30.0, 0.0, -10.0]),
+    st.integers(1, 40),
+    st.sampled_from([None, "paper-v"]),
+    st.integers(0, 3),
+)
+def test_one_draw_noise_is_byte_identical_to_two_draws(
+    points, angles, powers, snr_db, snapshots, coupling_name, trial
+):
+    arr = geometry.from_positions("rand", points)
+    sc = Scenario(angles_deg=tuple(angles), snapshots=snapshots, snr_db=snr_db,
+                  powers=tuple(powers[: len(angles)]), seed=trial + 5)
+    model = None if coupling_name is None else coupling.get_preset(coupling_name)
+    got = simulate_snapshots(arr, sc, coupling=model, trial=trial)
+    want = two_draw_snapshots(arr, sc, model, trial)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_sample_covariance_converges_to_ensemble_covariance():
     arr = geometry.design_saulas(9)
     sc = Scenario(
@@ -300,6 +345,38 @@ def test_extended_covariance_blocks_and_stack():
     np.testing.assert_array_equal(r_so[9:, 9:], np.conj(ec.r_s))
     # the stacked matrix is Hermitian
     np.testing.assert_allclose(r_so, r_so.conj().T, atol=1e-13)
+
+
+def complex_products(x):
+    """Oracle: R_s and R_hat as the two complex products X X^H / T and
+    X X^T / T."""
+    t = x.shape[1]
+    return x @ x.conj().T / t, x @ x.T / t
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 60),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-3, 1.0, 1e4]),
+    st.booleans(),
+)
+def test_gram_covariance_matches_the_complex_products(n, t, seed, scale, real):
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal((n, t))
+    if not real:
+        x = x + 1j * scale * rng.standard_normal((n, t))
+    ec = extended_covariance(x)
+    want_s, want_hat = complex_products(x)
+    # each entry is a length-T dot product over T
+    atol = 4 * t * EPS * np.abs(x).max() ** 2
+    np.testing.assert_allclose(ec.r_s, want_s, rtol=0, atol=atol)
+    np.testing.assert_allclose(ec.r_hat, want_hat, rtol=0, atol=atol)
+    # both blocks come from one symmetric Gram: the symmetries are exact
+    assert np.array_equal(ec.r_s, ec.r_s.conj().T)
+    assert np.array_equal(ec.r_hat, ec.r_hat.T)
+    assert ec.r_s.dtype == ec.r_hat.dtype == complex
 
 
 def test_extended_covariance_rejects_bad_shapes():
@@ -362,6 +439,81 @@ def test_exact_covariance_gives_ideal_virtual_observation(points, angles, powers
     sines = np.sin(np.deg2rad(sc.angles_deg))
     ideal = np.exp(-1j * np.pi * vo.lags[:, None] * sines[None, :]) @ np.asarray(sc.powers)
     np.testing.assert_allclose(vo.values, ideal, rtol=0, atol=1e-12 * sum(sc.powers))
+
+
+def averaged_r_so(ec, array):
+    """Oracle: every distinct lag of r_so averaged with np.unique and
+    np.add.at, cut to the contiguous segment of the sum-difference
+    co-array."""
+    lags, inverse = np.unique(extended_lag_matrix(array).ravel(), return_inverse=True)
+    sums = np.zeros(lags.size, dtype=complex)
+    np.add.at(sums, inverse, ec.r_so.ravel())
+    means = sums / np.bincount(inverse, minlength=lags.size)
+    udofs, _ = coarray.contiguous_stats(lags)
+    half = (udofs - 1) // 2
+    segment = np.arange(-half, half + 1)
+    return segment, means[np.searchsorted(lags, segment)]
+
+
+def random_blocks(n, seed):
+    """Two unrelated complex N x N blocks: neither Hermitian nor symmetric."""
+    re, im = np.random.default_rng(seed).standard_normal((2, 2, n, n))
+    r_s, r_hat = re + 1j * im
+    return ExtendedCovariance(r_s=r_s, r_hat=r_hat)
+
+
+@settings(deadline=None)
+@given(
+    st.sets(st.integers(-40, 40), min_size=1, max_size=10),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example(points={0}, seed=1, exact=False)
+@example(points={-3}, seed=2, exact=True)
+@example(points={-7, -2, 0, 5}, seed=3, exact=True)
+def test_planned_average_matches_the_unique_oracle(points, seed, exact):
+    arr = geometry.from_positions("rand", points)
+    if exact:
+        rng = np.random.default_rng(seed)
+        angles = tuple(np.unique(np.round(rng.uniform(-80, 80, 3), 2)))
+        sc = Scenario(angles_deg=angles, snapshots=1, snr_db=5.0,
+                      nc_phases=tuple(rng.uniform(-3, 3, len(angles))))
+        ec = exact_extended_covariance(arr, sc)
+    else:
+        ec = random_blocks(arr.n, seed)
+    vo = virtual_observation(ec, arr)
+    lags, want = averaged_r_so(ec, arr)
+    np.testing.assert_array_equal(vo.lags, lags)
+    scale = max(np.abs(ec.r_s).max(), np.abs(ec.r_hat).max())
+    np.testing.assert_allclose(vo.values, want, rtol=0, atol=arr.n * EPS * scale)
+    # the plan's counts are the oracle's entries per lag
+    plan = lag_plan(arr)
+    within = np.abs(extended_lag_matrix(arr)) <= plan.half_width
+    np.testing.assert_array_equal(
+        plan.counts, np.bincount((extended_lag_matrix(arr)[within] + plan.half_width))
+    )
+
+
+def test_lag_plan_reads_the_subarray_length_and_is_read_only():
+    arr = geometry.design_saulas(12)
+    plan = lag_plan(arr)
+    assert plan.half_width == 94 and plan.default_length == 95
+    np.testing.assert_array_equal(plan.lags, np.arange(-94, 95))
+    for shared in (plan.lags, plan.index, plan.bins, plan.counts):
+        assert not shared.flags.writeable
+    sc = Scenario(angles_deg=(10.0,), snapshots=16, seed=1)
+    ec = extended_covariance(simulate_snapshots(arr, sc))
+    np.testing.assert_array_equal(
+        virtual_observation(ec, arr, plan).values, virtual_observation(ec, arr).values
+    )
+
+
+def test_virtual_observation_rejects_a_plan_for_another_array():
+    arr = geometry.design_aulas(9)
+    other = geometry.design_saulas(9)
+    ec = exact_extended_covariance(arr, Scenario(angles_deg=(5.0,), snapshots=1))
+    with pytest.raises(ValueError, match="another array"):
+        virtual_observation(ec, arr, lag_plan(other))
 
 
 def test_virtual_observation_lag_axis():
