@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import sys
 from typing import Sequence
 
@@ -154,20 +155,17 @@ def _resolve_scenario(args):
 def cmd_music(args) -> int:
     array = _resolve_array(args)
     scenario, music, model = _resolve_scenario(args)
-    plan = signal.lag_plan(array)
-    if estimation.required_subarray_length(array, music, plan) <= music.num_sources:
+    trials = args.trials
+    runs = estimation.run_trials(array, scenario, music, trials, coupling=model)
+    if runs is None:
         raise ValueError(
             f"insufficient uDOFs: array {array.name} cannot resolve "
             f"{music.num_sources} sources"
         )
-    trials = args.trials
-    if trials < 1:
-        raise ValueError("--trials must be >= 1")
-
-    x = signal.simulate_snapshots(array, scenario, coupling=model, trial=0)
+    x, first = next(runs)
     if args.dump_snapshots:
         signal.write_snapshots(args.dump_snapshots, x)
-    first = estimation.estimate_from_snapshots(x, array, scenario, music, plan)
+    del x  # later trials run without trial 0's snapshots alive
     summary = {
         "array": array.name,
         "n": array.n,
@@ -184,12 +182,8 @@ def cmd_music(args) -> int:
         },
     }
     if trials > 1:
-        rest = (
-            estimation.estimate_doas(array, scenario, music, coupling=model, trial=t,
-                                     plan=plan)
-            for t in range(1, trials)
-        )
-        mc = estimation.aggregate_trials(itertools.chain([first], rest), scenario, music)
+        results = itertools.chain([first], map(operator.itemgetter(1), runs))
+        mc = estimation.aggregate_trials(results, scenario, music)
         summary["rmse_deg"] = round(mc.rmse_deg, 6)
         summary["detection_rate"] = mc.detection_rate
 

@@ -175,22 +175,14 @@ def weight_function(a, f: int) -> int:
 def weight_table(a, lags: Iterable[int] | None = None) -> dict[int, int]:
     """w(f) for each requested lag (default: every lag in the difference set).
 
-    The full table tallies the N^2 differences with np.bincount, behind the
-    same density guard as the lag sets.  A requested lag is counted without
-    enumerating them: w(f) sums, over each position m_u, how many positions
-    equal m_u - f.
+    The full table counts the N^2 differences with np.unique.  A requested
+    lag is counted without enumerating them: w(f) sums, over each position
+    m_u, how many positions equal m_u - f.
     """
     p = _positions(a)
     if lags is None:
-        diffs = (p[:, None] - p[None, :]).ravel()
-        lo, _, dense = _span(diffs)
-        if not dense:
-            values, counts = np.unique(diffs, return_counts=True)
-        else:
-            tally = np.bincount(diffs - lo)
-            values = np.flatnonzero(tally)
-            counts = tally[values]
-            values += lo
+        diffs = p[:, None] - p[None, :]
+        values, counts = np.unique(diffs, return_counts=True)
         return dict(zip(values.tolist(), counts.tolist()))
     s = np.sort(p)
     table = {}

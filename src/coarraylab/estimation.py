@@ -2,9 +2,9 @@
 
 The virtual observation behaves like a single-snapshot measurement of a long
 virtual ULA, so rank is restored by spatial smoothing before the usual
-noise-subspace spectrum search.  Peak picking, sorted-order RMSE and the
-trial loop live here too so that a "single run" and "trial 0 of a Monte
-Carlo" are literally the same code path.
+noise-subspace spectrum search.  Peak picking, sorted-order RMSE and
+``run_trials``, the one trial loop of ``monte_carlo`` and ``music``, live
+here too, so a "single run" and "trial 0 of a Monte Carlo" are one path.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -445,25 +446,19 @@ def estimate_doas(
     config: MusicConfig,
     coupling: CouplingModel | None = None,
     trial: int = 0,
-    plan: LagPlan | None = None,
 ) -> EstimationResult:
-    """Run the full single-trial pipeline and score it against the scenario.
-    ``plan`` is the array's ``lag_plan``, built per call when not given."""
+    """Run the full single-trial pipeline and score it against the scenario."""
     x = simulate_snapshots(array, scenario, coupling=coupling, trial=trial)
-    return estimate_from_snapshots(x, array, scenario, config, plan)
+    return estimate_from_snapshots(x, lag_plan(array), scenario, config)
 
 
 def estimate_from_snapshots(
-    x: np.ndarray,
-    array: SensorArray,
-    scenario: Scenario,
-    config: MusicConfig,
-    plan: LagPlan | None = None,
+    x: np.ndarray, plan: LagPlan, scenario: Scenario, config: MusicConfig
 ) -> EstimationResult:
     """The single-trial pipeline after simulation: covariance, virtual
     observation, smoothing, MUSIC and scoring of the snapshots ``x``."""
     ec = extended_covariance(x)
-    v = virtual_observation(ec, array, plan)
+    v = virtual_observation(ec, plan)
     r_ss = spatial_smoothing(v, config.smoothing_length)
     angles, spectrum = music_spectrum(r_ss, config)
     estimates, under = pick_peaks(angles, spectrum, config.num_sources)
@@ -479,14 +474,33 @@ def estimate_from_snapshots(
     )
 
 
-def required_subarray_length(
-    array: SensorArray, config: MusicConfig, plan: LagPlan | None = None
-) -> int:
+def required_subarray_length(plan: LagPlan, config: MusicConfig) -> int:
     """The smoothing subarray length L a run uses: the config's, or m + 1
     read off the array's ``lag_plan``."""
-    if config.smoothing_length is not None:
-        return config.smoothing_length
-    return (lag_plan(array) if plan is None else plan).default_length
+    return config.smoothing_length or plan.default_length
+
+
+def run_trials(
+    array: SensorArray,
+    scenario: Scenario,
+    config: MusicConfig,
+    trials: int,
+    coupling: CouplingModel | None = None,
+) -> Iterator[tuple[np.ndarray, EstimationResult]] | None:
+    """The one trial loop: builds the array's ``lag_plan`` once and returns
+    None when the smoothed subarray is too short for the source count, else
+    a lazy iterator of (snapshots, result) over trials 0 .. trials-1."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    plan = lag_plan(array)
+    if required_subarray_length(plan, config) <= config.num_sources:
+        return None
+
+    def trial(t: int) -> tuple[np.ndarray, EstimationResult]:
+        x = simulate_snapshots(array, scenario, coupling=coupling, trial=t)
+        return x, estimate_from_snapshots(x, plan, scenario, config)
+
+    return map(trial, range(trials))
 
 
 def monte_carlo(
@@ -503,23 +517,17 @@ def monte_carlo(
     under-detected (capped errors, zero detections) so aggregate RMSE remains
     comparable across geometries.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    plan = lag_plan(array)
-    if required_subarray_length(array, config, plan) <= config.num_sources:
-        per_trial = tuple(() for _ in range(trials))
+    runs = run_trials(array, scenario, config, trials, coupling)
+    if runs is None:
         return MonteCarloResult(
             rmse_deg=config.error_cap_deg,
             detection_rate=0.0,
             trials=trials,
-            estimates_per_trial=per_trial,
+            estimates_per_trial=((),) * trials,
             insufficient_dofs=True,
         )
-    results = (
-        estimate_doas(array, scenario, config, coupling=coupling, trial=t, plan=plan)
-        for t in range(trials)
-    )
-    return aggregate_trials(results, scenario, config)
+    # itemgetter drops each trial's snapshots before the next is simulated
+    return aggregate_trials(map(itemgetter(1), runs), scenario, config)
 
 
 def aggregate_trials(

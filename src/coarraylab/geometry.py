@@ -85,6 +85,9 @@ class SensorArray:
             positions = data["positions"]
         except KeyError as missing:
             raise DesignError(f"array descriptor missing key {missing}") from None
+        unknown = sorted(set(data) - {"name", "positions", "unit"})
+        if unknown:
+            raise DesignError(f"unknown array descriptor fields: {unknown}")
         unit = data.get("unit", POSITION_UNIT)
         return from_positions(name, positions, unit=unit)
 

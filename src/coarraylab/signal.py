@@ -113,6 +113,10 @@ class Scenario:
             raise ValueError("scenario must be a JSON object")
         if "angles_deg" not in data or "snapshots" not in data:
             raise ValueError("scenario needs angles_deg and snapshots")
+        known = ("angles_deg", "snapshots", "snr_db", "powers", "nc_phases", "seed")
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(f"unknown scenario fields: {unknown}")
         return cls(
             angles_deg=data["angles_deg"],
             snapshots=data["snapshots"],
@@ -357,23 +361,17 @@ def lag_plan(array: SensorArray) -> LagPlan:
     return LagPlan(array.positions, lags, index, bins, counts)
 
 
-def virtual_observation(
-    ec: ExtendedCovariance, array: SensorArray, plan: LagPlan | None = None
-) -> VirtualObservation:
+def virtual_observation(ec: ExtendedCovariance, plan: LagPlan) -> VirtualObservation:
     """Average extended-covariance entries sharing a lag and keep the
     zero-centered contiguous segment of the sum-difference co-array.
 
+    ``plan`` is the ``lag_plan`` of the array the covariance came from.
     With S(l) the sum of the upper-block entries at lag l (two bincounts,
     real and imaginary parts), the mean of r_so at lag l is
-    (S(l) + conj S(-l)) / (c(l) + c(-l)).  ``plan`` is ``lag_plan(array)``,
-    built here when not given.
+    (S(l) + conj S(-l)) / (c(l) + c(-l)).
     """
-    if ec.n != array.n:
+    if ec.n != len(plan.positions):
         raise ValueError("covariance size does not match array")
-    if plan is None:
-        plan = lag_plan(array)
-    elif plan.positions != array.positions:
-        raise ValueError("lag plan was built for another array")
     entries = np.concatenate([ec.r_s, ec.r_hat], axis=1).ravel()[plan.index]
     width = plan.lags.size
     real = np.bincount(plan.bins, entries.real, width)

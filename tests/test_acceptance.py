@@ -119,7 +119,7 @@ def test_criterion_07_noiseless_single_source_pipeline_is_grid_exact():
                 angles_deg=(theta,), snapshots=1, snr_db=None
             )
             ec = signal.exact_extended_covariance(array, scenario)
-            vo = signal.virtual_observation(ec, array)
+            vo = signal.virtual_observation(ec, signal.lag_plan(array))
             ideal = np.exp(-1j * np.pi * vo.lags * np.sin(np.deg2rad(theta)))
             assert np.abs(vo.values - ideal).max() < 1e-8, (name, theta)
 

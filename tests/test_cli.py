@@ -394,10 +394,12 @@ def test_music_rejects_oversubscribed_array(tmp_path, capsys):
         json.dumps({"angles_deg": list(range(-30, 40, 10)), "snapshots": 100})
     )
     code, _, err = run_cli(
-        capsys, "music", "--family", "ula", "--n", "4", "--scenario", str(path)
+        capsys, "music", "--family", "ula", "--n", "4", "--scenario", str(path),
+        "--dump-snapshots", str(tmp_path / "snaps.bin"), "--output", str(tmp_path / "run"),
     )
     assert code == EXIT_USAGE
     assert "insufficient uDOFs" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seven.json"]
 
 
 @pytest.mark.parametrize(
@@ -430,6 +432,7 @@ def test_music_usage_errors(capsys, extra):
         {"seed": 2.5},
         {"angles_deg": None},
         {"coupling": {"c1_magnitude": None}},
+        {"snr_dB": 30.0},
     ],
 )
 def test_music_rejects_non_finite_or_non_integral_scenario(tmp_path, capsys, fields):
@@ -461,6 +464,7 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
                                           count_calls, numpy_calls):
     counts = count_calls(
         [
+            "estimation.run_trials",
             "estimation.estimate_doas",
             "estimation.estimate_from_snapshots",
             "estimation.music_spectrum",
@@ -477,8 +481,9 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
         "--dump-snapshots", str(tmp_path / "snaps.bin"), "--output", str(tmp_path / "run"),
     )
     assert code == EXIT_OK
-    # trial 0 is estimated from the dumped snapshots, trials 1 and 2 end to end
-    assert counts["estimation.estimate_doas"] == 2
+    # one trial loop: each trial is estimated from the snapshots it simulated
+    assert counts["estimation.run_trials"] == 1
+    assert counts["estimation.estimate_doas"] == 0
     assert counts["estimation.estimate_from_snapshots"] == 3
     assert counts["estimation.music_spectrum"] == 3
     # one simulation per trial: the dump reuses trial 0's snapshots

@@ -4,6 +4,7 @@ error scoring, and the Monte-Carlo loop."""
 from __future__ import annotations
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarraylab import estimation, geometry
+from coarraylab.coupling import PAPER_V
 from coarraylab.estimation import (
     MusicConfig,
     estimate_doas,
@@ -20,6 +22,7 @@ from coarraylab.estimation import (
     pick_peaks,
     required_subarray_length,
     rmse,
+    run_trials,
     signal_subspace,
     spatial_smoothing,
     spectrum_to_csv,
@@ -29,6 +32,7 @@ from coarraylab.signal import (
     VirtualObservation,
     exact_extended_covariance,
     extended_covariance,
+    lag_plan,
     simulate_snapshots,
     virtual_observation,
 )
@@ -251,7 +255,7 @@ def test_spectrum_peaks_at_on_grid_sources_exactly():
     cfg = MusicConfig.for_step(3, 0.05)
     truth = (-20.15, 0.0, 33.3)  # all multiples of the 0.05-degree pitch
     sc = Scenario(angles_deg=truth, snapshots=10, snr_db=None)
-    vo = virtual_observation(exact_extended_covariance(arr, sc), arr)
+    vo = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
     angles, spec = music_spectrum(spatial_smoothing(vo), cfg)
     estimates, under = pick_peaks(angles, spec, 3)
     assert not under
@@ -365,7 +369,7 @@ def _smoothed_trial(n=12, angles=(-33.21, 4.04, 48.88), length=None):
     arr = geometry.design_saulas(n)
     sc = Scenario(angles_deg=angles, snapshots=500, snr_db=0.0, seed=6)
     x = simulate_snapshots(arr, sc)
-    return spatial_smoothing(virtual_observation(extended_covariance(x), arr), length)
+    return spatial_smoothing(virtual_observation(extended_covariance(x), lag_plan(arr)), length)
 
 
 @pytest.mark.parametrize(
@@ -408,7 +412,7 @@ def test_signal_subspace_takes_the_complex_eigh_on_noiseless_input(family):
     floor is rounding, so the complex eigh decides."""
     arr = geometry.design(family, 12)
     sc = Scenario(angles_deg=(37.0,), snapshots=1, snr_db=None)
-    r = spatial_smoothing(virtual_observation(exact_extended_covariance(arr, sc), arr))
+    r = spatial_smoothing(virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr)))
     assert r.shape[0] >= estimation.SIZE_RATIO * (1 + estimation.OVERSAMPLE)
     assert estimation._ritz_subspace(r, 1) is None
     found = signal_subspace(r, 1)
@@ -454,7 +458,7 @@ def _noisy_smoothing_cases(draw):
         nc_phases=tuple(draw(st.floats(0.0, np.pi)) for _ in angles),
         seed=draw(st.integers(0, 2**31 - 1)),
     )
-    v = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), arr)
+    v = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), lag_plan(arr))
     m = v.half_width
     length = draw(st.one_of(st.none(), st.integers(2, 2 * m + 1)))
     return spatial_smoothing(v, length)
@@ -479,7 +483,7 @@ def test_noiseless_null_peaks_exactly_at_its_grid_point(family, theta):
     arr = geometry.design(family, 12)
     cfg = MusicConfig(num_sources=1)
     sc = Scenario(angles_deg=(theta,), snapshots=1, snr_db=None)
-    vo = virtual_observation(exact_extended_covariance(arr, sc), arr)
+    vo = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
     angles, spec = music_spectrum(spatial_smoothing(vo), cfg)
     assert np.all(np.isfinite(spec)) and np.all(spec > 0)
     peaks, under = pick_peaks(angles, spec, 1)
@@ -612,7 +616,8 @@ def test_estimate_from_snapshots_is_estimate_doas_after_simulation():
     cfg = MusicConfig.for_step(2, 0.5)
     sc = Scenario(angles_deg=(-15.0, 22.0), snapshots=400, snr_db=10.0, seed=3)
     direct = estimate_doas(arr, sc, cfg, trial=1)
-    split = estimate_from_snapshots(simulate_snapshots(arr, sc, trial=1), arr, sc, cfg)
+    x = simulate_snapshots(arr, sc, trial=1)
+    split = estimate_from_snapshots(x, lag_plan(arr), sc, cfg)
     np.testing.assert_array_equal(split.spectrum, direct.spectrum)
     np.testing.assert_array_equal(split.estimates, direct.estimates)
     assert split.rmse_deg == direct.rmse_deg
@@ -620,10 +625,11 @@ def test_estimate_from_snapshots_is_estimate_doas_after_simulation():
 
 def test_required_subarray_length():
     cfg = MusicConfig(num_sources=3)
-    assert required_subarray_length(geometry.design_saulas(12), cfg) == 95
-    assert required_subarray_length(geometry.design_ula(4), cfg) == 7
+    saulas = lag_plan(geometry.design_saulas(12))
+    assert required_subarray_length(saulas, cfg) == 95
+    assert required_subarray_length(lag_plan(geometry.design_ula(4)), cfg) == 7
     short = MusicConfig(num_sources=3, smoothing_length=10)
-    assert required_subarray_length(geometry.design_saulas(12), short) == 10
+    assert required_subarray_length(saulas, short) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +700,8 @@ PLAN_STAGES = [
     "coarray.sum_difference_coarray",
     "coarray.contiguous_stats",
     "signal.lag_plan",
-    "estimation.estimate_doas",
+    "signal.simulate_snapshots",
+    "estimation.estimate_from_snapshots",
 ]
 
 
@@ -703,7 +710,7 @@ def test_monte_carlo_plans_once_per_call(count_calls, numpy_calls):
     counts = count_calls(PLAN_STAGES)
     result = monte_carlo(arr, sc, cfg, trials=4)
     assert result.trials == 4 and not result.insufficient_dofs
-    assert counts["estimation.estimate_doas"] == 4
+    assert counts["estimation.estimate_from_snapshots"] == 4
     # the co-array is enumerated and the plan built once for all trials
     assert counts["coarray.sum_difference_coarray"] == 1
     assert counts["coarray.contiguous_stats"] == 1
@@ -715,13 +722,71 @@ def test_monte_carlo_plans_once_per_call(count_calls, numpy_calls):
     assert numpy_calls["np.linspace"] == 1 and counts["signal.lag_plan"] == 2
 
 
-def test_insufficient_dofs_is_read_off_the_plan(count_calls):
+def _nine_sources_on_na22():
     arr = geometry.design_nested(2, 2)
     cfg = MusicConfig.for_step(9, 1.0)
     sc = Scenario(angles_deg=tuple(range(-40, 50, 10)), snapshots=10)
+    return arr, sc, cfg
+
+
+def test_insufficient_dofs_is_read_off_the_plan(count_calls):
+    arr, sc, cfg = _nine_sources_on_na22()
     counts = count_calls(PLAN_STAGES)
     assert monte_carlo(arr, sc, cfg, trials=3).insufficient_dofs
-    assert counts["signal.lag_plan"] == 1 and counts["estimation.estimate_doas"] == 0
+    assert counts["signal.lag_plan"] == 1 and counts["signal.simulate_snapshots"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The shared trial loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", [None, PAPER_V])
+def test_run_trials_yields_estimate_doas_trial_by_trial(model):
+    arr = geometry.design_saulas(9)
+    cfg = MusicConfig.for_step(2, 0.5)
+    sc = Scenario(angles_deg=(-15.0, 22.0), snapshots=400, snr_db=10.0, seed=3)
+    runs = list(run_trials(arr, sc, cfg, 3, coupling=model))
+    assert len(runs) == 3
+    for k, (x, got) in enumerate(runs):
+        want = estimate_doas(arr, sc, cfg, coupling=model, trial=k)
+        assert x.tobytes() == simulate_snapshots(arr, sc, coupling=model, trial=k).tobytes()
+        assert got.spectrum.tobytes() == want.spectrum.tobytes()
+        assert got.estimates.tobytes() == want.estimates.tobytes()
+        assert (got.under_detected, got.rmse_deg) == (want.under_detected, want.rmse_deg)
+
+
+def test_run_trials_simulates_only_when_iterated(count_calls):
+    arr, sc, cfg = _tiny_mc_setup()
+    counts = count_calls(PLAN_STAGES)
+    runs = run_trials(arr, sc, cfg, 3)
+    assert counts["signal.lag_plan"] == 1 and counts["signal.simulate_snapshots"] == 0
+    next(runs)
+    assert counts["signal.simulate_snapshots"] == 1
+    assert counts["estimation.estimate_from_snapshots"] == 1
+
+
+def test_run_trials_is_none_without_enough_dofs(count_calls):
+    arr, sc, cfg = _nine_sources_on_na22()
+    counts = count_calls(PLAN_STAGES)
+    assert run_trials(arr, sc, cfg, 3) is None
+    assert counts["signal.simulate_snapshots"] == 0
+
+
+def test_monte_carlo_drops_each_trials_snapshots(monkeypatch):
+    arr, sc, cfg = _tiny_mc_setup()
+    simulate = estimation.simulate_snapshots
+    earlier = []
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in earlier), "an earlier trial's snapshots live on"
+        x = simulate(*args, **kwargs)
+        earlier.append(weakref.ref(x))
+        return x
+
+    monkeypatch.setattr(estimation, "simulate_snapshots", tracked)
+    assert monte_carlo(arr, sc, cfg, trials=3).trials == 3
+    assert len(earlier) == 3
 
 
 def test_music_config_grid_and_phasors_are_shared_and_read_only():

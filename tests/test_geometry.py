@@ -178,6 +178,9 @@ def test_descriptor_rejects_malformed(tmp_path):
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(DesignError):
         load_descriptor(path)
+    path.write_text(json.dumps({"name": "x", "positions": [1, 2], "units": "half-wavelength"}))
+    with pytest.raises(DesignError, match="units"):
+        load_descriptor(path)
 
 
 def test_sensor_array_validation():

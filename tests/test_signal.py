@@ -121,6 +121,9 @@ def test_scenario_from_dict_requires_core_fields():
         Scenario.from_dict({"angles_deg": [1.0]})
     with pytest.raises(ValueError):
         Scenario.from_dict([1, 2, 3])
+    # a misspelt key is named, not silently replaced by its default
+    with pytest.raises(ValueError, match="snr_dB"):
+        Scenario.from_dict({"angles_deg": [10], "snapshots": 50, "snr_dB": 30})
 
 
 def test_load_scenario_plain(tmp_path):
@@ -435,7 +438,7 @@ def test_exact_covariance_gives_ideal_virtual_observation(points, angles, powers
     arr = geometry.from_positions("rand", sorted(points))
     sc = Scenario(angles_deg=tuple(angles), snapshots=1, snr_db=None,
                   powers=tuple(powers[: len(angles)]))
-    vo = virtual_observation(exact_extended_covariance(arr, sc), arr)
+    vo = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
     sines = np.sin(np.deg2rad(sc.angles_deg))
     ideal = np.exp(-1j * np.pi * vo.lags[:, None] * sines[None, :]) @ np.asarray(sc.powers)
     np.testing.assert_allclose(vo.values, ideal, rtol=0, atol=1e-12 * sum(sc.powers))
@@ -481,7 +484,7 @@ def test_planned_average_matches_the_unique_oracle(points, seed, exact):
         ec = exact_extended_covariance(arr, sc)
     else:
         ec = random_blocks(arr.n, seed)
-    vo = virtual_observation(ec, arr)
+    vo = virtual_observation(ec, lag_plan(arr))
     lags, want = averaged_r_so(ec, arr)
     np.testing.assert_array_equal(vo.lags, lags)
     scale = max(np.abs(ec.r_s).max(), np.abs(ec.r_hat).max())
@@ -501,25 +504,12 @@ def test_lag_plan_reads_the_subarray_length_and_is_read_only():
     np.testing.assert_array_equal(plan.lags, np.arange(-94, 95))
     for shared in (plan.lags, plan.index, plan.bins, plan.counts):
         assert not shared.flags.writeable
-    sc = Scenario(angles_deg=(10.0,), snapshots=16, seed=1)
-    ec = extended_covariance(simulate_snapshots(arr, sc))
-    np.testing.assert_array_equal(
-        virtual_observation(ec, arr, plan).values, virtual_observation(ec, arr).values
-    )
-
-
-def test_virtual_observation_rejects_a_plan_for_another_array():
-    arr = geometry.design_aulas(9)
-    other = geometry.design_saulas(9)
-    ec = exact_extended_covariance(arr, Scenario(angles_deg=(5.0,), snapshots=1))
-    with pytest.raises(ValueError, match="another array"):
-        virtual_observation(ec, arr, lag_plan(other))
 
 
 def test_virtual_observation_lag_axis():
     arr = geometry.design_saulas(12)
     sc = Scenario(angles_deg=(10.0,), snapshots=16, seed=1)
-    vo = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), arr)
+    vo = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), lag_plan(arr))
     # SAULAs with 12 sensors: 189 contiguous lags, half-width 94
     assert vo.half_width == 94
     np.testing.assert_array_equal(vo.lags, np.arange(-94, 95))
@@ -530,7 +520,7 @@ def test_virtual_observation_from_ensemble_covariance_is_pure_phase():
     arr = geometry.design_saulas(12)
     theta = 20.0
     sc = Scenario(angles_deg=(theta,), snapshots=10, snr_db=None)
-    vo = virtual_observation(exact_extended_covariance(arr, sc), arr)
+    vo = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
     expected = np.exp(-1j * np.pi * vo.lags * np.sin(np.deg2rad(theta)))
     np.testing.assert_allclose(vo.values, expected, atol=1e-12)
 
@@ -538,7 +528,7 @@ def test_virtual_observation_from_ensemble_covariance_is_pure_phase():
 def test_virtual_observation_conjugate_symmetry():
     arr = geometry.design_aulas(9)
     sc = Scenario(angles_deg=(5.0, -40.0), snapshots=300, seed=8)
-    vo = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), arr)
+    vo = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), lag_plan(arr))
     scale = np.abs(vo.values).max()
     np.testing.assert_allclose(
         vo.values, np.conj(vo.values[::-1]), atol=1e-13 * scale
@@ -549,7 +539,7 @@ def test_virtual_observation_zero_lag_is_real_average_power():
     arr = geometry.design_saulas(12)  # no sensor pair straddles zero
     sc = Scenario(angles_deg=(5.0, -40.0), snapshots=128, seed=8)
     ec = extended_covariance(simulate_snapshots(arr, sc))
-    vo = virtual_observation(ec, arr)
+    vo = virtual_observation(ec, lag_plan(arr))
     zero = vo.value_at(0)
     assert zero.imag == 0.0
     assert zero.real == pytest.approx(np.mean(np.diag(ec.r_s).real), rel=1e-12)
@@ -558,7 +548,7 @@ def test_virtual_observation_zero_lag_is_real_average_power():
 def test_virtual_observation_value_at_bounds():
     arr = geometry.design_aulas(9)
     sc = Scenario(angles_deg=(5.0,), snapshots=16)
-    vo = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), arr)
+    vo = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), lag_plan(arr))
     with pytest.raises(ValueError):
         vo.value_at(vo.half_width + 1)
     with pytest.raises(ValueError):
@@ -571,7 +561,7 @@ def test_virtual_observation_rejects_size_mismatch():
     sc = Scenario(angles_deg=(5.0,), snapshots=16)
     ec = extended_covariance(simulate_snapshots(other, sc))
     with pytest.raises(ValueError):
-        virtual_observation(ec, arr)
+        virtual_observation(ec, lag_plan(arr))
 
 
 # ---------------------------------------------------------------------------
