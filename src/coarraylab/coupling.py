@@ -118,11 +118,14 @@ def get_preset(name: str) -> CouplingModel:
 
 
 def coupling_matrix(array: SensorArray, model: CouplingModel) -> np.ndarray:
-    """N x N matrix C with C[u, v] = c_{|m_u - m_v|}."""
+    """N x N matrix C with C[u, v] = c_{|m_u - m_v|}, with the coefficient
+    taken once per distinct separation, so the cost does not grow with the
+    aperture."""
     pos = array.as_array()
     sep = np.abs(pos[:, None] - pos[None, :])
-    coeff = model.coefficients(int(sep.max()))
-    return coeff[sep]
+    distinct, index = np.unique(sep, return_inverse=True)
+    coeff = np.array([model.coefficient(q) for q in distinct.tolist()], dtype=complex)
+    return coeff[index.reshape(sep.shape)]
 
 
 def coupling_leakage(c: np.ndarray) -> float:

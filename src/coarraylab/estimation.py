@@ -26,6 +26,7 @@ from .signal import (
     extended_covariance,
     lag_plan,
     simulate_snapshots,
+    source_steering,
     virtual_observation,
 )
 
@@ -100,6 +101,19 @@ class MusicConfig:
         return (self.grid_stop - self.grid_start) / 2.0
 
 
+def _smoothing_samples(v: VirtualObservation, subarray_len: int | None) -> tuple[np.ndarray, int]:
+    """The virtual samples u_j = v(j - m) and the window length L of a
+    smoothing, after checking both."""
+    lags = np.asarray(v.lags)
+    m = int(lags[-1])
+    if lags[0] != -m or lags.size != 2 * m + 1:
+        raise ValueError("virtual observation must cover a symmetric contiguous segment")
+    length = m + 1 if subarray_len is None else integer_field(subarray_len, "subarray_len")
+    if length < 2 or length > 2 * m + 1:
+        raise ValueError(f"subarray length {length} not in [2, {2 * m + 1}]")
+    return np.asarray(v.values, dtype=complex), length
+
+
 def spatial_smoothing(v: VirtualObservation, subarray_len: int | None = None) -> np.ndarray:
     """Rank-restoring average of sliding windows over the virtual samples.
 
@@ -108,7 +122,10 @@ def spatial_smoothing(v: VirtualObservation, subarray_len: int | None = None) ->
     R_ss = (1/K) sum_i w_i w_i^H, an L x L Hermitian PSD matrix whose signal
     eigenvectors align with the length-L virtual steering vectors.
 
-    The window product costs O(K L^2); this builds R_ss in O(L^2 + K L).
+    This is the dense form of ``SmoothedCovariance``, which the trial
+    pipeline uses: it is built only for the complex eigh and serves as the
+    operator's test oracle.  The window product costs O(K L^2); this builds
+    R_ss in O(L^2 + K L).
     With u_j = v(j - m) the j-th sample, the first column R[d, 0] is one
     correlation of the samples, and sliding both windows of an entry one
     sample on drops one product and adds another:
@@ -116,14 +133,7 @@ def spatial_smoothing(v: VirtualObservation, subarray_len: int | None = None) ->
     A cumulative sum down each diagonal applies the recurrence below the
     diagonal, and the upper triangle is the conjugate mirror.
     """
-    lags = np.asarray(v.lags)
-    m = int(lags[-1])
-    if lags[0] != -m or lags.size != 2 * m + 1:
-        raise ValueError("virtual observation must cover a symmetric contiguous segment")
-    length = m + 1 if subarray_len is None else integer_field(subarray_len, "subarray_len")
-    if length < 2 or length > 2 * m + 1:
-        raise ValueError(f"subarray length {length} not in [2, {2 * m + 1}]")
-    u = np.asarray(v.values, dtype=complex)
+    u, length = _smoothing_samples(v, subarray_len)
     k = u.size - length + 1
     weights = u.conj() / k
     # windows[j, d] = u_{j+d}, zero past the last sample
@@ -150,6 +160,79 @@ def spatial_smoothing(v: VirtualObservation, subarray_len: int | None = None) ->
     r = np.conjugate(mirror, out=below)
     np.copyto(r, mirror.T, where=np.tri(length, k=-1, dtype=bool))
     return r
+
+
+def _fft_length(size: int) -> int:
+    """The smallest 2^a 3^b 5^c that is at least ``size``."""
+    best = 1 << (size - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << ((size - 1) // odd).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+class SmoothedCovariance:
+    """R_ss of ``spatial_smoothing`` as an operator, never formed.
+
+    With W the K x L Hankel window matrix W[i, k] = u_{i+k} of the 2m + 1
+    virtual samples u_j = v(j - m), R_ss = W^T conj(W) / K, so
+    R_ss X = W^T (conj(W) X) / K: two correlations of the samples with the
+    columns of X (Liu & Vaidyanathan, IEEE SPL 2015), each one FFT product.
+    A circular length of at least 2m + 1, the sample count, keeps the
+    wrap-around off every entry kept; the smallest 2^a 3^b 5^c such length
+    is used.  R_ss is Hermitian by construction, so only the samples are
+    checked.  ``shape`` is (L, L); ``dense()`` is ``spatial_smoothing``.
+    """
+
+    def __init__(self, v: VirtualObservation, subarray_len: int | None = None):
+        u, self.length = _smoothing_samples(v, subarray_len)
+        if not np.isfinite(u).all():
+            raise ValueError("virtual observation has non-finite samples")
+        self.observation = v
+        self.windows = u.size - self.length + 1
+        self._fft_size = _fft_length(u.size)
+
+    @cached_property
+    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """The FFTs of u and conj(u), taken at the first product, so a
+        trial that goes straight to the complex eigh takes none."""
+        u = np.asarray(self.observation.values, dtype=complex)
+        return np.fft.fft(u, self._fft_size), np.fft.fft(u.conj(), self._fft_size)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.length, self.length)
+
+    def dense(self) -> np.ndarray:
+        """The L x L matrix, built in O(L^2) by ``spatial_smoothing``."""
+        return spatial_smoothing(self.observation, self.length)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """R_ss x for an L x p block x, in O(p m log m) on p x F buffers."""
+        size, length, windows = self._fft_size, self.length, self.windows
+        count = length + windows - 1
+        samples, conj_samples = self._spectra
+        buf = np.zeros((x.shape[1], size), dtype=complex)
+        # (conj(W) x)_i = sum_k conj(u_{i+k}) x_k: the convolution of conj(u)
+        # with x reversed, at i + L - 1
+        buf[:, :length] = x[::-1].T
+        buf = np.fft.fft(buf)
+        buf *= conj_samples
+        buf = np.fft.ifft(buf)
+        # (W^T y)_k = sum_i u_{i+k} y_i: the convolution of u with y
+        # reversed, at k + K - 1
+        buf[:, :windows] = buf[:, count - 1 : length - 2 : -1]
+        buf[:, windows:] = 0.0
+        buf = np.fft.fft(buf)
+        buf *= samples
+        buf = np.fft.ifft(buf)
+        z = buf[:, windows - 1 : count].T
+        z /= windows
+        return z
 
 
 def _check_hermitian(r: np.ndarray) -> np.ndarray:
@@ -179,11 +262,12 @@ def _check_hermitian(r: np.ndarray) -> np.ndarray:
 #: SAULAs(32) inputs (L = 575), which converge in 4-5 iterations.
 OVERSAMPLE = 8
 #: The iteration is tried only when L >= SIZE_RATIO * (K + OVERSAMPLE).
-#: Each iteration costs about 0.15 ms of call overhead however small L is,
-#: while the complex eigh grows as L^3: on SAULAs/Co-TSAULAs inputs the
-#: complex eigh won at L / (K + OVERSAMPLE) up to 4.9 (K = 4, 5, 27) and
-#: the iteration from 5.3 (K = 4, L = 64: 0.9 against 1.0 ms) and 7.4
-#: (K = 5, L = 96: 2.2 against 2.6 ms).
+#: Each product of a ``SmoothedCovariance`` costs about 0.1 ms (four FFT
+#: calls) however small L is, while the dense build and complex eigh grow as
+#: L^3: on SAULAs/Co-TSAULAs inputs at 0 dB the two break even at
+#: L / (K + OVERSAMPLE) = 6.3-6.5 (K = 4, 5) and stay within 0.3 ms of each
+#: other from 6 to 7, so neither 6 nor 7 is the better threshold; from 8
+#: the iteration wins (K = 4, L = 96: 1.8 against 3.1 ms).
 SIZE_RATIO = 6
 #: Iterations before the complex eigh takes over.
 MAX_ITERATIONS = 20
@@ -214,7 +298,7 @@ class Subspace(NamedTuple):
     noise: np.ndarray | None = None
 
 
-def _ritz_subspace(r: np.ndarray, num_sources: int) -> Subspace | None:
+def _ritz_subspace(r: np.ndarray | SmoothedCovariance, num_sources: int) -> Subspace | None:
     """The K Ritz vectors and the K + OVERSAMPLE Ritz values, both in
     ascending order, from subspace iteration on a fixed start block; None
     when it has not converged within MAX_ITERATIONS or the floor or gap is
@@ -239,21 +323,26 @@ def _ritz_subspace(r: np.ndarray, num_sources: int) -> Subspace | None:
     return None
 
 
-def signal_subspace(r_ss: np.ndarray, num_sources: int) -> Subspace:
+def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> Subspace:
     """E_s, the num_sources principal eigenvectors of r_ss as an L x K
     matrix in ascending eigenvalue order, and the eigenvalues the solver
     knows, ascending.
 
-    Block subspace iteration with Rayleigh-Ritz on K + OVERSAMPLE vectors
-    from a fixed start block finds E_s in O(L^2 (K + OVERSAMPLE)) per
-    iteration; the values are then its K + OVERSAMPLE Ritz values.  It
-    stops once the Davis-Kahan bound on the subspace error is at most
-    SUBSPACE_TOL.  The complex eigh of r_ss, with all L eigenvalues and
-    E_n, serves instead when L < SIZE_RATIO * (K + OVERSAMPLE), when the
-    iteration has not converged within MAX_ITERATIONS, and when the noise
-    floor or the gap is within rounding (see ROUNDING_MARGIN).
+    ``r_ss`` is a ``SmoothedCovariance``, Hermitian by construction, or a
+    dense matrix, which is checked to be finite and Hermitian.  Block
+    subspace iteration with Rayleigh-Ritz on K + OVERSAMPLE vectors from a
+    fixed start block finds E_s from products r_ss X alone: O(L log L) per
+    vector for the operator, O(L^2) for a dense matrix.  The values are then
+    its K + OVERSAMPLE Ritz values.  It stops once the Davis-Kahan bound on
+    the subspace error is at most SUBSPACE_TOL.  The complex eigh of the
+    dense r_ss, with all L eigenvalues and E_n, serves instead when
+    L < SIZE_RATIO * (K + OVERSAMPLE), when the iteration has not converged
+    within MAX_ITERATIONS, and when the noise floor or the gap is within
+    rounding (see ROUNDING_MARGIN); only then is an operator's L x L matrix
+    built.
     """
-    r_ss = _check_hermitian(r_ss)
+    if not isinstance(r_ss, SmoothedCovariance):
+        r_ss = _check_hermitian(r_ss)
     length = r_ss.shape[0]
     if num_sources >= length:
         raise ValueError(
@@ -264,20 +353,24 @@ def signal_subspace(r_ss: np.ndarray, num_sources: int) -> Subspace:
         found = _ritz_subspace(r_ss, num_sources)
         if found is not None:
             return found
+    if isinstance(r_ss, SmoothedCovariance):
+        r_ss = r_ss.dense()
     values, vectors = np.linalg.eigh(r_ss)
     split = length - num_sources
     return Subspace(vectors[:, split:], values, vectors[:, :split])
 
 
-#: The polynomial's absolute rounding error is of order L^2 * eps: Horner's
-#: rule takes L steps with |z| = 1 over coefficients c_0 = L - K and
-#: |c_d| <= K for d >= 1 (a unit vector's autocorrelation is at most 1), and
-#: z^d carries a phase error of about d * eps.  On random and rank-K
-#: noiseless matrices (L 20-575, K 1-55) the error stayed below
-#: 0.7 * L^2 * eps.  Near a true DOA the exact value falls to 1e-26 or less,
-#: where the polynomial returns rounding noise of either sign, so values
-#: below GUARD_FACTOR * L^2 * eps are recomputed directly (see
-#: ``music_spectrum``).
+#: The polynomial's absolute rounding error is of order L^2 * eps: its
+#: coefficients are c_0 = L - K and |c_d| <= K for d >= 1 (a unit vector's
+#: autocorrelation is at most 1), z^d carries a phase error of about d * eps,
+#: and ``_null_polynomial`` adds up L such terms.  Against a long-double
+#: Horner oracle on the coefficients of random and rank-K noiseless E_s
+#: (L 20-2175, K 1-55, 0.01-degree grid) the error stayed below
+#: 0.1 * L^2 * eps; at L <= 6, where a few eps of absolute error dominate,
+#: below 0.29 * L^2 * eps.  The constant allows 0.7 * L^2 * eps.  Near a true DOA
+#: the exact value falls to 1e-26 or less, where the polynomial returns
+#: rounding noise of either sign, so values below GUARD_FACTOR * L^2 * eps
+#: are recomputed directly (see ``music_spectrum``).
 #: Above that bound the relative error is below 1 / GUARD_FACTOR = 1e-8, far
 #: inside the 1e-5 dB to which spectra are compared.
 GUARD_FACTOR = 1e8
@@ -303,8 +396,70 @@ def _null_spectrum_direct(noise: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(noise.conj().T @ _steering(noise.shape[0], angles)) ** 2, axis=0)
 
 
+#: Grid points evaluated per block by ``_null_polynomial``; at L = 2175 its
+#: two complex temporaries of about sqrt(L) rows take about 0.7 MB each.
+GRID_BLOCK = 2048
+
+
+def _null_coefficients(signal: np.ndarray) -> np.ndarray:
+    """c_0 .. c_{L-1} of the null polynomial of E_s (see ``music_spectrum``):
+    c_d = [d == 0] L - sum_k sum_j e_k[j + d] conj(e_k[j]), the
+    autocorrelations of the K columns of E_s from one zero-padded FFT."""
+    length = signal.shape[0]
+    spectra = np.fft.fft(signal, n=2 * length, axis=0)
+    autocorr = np.fft.ifft(np.sum(spectra.real**2 + spectra.imag**2, axis=1))
+    coeffs = -autocorr[:length]
+    coeffs[0] += length
+    return coeffs
+
+
+def _null_polynomial(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """f(z) = c_0 + 2 Re sum_{d>=1} c_d z^d at every phasor in z.
+
+    Baby steps and giant steps (Paterson & Stockmeyer, SIAM J. Comput.
+    1973): with B = floor(sqrt(L - 1)) and Q = ceil((L - 1) / B),
+    sum_{d>=1} c_d z^d = z sum_q (z^B)^q S_q(z), where
+    S_q(z) = sum_{r<B} c_{1+qB+r} z^r.  All Q values S_q come from one
+    complex matrix product of the Q x B coefficient block with the powers
+    z^0 .. z^(B-1), and Horner's rule in z^B combines them in Q - 1 steps,
+    so about 2 sqrt(L) passes over the grid replace Horner's L.  The grid
+    is taken in equal blocks of at most GRID_BLOCK points (the last one
+    padded with z = 1), so the temporaries are allocated once and stay
+    small.
+    """
+    length = coeffs.size
+    step = math.isqrt(length - 1)
+    rows = -(-(length - 1) // step)
+    table = np.zeros(rows * step, dtype=complex)
+    table[: length - 1] = coeffs[1:]
+    table = table.reshape(rows, step)
+
+    count = -(-z.size // GRID_BLOCK)
+    width = -(-z.size // count)
+    padded = np.ones(count * width, dtype=complex)
+    padded[: z.size] = z
+    powers = np.empty((step, width), dtype=complex)
+    powers[0] = 1.0
+    sums = np.empty((rows, width), dtype=complex)
+    giant = np.empty(width, dtype=complex)
+    denom = np.empty(count * width)
+    for block, out in zip(padded.reshape(count, width), denom.reshape(count, width)):
+        for r in range(1, step):
+            np.multiply(powers[r - 1], block, out=powers[r])
+        np.matmul(table, powers, out=sums)
+        np.multiply(powers[-1], block, out=giant)
+        tail = sums[-1]
+        for q in range(rows - 2, -1, -1):
+            tail *= giant
+            tail += sums[q]
+        tail *= block
+        np.multiply(tail.real, 2.0, out=out)
+        out += coeffs[0].real
+    return denom[: z.size]
+
+
 def music_spectrum(
-    r_ss: np.ndarray, config: MusicConfig
+    r_ss: np.ndarray | SmoothedCovariance, config: MusicConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-subspace pseudo-spectrum P(theta) = 1 / ||E_n^H a(theta)||^2.
 
@@ -317,7 +472,9 @@ def music_spectrum(
     z = exp(j pi sin theta) that Root-MUSIC roots; c_d is the sum of the
     d-th subdiagonal of P.  The c_d come from the autocorrelations of the K
     signal eigenvectors (one zero-padded FFT), and f is evaluated on the
-    grid by Horner's rule, so no L x G steering matrix is formed.  Grid
+    grid in blocks, by one matrix product and about 2 sqrt(L) passes (see
+    ``_null_polynomial``), so no L x G steering matrix is formed.  ``r_ss``
+    is a ``SmoothedCovariance`` or a dense Hermitian matrix.  Grid
     points where f falls below the rounding bound (see GUARD_FACTOR), which
     occur only next to a near-exact null, are recomputed as the residual
     ||a - E_s E_s^H a||^2, or as ||E_n^H a||^2 when the complex eigh
@@ -328,18 +485,8 @@ def music_spectrum(
     subspace = signal_subspace(r_ss, config.num_sources)
     signal = subspace.signal
     length = signal.shape[0]
-    spectra = np.fft.fft(signal, n=2 * length, axis=0)
-    autocorr = np.fft.ifft(np.sum(spectra.real**2 + spectra.imag**2, axis=1))
-    coeffs = -autocorr[:length]
-    coeffs[0] += length
-
-    angles, z = config.grid, config.phasors
-    tail = np.full(angles.shape, coeffs[-1])
-    for c in coeffs[-2:0:-1]:
-        tail *= z
-        tail += c
-    tail *= z
-    denom = coeffs[0].real + 2.0 * tail.real
+    angles = config.grid
+    denom = _null_polynomial(_null_coefficients(signal), config.phasors)
 
     low = denom < GUARD_FACTOR * length**2 * np.finfo(float).eps
     if low.any():
@@ -459,7 +606,7 @@ def estimate_from_snapshots(
     observation, smoothing, MUSIC and scoring of the snapshots ``x``."""
     ec = extended_covariance(x)
     v = virtual_observation(ec, plan)
-    r_ss = spatial_smoothing(v, config.smoothing_length)
+    r_ss = SmoothedCovariance(v, config.smoothing_length)
     angles, spectrum = music_spectrum(r_ss, config)
     estimates, under = pick_peaks(angles, spectrum, config.num_sources)
     truth = np.sort(np.asarray(scenario.angles_deg))
@@ -489,15 +636,17 @@ def run_trials(
 ) -> Iterator[tuple[np.ndarray, EstimationResult]] | None:
     """The one trial loop: builds the array's ``lag_plan`` once and returns
     None when the smoothed subarray is too short for the source count, else
-    a lazy iterator of (snapshots, result) over trials 0 .. trials-1."""
+    builds the coupled steering matrix once and returns a lazy iterator of
+    (snapshots, result) over trials 0 .. trials-1."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     plan = lag_plan(array)
     if required_subarray_length(plan, config) <= config.num_sources:
         return None
+    steering = source_steering(array, scenario, coupling)
 
     def trial(t: int) -> tuple[np.ndarray, EstimationResult]:
-        x = simulate_snapshots(array, scenario, coupling=coupling, trial=t)
+        x = simulate_snapshots(array, scenario, trial=t, steering=steering)
         return x, estimate_from_snapshots(x, plan, scenario, config)
 
     return map(trial, range(trials))

@@ -173,22 +173,46 @@ def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), int(trial)])))
 
 
+def source_steering(
+    array: SensorArray, scenario: Scenario, coupling: CouplingModel | None = None
+) -> np.ndarray:
+    """C A: the N x Z steering matrix of the scenario's sources, times the
+    coupling matrix when a model is given."""
+    a = steering_matrix(array, scenario.angles_deg)
+    if coupling is not None:
+        a = coupling_matrix(array, coupling) @ a
+    return a
+
+
 def simulate_snapshots(
     array: SensorArray,
     scenario: Scenario,
     coupling: CouplingModel | None = None,
     trial: int = 0,
+    *,
+    steering: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw an N x T snapshot matrix X = C A s(t) + n(t).
 
     Sources are strictly non-circular (real Gaussian amplitude, fixed
     non-circularity phase); noise is circular complex white Gaussian with the
-    scenario's noise power.
+    scenario's noise power.  C A comes from ``coupling`` or, for a caller
+    that draws many trials of one scenario and builds it once, from
+    ``steering``, the ``source_steering`` of the same array and scenario;
+    the draw is the same either way.  Giving both is an error.
     """
+    if steering is None:
+        a = source_steering(array, scenario, coupling)
+    elif coupling is not None:
+        raise ValueError("give coupling or a prebuilt steering, not both")
+    elif steering.shape != (array.n, scenario.num_sources):
+        raise ValueError(
+            f"steering has shape {steering.shape}, "
+            f"expected ({array.n}, {scenario.num_sources})"
+        )
+    else:
+        a = steering
     rng = trial_rng(scenario.seed, trial)
-    a = steering_matrix(array, scenario.angles_deg)
-    if coupling is not None:
-        a = coupling_matrix(array, coupling) @ a
     p = np.asarray(scenario.powers)
     phases = np.exp(1j * np.asarray(scenario.nc_phases))
     amplitudes = rng.standard_normal((scenario.num_sources, scenario.snapshots))
@@ -277,9 +301,7 @@ def exact_extended_covariance(
     model identities to hold to machine precision rather than within
     sampling error.
     """
-    a = steering_matrix(array, scenario.angles_deg)
-    if coupling is not None:
-        a = coupling_matrix(array, coupling) @ a
+    a = source_steering(array, scenario, coupling)
     p = np.asarray(scenario.powers)
     phi = np.asarray(scenario.nc_phases)
     r_s = (a * p) @ a.conj().T + scenario.noise_power * np.eye(array.n)

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from coarraylab import estimation, geometry, signal, verify
+from coarraylab import coupling, estimation, geometry, signal, verify
 from coarraylab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -494,6 +494,62 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
     assert counts["coarray.contiguous_stats"] == 1
     assert numpy_calls["np.unique"] == 0 and numpy_calls["np.add.at"] == 0
     assert numpy_calls["np.linspace"] == 1
+
+
+def test_music_builds_the_dense_smoothed_covariance_only_for_the_complex_eigh(
+    tmp_path, capsys, count_calls
+):
+    """A SAULAs(32) trial (L = 575, 4 sources) runs the K-vector solver on
+    the operator and never forms R_ss; a fig13 SAULAs(12) trial (L = 95,
+    27 sources) is below the size ratio and forms it once, for the eigh."""
+    counts = count_calls(["estimation.spatial_smoothing"])
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps({"angles_deg": [-41.2, -10.3, 17.7, 50.1],
+                                "snapshots": 400, "snr_db": 10.0}))
+    code, _, _ = run_cli(capsys, "music", "--family", "saulas", "--n", "32",
+                         "--scenario", str(path), "--grid-step", "1")
+    assert code == EXIT_OK
+    assert counts["estimation.spatial_smoothing"] == 0
+    code, _, _ = run_cli(capsys, "music", "--family", "saulas", "--n", "12",
+                         "--preset", "fig13", "--grid-step", "1")
+    assert code == EXIT_OK
+    assert counts["estimation.spatial_smoothing"] == 1
+
+
+def test_music_builds_the_coupling_matrix_once_per_call(tmp_path, capsys, scenario_file,
+                                                        count_calls):
+    counts = count_calls(["coupling.coupling_matrix", "signal.simulate_snapshots"])
+    code, _, _ = run_cli(
+        capsys,
+        "music", "--family", "saulas", "--n", "9", "--scenario", str(scenario_file),
+        "--grid-step", "0.5", "--trials", "3", "--coupling", "paper-v",
+        "--dump-snapshots", str(tmp_path / "snaps.bin"),
+    )
+    assert code == EXIT_OK
+    assert counts["signal.simulate_snapshots"] == 3
+    assert counts["coupling.coupling_matrix"] == 1
+
+
+@pytest.mark.parametrize("model", ["none", "paper-v"])
+def test_music_runs_with_a_sensor_far_out(tmp_path, capsys, scenario_file, monkeypatch, model):
+    """The coupling matrix takes one coefficient per distinct separation, so
+    a sensor 10**10 half-wavelengths out costs no more than a near one."""
+    coefficient = coupling.CouplingModel.coefficient
+    calls = []
+
+    def bounded(self, q):
+        calls.append(q)
+        assert len(calls) <= 100, "one coefficient per separation up to the aperture"
+        return coefficient(self, q)
+
+    monkeypatch.setattr(coupling.CouplingModel, "coefficient", bounded)
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"name": "far", "positions": [0, 1, 2, 10**10]}))
+    code, out, _ = run_cli(capsys, "music", "--file", str(path), "--scenario", str(scenario_file),
+                           "--grid-step", "1", "--coupling", model)
+    assert code == EXIT_OK
+    assert json.loads(out)["n"] == 4
+    assert sorted(calls) == [0, 1, 2, 10**10 - 2, 10**10 - 1, 10**10]
 
 
 def test_music_rejects_zero_trials(capsys, scenario_file):

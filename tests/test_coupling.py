@@ -133,6 +133,36 @@ def test_matrix_entries_follow_separation_rule():
     assert c[0, 4] == 0
 
 
+@pytest.mark.parametrize(
+    "model", [coupling.PAPER_V, coupling.NONE, CouplingModel(band_limit=3, c1_magnitude=0.7)]
+)
+@pytest.mark.parametrize("family", ["aulas", "saulas", "tsaulas", "cotsaulas"])
+def test_matrix_matches_the_coefficient_vector_oracle(family, model):
+    """The per-distinct-separation build against the whole coefficient
+    vector c_0 .. c_max indexed by separation, byte for byte."""
+    arr = geometry.design(family, 16)
+    pos = arr.as_array()
+    sep = np.abs(pos[:, None] - pos[None, :])
+    want = model.coefficients(int(sep.max()))[sep]
+    got = coupling_matrix(arr, model)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_matrix_takes_one_coefficient_per_distinct_separation(monkeypatch):
+    calls = []
+    coefficient = CouplingModel.coefficient
+
+    def counting(self, q):
+        calls.append(q)
+        return coefficient(self, q)
+
+    monkeypatch.setattr(CouplingModel, "coefficient", counting)
+    far = 10**10
+    c = coupling_matrix(geometry.from_positions("far", [0, 1, 2, far]), coupling.PAPER_V)
+    assert sorted(calls) == [0, 1, 2, far - 2, far - 1, far]
+    assert c[0, 3] == 0 and c[0, 1] == coefficient(coupling.PAPER_V, 1)
+
+
 def test_identity_preset_yields_exact_identity():
     arr = geometry.design_tsaulas(12)
     c = coupling_matrix(arr, get_preset("none"))

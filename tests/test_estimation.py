@@ -15,6 +15,7 @@ from coarraylab import estimation, geometry
 from coarraylab.coupling import PAPER_V
 from coarraylab.estimation import (
     MusicConfig,
+    SmoothedCovariance,
     estimate_doas,
     estimate_from_snapshots,
     monte_carlo,
@@ -213,6 +214,70 @@ def test_smoothing_matches_the_window_product(case):
     np.testing.assert_array_equal(np.triu(got, 1), np.tril(got, -1).conj().T)
 
 
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    for size in range(1, 3000):
+        got = estimation._fft_length(size)
+        assert got >= size and _is_5_smooth(got)
+        assert not any(_is_5_smooth(n) for n in range(size, got))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_virtual_observations(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_smoothed_covariance_applies_the_window_product(case, columns, seed):
+    """R_ss X by two FFT correlations against the window product times X.
+    The FFT rounds relative to the norms of its inputs, so the bound is
+    normwise per column x of X: the error stayed below
+    1.9 log2(F) eps ||u||^2 ||x|| / K on 3000 cases (F the FFT length, u
+    the samples), and the test allows 4."""
+    v, length = case
+    op = SmoothedCovariance(v, length)
+    assert op.shape == (length, length)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((length, columns)) + 1j * rng.standard_normal((length, columns))
+    want = _window_product(v, length) @ x
+    got = op @ x
+    assert got.shape == want.shape
+    size = estimation._fft_length(v.values.size)
+    energy = np.sum(np.abs(v.values) ** 2)
+    bound = 4 * np.log2(size) * np.finfo(float).eps * energy * np.linalg.norm(x, axis=0)
+    assert np.all(np.abs(got - want).max(axis=0) <= bound / op.windows)
+
+
+def test_smoothed_covariance_densifies_to_spatial_smoothing():
+    v = VirtualObservation(lags=np.arange(-6, 7), values=np.arange(13) + 1j * np.arange(13) ** 2)
+    for length in (None, 2, 5, 13):
+        op = SmoothedCovariance(v, length)
+        np.testing.assert_array_equal(op.dense(), spatial_smoothing(v, length))
+
+
+def test_smoothed_covariance_rejects_what_spatial_smoothing_rejects():
+    good = VirtualObservation(lags=np.arange(-2, 3), values=np.ones(5, dtype=complex))
+    for length in (1, 6):
+        with pytest.raises(ValueError):
+            SmoothedCovariance(good, length)
+    with pytest.raises(ValueError, match="subarray_len"):
+        SmoothedCovariance(good, 2.5)
+    skew = VirtualObservation(lags=np.arange(0, 5), values=np.ones(5, dtype=complex))
+    with pytest.raises(ValueError):
+        SmoothedCovariance(skew)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_smoothed_covariance_rejects_non_finite_samples(bad):
+    values = np.ones(9, dtype=complex)
+    values[3] = bad
+    v = VirtualObservation(lags=np.arange(-4, 5), values=values)
+    with pytest.raises(ValueError, match="non-finite"):
+        SmoothedCovariance(v)
+
+
 # ---------------------------------------------------------------------------
 # Subspace spectrum
 # ---------------------------------------------------------------------------
@@ -260,6 +325,58 @@ def test_spectrum_peaks_at_on_grid_sources_exactly():
     estimates, under = pick_peaks(angles, spec, 3)
     assert not under
     np.testing.assert_allclose(estimates, np.sort(truth), atol=1e-9)
+
+
+def _polyval_long_double(coeffs, z):
+    """c_0 + 2 Re sum_{d>=1} c_d z^d by Horner's rule in long double (the
+    x87 80-bit format on x86-64): the oracle of ``_null_polynomial``."""
+    z = z.astype(np.clongdouble)
+    tail = np.full(z.shape, np.clongdouble(coeffs[-1]))
+    for c in coeffs[-2:0:-1]:
+        tail *= z
+        tail += np.clongdouble(c)
+    tail *= z
+    return np.longdouble(coeffs[0].real) + 2 * tail.real
+
+
+@pytest.mark.parametrize(
+    ("length", "step"),
+    # L = 2 has B = 1; B = 4 divides L - 1 = 16; B does not divide L - 1 at
+    # 95, 575 and 2175; 0.01 degrees spans 9 grid blocks, 1 degree one
+    [(2, 0.01), (3, 1.0), (17, 0.01), (95, 0.01), (575, 0.01), (2175, 0.05)],
+)
+def test_blocked_null_polynomial_matches_a_long_double_horner(length, step):
+    """The blocked evaluation within 0.7 L^2 eps, the bound GUARD_FACTOR
+    assumes, on random and rank-K noiseless signal subspaces."""
+    config = MusicConfig.for_step(1, step)
+    rng = np.random.default_rng(length)
+    k_values = sorted({1, min(4, length - 1), min(55, length - 1)})
+    for k in k_values:
+        random = rng.standard_normal((length, k)) + 1j * rng.standard_normal((length, k))
+        thetas = rng.choice(config.grid, size=k, replace=False)
+        noiseless = estimation._steering(length, thetas)
+        for x in (random, noiseless):
+            coeffs = estimation._null_coefficients(np.linalg.qr(x)[0])
+            got = estimation._null_polynomial(coeffs, config.phasors)
+            want = _polyval_long_double(coeffs, config.phasors)
+            assert got.shape == config.grid.shape
+            assert np.abs(got - want).max() <= 0.7 * length**2 * np.finfo(float).eps
+
+
+def test_spectrum_of_the_operator_matches_the_dense_matrix():
+    """One SAULAs(32) trial (L = 575): the operator's spectrum against the
+    dense R_ss's, both through the K-vector solver."""
+    arr = geometry.design_saulas(32)
+    sc = Scenario(angles_deg=(-41.2, -10.3, 17.7, 50.1), snapshots=400, snr_db=10.0, seed=1)
+    v = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), lag_plan(arr))
+    cfg = MusicConfig.for_step(4, 0.05)
+    op = SmoothedCovariance(v)
+    assert signal_subspace(op, 4).noise is None
+    _, fast = music_spectrum(op, cfg)
+    _, dense = music_spectrum(spatial_smoothing(v), cfg)
+    np.testing.assert_allclose(fast, dense, rtol=1e-9)
+    np.testing.assert_array_equal(pick_peaks(cfg.grid, fast, 4)[0],
+                                  pick_peaks(cfg.grid, dense, 4)[0])
 
 
 def _kth_maxima_tie(spectrum, k):
@@ -720,6 +837,14 @@ def test_monte_carlo_plans_once_per_call(count_calls, numpy_calls):
     assert numpy_calls["np.linspace"] == 1
     assert monte_carlo(arr, sc, cfg, trials=2).trials == 2
     assert numpy_calls["np.linspace"] == 1 and counts["signal.lag_plan"] == 2
+
+
+def test_monte_carlo_builds_the_coupled_steering_once_per_call(count_calls):
+    arr, sc, cfg = _tiny_mc_setup()
+    counts = count_calls(["coupling.coupling_matrix", "signal.simulate_snapshots"])
+    assert monte_carlo(arr, sc, cfg, trials=4, coupling=PAPER_V).trials == 4
+    assert counts["signal.simulate_snapshots"] == 4
+    assert counts["coupling.coupling_matrix"] == 1
 
 
 def _nine_sources_on_na22():

@@ -25,6 +25,7 @@ from coarraylab.signal import (
     load_scenario,
     read_snapshots,
     simulate_snapshots,
+    source_steering,
     steering_matrix,
     steering_vector,
     trial_rng,
@@ -312,6 +313,22 @@ def test_one_draw_noise_is_byte_identical_to_two_draws(
     want = two_draw_snapshots(arr, sc, model, trial)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    # the prebuilt C A of a many-trial caller gives the same draw
+    steering = source_steering(arr, sc, model)
+    shared = simulate_snapshots(arr, sc, trial=trial, steering=steering)
+    assert shared.tobytes() == want.tobytes()
+
+
+def test_simulate_snapshots_takes_one_source_of_the_steering():
+    arr = geometry.design_aulas(9)
+    sc = Scenario(angles_deg=(-20.0, 10.0, 35.0), snapshots=8)
+    steering = source_steering(arr, sc, coupling.PAPER_V)
+    with pytest.raises(ValueError, match="not both"):
+        simulate_snapshots(arr, sc, coupling=coupling.PAPER_V, steering=steering)
+    with pytest.raises(ValueError, match="shape"):
+        simulate_snapshots(arr, sc, steering=steering[:, :2])
+    with pytest.raises(ValueError, match="shape"):
+        simulate_snapshots(geometry.design_aulas(10), sc, steering=steering)
 
 
 def test_sample_covariance_converges_to_ensemble_covariance():
