@@ -200,12 +200,9 @@ def cmd_music(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
-    reports: list[verify.LemmaReport] = []
-    for check, family in verify.LEMMA_FAMILIES.items():
-        n_min = args.tsaulas_n_min if family == "tsaulas" else args.n_min
-        sizes = verify.lemma_sizes(check, args.n_max, n_min)
-        if sizes:
-            reports.extend(verify.run_lemma_sweep(check, sizes))
+    n_min = {family: args.tsaulas_n_min if family == "tsaulas" else args.n_min
+             for family in geometry.FAMILIES}
+    reports = verify.run_all(args.n_max, n_min)
     failures = [r for r in reports if not r.passed]
     if args.format == "json":
         _emit(_json_dumps([r.to_dict() for r in reports]), args.output)

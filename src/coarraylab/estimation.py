@@ -123,8 +123,11 @@ def spatial_smoothing(v: VirtualObservation, subarray_len: int | None = None) ->
     eigenvectors align with the length-L virtual steering vectors.
 
     This is the dense form of ``SmoothedCovariance``, which the trial
-    pipeline uses: it is built only for the complex eigh and serves as the
-    operator's test oracle.  The window product costs O(K L^2); this builds
+    pipeline uses.  It is built only for the complex eigh (see
+    ``signal_subspace``), which at the default length serves only input
+    whose noise floor or gap is within rounding, such as noiseless input.
+    It is the test oracle of the operator and of R_ss = T^2 / L (see
+    ``_toeplitz_subspace``).  The window product costs O(K L^2); this builds
     R_ss in O(L^2 + K L).
     With u_j = v(j - m) the j-th sample, the first column R[d, 0] is one
     correlation of the samples, and sliding both windows of an entry one
@@ -176,7 +179,8 @@ def _fft_length(size: int) -> int:
 
 
 class SmoothedCovariance:
-    """R_ss of ``spatial_smoothing`` as an operator, never formed.
+    """R_ss of ``spatial_smoothing`` as an operator, formed only for the
+    complex eigh (see ``signal_subspace``).
 
     With W the K x L Hankel window matrix W[i, k] = u_{i+k} of the 2m + 1
     virtual samples u_j = v(j - m), R_ss = W^T conj(W) / K, so
@@ -263,12 +267,17 @@ def _check_hermitian(r: np.ndarray) -> np.ndarray:
 OVERSAMPLE = 8
 #: The iteration is tried only when L >= SIZE_RATIO * (K + OVERSAMPLE).
 #: Each product of a ``SmoothedCovariance`` costs about 0.1 ms (four FFT
-#: calls) however small L is, while the dense build and complex eigh grow as
-#: L^3: on SAULAs/Co-TSAULAs inputs at 0 dB the two break even at
-#: L / (K + OVERSAMPLE) = 6.3-6.5 (K = 4, 5) and stay within 0.3 ms of each
-#: other from 6 to 7, so neither 6 nor 7 is the better threshold; from 8
-#: the iteration wins (K = 4, L = 96: 1.8 against 3.1 ms).
-SIZE_RATIO = 6
+#: calls) however small L is, while the eigh that serves below the
+#: threshold grows as L^3.  At the default length that eigh is the real one
+#: of ``_toeplitz_subspace``: on AULAs-family inputs at 0 dB (K 1-8, L
+#: 45-199; 1 BLAS thread) it was the faster up to
+#: L / (K + OVERSAMPLE) = 8 (K = 4, L = 71: 0.66 against 1.9 ms), the two
+#: came within 0.15 ms of each other from 8 to 9, and from 9 the iteration
+#: won (K = 4, L = 149: 1.3 against 2.3 ms).  An explicit smoothing length
+#: keeps the dense build and complex eigh, which break even with the
+#: iteration near 6.5, so such a trial between 6.5 and 8 pays up to 1.7
+#: times the iteration's eigen step.
+SIZE_RATIO = 8
 #: Iterations before the complex eigh takes over.
 MAX_ITERATIONS = 20
 #: Converged when the Ritz residual ||R X - X Theta||_F over the Ritz gap
@@ -278,24 +287,37 @@ MAX_ITERATIONS = 20
 #: about 2 sqrt(L / f) times that angle, with f >= GUARD_FACTOR * L^2 * eps
 #: above the guard, so at most 2e-9 wherever the iteration runs (L >= 54).
 SUBSPACE_TOL = 1e-12
-#: Either eigensolver is exact only for a matrix within a small multiple of
+#: Each eigensolver is exact only for a matrix within a small multiple of
 #: u = L * eps * lambda_max of its input, so a gap g determines E_s only to
 #: about u / g (Davis-Kahan).  Where the noise floor or the signal/noise gap
 #: is within ROUNDING_MARGIN units u, the complex eigh decides: such a gap
 #: leaves E_s undetermined at the 1e-8 level, and such a floor is rounding
 #: noise, as on noiseless input (at most 0.07 units on criterion 07's
-#: inputs), whose exact grid-point nulls then stay as they were.  Noisy
-#: SAULAs(32) inputs clear it 40-fold (floor) and 60000-fold (gap).
+#: inputs), whose exact grid-point nulls then stay as they were.  The
+#: iteration tests its Ritz values and the Toeplitz form its mu^2 / L.
+#: Noisy SAULAs(32) inputs clear the margin 40-fold (floor) and 60000-fold
+#: (gap); the 640 fig12/fig13 trials of the benchmark at least 42-fold.
 ROUNDING_MARGIN = 1e8
 
 
 class Subspace(NamedTuple):
     """What ``signal_subspace`` found: E_s (L x K), the eigenvalues it
-    knows, and E_n (L x (L-K)) when the complex eigh supplied it."""
+    knows, ascending, and E_n (L x (L-K)) when the complex eigh supplied
+    it."""
 
     signal: np.ndarray
     values: np.ndarray
     noise: np.ndarray | None = None
+
+
+def _resolved(values: np.ndarray, num_sources: int, length: int) -> bool:
+    """Whether the noise floor and the signal/noise gap of the ascending
+    eigenvalues ``values`` of an L x L R_ss clear rounding (see
+    ROUNDING_MARGIN)."""
+    floor = values[-num_sources - 1]
+    gap = values[-num_sources] - floor
+    unit = length * np.finfo(float).eps * values[-1]
+    return min(floor, gap) > ROUNDING_MARGIN * unit
 
 
 def _ritz_subspace(r: np.ndarray | SmoothedCovariance, num_sources: int) -> Subspace | None:
@@ -312,15 +334,82 @@ def _ritz_subspace(r: np.ndarray | SmoothedCovariance, num_sources: int) -> Subs
         w = w[:, -num_sources:]
         vectors = basis @ w
         residual = np.linalg.norm(image @ w - vectors * values[-num_sources:])
-        floor = values[-num_sources - 1]
-        gap = values[-num_sources] - floor
+        gap = values[-num_sources] - values[-num_sources - 1]
         if residual <= SUBSPACE_TOL * gap:
-            unit = length * np.finfo(float).eps * values[-1]
-            if min(floor, gap) > ROUNDING_MARGIN * unit:
+            if _resolved(values, num_sources, length):
                 return Subspace(vectors, values)
             return None
         basis = np.linalg.qr(image)[0]
     return None
+
+
+def _toeplitz_real_form(u: np.ndarray) -> np.ndarray:
+    """The real symmetric M = Q^H T Q of the L x L Hermitian Toeplitz
+    T[i, k] = u_{m+i-k} of 2m + 1 = 2L - 1 conjugate-symmetric samples
+    (u_{2m-j} = conj(u_j)), with Q the unitary of ``_from_real_basis``.
+
+    T is centro-Hermitian, Pi conj(T) Pi = T for the exchange matrix Pi, so
+    Q^H T Q is real (Huarng & Yeh, IEEE TSP 1991).  With a = Re u,
+    b = Im u, n = floor(L / 2) and h = ceil(L / 2), each block is a
+    Toeplitz part plus or minus a Hankel part gathered from the samples:
+    M = [[P, C], [C^T, N]] with
+    P[p, r] = s_p s_r (a_{m+p-r} + a_{p+r}) for p, r < h,
+    C[p, r] = s_p (b_{p+r} - b_{m+p-r}) for p < h, r < n, and
+    N[p, r] = a_{m+p-r} - a_{p+r} for p, r < n,
+    where s_p = 1 except 1 / sqrt2 at p = n for odd L (the middle element).
+    """
+    length = (u.size + 1) // 2
+    half, odd = divmod(length, 2)
+    rows = np.arange(half + odd)
+    toeplitz = rows[:, None] - rows + (length - 1)
+    hankel = rows[:, None] + rows
+    a, b = u.real, u.imag
+    real = np.empty((length, length))
+    plus, minus = real[: half + odd, : half + odd], real[half + odd :, half + odd :]
+    np.add(a[toeplitz], a[hankel], out=plus)
+    np.subtract(a[toeplitz[:half, :half]], a[hankel[:half, :half]], out=minus)
+    cross = b[hankel[:, :half]] - b[toeplitz[:, :half]]
+    if odd:
+        plus[-1] /= math.sqrt(2)
+        plus[:, -1] /= math.sqrt(2)
+        cross[-1] /= math.sqrt(2)
+    real[: half + odd, half + odd :] = cross
+    real[half + odd :, : half + odd] = cross.T
+    return real
+
+
+def _from_real_basis(w: np.ndarray) -> np.ndarray:
+    """Q w for the unitary Q = [[I, 0, jI], [0, sqrt2, 0], [Pi, 0, -jPi]] / sqrt2
+    (middle row and column only for odd L): rows i and L-1-i of Q w are
+    (w_i +- j w_{h+i}) / sqrt2, with h = ceil(L / 2)."""
+    half, odd = divmod(w.shape[0], 2)
+    head = (w[:half] + 1j * w[half + odd :]) / math.sqrt(2)
+    return np.concatenate([head, w[half : half + odd], head[::-1].conj()])
+
+
+def _toeplitz_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
+    """E_s and all L eigenvalues, ascending, of R_ss = T^2 / L from one
+    real eigh, at the default length L = m + 1; None at any other length,
+    for samples that are not conjugate-symmetric, or when the floor or gap
+    is within rounding (see ROUNDING_MARGIN).
+
+    With L = m + 1 the window matrix is W = T Pi for the Hermitian Toeplitz
+    T[i, k] = v(i - k) (Pi the exchange matrix), so R_ss = W^T conj(W) / L
+    = T^2 / L (Liu & Vaidyanathan, IEEE SPL 2015): R_ss has T's
+    eigenvectors, with eigenvalues mu^2 / L for T's eigenvalues mu, and E_s
+    belongs to the K largest |mu|.  T is indefinite: its noise eigenvalues
+    straddle 0.  It is solved in its real form (see
+    ``_toeplitz_real_form``), gathered in O(L^2) from the samples.
+    """
+    u = np.asarray(r.observation.values, dtype=complex)
+    if r.windows != r.length or not np.array_equal(u, u[::-1].conj()):
+        return None
+    mu, w = np.linalg.eigh(_toeplitz_real_form(u))
+    order = np.argsort(np.abs(mu), kind="stable")
+    values = mu[order] ** 2 / r.length
+    if not _resolved(values, num_sources, r.length):
+        return None
+    return Subspace(_from_real_basis(w[:, order[-num_sources:]]), values)
 
 
 def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> Subspace:
@@ -329,17 +418,22 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
     knows, ascending.
 
     ``r_ss`` is a ``SmoothedCovariance``, Hermitian by construction, or a
-    dense matrix, which is checked to be finite and Hermitian.  Block
-    subspace iteration with Rayleigh-Ritz on K + OVERSAMPLE vectors from a
-    fixed start block finds E_s from products r_ss X alone: O(L log L) per
-    vector for the operator, O(L^2) for a dense matrix.  The values are then
-    its K + OVERSAMPLE Ritz values.  It stops once the Davis-Kahan bound on
-    the subspace error is at most SUBSPACE_TOL.  The complex eigh of the
-    dense r_ss, with all L eigenvalues and E_n, serves instead when
-    L < SIZE_RATIO * (K + OVERSAMPLE), when the iteration has not converged
-    within MAX_ITERATIONS, and when the noise floor or the gap is within
-    rounding (see ROUNDING_MARGIN); only then is an operator's L x L matrix
-    built.
+    dense matrix, which is checked to be finite and Hermitian.  Three
+    solvers, the first that applies and resolves E_s above rounding (see
+    ROUNDING_MARGIN) serving:
+
+    - From L >= SIZE_RATIO * (K + OVERSAMPLE), block subspace iteration
+      with Rayleigh-Ritz on K + OVERSAMPLE vectors from a fixed start block
+      finds E_s from products r_ss X alone: O(L log L) per vector for the
+      operator, O(L^2) for a dense matrix.  The values are then its
+      K + OVERSAMPLE Ritz values.  It stops once the Davis-Kahan bound on
+      the subspace error is at most SUBSPACE_TOL, and gives up after
+      MAX_ITERATIONS.
+    - For an operator at the default length L = m + 1, one real eigh of
+      the Toeplitz matrix of the samples, with R_ss = T^2 / L (see
+      ``_toeplitz_subspace``); the values are all L eigenvalues.
+    - The complex eigh of the dense r_ss, with all L eigenvalues and E_n;
+      only here is an operator's L x L matrix built.
     """
     if not isinstance(r_ss, SmoothedCovariance):
         r_ss = _check_hermitian(r_ss)
@@ -354,6 +448,9 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
         if found is not None:
             return found
     if isinstance(r_ss, SmoothedCovariance):
+        found = _toeplitz_subspace(r_ss, num_sources)
+        if found is not None:
+            return found
         r_ss = r_ss.dense()
     values, vectors = np.linalg.eigh(r_ss)
     split = length - num_sources

@@ -10,7 +10,7 @@ to produce the reference side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -235,14 +235,19 @@ def run_lemma_sweep(
     return [checker(n) for n in n_values]
 
 
-def run_all(n_max: int = N_MAX) -> list[LemmaReport]:
-    """Every lemma at every admissible sensor count up to n_max, plus the
-    closed-form weight checks."""
+def run_all(n_max: int = N_MAX, n_min: Mapping[str, int] | None = None) -> list[LemmaReport]:
+    """Every lemma at every admissible sensor count up to n_max, then the
+    closed-form weight checks of every family over the same counts.
+    ``n_min`` maps a family name to the smallest count checked for it (by
+    default its smallest admissible size); this is the report list of the
+    ``verify-lemmas`` command too."""
+    n_min = n_min or {}
     reports: list[LemmaReport] = []
-    for check in LEMMA_RANGES:
-        reports.extend(run_lemma_sweep(check, lemma_sizes(check, n_max)))
+    for check, family in LEMMA_FAMILIES.items():
+        reports.extend(run_lemma_sweep(check, lemma_sizes(check, n_max, n_min.get(family, 0))))
     for family, spec in FAMILIES.items():
-        reports.extend(check_weights(family, n) for n in range(spec.min_n, n_max + 1))
+        lo = max(spec.min_n, n_min.get(family, 0))
+        reports.extend(check_weights(family, n) for n in range(lo, n_max + 1))
     return reports
 
 

@@ -501,7 +501,9 @@ def test_music_builds_the_dense_smoothed_covariance_only_for_the_complex_eigh(
 ):
     """A SAULAs(32) trial (L = 575, 4 sources) runs the K-vector solver on
     the operator and never forms R_ss; a fig13 SAULAs(12) trial (L = 95,
-    27 sources) is below the size ratio and forms it once, for the eigh."""
+    27 sources) is below the size ratio and takes the real eigh of the
+    Toeplitz matrix of its samples, so it forms none either.  A noiseless
+    trial's floor is rounding, so it forms R_ss once, for the complex eigh."""
     counts = count_calls(["estimation.spatial_smoothing"])
     path = tmp_path / "four.json"
     path.write_text(json.dumps({"angles_deg": [-41.2, -10.3, 17.7, 50.1],
@@ -512,6 +514,13 @@ def test_music_builds_the_dense_smoothed_covariance_only_for_the_complex_eigh(
     assert counts["estimation.spatial_smoothing"] == 0
     code, _, _ = run_cli(capsys, "music", "--family", "saulas", "--n", "12",
                          "--preset", "fig13", "--grid-step", "1")
+    assert code == EXIT_OK
+    assert counts["estimation.spatial_smoothing"] == 0
+    noiseless = tmp_path / "noiseless.json"
+    noiseless.write_text(json.dumps({"angles_deg": [-41.2, 17.7], "snapshots": 400,
+                                     "snr_db": None}))
+    code, _, _ = run_cli(capsys, "music", "--family", "saulas", "--n", "12",
+                         "--scenario", str(noiseless), "--grid-step", "1")
     assert code == EXIT_OK
     assert counts["estimation.spatial_smoothing"] == 1
 
@@ -575,8 +584,11 @@ def test_verify_lemmas_csv_summary(capsys):
     assert code == EXIT_OK
     lines = out.strip().split("\n")
     assert lines[0] == "check,family,n,passed,failed_claims"
-    assert lines[-1] == "# 20/20 checks passed"
+    # 20 lemma checks, then the weight checks over the same families and sizes
+    assert lines[-1] == "# 40/40 checks passed"
     assert all(",true," in line for line in lines[1:-1])
+    assert [line.split(",")[0] for line in lines[1:-1]] == ["lemma1"] * 4 + ["lemma2"] * 4 + [
+        "lemma3"] * 8 + ["lemma4"] * 4 + ["weights"] * 20
 
 
 def test_verify_lemmas_json(capsys):
@@ -587,8 +599,19 @@ def test_verify_lemmas_json(capsys):
     )
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert len(payload) == 8
+    assert len(payload) == 16
+    assert sum(entry["check"] == "weights" for entry in payload) == 8
     assert all(entry["passed"] for entry in payload)
+
+
+def test_verify_lemmas_checks_what_run_all_checks(capsys):
+    """The command's report list is the library's: at the default sizes
+    the JSON output is ``verify.run_all`` up to the same n_max."""
+    code, out, _ = run_cli(capsys, "verify-lemmas", "--n-min", "0", "--tsaulas-n-min", "0",
+                           "--n-max", "12", "--format", "json")
+    assert code == EXIT_OK
+    want = json.dumps([r.to_dict() for r in verify.run_all(12)])
+    assert json.loads(out) == json.loads(want)
 
 
 def test_verify_lemmas_writes_file(tmp_path, capsys):

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarraylab import estimation, geometry
@@ -481,12 +481,18 @@ def _subspace_distance(a, b):
     return np.linalg.norm(a - b @ (b.conj().T @ a), 2)
 
 
-def _smoothed_trial(n=12, angles=(-33.21, 4.04, 48.88), length=None):
-    """R_ss of one 0 dB SAULAs(n) trial (L = 95 for n = 12)."""
+def _trial_observation(n=12, angles=(-33.21, 4.04, 48.88)):
+    """The virtual observation of one 0 dB SAULAs(n) trial (m = 94 for
+    n = 12)."""
     arr = geometry.design_saulas(n)
     sc = Scenario(angles_deg=angles, snapshots=500, snr_db=0.0, seed=6)
     x = simulate_snapshots(arr, sc)
-    return spatial_smoothing(virtual_observation(extended_covariance(x), lag_plan(arr)), length)
+    return virtual_observation(extended_covariance(x), lag_plan(arr))
+
+
+def _smoothed_trial(n=12, angles=(-33.21, 4.04, 48.88), length=None):
+    """R_ss of one ``_trial_observation`` (L = 95 for n = 12)."""
+    return spatial_smoothing(_trial_observation(n, angles), length)
 
 
 @pytest.mark.parametrize(
@@ -562,9 +568,9 @@ def test_k_vector_spectrum_is_deterministic():
 
 
 @st.composite
-def _noisy_smoothing_cases(draw):
-    """A random integer geometry containing a lag-1 pair, a noisy scenario
-    and either the default or an explicit smoothing length."""
+def _noisy_observations(draw):
+    """The virtual observation of a random integer geometry containing a
+    lag-1 pair under a noisy scenario, and the scenario's source count."""
     points = draw(st.sets(st.integers(-30, 30), max_size=8)) | {0, 1}
     arr = geometry.from_positions("rand", sorted(points))
     angles = draw(st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=4, unique=True))
@@ -576,6 +582,14 @@ def _noisy_smoothing_cases(draw):
         seed=draw(st.integers(0, 2**31 - 1)),
     )
     v = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), lag_plan(arr))
+    return v, len(angles)
+
+
+@st.composite
+def _noisy_smoothing_cases(draw):
+    """R_ss of a noisy virtual observation at either the default or an
+    explicit smoothing length."""
+    v, _ = draw(_noisy_observations())
     m = v.half_width
     length = draw(st.one_of(st.none(), st.integers(2, 2 * m + 1)))
     return spatial_smoothing(v, length)
@@ -589,6 +603,110 @@ def test_smoothed_covariance_is_centro_hermitian_to_rounding(r_ss):
     fail here."""
     bound = r_ss.shape[0] * np.finfo(float).eps * np.abs(r_ss).max()
     assert np.abs(r_ss - r_ss[::-1, ::-1].conj()).max() <= bound
+
+
+def _toeplitz(v):
+    """T[i, k] = v(i - k) for i, k in 0..m, entry by entry."""
+    m = v.half_width
+    return np.array([[v.value_at(i - k) for k in range(m + 1)] for i in range(m + 1)])
+
+
+@pytest.mark.parametrize("length", range(2, 14))
+def test_toeplitz_real_form_is_the_unitary_transform_of_t(length):
+    """The gathered real form against Q^H T Q with Q = Q I from
+    ``_from_real_basis``, for even and odd L."""
+    m = length - 1
+    rng = np.random.default_rng(length)
+    half = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+    half[0] = half[0].real
+    v = VirtualObservation(lags=np.arange(-m, m + 1),
+                           values=np.concatenate([half[:0:-1].conj(), half]))
+    q = estimation._from_real_basis(np.eye(length))
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(length), atol=1e-15)
+    want = q.conj().T @ _toeplitz(v) @ q
+    got = estimation._toeplitz_real_form(v.values)
+    assert got.dtype == float
+    np.testing.assert_array_equal(got, got.T)
+    np.testing.assert_allclose(got, want.real, rtol=0, atol=8 * np.finfo(float).eps * length)
+    assert np.abs(want.imag).max() <= 8 * np.finfo(float).eps * length
+
+
+@settings(deadline=None, max_examples=150)
+@given(_noisy_observations())
+def test_toeplitz_subspace_matches_the_complex_eigh_of_r_ss(case):
+    """At the default length R_ss = T^2 / L, the real eigh of T's real form
+    gives the complex eigh's signal subspace and eigenvalues, and the
+    pipeline's spectrum is the dense matrix's.  Where the floor or gap is
+    within rounding it declines, and the complex eigh serves."""
+    v, k = case
+    length = v.half_width + 1
+    assume(k < length)
+    r = spatial_smoothing(v)
+    t = _toeplitz(v)
+    assert np.linalg.norm(r - t @ t / length) <= 1e-13 * np.linalg.norm(r)
+    op = SmoothedCovariance(v)
+    found = estimation._toeplitz_subspace(op, k)
+    values, vectors = np.linalg.eigh(r)
+    if found is None:
+        assert not estimation._resolved(values, k, length)
+        np.testing.assert_array_equal(signal_subspace(op, k).noise, vectors[:, :-k])
+        return
+    assert found.noise is None and found.signal.shape == (length, k)
+    np.testing.assert_allclose(found.values, values, rtol=0, atol=1e-13 * values[-1])
+    np.testing.assert_allclose(found.signal.conj().T @ found.signal, np.eye(k), atol=1e-13)
+    # Davis-Kahan: each eigh's E_s is off by its backward error over the gap
+    gap = values[-k] - values[-k - 1]
+    bound = 10 * length * np.finfo(float).eps * values[-1] / gap
+    assert _subspace_distance(found.signal, vectors[:, -k:]) <= bound
+    config = MusicConfig.for_step(k, 0.5)
+    angles, fast = music_spectrum(op, config)
+    _, dense = music_spectrum(r, config)
+    np.testing.assert_allclose(fast, dense, rtol=1e-6)
+    if not _kth_maxima_tie(dense, k):
+        np.testing.assert_array_equal(pick_peaks(angles, fast, k)[0],
+                                      pick_peaks(angles, dense, k)[0])
+
+
+def test_an_explicit_smoothing_length_never_takes_the_toeplitz_form(monkeypatch):
+    """Only L = m + 1 makes R_ss = T^2 / L; any other length (m = 94 here)
+    keeps the dense build and complex eigh below the size ratio."""
+    v = _trial_observation()
+    monkeypatch.setattr(estimation, "_toeplitz_real_form", None)
+    assert 87 < estimation.SIZE_RATIO * (3 + estimation.OVERSAMPLE)
+    for length in (4, 32, 87):
+        op = SmoothedCovariance(v, length)
+        assert estimation._toeplitz_subspace(op, 3) is None
+        found = signal_subspace(op, 3)
+        values, vectors = np.linalg.eigh(spatial_smoothing(v, length))
+        np.testing.assert_array_equal(found.noise, vectors[:, :-3])
+        np.testing.assert_array_equal(found.values, values)
+
+
+def test_the_toeplitz_form_needs_conjugate_symmetric_samples():
+    """R_ss = T^2 / L rests on v(-l) = conj v(l); for other samples the
+    Toeplitz form declines and another solver finds E_s."""
+    v = _trial_observation()
+    skewed = VirtualObservation(lags=v.lags, values=v.values * (1.0 + 0.01 * v.lags))
+    assert estimation._toeplitz_subspace(SmoothedCovariance(v), 3) is not None
+    op = SmoothedCovariance(skewed)
+    assert estimation._toeplitz_subspace(op, 3) is None
+    _, vectors = np.linalg.eigh(spatial_smoothing(skewed))
+    assert _subspace_distance(signal_subspace(op, 3).signal, vectors[:, -3:]) <= 1e-11
+
+
+@pytest.mark.parametrize("family", ["aulas", "saulas", "tsaulas", "cotsaulas"])
+def test_noiseless_operator_falls_back_to_the_complex_eigh(family):
+    """Criterion 07's inputs through the operator: T's noise eigenvalues
+    are rounding, so the Toeplitz form declines and the complex eigh of the
+    dense R_ss decides, as before."""
+    arr = geometry.design(family, 12)
+    sc = Scenario(angles_deg=(37.0,), snapshots=1, snr_db=None)
+    op = SmoothedCovariance(virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr)))
+    assert estimation._toeplitz_subspace(op, 1) is None
+    found = signal_subspace(op, 1)
+    values, vectors = np.linalg.eigh(op.dense())
+    np.testing.assert_array_equal(found.signal, vectors[:, -1:])
+    np.testing.assert_array_equal(found.noise, vectors[:, :-1])
 
 
 @pytest.mark.parametrize("family", ["aulas", "saulas", "tsaulas", "cotsaulas"])
