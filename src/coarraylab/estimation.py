@@ -266,17 +266,14 @@ def _check_hermitian(r: np.ndarray) -> np.ndarray:
 #: SAULAs(32) inputs (L = 575), which converge in 4-5 iterations.
 OVERSAMPLE = 8
 #: The iteration is tried only when L >= SIZE_RATIO * (K + OVERSAMPLE).
-#: Each product of a ``SmoothedCovariance`` costs about 0.1 ms (four FFT
-#: calls) however small L is, while the eigh that serves below the
+#: Each product of a ``SmoothedCovariance`` has the fixed cost of four FFT
+#: calls however small L is, while the eigh that serves below the
 #: threshold grows as L^3.  At the default length that eigh is the real one
-#: of ``_toeplitz_subspace``: on AULAs-family inputs at 0 dB (K 1-8, L
-#: 45-199; 1 BLAS thread) it was the faster up to
-#: L / (K + OVERSAMPLE) = 8 (K = 4, L = 71: 0.66 against 1.9 ms), the two
-#: came within 0.15 ms of each other from 8 to 9, and from 9 the iteration
-#: won (K = 4, L = 149: 1.3 against 2.3 ms).  An explicit smoothing length
-#: keeps the dense build and complex eigh, which break even with the
-#: iteration near 6.5, so such a trial between 6.5 and 8 pays up to 1.7
-#: times the iteration's eigen step.
+#: of ``_toeplitz_subspace``, and SIZE_RATIO is where it and the iteration
+#: were measured to break even (see CHANGES.md).  An explicit smoothing
+#: length keeps the dense build and complex eigh, which break even with the
+#: iteration near 6.5, so such a trial between 6.5 and 8 pays more than
+#: the iteration would.
 SIZE_RATIO = 8
 #: Iterations before the complex eigh takes over.
 MAX_ITERATIONS = 20
@@ -285,29 +282,25 @@ MAX_ITERATIONS = 20
 #: the signal subspace with Ritz value K+1 standing in for lambda_{L-K}, is
 #: at most SUBSPACE_TOL.  Near a peak the spectrum's relative error is
 #: about 2 sqrt(L / f) times that angle, with f >= GUARD_FACTOR * L^2 * eps
-#: above the guard, so at most 2e-9 wherever the iteration runs (L >= 54).
+#: above the guard, so at most 2e-9 wherever the iteration runs (L >= 72).
 SUBSPACE_TOL = 1e-12
 #: Each eigensolver is exact only for a matrix within a small multiple of
 #: u = L * eps * lambda_max of its input, so a gap g determines E_s only to
 #: about u / g (Davis-Kahan).  Where the noise floor or the signal/noise gap
 #: is within ROUNDING_MARGIN units u, the complex eigh decides: such a gap
 #: leaves E_s undetermined at the 1e-8 level, and such a floor is rounding
-#: noise, as on noiseless input (at most 0.07 units on criterion 07's
-#: inputs), whose exact grid-point nulls then stay as they were.  The
-#: iteration tests its Ritz values and the Toeplitz form its mu^2 / L.
-#: Noisy SAULAs(32) inputs clear the margin 40-fold (floor) and 60000-fold
-#: (gap); the 640 fig12/fig13 trials of the benchmark at least 42-fold.
+#: noise, as on noiseless input, whose exact grid-point nulls then stay as
+#: they were.  The iteration tests its Ritz values and the Toeplitz form
+#: its mu^2 / L.
 ROUNDING_MARGIN = 1e8
 
 
 class Subspace(NamedTuple):
-    """What ``signal_subspace`` found: E_s (L x K), the eigenvalues it
-    knows, ascending, and E_n (L x (L-K)) when the complex eigh supplied
-    it."""
+    """What ``signal_subspace`` found: E_s (L x K) and the eigenvalues it
+    knows, ascending."""
 
     signal: np.ndarray
     values: np.ndarray
-    noise: np.ndarray | None = None
 
 
 def _resolved(values: np.ndarray, num_sources: int, length: int) -> bool:
@@ -432,9 +425,12 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
     - For an operator at the default length L = m + 1, one real eigh of
       the Toeplitz matrix of the samples, with R_ss = T^2 / L (see
       ``_toeplitz_subspace``); the values are all L eigenvalues.
-    - The complex eigh of the dense r_ss, with all L eigenvalues and E_n;
-      only here is an operator's L x L matrix built.
+    - The complex eigh of the dense r_ss, with all L eigenvalues; only
+      here is an operator's L x L matrix built.
     """
+    num_sources = integer_field(num_sources, "num_sources")
+    if num_sources < 1:
+        raise ValueError("num_sources must be >= 1")
     if not isinstance(r_ss, SmoothedCovariance):
         r_ss = _check_hermitian(r_ss)
     length = r_ss.shape[0]
@@ -453,18 +449,14 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
             return found
         r_ss = r_ss.dense()
     values, vectors = np.linalg.eigh(r_ss)
-    split = length - num_sources
-    return Subspace(vectors[:, split:], values, vectors[:, :split])
+    return Subspace(vectors[:, length - num_sources :], values)
 
 
 #: The polynomial's absolute rounding error is of order L^2 * eps: its
 #: coefficients are c_0 = L - K and |c_d| <= K for d >= 1 (a unit vector's
 #: autocorrelation is at most 1), z^d carries a phase error of about d * eps,
-#: and ``_null_polynomial`` adds up L such terms.  Against a long-double
-#: Horner oracle on the coefficients of random and rank-K noiseless E_s
-#: (L 20-2175, K 1-55, 0.01-degree grid) the error stayed below
-#: 0.1 * L^2 * eps; at L <= 6, where a few eps of absolute error dominate,
-#: below 0.29 * L^2 * eps.  The constant allows 0.7 * L^2 * eps.  Near a true DOA
+#: and ``_null_polynomial`` adds up L such terms; the tests hold it below
+#: 0.7 * L^2 * eps against a long-double Horner oracle.  Near a true DOA
 #: the exact value falls to 1e-26 or less, where the polynomial returns
 #: rounding noise of either sign, so values below GUARD_FACTOR * L^2 * eps
 #: are recomputed directly (see ``music_spectrum``).
@@ -485,12 +477,6 @@ def _null_spectrum_residual(signal: np.ndarray, angles: np.ndarray) -> np.ndarra
     a = _steering(signal.shape[0], angles)
     a -= signal @ (signal.conj().T @ a)
     return np.sum(a.real**2 + a.imag**2, axis=0)
-
-
-def _null_spectrum_direct(noise: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """||E_n^H a(theta)||^2 by projecting each steering vector onto the noise
-    eigenvectors (the columns of ``noise``): O(L * (L-K)) per angle."""
-    return np.sum(np.abs(noise.conj().T @ _steering(noise.shape[0], angles)) ** 2, axis=0)
 
 
 #: Grid points evaluated per block by ``_null_polynomial``; at L = 2175 its
@@ -574,13 +560,9 @@ def music_spectrum(
     is a ``SmoothedCovariance`` or a dense Hermitian matrix.  Grid
     points where f falls below the rounding bound (see GUARD_FACTOR), which
     occur only next to a near-exact null, are recomputed as the residual
-    ||a - E_s E_s^H a||^2, or as ||E_n^H a||^2 when the complex eigh
-    supplied E_n.  On noiseless input two adjacent grid points can both be
-    exact nulls, and rounding noise decides which is the peak; projecting
-    onto E_n keeps that choice as it was before the K-vector solver.
+    ||a - E_s E_s^H a||^2, whichever solver found E_s.
     """
-    subspace = signal_subspace(r_ss, config.num_sources)
-    signal = subspace.signal
+    signal = signal_subspace(r_ss, config.num_sources).signal
     length = signal.shape[0]
     angles = config.grid
     denom = _null_polynomial(_null_coefficients(signal), config.phasors)
@@ -588,10 +570,7 @@ def music_spectrum(
     low = denom < GUARD_FACTOR * length**2 * np.finfo(float).eps
     if low.any():
         # An exact null can round to 0; the floor keeps the spectrum finite.
-        if subspace.noise is None:
-            exact = _null_spectrum_residual(signal, angles[low])
-        else:
-            exact = _null_spectrum_direct(subspace.noise, angles[low])
+        exact = _null_spectrum_residual(signal, angles[low])
         denom[low] = np.maximum(exact, np.finfo(float).tiny)
     return angles, 1.0 / denom
 
@@ -735,6 +714,7 @@ def run_trials(
     None when the smoothed subarray is too short for the source count, else
     builds the coupled steering matrix once and returns a lazy iterator of
     (snapshots, result) over trials 0 .. trials-1."""
+    trials = integer_field(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     plan = lag_plan(array)
@@ -765,6 +745,7 @@ def monte_carlo(
     """
     runs = run_trials(array, scenario, config, trials, coupling)
     if runs is None:
+        trials = int(trials)  # run_trials has checked that it is integral
         return MonteCarloResult(
             rmse_deg=config.error_cap_deg,
             detection_rate=0.0,

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coarraylab import estimation, geometry
@@ -287,6 +287,9 @@ def test_spectrum_rejects_too_many_sources():
     cfg = MusicConfig(num_sources=5, grid_points=91)
     with pytest.raises(ValueError, match="insufficient uDOFs"):
         music_spectrum(np.eye(5, dtype=complex), cfg)
+    for bad in (0, -1, True, 2.5, None):
+        with pytest.raises(ValueError, match="num_sources"):
+            signal_subspace(np.eye(5, dtype=complex), bad)
 
 
 def test_spectrum_rejects_non_hermitian():
@@ -371,7 +374,7 @@ def test_spectrum_of_the_operator_matches_the_dense_matrix():
     v = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), lag_plan(arr))
     cfg = MusicConfig.for_step(4, 0.05)
     op = SmoothedCovariance(v)
-    assert signal_subspace(op, 4).noise is None
+    assert signal_subspace(op, 4).values.size == 4 + estimation.OVERSAMPLE
     _, fast = music_spectrum(op, cfg)
     _, dense = music_spectrum(spatial_smoothing(v), cfg)
     np.testing.assert_allclose(fast, dense, rtol=1e-9)
@@ -379,49 +382,81 @@ def test_spectrum_of_the_operator_matches_the_dense_matrix():
                                   pick_peaks(cfg.grid, dense, 4)[0])
 
 
+def _null_spectrum_direct(noise: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """||E_n^H a(theta)||^2 by projecting each steering vector onto the noise
+    eigenvectors (the columns of ``noise``): O(L * (L-K)) per angle."""
+    a = estimation._steering(noise.shape[0], angles)
+    return np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
+
+
+def _strict_maxima(spectrum):
+    """The grid points that ``pick_peaks`` may pick: strict local maxima,
+    never an endpoint."""
+    s = np.asarray(spectrum)
+    mask = np.zeros(s.shape, dtype=bool)
+    mask[1:-1] = (s[1:-1] > s[:-2]) & (s[1:-1] > s[2:])
+    return mask
+
+
 def _kth_maxima_tie(spectrum, k):
     """Whether the k-th and (k+1)-th highest strict local maxima lie within
     1e-9 relative of each other, so rounding may order them either way."""
     s = np.asarray(spectrum)
-    heights = np.sort(s[1:-1][(s[1:-1] > s[:-2]) & (s[1:-1] > s[2:])])[::-1]
+    heights = np.sort(s[_strict_maxima(s)])[::-1]
     return heights.size > k and heights[k - 1] - heights[k] <= 1e-9 * heights[k - 1]
+
+
+def _noiseless_psd(length, k, seed):
+    """A rank-K noiseless L x L matrix from K steering vectors at distinct
+    angles of the 0.5-degree grid, so the spectrum has exact nulls on the
+    grid, and its config."""
+    rng = np.random.default_rng(seed)
+    config = MusicConfig.for_step(k, 0.5)
+    thetas = rng.choice(config.grid, size=k, replace=False)
+    x = np.exp(-1j * np.pi * np.arange(length)[:, None] * np.sin(np.deg2rad(thetas))[None, :])
+    x = x * np.sqrt(rng.uniform(0.5, 2.0, size=k))
+    r = x @ x.conj().T
+    return (r + r.conj().T) / 2, config
 
 
 @st.composite
 def _psd_cases(draw):
     """A random Hermitian PSD matrix (L 2-120) with a source count K < L.
-    Half the cases are rank-K and noiseless, built from steering vectors at
-    grid angles, so the spectrum has exact nulls on the grid."""
+    Half the cases are ``_noiseless_psd``."""
     length = draw(st.integers(2, 120))
     k = draw(st.integers(1, length - 1))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    config = MusicConfig.for_step(k, 0.5)
+    seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
-        thetas = rng.choice(config.grid, size=k, replace=False)
-        x = np.exp(-1j * np.pi * np.arange(length)[:, None]
-                   * np.sin(np.deg2rad(thetas))[None, :])
-        x = x * np.sqrt(rng.uniform(0.5, 2.0, size=k))
-    else:
-        rank = draw(st.integers(1, length))
-        x = rng.standard_normal((length, rank)) + 1j * rng.standard_normal((length, rank))
+        return _noiseless_psd(length, k, seed)
+    rank = draw(st.integers(1, length))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((length, rank)) + 1j * rng.standard_normal((length, rank))
     r = x @ x.conj().T
-    return (r + r.conj().T) / 2, config
+    return (r + r.conj().T) / 2, MusicConfig.for_step(k, 0.5)
 
 
 @settings(deadline=None, max_examples=150)
 @given(_psd_cases())
+# sources at 30.0 and 30.5 degrees: E_s makes the first the strict maximum,
+# the oracle's E_n the second
+@example(_noiseless_psd(76, 65, 75))
 def test_spectrum_matches_direct_projection(case):
     r, config = case
     k = config.num_sources
     angles, spec = music_spectrum(r, config)
     assert np.all(np.isfinite(spec)) and np.all(spec > 0)
-    _, vectors = np.linalg.eigh(r)  # the oracle projects onto the same E_n
-    direct = estimation._null_spectrum_direct(vectors[:, : r.shape[0] - k], angles)
+    _, vectors = np.linalg.eigh(r)  # the oracle projects onto E_n of this eigh
+    direct = _null_spectrum_direct(vectors[:, : r.shape[0] - k], angles)
     with np.errstate(divide="ignore"):
         direct_spec = 1.0 / direct
     above = direct > estimation.GUARD_FACTOR * r.shape[0] ** 2 * np.finfo(float).eps
     np.testing.assert_allclose(1.0 / spec[above], direct[above], rtol=1e-6)
-    if not _kth_maxima_tie(direct_spec, k):
+    # Two adjacent grid points can both be exact nulls on noiseless input;
+    # then rounding noise picks the strict maximum, differently in E_s and
+    # E_n, so the peak masks may differ there and only there.
+    differ = _strict_maxima(spec) != _strict_maxima(direct_spec)
+    assert not np.any(differ & above)
+    if not differ.any() and not _kth_maxima_tie(direct_spec, k):
         np.testing.assert_array_equal(
             pick_peaks(angles, spec, k)[0], pick_peaks(angles, direct_spec, k)[0]
         )
@@ -466,7 +501,7 @@ def test_real_form_spectrum_matches_complex_eigh(case):
     angles, spec = music_spectrum(r, config)
     assert np.all(np.isfinite(spec)) and np.all(spec > 0)
     _, vectors = np.linalg.eigh(r)
-    direct = estimation._null_spectrum_direct(vectors[:, : r.shape[0] - k], angles)
+    direct = _null_spectrum_direct(vectors[:, : r.shape[0] - k], angles)
     above = direct > estimation.GUARD_FACTOR * r.shape[0] ** 2 * np.finfo(float).eps
     np.testing.assert_allclose(1.0 / spec[above], direct[above], rtol=1e-6)
     if not _kth_maxima_tie(1.0 / direct, k):
@@ -506,7 +541,6 @@ def test_signal_subspace_matches_complex_eigh(n, angles):
     k = len(angles)
     r = _smoothed_trial(n, angles)
     found = signal_subspace(r, k)
-    assert found.noise is None
     assert found.signal.shape == (r.shape[0], k)
     assert found.values.shape == (k + estimation.OVERSAMPLE,)
     values, vectors = np.linalg.eigh(r)
@@ -525,8 +559,8 @@ def test_signal_subspace_takes_the_complex_eigh_below_the_size_ratio():
     values, vectors = np.linalg.eigh(small)
     np.testing.assert_array_equal(found.values, values)
     np.testing.assert_array_equal(found.signal, vectors[:, -k:])
-    np.testing.assert_array_equal(found.noise, vectors[:, :-k])
-    assert signal_subspace(_smoothed_trial(length=threshold), k).noise is None
+    found = signal_subspace(_smoothed_trial(length=threshold), k)
+    assert found.values.size == k + estimation.OVERSAMPLE
 
 
 @pytest.mark.parametrize("family", ["aulas", "saulas", "tsaulas", "cotsaulas"])
@@ -541,7 +575,7 @@ def test_signal_subspace_takes_the_complex_eigh_on_noiseless_input(family):
     found = signal_subspace(r, 1)
     values, vectors = np.linalg.eigh(r)
     np.testing.assert_array_equal(found.signal, vectors[:, -1:])
-    np.testing.assert_array_equal(found.noise, vectors[:, :-1])
+    np.testing.assert_array_equal(found.values, values)
 
 
 def test_signal_subspace_falls_back_when_the_iteration_does_not_converge(monkeypatch):
@@ -560,7 +594,7 @@ def test_signal_subspace_falls_back_when_the_iteration_does_not_converge(monkeyp
 def test_k_vector_spectrum_is_deterministic():
     """The start block is fixed, so reruns give the same bytes."""
     r = _smoothed_trial()
-    assert signal_subspace(r, 3).noise is None
+    assert signal_subspace(r, 3).values.size == 3 + estimation.OVERSAMPLE
     cfg = MusicConfig.for_step(3, 0.05)
     first = music_spectrum(r, cfg)[1]
     again = music_spectrum(r.copy(), cfg)[1]
@@ -649,9 +683,11 @@ def test_toeplitz_subspace_matches_the_complex_eigh_of_r_ss(case):
     values, vectors = np.linalg.eigh(r)
     if found is None:
         assert not estimation._resolved(values, k, length)
-        np.testing.assert_array_equal(signal_subspace(op, k).noise, vectors[:, :-k])
+        found = signal_subspace(op, k)
+        np.testing.assert_array_equal(found.signal, vectors[:, -k:])
+        np.testing.assert_array_equal(found.values, values)
         return
-    assert found.noise is None and found.signal.shape == (length, k)
+    assert found.signal.shape == (length, k)
     np.testing.assert_allclose(found.values, values, rtol=0, atol=1e-13 * values[-1])
     np.testing.assert_allclose(found.signal.conj().T @ found.signal, np.eye(k), atol=1e-13)
     # Davis-Kahan: each eigh's E_s is off by its backward error over the gap
@@ -678,7 +714,7 @@ def test_an_explicit_smoothing_length_never_takes_the_toeplitz_form(monkeypatch)
         assert estimation._toeplitz_subspace(op, 3) is None
         found = signal_subspace(op, 3)
         values, vectors = np.linalg.eigh(spatial_smoothing(v, length))
-        np.testing.assert_array_equal(found.noise, vectors[:, :-3])
+        np.testing.assert_array_equal(found.signal, vectors[:, -3:])
         np.testing.assert_array_equal(found.values, values)
 
 
@@ -706,7 +742,7 @@ def test_noiseless_operator_falls_back_to_the_complex_eigh(family):
     found = signal_subspace(op, 1)
     values, vectors = np.linalg.eigh(op.dense())
     np.testing.assert_array_equal(found.signal, vectors[:, -1:])
-    np.testing.assert_array_equal(found.noise, vectors[:, :-1])
+    np.testing.assert_array_equal(found.values, values)
 
 
 @pytest.mark.parametrize("family", ["aulas", "saulas", "tsaulas", "cotsaulas"])
@@ -714,16 +750,23 @@ def test_noiseless_operator_falls_back_to_the_complex_eigh(family):
 def test_noiseless_null_peaks_exactly_at_its_grid_point(family, theta):
     """Criterion 07's cases: the null at theta is exact to 1e-26, far below
     the polynomial's rounding error, so without the guard the peak can move
-    a grid step or the spectrum become infinite."""
+    a grid step or the spectrum become infinite.  The complex eigh serves
+    them, and the guarded points are the residual of its E_s."""
     arr = geometry.design(family, 12)
     cfg = MusicConfig(num_sources=1)
     sc = Scenario(angles_deg=(theta,), snapshots=1, snr_db=None)
-    vo = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
-    angles, spec = music_spectrum(spatial_smoothing(vo), cfg)
+    r = spatial_smoothing(virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr)))
+    angles, spec = music_spectrum(r, cfg)
     assert np.all(np.isfinite(spec)) and np.all(spec > 0)
     peaks, under = pick_peaks(angles, spec, 1)
     assert not under
     assert peaks[0] == angles[np.abs(angles - theta).argmin()]
+    signal = signal_subspace(r, 1).signal
+    denom = estimation._null_polynomial(estimation._null_coefficients(signal), cfg.phasors)
+    low = denom < estimation.GUARD_FACTOR * r.shape[0] ** 2 * np.finfo(float).eps
+    assert low.any()
+    exact = estimation._null_spectrum_residual(signal, angles[low])
+    np.testing.assert_array_equal(spec[low], 1.0 / np.maximum(exact, np.finfo(float).tiny))
 
 
 # ---------------------------------------------------------------------------
@@ -914,12 +957,16 @@ def test_monte_carlo_degrades_gracefully_without_enough_dofs():
     assert result.detection_rate == 0.0
     assert result.rmse_deg == cfg.error_cap_deg
     assert result.estimates_per_trial == ((), (), ())
+    assert monte_carlo(arr, sc, cfg, trials=2.0).estimates_per_trial == ((), ())
 
 
 def test_monte_carlo_rejects_zero_trials():
     arr, sc, cfg = _tiny_mc_setup()
-    with pytest.raises(ValueError):
-        monte_carlo(arr, sc, cfg, trials=0)
+    for bad in (0, -1, True, 2.5, None, "3"):
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo(arr, sc, cfg, trials=bad)
+        with pytest.raises(ValueError, match="trials"):
+            run_trials(arr, sc, cfg, bad)
 
 
 def test_monte_carlo_result_serializes_to_json():
