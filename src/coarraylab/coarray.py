@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .coupling import integer_field
 from .geometry import SensorArray, _integer_positions
 
 LagSet = np.ndarray
@@ -169,7 +170,8 @@ def weight_function(a, f: int) -> int:
     |f|, so this single definition serves both conventions (w(f) = w(-f), and
     w(0) = N).
     """
-    return weight_table(a, (f,))[int(f)]
+    (count,) = weight_table(a, (f,)).values()
+    return count
 
 
 def weight_table(a, lags: Iterable[int] | None = None) -> dict[int, int]:
@@ -187,9 +189,10 @@ def weight_table(a, lags: Iterable[int] | None = None) -> dict[int, int]:
     s = np.sort(p)
     table = {}
     for f in lags:
-        below = s - int(f)
+        f = integer_field(f, "lag")
+        below = s - f
         hits = np.searchsorted(s, below, "right") - np.searchsorted(s, below, "left")
-        table[int(f)] = int(hits.sum())
+        table[f] = int(hits.sum())
     return table
 
 

@@ -103,7 +103,7 @@ class MusicConfig:
 
 def _smoothing_samples(v: VirtualObservation, subarray_len: int | None) -> tuple[np.ndarray, int]:
     """The virtual samples u_j = v(j - m) and the window length L of a
-    smoothing, after checking both."""
+    smoothing, after checking both; the samples must be finite."""
     lags = np.asarray(v.lags)
     m = int(lags[-1])
     if lags[0] != -m or lags.size != 2 * m + 1:
@@ -111,7 +111,10 @@ def _smoothing_samples(v: VirtualObservation, subarray_len: int | None) -> tuple
     length = m + 1 if subarray_len is None else integer_field(subarray_len, "subarray_len")
     if length < 2 or length > 2 * m + 1:
         raise ValueError(f"subarray length {length} not in [2, {2 * m + 1}]")
-    return np.asarray(v.values, dtype=complex), length
+    u = np.asarray(v.values, dtype=complex)
+    if not np.isfinite(u).all():
+        raise ValueError("virtual observation has non-finite samples")
+    return u, length
 
 
 def spatial_smoothing(v: VirtualObservation, subarray_len: int | None = None) -> np.ndarray:
@@ -124,45 +127,13 @@ def spatial_smoothing(v: VirtualObservation, subarray_len: int | None = None) ->
 
     This is the dense form of ``SmoothedCovariance``, which the trial
     pipeline uses.  It is built only for the complex eigh (see
-    ``signal_subspace``), which at the default length serves only input
-    whose noise floor or gap is within rounding, such as noiseless input.
-    It is the test oracle of the operator and of R_ss = T^2 / L (see
-    ``_toeplitz_subspace``).  The window product costs O(K L^2); this builds
-    R_ss in O(L^2 + K L).
-    With u_j = v(j - m) the j-th sample, the first column R[d, 0] is one
-    correlation of the samples, and sliding both windows of an entry one
-    sample on drops one product and adds another:
-    R[a+1, b+1] = R[a, b] + (u_{K+a} conj(u_{K+b}) - u_a conj(u_b)) / K.
-    A cumulative sum down each diagonal applies the recurrence below the
-    diagonal, and the upper triangle is the conjugate mirror.
+    ``signal_subspace``), which serves only input whose noise floor or gap
+    is within rounding, such as noiseless input, or whose samples are not
+    conjugate-symmetric.  It is the sample covariance of the K windows
+    taken as snapshots: one real syrk, so R_ss is exactly Hermitian.
     """
     u, length = _smoothing_samples(v, subarray_len)
-    k = u.size - length + 1
-    weights = u.conj() / k
-    # windows[j, d] = u_{j+d}, zero past the last sample
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([u, np.zeros(length - 1, dtype=complex)]), length
-    )
-    # below[a, d] = R[a + d, a]; rows 1.. first hold the recurrence's steps
-    below = np.empty((length, length), dtype=complex)
-    below[0] = np.correlate(u, u[:k] / k, "valid")
-    np.multiply(windows[k:], weights[k:, None], out=below[1:])
-    flat = np.empty(length * (length + 1), dtype=complex)
-    leaving = flat[: (length - 1) * length].reshape(length - 1, length)
-    np.multiply(windows[: length - 1], weights[: length - 1, None], out=leaving)
-    below[1:] -= leaving
-    np.cumsum(below, axis=0, out=below)
-    # Row stride L + 1 shears below[a, d] onto mirror[a, a + d] = R[a + d, a];
-    # entries with a + d >= L wrap onto slots under the diagonal, which the
-    # mirror image overwrites.
-    step = flat.itemsize
-    np.lib.stride_tricks.as_strided(
-        flat, (length, length), ((length + 1) * step, step)
-    )[...] = below
-    mirror = flat[: length * length].reshape(length, length)
-    r = np.conjugate(mirror, out=below)
-    np.copyto(r, mirror.T, where=np.tri(length, k=-1, dtype=bool))
-    return r
+    return extended_covariance(np.lib.stride_tricks.sliding_window_view(u, length).T).r_s
 
 
 def _fft_length(size: int) -> int:
@@ -179,8 +150,9 @@ def _fft_length(size: int) -> int:
 
 
 class SmoothedCovariance:
-    """R_ss of ``spatial_smoothing`` as an operator, formed only for the
-    complex eigh (see ``signal_subspace``).
+    """R_ss of ``spatial_smoothing`` as an operator; the trial pipeline's
+    solvers take E_s from its products or from its samples (see
+    ``signal_subspace``), and only the complex eigh forms the matrix.
 
     With W the K x L Hankel window matrix W[i, k] = u_{i+k} of the 2m + 1
     virtual samples u_j = v(j - m), R_ss = W^T conj(W) / K, so
@@ -194,8 +166,6 @@ class SmoothedCovariance:
 
     def __init__(self, v: VirtualObservation, subarray_len: int | None = None):
         u, self.length = _smoothing_samples(v, subarray_len)
-        if not np.isfinite(u).all():
-            raise ValueError("virtual observation has non-finite samples")
         self.observation = v
         self.windows = u.size - self.length + 1
         self._fft_size = _fft_length(u.size)
@@ -212,7 +182,7 @@ class SmoothedCovariance:
         return (self.length, self.length)
 
     def dense(self) -> np.ndarray:
-        """The L x L matrix, built in O(L^2) by ``spatial_smoothing``."""
+        """The L x L matrix, built by ``spatial_smoothing``."""
         return spatial_smoothing(self.observation, self.length)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -246,14 +216,7 @@ def _check_hermitian(r: np.ndarray) -> np.ndarray:
     scale = np.abs(r).max()
     if not np.isfinite(scale):
         raise ValueError("covariance has non-finite entries")
-    # max |r - r^H| one band of rows at a time, so the transposed reads of
-    # a large r stay in cache
-    band = 64
-    defect = max(
-        np.abs(r[i : i + band, i:] - r[i:, i : i + band].T.conj()).max()
-        for i in range(0, r.shape[0], band)
-    )
-    if defect > 1e-9 * max(scale, 1.0):
+    if np.abs(r - r.conj().T).max() > 1e-9 * max(scale, 1.0):
         raise ValueError("covariance is not Hermitian")
     return r
 
@@ -268,12 +231,9 @@ OVERSAMPLE = 8
 #: The iteration is tried only when L >= SIZE_RATIO * (K + OVERSAMPLE).
 #: Each product of a ``SmoothedCovariance`` has the fixed cost of four FFT
 #: calls however small L is, while the eigh that serves below the
-#: threshold grows as L^3.  At the default length that eigh is the real one
-#: of ``_toeplitz_subspace``, and SIZE_RATIO is where it and the iteration
-#: were measured to break even (see CHANGES.md).  An explicit smoothing
-#: length keeps the dense build and complex eigh, which break even with the
-#: iteration near 6.5, so such a trial between 6.5 and 8 pays more than
-#: the iteration would.
+#: threshold grows as L^3.  That eigh is the real one of ``_real_subspace``,
+#: and SIZE_RATIO is where it and the iteration were measured to break even
+#: (see CHANGES.md).
 SIZE_RATIO = 8
 #: Iterations before the complex eigh takes over.
 MAX_ITERATIONS = 20
@@ -290,8 +250,8 @@ SUBSPACE_TOL = 1e-12
 #: is within ROUNDING_MARGIN units u, the complex eigh decides: such a gap
 #: leaves E_s undetermined at the 1e-8 level, and such a floor is rounding
 #: noise, as on noiseless input, whose exact grid-point nulls then stay as
-#: they were.  The iteration tests its Ritz values and the Toeplitz form
-#: its mu^2 / L.
+#: they were.  The iteration tests its Ritz values and the real form its
+#: eigenvalues.
 ROUNDING_MARGIN = 1e8
 
 
@@ -336,38 +296,47 @@ def _ritz_subspace(r: np.ndarray | SmoothedCovariance, num_sources: int) -> Subs
     return None
 
 
-def _toeplitz_real_form(u: np.ndarray) -> np.ndarray:
-    """The real symmetric M = Q^H T Q of the L x L Hermitian Toeplitz
-    T[i, k] = u_{m+i-k} of 2m + 1 = 2L - 1 conjugate-symmetric samples
-    (u_{2m-j} = conj(u_j)), with Q the unitary of ``_from_real_basis``.
+def _real_form(u: np.ndarray, length: int) -> np.ndarray:
+    """The real K x L matrix Y = Q_K^H W Q_L J of the window matrix
+    W[i, k] = u_{i+k} of 2m + 1 conjugate-symmetric samples
+    (u_{2m-j} = conj(u_j)), with K = 2m + 2 - L, Q the unitary of
+    ``_from_real_basis`` and J = diag(I, -I) with ceil(L / 2) and
+    floor(L / 2) entries.
 
-    T is centro-Hermitian, Pi conj(T) Pi = T for the exchange matrix Pi, so
-    Q^H T Q is real (Huarng & Yeh, IEEE TSP 1991).  With a = Re u,
-    b = Im u, n = floor(L / 2) and h = ceil(L / 2), each block is a
-    Toeplitz part plus or minus a Hankel part gathered from the samples:
-    M = [[P, C], [C^T, N]] with
-    P[p, r] = s_p s_r (a_{m+p-r} + a_{p+r}) for p, r < h,
-    C[p, r] = s_p (b_{p+r} - b_{m+p-r}) for p < h, r < n, and
-    N[p, r] = a_{m+p-r} - a_{p+r} for p, r < n,
-    where s_p = 1 except 1 / sqrt2 at p = n for odd L (the middle element).
+    W is centro-Hermitian, Pi_K conj(W) Pi_L = W for the exchange matrices
+    Pi, so Y is real (Lee, Linear Algebra Appl. 1980; Huarng & Yeh, IEEE
+    TSP 1991), and Q_L^H R_ss Q_L = Y^T Y / K for R_ss = W^T conj(W) / K.
+    K + L is even, so K and L have the same parity.  With a = Re u,
+    b = Im u, rows p over the halves ceil(K / 2), floor(K / 2) of K and
+    columns r over those of L, each block is a Toeplitz part plus or minus
+    a Hankel part gathered from the samples: Y = [[P, C], [D, N]] with
+    P[p, r] = s_p s_r (a_{L-1+p-r} + a_{p+r}),
+    C[p, r] = s_p (b_{p+r} - b_{L-1+p-r}),
+    D[p, r] = s_r (b_{p+r} + b_{L-1+p-r}) and
+    N[p, r] = a_{L-1+p-r} - a_{p+r},
+    where s_p = 1 except 1 / sqrt2 at the middle index, p = floor(K / 2)
+    for rows and floor(L / 2) for columns, when K and L are odd.  At K = L,
+    Y is the real form Q^H T Q of the Hermitian Toeplitz
+    T[i, k] = u_{m+i-k}, since W = T Pi and Pi Q = Q J.
     """
-    length = (u.size + 1) // 2
+    windows = u.size + 1 - length
     half, odd = divmod(length, 2)
-    rows = np.arange(half + odd)
-    toeplitz = rows[:, None] - rows + (length - 1)
-    hankel = rows[:, None] + rows
+    bottom = windows // 2
+    top = bottom + odd
+    rows = np.arange(top)[:, None]
+    cols = np.arange(half + odd)
+    toeplitz = rows - cols + (length - 1)
+    hankel = rows + cols
     a, b = u.real, u.imag
-    real = np.empty((length, length))
-    plus, minus = real[: half + odd, : half + odd], real[half + odd :, half + odd :]
-    np.add(a[toeplitz], a[hankel], out=plus)
-    np.subtract(a[toeplitz[:half, :half]], a[hankel[:half, :half]], out=minus)
-    cross = b[hankel[:, :half]] - b[toeplitz[:, :half]]
+    real = np.empty((windows, length))
+    left, right = slice(None, half + odd), slice(half + odd, None)
+    np.add(a[toeplitz], a[hankel], out=real[:top, left])
+    np.subtract(b[hankel[:, :half]], b[toeplitz[:, :half]], out=real[:top, right])
+    np.add(b[hankel[:bottom]], b[toeplitz[:bottom]], out=real[top:, left])
+    np.subtract(a[toeplitz[:bottom, :half]], a[hankel[:bottom, :half]], out=real[top:, right])
     if odd:
-        plus[-1] /= math.sqrt(2)
-        plus[:, -1] /= math.sqrt(2)
-        cross[-1] /= math.sqrt(2)
-    real[: half + odd, half + odd :] = cross
-    real[half + odd :, : half + odd] = cross.T
+        real[top - 1] /= math.sqrt(2)
+        real[:, half] /= math.sqrt(2)
     return real
 
 
@@ -380,29 +349,19 @@ def _from_real_basis(w: np.ndarray) -> np.ndarray:
     return np.concatenate([head, w[half : half + odd], head[::-1].conj()])
 
 
-def _toeplitz_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
-    """E_s and all L eigenvalues, ascending, of R_ss = T^2 / L from one
-    real eigh, at the default length L = m + 1; None at any other length,
-    for samples that are not conjugate-symmetric, or when the floor or gap
-    is within rounding (see ROUNDING_MARGIN).
-
-    With L = m + 1 the window matrix is W = T Pi for the Hermitian Toeplitz
-    T[i, k] = v(i - k) (Pi the exchange matrix), so R_ss = W^T conj(W) / L
-    = T^2 / L (Liu & Vaidyanathan, IEEE SPL 2015): R_ss has T's
-    eigenvectors, with eigenvalues mu^2 / L for T's eigenvalues mu, and E_s
-    belongs to the K largest |mu|.  T is indefinite: its noise eigenvalues
-    straddle 0.  It is solved in its real form (see
-    ``_toeplitz_real_form``), gathered in O(L^2) from the samples.
-    """
+def _real_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
+    """E_s and all L eigenvalues, ascending, of R_ss from one real eigh of
+    Y^T Y / K (see ``_real_form``), gathered in O(K L) from the samples;
+    None for samples that are not conjugate-symmetric, or when the floor
+    or gap is within rounding (see ROUNDING_MARGIN)."""
     u = np.asarray(r.observation.values, dtype=complex)
-    if r.windows != r.length or not np.array_equal(u, u[::-1].conj()):
+    if not np.array_equal(u, u[::-1].conj()):
         return None
-    mu, w = np.linalg.eigh(_toeplitz_real_form(u))
-    order = np.argsort(np.abs(mu), kind="stable")
-    values = mu[order] ** 2 / r.length
+    y = _real_form(u, r.length)
+    values, w = np.linalg.eigh(y.T @ y / r.windows)
     if not _resolved(values, num_sources, r.length):
         return None
-    return Subspace(_from_real_basis(w[:, order[-num_sources:]]), values)
+    return Subspace(_from_real_basis(w[:, -num_sources:]), values)
 
 
 def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> Subspace:
@@ -422,9 +381,9 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
       K + OVERSAMPLE Ritz values.  It stops once the Davis-Kahan bound on
       the subspace error is at most SUBSPACE_TOL, and gives up after
       MAX_ITERATIONS.
-    - For an operator at the default length L = m + 1, one real eigh of
-      the Toeplitz matrix of the samples, with R_ss = T^2 / L (see
-      ``_toeplitz_subspace``); the values are all L eigenvalues.
+    - For an operator, one real eigh of the L x L real form of R_ss,
+      gathered from the samples at any window length (see
+      ``_real_subspace``); the values are all L eigenvalues.
     - The complex eigh of the dense r_ss, with all L eigenvalues; only
       here is an operator's L x L matrix built.
     """
@@ -444,7 +403,7 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
         if found is not None:
             return found
     if isinstance(r_ss, SmoothedCovariance):
-        found = _toeplitz_subspace(r_ss, num_sources)
+        found = _real_subspace(r_ss, num_sources)
         if found is not None:
             return found
         r_ss = r_ss.dense()

@@ -63,7 +63,7 @@ class SensorArray:
 
     def translated(self, shift: int, name: str | None = None) -> "SensorArray":
         """Rigidly translate every sensor by ``shift`` grid units."""
-        shift = int(shift)
+        shift = _integer_position(shift, "shift")
         return SensorArray(
             name=name if name is not None else f"{self.name}+{shift}",
             positions=tuple(p + shift for p in self.positions),
@@ -245,13 +245,13 @@ def _integer_positions(values: Iterable) -> tuple[int, ...]:
     return cleaned
 
 
-def _integer_position(p) -> int:
+def _integer_position(p, what: str = "sensor position") -> int:
     try:
         q = int(p)
     except (TypeError, ValueError, OverflowError):  # non-numbers, NaN, ±inf
         q = None
     if q is None or q != p or isinstance(p, (bool, np.bool_)):
-        raise DesignError(f"non-integer sensor position {p!r}")
+        raise DesignError(f"non-integer {what} {p!r}")
     return q
 
 

@@ -321,7 +321,7 @@ class VirtualObservation:
         return int(self.lags[-1])
 
     def value_at(self, lag: int) -> complex:
-        idx = int(lag) + self.half_width
+        idx = integer_field(lag, "lag") + self.half_width
         if idx < 0 or idx >= self.lags.size:
             raise ValueError(f"lag {lag} outside contiguous segment")
         return complex(self.values[idx])

@@ -211,19 +211,23 @@ _LEMMAS = (
 LEMMA_FAMILIES = {check: family for check, family, _ in _LEMMAS}
 _CHECKERS = {check: checker for check, _, checker in _LEMMAS}
 
-#: Sensor counts each lemma is verified over: from its family's smallest
-#: admissible size up to N_MAX.
+#: Sensor counts each lemma is verified over by default: from its family's
+#: smallest admissible size up to N_MAX.
 N_MAX = 64
 LEMMA_RANGES: dict[str, tuple[int, int]] = {
     check: (FAMILIES[family].min_n, N_MAX) for check, family in LEMMA_FAMILIES.items()
 }
 
 
+def _sizes(family: str, n_max: int, n_min: int) -> range:
+    """The one sensor-count rule of the sweeps: from the family's smallest
+    admissible size, or n_min if larger, to n_max inclusive."""
+    return range(max(FAMILIES[family].min_n, n_min), n_max + 1)
+
+
 def lemma_sizes(check: str, n_max: int = N_MAX, n_min: int = 0) -> range:
-    """Sensor counts one lemma's sweep covers: its verified range clipped to
-    [n_min, n_max]."""
-    lo, hi = LEMMA_RANGES[check]
-    return range(max(lo, n_min), min(hi, n_max) + 1)
+    """Sensor counts one lemma's sweep covers (see ``_sizes``)."""
+    return _sizes(LEMMA_FAMILIES[check], n_max, n_min)
 
 
 def run_lemma_sweep(
@@ -244,10 +248,10 @@ def run_all(n_max: int = N_MAX, n_min: Mapping[str, int] | None = None) -> list[
     n_min = n_min or {}
     reports: list[LemmaReport] = []
     for check, family in LEMMA_FAMILIES.items():
-        reports.extend(run_lemma_sweep(check, lemma_sizes(check, n_max, n_min.get(family, 0))))
-    for family, spec in FAMILIES.items():
-        lo = max(spec.min_n, n_min.get(family, 0))
-        reports.extend(check_weights(family, n) for n in range(lo, n_max + 1))
+        reports.extend(run_lemma_sweep(check, _sizes(family, n_max, n_min.get(family, 0))))
+    for family in FAMILIES:
+        sizes = _sizes(family, n_max, n_min.get(family, 0))
+        reports.extend(check_weights(family, n) for n in sizes)
     return reports
 
 
@@ -257,5 +261,4 @@ def shift_study(n: int, shift: int) -> CoarrayReport:
     set never moves, but the sum set translates by 2*shift, so the splice
     between the two survives only for particular shifts.
     """
-    array = design_aulas(n).translated(int(shift), name=f"AULAs+{int(shift)}")
-    return coarray_report(array)
+    return coarray_report(design_aulas(n).translated(shift))

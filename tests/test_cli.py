@@ -502,8 +502,9 @@ def test_music_builds_the_dense_smoothed_covariance_only_for_the_complex_eigh(
     """A SAULAs(32) trial (L = 575, 4 sources) runs the K-vector solver on
     the operator and never forms R_ss; a fig13 SAULAs(12) trial (L = 95,
     27 sources) is below the size ratio and takes the real eigh of the
-    Toeplitz matrix of its samples, so it forms none either.  A noiseless
-    trial's floor is rounding, so it forms R_ss once, for the complex eigh."""
+    real form gathered from its samples, so it forms none either.  A
+    noiseless trial's floor is rounding, so it forms R_ss once, for the
+    complex eigh."""
     counts = count_calls(["estimation.spatial_smoothing"])
     path = tmp_path / "four.json"
     path.write_text(json.dumps({"angles_deg": [-41.2, -10.3, 17.7, 50.1],
@@ -612,6 +613,19 @@ def test_verify_lemmas_checks_what_run_all_checks(capsys):
     assert code == EXIT_OK
     want = json.dumps([r.to_dict() for r in verify.run_all(12)])
     assert json.loads(out) == json.loads(want)
+
+
+def test_verify_lemmas_checks_lemmas_past_the_default_n_max(capsys):
+    """--n-max bounds the lemma checks as it bounds the weight checks, also
+    above the default of 64."""
+    code, out, _ = run_cli(capsys, "verify-lemmas", "--n-min", "63", "--tsaulas-n-min", "63",
+                           "--n-max", "66")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().split("\n")[1:-1]]
+    for check in ("lemma1", "lemma2", "lemma3", "lemma4", "weights"):
+        sizes = {int(row[2]) for row in rows if row[0] == check}
+        assert {65, 66} <= sizes <= {63, 64, 65, 66}, check
+    assert out.strip().endswith(f"# {len(rows)}/{len(rows)} checks passed")
 
 
 def test_verify_lemmas_writes_file(tmp_path, capsys):

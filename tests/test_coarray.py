@@ -155,6 +155,20 @@ def test_weight_function_values():
     assert weight_function(arr, 10_000) == 0
 
 
+@pytest.mark.parametrize("lags", [[1.9], [True], [float("nan")], [2.7, True], [1, False]])
+def test_weight_lags_must_be_integers(lags):
+    arr = design_aulas(13)
+    with pytest.raises(ValueError, match="lag"):
+        weight_table(arr, lags)
+    with pytest.raises(ValueError, match="lag"):
+        weight_function(arr, lags[-1])
+
+
+def test_weight_lags_outside_int64_overflow():
+    with pytest.raises(OverflowError):
+        weight_function(design_aulas(13), 2**63)
+
+
 def test_weight_table_options():
     arr = design_ula(3)
     assert weight_table(arr, (0, 1, 2)) == {0: 3, 1: 2, 2: 1}

@@ -145,6 +145,12 @@ def test_translated():
     assert arr.aperture == design_aulas(9).aperture
 
 
+@pytest.mark.parametrize("shift", [2.5, True, float("nan"), "3"])
+def test_translated_rejects_non_integer_shifts(shift):
+    with pytest.raises(ValueError, match="shift"):
+        design_aulas(9).translated(shift)
+
+
 def test_descriptor_round_trip(tmp_path):
     path = tmp_path / "arr.json"
     original = design_cotsaulas(12)

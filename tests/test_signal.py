@@ -572,6 +572,13 @@ def test_virtual_observation_value_at_bounds():
         vo.value_at(-vo.half_width - 1)
 
 
+@pytest.mark.parametrize("lag", [1.7, -0.5, True, float("nan"), None])
+def test_virtual_observation_value_at_rejects_non_integer_lags(lag):
+    vo = signal.VirtualObservation(lags=np.arange(-2, 3), values=np.arange(5, dtype=complex))
+    with pytest.raises(ValueError, match="lag"):
+        vo.value_at(lag)
+
+
 def test_virtual_observation_rejects_size_mismatch():
     arr = geometry.design_aulas(9)
     other = geometry.design_aulas(12)

@@ -264,6 +264,12 @@ def test_larger_shift_grows_span_but_keeps_holes():
     assert report.hole_count > 0
 
 
+@pytest.mark.parametrize("shift", [1.5, True, float("inf")])
+def test_shift_study_rejects_non_integer_shifts(shift):
+    with pytest.raises(ValueError, match="shift"):
+        shift_study(9, shift)
+
+
 def test_difference_set_is_shift_invariant():
     base = coarray.coarray_report(geometry.design_aulas(12))
     for s in (1, 2, 3, 7):
