@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import SensorArray
+if TYPE_CHECKING:  # geometry takes its integer checks from here
+    from .geometry import SensorArray
 
 
 def real_field(value, name: str) -> float:
@@ -66,7 +68,7 @@ class CouplingModel:
             )
 
     def coefficient(self, q: int) -> complex:
-        q = abs(int(q))
+        q = abs(integer_field(q, "q"))
         if q == 0:
             return 1.0 + 0.0j
         if q > self.band_limit:

@@ -31,6 +31,14 @@ from .signal import (
 )
 
 
+def _source_count(num_sources) -> int:
+    """``num_sources`` as an int, after checking that it is an integer >= 1."""
+    count = integer_field(num_sources, "num_sources")
+    if count < 1:
+        raise ValueError("num_sources must be >= 1")
+    return count
+
+
 @dataclass(frozen=True)
 class MusicConfig:
     """Search-grid and model-order settings for the spectrum search.
@@ -47,13 +55,11 @@ class MusicConfig:
     smoothing_length: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("num_sources", "grid_points"):
-            object.__setattr__(self, name, integer_field(getattr(self, name), name))
+        object.__setattr__(self, "num_sources", _source_count(self.num_sources))
+        object.__setattr__(self, "grid_points", integer_field(self.grid_points, "grid_points"))
         if self.smoothing_length is not None:
             length = integer_field(self.smoothing_length, "smoothing_length")
             object.__setattr__(self, "smoothing_length", length)
-        if self.num_sources < 1:
-            raise ValueError("num_sources must be >= 1")
         if self.grid_points < 2:
             raise ValueError("grid needs at least 2 points")
         if not (-90.0 <= self.grid_start < self.grid_stop <= 90.0):
@@ -103,7 +109,8 @@ class MusicConfig:
 
 def _smoothing_samples(v: VirtualObservation, subarray_len: int | None) -> tuple[np.ndarray, int]:
     """The virtual samples u_j = v(j - m) and the window length L of a
-    smoothing, after checking both; the samples must be finite."""
+    smoothing, after checking both; the samples must be finite, one per
+    lag."""
     lags = np.asarray(v.lags)
     m = int(lags[-1])
     if lags[0] != -m or lags.size != 2 * m + 1:
@@ -112,6 +119,9 @@ def _smoothing_samples(v: VirtualObservation, subarray_len: int | None) -> tuple
     if length < 2 or length > 2 * m + 1:
         raise ValueError(f"subarray length {length} not in [2, {2 * m + 1}]")
     u = np.asarray(v.values, dtype=complex)
+    if u.shape != (lags.size,):
+        raise ValueError(f"virtual observation needs {lags.size} samples, one per lag, "
+                         f"got shape {u.shape}")
     if not np.isfinite(u).all():
         raise ValueError("virtual observation has non-finite samples")
     return u, length
@@ -126,11 +136,11 @@ def spatial_smoothing(v: VirtualObservation, subarray_len: int | None = None) ->
     eigenvectors align with the length-L virtual steering vectors.
 
     This is the dense form of ``SmoothedCovariance``, which the trial
-    pipeline uses.  It is built only for the complex eigh (see
-    ``signal_subspace``), which serves only input whose noise floor or gap
-    is within rounding, such as noiseless input, or whose samples are not
-    conjugate-symmetric.  It is the sample covariance of the K windows
-    taken as snapshots: one real syrk, so R_ss is exactly Hermitian.
+    pipeline uses; the pipeline never builds it.  ``signal_subspace`` takes
+    it through the complex eigh, so it serves samples that are not
+    conjugate-symmetric, which the operator refuses, and it is the tests'
+    oracle.  It is the sample covariance of the K windows taken as
+    snapshots: one real syrk, so R_ss is exactly Hermitian.
     """
     u, length = _smoothing_samples(v, subarray_len)
     return extended_covariance(np.lib.stride_tricks.sliding_window_view(u, length).T).r_s
@@ -150,9 +160,10 @@ def _fft_length(size: int) -> int:
 
 
 class SmoothedCovariance:
-    """R_ss of ``spatial_smoothing`` as an operator; the trial pipeline's
-    solvers take E_s from its products or from its samples (see
-    ``signal_subspace``), and only the complex eigh forms the matrix.
+    """R_ss of ``spatial_smoothing`` as an operator, for conjugate-symmetric
+    samples v(-l) = conj v(l), as every ``virtual_observation`` has; the
+    trial pipeline's solvers take E_s from its products or from its
+    samples (see ``signal_subspace``), and never form the matrix.
 
     With W the K x L Hankel window matrix W[i, k] = u_{i+k} of the 2m + 1
     virtual samples u_j = v(j - m), R_ss = W^T conj(W) / K, so
@@ -161,29 +172,28 @@ class SmoothedCovariance:
     A circular length of at least 2m + 1, the sample count, keeps the
     wrap-around off every entry kept; the smallest 2^a 3^b 5^c such length
     is used.  R_ss is Hermitian by construction, so only the samples are
-    checked.  ``shape`` is (L, L); ``dense()`` is ``spatial_smoothing``.
+    checked.  ``shape`` is (L, L).
     """
 
     def __init__(self, v: VirtualObservation, subarray_len: int | None = None):
         u, self.length = _smoothing_samples(v, subarray_len)
-        self.observation = v
+        if not np.array_equal(u, u[::-1].conj()):
+            raise ValueError("virtual observation must be conjugate-symmetric, "
+                             "v(-l) = conj v(l); use spatial_smoothing for other samples")
+        self.samples = u
         self.windows = u.size - self.length + 1
         self._fft_size = _fft_length(u.size)
 
     @cached_property
     def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """The FFTs of u and conj(u), taken at the first product, so a
-        trial that goes straight to the complex eigh takes none."""
-        u = np.asarray(self.observation.values, dtype=complex)
+        trial that goes straight to the real form takes none."""
+        u = self.samples
         return np.fft.fft(u, self._fft_size), np.fft.fft(u.conj(), self._fft_size)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.length, self.length)
-
-    def dense(self) -> np.ndarray:
-        """The L x L matrix, built by ``spatial_smoothing``."""
-        return spatial_smoothing(self.observation, self.length)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """R_ss x for an L x p block x, in O(p m log m) on p x F buffers."""
@@ -235,7 +245,7 @@ OVERSAMPLE = 8
 #: and SIZE_RATIO is where it and the iteration were measured to break even
 #: (see CHANGES.md).
 SIZE_RATIO = 8
-#: Iterations before the complex eigh takes over.
+#: Iterations before the real form takes over.
 MAX_ITERATIONS = 20
 #: Converged when the Ritz residual ||R X - X Theta||_F over the Ritz gap
 #: theta_K - theta_{K+1}, the Davis-Kahan bound on the sine of the angle to
@@ -244,15 +254,6 @@ MAX_ITERATIONS = 20
 #: about 2 sqrt(L / f) times that angle, with f >= GUARD_FACTOR * L^2 * eps
 #: above the guard, so at most 2e-9 wherever the iteration runs (L >= 72).
 SUBSPACE_TOL = 1e-12
-#: Each eigensolver is exact only for a matrix within a small multiple of
-#: u = L * eps * lambda_max of its input, so a gap g determines E_s only to
-#: about u / g (Davis-Kahan).  Where the noise floor or the signal/noise gap
-#: is within ROUNDING_MARGIN units u, the complex eigh decides: such a gap
-#: leaves E_s undetermined at the 1e-8 level, and such a floor is rounding
-#: noise, as on noiseless input, whose exact grid-point nulls then stay as
-#: they were.  The iteration tests its Ritz values and the real form its
-#: eigenvalues.
-ROUNDING_MARGIN = 1e8
 
 
 class Subspace(NamedTuple):
@@ -263,22 +264,12 @@ class Subspace(NamedTuple):
     values: np.ndarray
 
 
-def _resolved(values: np.ndarray, num_sources: int, length: int) -> bool:
-    """Whether the noise floor and the signal/noise gap of the ascending
-    eigenvalues ``values`` of an L x L R_ss clear rounding (see
-    ROUNDING_MARGIN)."""
-    floor = values[-num_sources - 1]
-    gap = values[-num_sources] - floor
-    unit = length * np.finfo(float).eps * values[-1]
-    return min(floor, gap) > ROUNDING_MARGIN * unit
-
-
-def _ritz_subspace(r: np.ndarray | SmoothedCovariance, num_sources: int) -> Subspace | None:
+def _ritz_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
     """The K Ritz vectors and the K + OVERSAMPLE Ritz values, both in
     ascending order, from subspace iteration on a fixed start block; None
-    when it has not converged within MAX_ITERATIONS or the floor or gap is
-    within rounding (see ROUNDING_MARGIN)."""
-    length = r.shape[0]
+    when it has not converged within MAX_ITERATIONS, as when the gap is
+    within rounding."""
+    length = r.length
     start = np.random.default_rng(0).standard_normal((length, num_sources + OVERSAMPLE))
     basis = np.linalg.qr(r @ start)[0]
     for _ in range(MAX_ITERATIONS):
@@ -289,9 +280,7 @@ def _ritz_subspace(r: np.ndarray | SmoothedCovariance, num_sources: int) -> Subs
         residual = np.linalg.norm(image @ w - vectors * values[-num_sources:])
         gap = values[-num_sources] - values[-num_sources - 1]
         if residual <= SUBSPACE_TOL * gap:
-            if _resolved(values, num_sources, length):
-                return Subspace(vectors, values)
-            return None
+            return Subspace(vectors, values)
         basis = np.linalg.qr(image)[0]
     return None
 
@@ -349,18 +338,12 @@ def _from_real_basis(w: np.ndarray) -> np.ndarray:
     return np.concatenate([head, w[half : half + odd], head[::-1].conj()])
 
 
-def _real_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
+def _real_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace:
     """E_s and all L eigenvalues, ascending, of R_ss from one real eigh of
-    Y^T Y / K (see ``_real_form``), gathered in O(K L) from the samples;
-    None for samples that are not conjugate-symmetric, or when the floor
-    or gap is within rounding (see ROUNDING_MARGIN)."""
-    u = np.asarray(r.observation.values, dtype=complex)
-    if not np.array_equal(u, u[::-1].conj()):
-        return None
-    y = _real_form(u, r.length)
+    Y^T Y / K (see ``_real_form``), gathered in O(K L) from the
+    conjugate-symmetric samples."""
+    y = _real_form(r.samples, r.length)
     values, w = np.linalg.eigh(y.T @ y / r.windows)
-    if not _resolved(values, num_sources, r.length):
-        return None
     return Subspace(_from_real_basis(w[:, -num_sources:]), values)
 
 
@@ -370,27 +353,24 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
     knows, ascending.
 
     ``r_ss`` is a ``SmoothedCovariance``, Hermitian by construction, or a
-    dense matrix, which is checked to be finite and Hermitian.  Three
-    solvers, the first that applies and resolves E_s above rounding (see
-    ROUNDING_MARGIN) serving:
+    dense matrix, which is checked to be finite and Hermitian.  Each input
+    type has its own solvers:
 
-    - From L >= SIZE_RATIO * (K + OVERSAMPLE), block subspace iteration
-      with Rayleigh-Ritz on K + OVERSAMPLE vectors from a fixed start block
-      finds E_s from products r_ss X alone: O(L log L) per vector for the
-      operator, O(L^2) for a dense matrix.  The values are then its
-      K + OVERSAMPLE Ritz values.  It stops once the Davis-Kahan bound on
-      the subspace error is at most SUBSPACE_TOL, and gives up after
-      MAX_ITERATIONS.
-    - For an operator, one real eigh of the L x L real form of R_ss,
+    - An operator, from L >= SIZE_RATIO * (K + OVERSAMPLE): block subspace
+      iteration with Rayleigh-Ritz on K + OVERSAMPLE vectors from a fixed
+      start block finds E_s from products r_ss X alone, O(L log L) per
+      vector.  The values are then its K + OVERSAMPLE Ritz values.  It
+      stops once the Davis-Kahan bound on the subspace error is at most
+      SUBSPACE_TOL, and gives up after MAX_ITERATIONS, as it does when the
+      gap is within rounding.
+    - An operator otherwise: one real eigh of the L x L real form of R_ss,
       gathered from the samples at any window length (see
       ``_real_subspace``); the values are all L eigenvalues.
-    - The complex eigh of the dense r_ss, with all L eigenvalues; only
-      here is an operator's L x L matrix built.
+    - A dense matrix: the complex eigh, with all L eigenvalues.
     """
-    num_sources = integer_field(num_sources, "num_sources")
-    if num_sources < 1:
-        raise ValueError("num_sources must be >= 1")
-    if not isinstance(r_ss, SmoothedCovariance):
+    num_sources = _source_count(num_sources)
+    dense = not isinstance(r_ss, SmoothedCovariance)
+    if dense:
         r_ss = _check_hermitian(r_ss)
     length = r_ss.shape[0]
     if num_sources >= length:
@@ -398,17 +378,14 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
             f"insufficient uDOFs: {num_sources} sources need a smoothed "
             f"subarray longer than {num_sources}, got {length}"
         )
+    if dense:
+        values, vectors = np.linalg.eigh(r_ss)
+        return Subspace(vectors[:, length - num_sources :], values)
     if length >= SIZE_RATIO * (num_sources + OVERSAMPLE):
         found = _ritz_subspace(r_ss, num_sources)
         if found is not None:
             return found
-    if isinstance(r_ss, SmoothedCovariance):
-        found = _real_subspace(r_ss, num_sources)
-        if found is not None:
-            return found
-        r_ss = r_ss.dense()
-    values, vectors = np.linalg.eigh(r_ss)
-    return Subspace(vectors[:, length - num_sources :], values)
+    return _real_subspace(r_ss, num_sources)
 
 
 #: The polynomial's absolute rounding error is of order L^2 * eps: its
@@ -516,7 +493,8 @@ def music_spectrum(
     signal eigenvectors (one zero-padded FFT), and f is evaluated on the
     grid in blocks, by one matrix product and about 2 sqrt(L) passes (see
     ``_null_polynomial``), so no L x G steering matrix is formed.  ``r_ss``
-    is a ``SmoothedCovariance`` or a dense Hermitian matrix.  Grid
+    is a ``SmoothedCovariance``, which the trial pipeline passes, or a
+    dense Hermitian matrix such as ``spatial_smoothing`` builds.  Grid
     points where f falls below the rounding bound (see GUARD_FACTOR), which
     occur only next to a near-exact null, are recomputed as the residual
     ||a - E_s E_s^H a||^2, whichever solver found E_s.
@@ -545,6 +523,7 @@ def pick_peaks(
     and the flag is set.  A flat top of two or more equal samples is not a
     strict maximum, so it yields no peak.
     """
+    num_sources = _source_count(num_sources)
     spectrum = np.asarray(spectrum)
     interior = (spectrum[1:-1] > spectrum[:-2]) & (spectrum[1:-1] > spectrum[2:])
     idx = np.nonzero(interior)[0] + 1

@@ -18,6 +18,8 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from .coupling import integer_field
+
 POSITION_UNIT = "half-wavelength"
 
 #: Every sensor position p has |p| < POSITION_LIMIT, so every pair sum and
@@ -27,6 +29,15 @@ POSITION_LIMIT = 2**62
 
 class DesignError(ValueError):
     """Invalid design parameters or malformed geometry input."""
+
+
+def _sensor_count(n, name: str) -> int:
+    """``n`` as an int, or a DesignError naming the parameter when it is
+    not an integer (bools included)."""
+    try:
+        return integer_field(n, name)
+    except ValueError as err:
+        raise DesignError(str(err)) from None
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,7 @@ class AulasParams:
             spec = FAMILIES[family]
         except KeyError:
             raise DesignError(f"no augmented-ULA family {family!r}") from None
+        n = _sensor_count(n, "n")
         if n < spec.min_n:
             raise DesignError(f"{spec.display_name} needs n >= {spec.min_n}, got {n}")
         m = 2 * math.ceil(n / 4)
@@ -181,6 +193,7 @@ def design_cotsaulas(n: int) -> SensorArray:
 
 
 def design_ula(n: int) -> SensorArray:
+    n = _sensor_count(n, "n")
     if n < 1:
         raise DesignError(f"ULA needs n >= 1, got {n}")
     return SensorArray("ULA", tuple(range(n)))
@@ -192,6 +205,7 @@ def design_nested(n_dense: int, n_sparse: int) -> SensorArray:
 
     design_nested(6, 6) -> positions {0..5, 6, 13, 20, 27, 34, 41}.
     """
+    n_dense, n_sparse = _sensor_count(n_dense, "n_dense"), _sensor_count(n_sparse, "n_sparse")
     if n_dense < 1 or n_sparse < 1:
         raise DesignError("nested array needs n_dense >= 1 and n_sparse >= 1")
     dense = list(range(n_dense))

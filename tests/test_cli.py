@@ -496,15 +496,13 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
     assert numpy_calls["np.linspace"] == 1
 
 
-def test_music_builds_the_dense_smoothed_covariance_only_for_the_complex_eigh(
-    tmp_path, capsys, count_calls
-):
+def test_music_never_builds_the_dense_smoothed_covariance(tmp_path, capsys, count_calls):
     """A SAULAs(32) trial (L = 575, 4 sources) runs the K-vector solver on
     the operator and never forms R_ss; a fig13 SAULAs(12) trial (L = 95,
     27 sources) is below the size ratio and takes the real eigh of the
-    real form gathered from its samples, so it forms none either.  A
-    noiseless trial's floor is rounding, so it forms R_ss once, for the
-    complex eigh."""
+    real form gathered from its samples, so it forms none either.  Nor
+    does a noiseless trial, whose floor is rounding but whose gap is wide,
+    so the iteration converges."""
     counts = count_calls(["estimation.spatial_smoothing"])
     path = tmp_path / "four.json"
     path.write_text(json.dumps({"angles_deg": [-41.2, -10.3, 17.7, 50.1],
@@ -523,7 +521,7 @@ def test_music_builds_the_dense_smoothed_covariance_only_for_the_complex_eigh(
     code, _, _ = run_cli(capsys, "music", "--family", "saulas", "--n", "12",
                          "--scenario", str(noiseless), "--grid-step", "1")
     assert code == EXIT_OK
-    assert counts["estimation.spatial_smoothing"] == 1
+    assert counts["estimation.spatial_smoothing"] == 0
 
 
 def test_music_builds_the_coupling_matrix_once_per_call(tmp_path, capsys, scenario_file,

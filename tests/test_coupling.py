@@ -41,6 +41,12 @@ def test_coefficient_phase_decreases_linearly_with_separation():
         assert math.cos(got - expected) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("q", [1.5, float("nan"), float("inf"), True, None, "1"])
+def test_coefficient_rejects_non_integral_separations(q):
+    with pytest.raises(ValueError, match="q must be"):
+        CouplingModel().coefficient(q)
+
+
 def test_coefficient_vanishes_beyond_band_limit():
     model = CouplingModel(band_limit=3)
     assert model.coefficient(3) != 0

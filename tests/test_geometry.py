@@ -92,11 +92,32 @@ def test_spacing_parameter():
         lambda: design_nested(0, 1),
         lambda: design_nested(1, 0),
         lambda: design("nope", 12),
+        lambda: design("aulas", 9.5),
+        lambda: design("ula", 2.5),
+        lambda: design("ula", True),
+        lambda: design_nested(2.5, 3),
+        lambda: design_nested(True, 2),
+        lambda: design_nested(2, None),
     ],
 )
 def test_out_of_range_parameters_raise(bad_call):
     with pytest.raises(DesignError):
         bad_call()
+
+
+@pytest.mark.parametrize(
+    ("bad_call", "name"),
+    [(lambda: design("saulas", 12.5), "n"), (lambda: design_ula(False), "n"),
+     (lambda: design_nested(2.5, 3), "n_dense"), (lambda: design_nested(3, True), "n_sparse")],
+)
+def test_sensor_counts_must_be_integers(bad_call, name):
+    with pytest.raises(DesignError, match=f"^{name} must be an integer"):
+        bad_call()
+
+
+def test_integral_sensor_counts_build_the_same_array():
+    assert design("saulas", 12.0) == design_saulas(12)
+    assert design_nested(np.int64(6), 6.0) == design_nested(6, 6)
 
 
 def test_saulas_is_a_rigid_translation():
