@@ -54,6 +54,16 @@ def _resolve_array(args) -> geometry.SensorArray:
     if (args.family is None) == (args.file is None):
         raise geometry.DesignError("give exactly one of --family or --file")
     if args.file is not None:
+        source, applies = "--file", ()
+    elif args.family == "nested":
+        source, applies = "family 'nested'", ("--n-dense", "--n-sparse")
+    else:
+        source, applies = f"family {args.family!r}", ("--n",)
+    sizing = {"--n": args.n, "--n-dense": args.n_dense, "--n-sparse": args.n_sparse}
+    stray = [flag for flag, value in sizing.items() if value is not None and flag not in applies]
+    if stray:
+        raise geometry.DesignError(f"{', '.join(stray)} does not apply to {source}")
+    if args.file is not None:
         return geometry.load_descriptor(args.file)
     if args.family == "nested":
         if args.n_dense is None or args.n_sparse is None:
@@ -162,10 +172,10 @@ def cmd_music(args) -> int:
             f"insufficient uDOFs: array {array.name} cannot resolve "
             f"{music.num_sources} sources"
         )
-    x, first = next(runs)
+    planes, first = next(runs)
     if args.dump_snapshots:
-        signal.write_snapshots(args.dump_snapshots, x)
-    del x  # later trials run without trial 0's snapshots alive
+        signal.write_snapshots(args.dump_snapshots, signal.snapshots_from_planes(planes))
+    del planes  # later trials run without trial 0's snapshots alive
     summary = {
         "array": array.name,
         "n": array.n,

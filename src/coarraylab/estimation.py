@@ -20,11 +20,13 @@ import numpy as np
 from .coupling import CouplingModel, integer_field
 from .geometry import SensorArray
 from .signal import (
+    ExtendedCovariance,
     LagPlan,
     Scenario,
     VirtualObservation,
     extended_covariance,
     lag_plan,
+    planes_covariance,
     simulate_snapshots,
     source_steering,
     virtual_observation,
@@ -423,9 +425,10 @@ GRID_BLOCK = 2048
 def _null_coefficients(signal: np.ndarray) -> np.ndarray:
     """c_0 .. c_{L-1} of the null polynomial of E_s (see ``music_spectrum``):
     c_d = [d == 0] L - sum_k sum_j e_k[j + d] conj(e_k[j]), the
-    autocorrelations of the K columns of E_s from one zero-padded FFT."""
+    autocorrelations of the K columns of E_s from one zero-padded FFT of
+    the smallest 2^a 3^b 5^c length at least 2L - 1, so no lag wraps."""
     length = signal.shape[0]
-    spectra = np.fft.fft(signal, n=2 * length, axis=0)
+    spectra = np.fft.fft(signal, n=_fft_length(2 * length - 1), axis=0)
     autocorr = np.fft.ifft(np.sum(spectra.real**2 + spectra.imag**2, axis=1))
     coeffs = -autocorr[:length]
     coeffs[0] += length
@@ -609,8 +612,8 @@ def estimate_doas(
     trial: int = 0,
 ) -> EstimationResult:
     """Run the full single-trial pipeline and score it against the scenario."""
-    x = simulate_snapshots(array, scenario, coupling=coupling, trial=trial)
-    return estimate_from_snapshots(x, lag_plan(array), scenario, config)
+    planes = simulate_snapshots(array, scenario, coupling=coupling, trial=trial, planes=True)
+    return estimate_from_covariance(planes_covariance(planes), lag_plan(array), scenario, config)
 
 
 def estimate_from_snapshots(
@@ -618,7 +621,14 @@ def estimate_from_snapshots(
 ) -> EstimationResult:
     """The single-trial pipeline after simulation: covariance, virtual
     observation, smoothing, MUSIC and scoring of the snapshots ``x``."""
-    ec = extended_covariance(x)
+    return estimate_from_covariance(extended_covariance(x), plan, scenario, config)
+
+
+def estimate_from_covariance(
+    ec: ExtendedCovariance, plan: LagPlan, scenario: Scenario, config: MusicConfig
+) -> EstimationResult:
+    """The single-trial pipeline after the covariance: virtual observation,
+    smoothing, MUSIC and scoring."""
     v = virtual_observation(ec, plan)
     r_ss = SmoothedCovariance(v, config.smoothing_length)
     angles, spectrum = music_spectrum(r_ss, config)
@@ -651,7 +661,9 @@ def run_trials(
     """The one trial loop: builds the array's ``lag_plan`` once and returns
     None when the smoothed subarray is too short for the source count, else
     builds the coupled steering matrix once and returns a lazy iterator of
-    (snapshots, result) over trials 0 .. trials-1."""
+    (snapshot planes, result) over trials 0 .. trials-1.  Each trial is
+    drawn as the real planes [Re X; Im X] (2N x T) of ``simulate_snapshots``
+    and its covariance read from them, so no complex X is formed."""
     trials = integer_field(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -661,8 +673,8 @@ def run_trials(
     steering = source_steering(array, scenario, coupling)
 
     def trial(t: int) -> tuple[np.ndarray, EstimationResult]:
-        x = simulate_snapshots(array, scenario, trial=t, steering=steering)
-        return x, estimate_from_snapshots(x, plan, scenario, config)
+        planes = simulate_snapshots(array, scenario, trial=t, steering=steering, planes=True)
+        return planes, estimate_from_covariance(planes_covariance(planes), plan, scenario, config)
 
     return map(trial, range(trials))
 

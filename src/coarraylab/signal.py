@@ -7,8 +7,14 @@ signal structure.  Stacking the two into an extended covariance doubles the
 virtual aperture: the lags exposed are exactly the sum-difference co-array of
 the physical geometry.
 
-Both covariance blocks come from one real Gram matrix of the snapshots' real
-and imaginary planes.  What depends only on the geometry (the contiguous lag
+Since every amplitude is real, the noise-free snapshots are the real mixture
+B r(t) of the weighted steering B = C A diag(sqrt(p) e^{j phi}).  A trial is
+therefore drawn as the snapshots' real planes P = [Re X; Im X] (2N x T): one
+real product [Re B; Im B] r plus the noise drawn in the same layout.  Both
+covariance blocks come from one real Gram matrix of those planes
+(``planes_covariance``), so the trial pipeline never forms the complex X;
+``simulate_snapshots`` builds it from the planes when a caller asks for it.
+What depends only on the geometry (the contiguous lag
 segment, which covariance entries fall in it and how many share each lag) is
 a ``LagPlan``, built once per array by ``lag_plan``; each trial then averages
 its entries per lag with two bincounts.
@@ -30,6 +36,10 @@ from .geometry import SensorArray
 
 SNAPSHOT_MAGIC = b"CALB"
 SNAPSHOT_FORMAT_VERSION = 1
+
+#: Noise samples ``simulate_snapshots`` draws per block (256 KB), so the
+#: buffer stays in cache and is reused across the rows of one trial.
+NOISE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -191,15 +201,28 @@ def simulate_snapshots(
     trial: int = 0,
     *,
     steering: np.ndarray | None = None,
+    planes: bool = False,
 ) -> np.ndarray:
-    """Draw an N x T snapshot matrix X = C A s(t) + n(t).
+    """Draw the snapshots X = C A s(t) + n(t) of one trial: the N x T
+    complex matrix, or with ``planes`` its real planes [Re X; Im X], the
+    2N x T layout that ``planes_covariance`` reads.
 
-    Sources are strictly non-circular (real Gaussian amplitude, fixed
-    non-circularity phase); noise is circular complex white Gaussian with the
-    scenario's noise power.  C A comes from ``coupling`` or, for a caller
-    that draws many trials of one scenario and builds it once, from
-    ``steering``, the ``source_steering`` of the same array and scenario;
-    the draw is the same either way.  Giving both is an error.
+    Sources are strictly non-circular (real Gaussian amplitude r_z(t) times
+    the fixed weight sqrt(p_z) e^{j phi_z}); noise is circular complex white
+    Gaussian with the scenario's noise power.  The draw is always made as
+    the planes: the real product W r with the 2N x Z weighted steering
+    W = [Re B; Im B], B = C A diag(sqrt(p) e^{j phi}), plus sqrt(p_n / 2)
+    times a standard-normal draw of shape (2N, T), after the amplitudes
+    from the same stream; its values and order are those of one (2, N, T)
+    draw of both noise planes.  The complex X is built from those planes,
+    so both layouts hold the same numbers.  With unit powers and zero
+    phases B = C A exactly; otherwise (a c) r and a (c r) differ only by
+    rounding.
+
+    C A comes from ``coupling`` or, for a caller that draws many trials of
+    one scenario and builds it once, from ``steering``, the
+    ``source_steering`` of the same array and scenario; the draw is the
+    same either way.  Giving both is an error.
     """
     if steering is None:
         a = source_steering(array, scenario, coupling)
@@ -212,20 +235,41 @@ def simulate_snapshots(
         )
     else:
         a = steering
+    b = a * (np.sqrt(scenario.powers) * np.exp(1j * np.asarray(scenario.nc_phases)))
     rng = trial_rng(scenario.seed, trial)
-    p = np.asarray(scenario.powers)
-    phases = np.exp(1j * np.asarray(scenario.nc_phases))
     amplitudes = rng.standard_normal((scenario.num_sources, scenario.snapshots))
-    s = (np.sqrt(p) * phases)[:, None] * amplitudes
-    x = a @ s
+    drawn = np.concatenate([b.real, b.imag]) @ amplitudes
     pn = scenario.noise_power
     if pn > 0:
-        # both planes in one draw: the same stream and the same products as
-        # adding sqrt(pn / 2) * (n_re + 1j * n_im)
-        noise = rng.standard_normal((2, array.n, scenario.snapshots))
-        noise *= np.sqrt(pn / 2.0)
-        x.real += noise[0]
-        x.imag += noise[1]
+        # the (2N, T) draw taken a block of rows at a time: the same stream
+        # in the same order, through one small buffer instead of a second
+        # 2N x T array
+        rows = max(1, NOISE_BLOCK // scenario.snapshots)
+        block = np.empty((rows, scenario.snapshots))
+        scale = np.sqrt(pn / 2.0)
+        for top in range(0, 2 * array.n, rows):
+            noise = block[: min(rows, 2 * array.n - top)]
+            rng.standard_normal(out=noise)
+            noise *= scale
+            drawn[top : top + rows] += noise
+    return drawn if planes else snapshots_from_planes(drawn)
+
+
+def _plane_rows(planes: np.ndarray) -> int:
+    """N, after checking that ``planes`` is a real 2N x T matrix."""
+    if planes.ndim != 2 or planes.shape[0] % 2 or np.iscomplexobj(planes):
+        raise ValueError("snapshot planes must be a real 2N x T matrix")
+    return planes.shape[0] // 2
+
+
+def snapshots_from_planes(planes: np.ndarray) -> np.ndarray:
+    """The N x T complex snapshot matrix X = P[:N] + j P[N:] of the real
+    planes P that ``simulate_snapshots`` draws."""
+    planes = np.asarray(planes)
+    n = _plane_rows(planes)
+    x = np.empty((n, planes.shape[1]), dtype=complex)
+    x.real = planes[:n]
+    x.imag = planes[n:]
     return x
 
 
@@ -259,26 +303,20 @@ class ExtendedCovariance:
         )
 
 
-def extended_covariance(x: np.ndarray) -> ExtendedCovariance:
-    """Sample covariances R_s = X X^H / T and R_hat = X X^T / T.
+def planes_covariance(planes: np.ndarray) -> ExtendedCovariance:
+    """R_s = X X^H / T and R_hat = X X^T / T from the real planes
+    P = [A; B] (2N x T) of X = A + jB, as ``simulate_snapshots`` draws them.
 
-    With X = A + jB both blocks come from the four N x N blocks of one real
-    Gram matrix G = [A; B][A; B]^T / T:
-    R_s = (G_AA + G_BB) + j(G_BA - G_AB) and
-    R_hat = (G_AA - G_BB) + j(G_BA + G_AB).
-    One real product replaces two complex ones.  G is computed as one
-    triangle mirrored (syrk), so R_s is exactly Hermitian and R_hat exactly
-    symmetric.
+    Both blocks come from the four N x N blocks of one real Gram matrix
+    G = P P^T / T: R_s = (G_AA + G_BB) + j(G_BA - G_AB) and
+    R_hat = (G_AA - G_BB) + j(G_BA + G_AB).  One real product replaces two
+    complex ones.  G is computed as one triangle mirrored (syrk), so R_s is
+    exactly Hermitian and R_hat exactly symmetric.
     """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError("snapshot matrix must be 2-D (sensors x time)")
-    n, t = x.shape
-    planes = np.empty((2 * n, t))
-    planes[:n] = x.real
-    planes[n:] = x.imag
+    planes = np.asarray(planes)
+    n = _plane_rows(planes)
     gram = planes @ planes.T
-    gram /= t
+    gram /= planes.shape[1]
     aa, bb, cross = gram[:n, :n], gram[n:, n:], gram[:n, n:]
     r_s = np.empty((n, n), dtype=complex)
     r_hat = np.empty((n, n), dtype=complex)
@@ -287,6 +325,20 @@ def extended_covariance(x: np.ndarray) -> ExtendedCovariance:
     np.subtract(aa, bb, out=r_hat.real)
     np.add(cross.T, cross, out=r_hat.imag)
     return ExtendedCovariance(r_s=r_s, r_hat=r_hat)
+
+
+def extended_covariance(x: np.ndarray) -> ExtendedCovariance:
+    """Sample covariances R_s = X X^H / T and R_hat = X X^T / T of an N x T
+    snapshot matrix: X is split into its real planes [Re X; Im X] for
+    ``planes_covariance``."""
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise ValueError("snapshot matrix must be 2-D (sensors x time)")
+    n, t = x.shape
+    planes = np.empty((2 * n, t))
+    planes[:n] = x.real
+    planes[n:] = x.imag
+    return planes_covariance(planes)
 
 
 def exact_extended_covariance(

@@ -75,6 +75,30 @@ def test_design_usage_errors(capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "command, source, flags",
+    [
+        ("design", ("--family", "saulas", "--n", "12"), ("--n-dense", "3", "--n-sparse", "99")),
+        ("design", ("--family", "aulas", "--n", "12"), ("--n-sparse", "4")),
+        ("design", ("--family", "nested", "--n-dense", "3", "--n-sparse", "3"), ("--n", "6")),
+        ("design", ("--file",), ("--n", "12")),
+        ("analyze", ("--file",), ("--n-dense", "3", "--n-sparse", "3")),
+    ],
+    ids=["generated-nested-stages", "generated-sparse-stage", "nested-n", "file-n", "file-stages"],
+)
+def test_sizing_flags_that_do_not_apply_are_rejected(tmp_path, capsys, command, source, flags):
+    """A sizing flag the array source does not read exits 2 and is named,
+    instead of being ignored."""
+    if source == ("--file",):
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps({"name": "x", "positions": [0, 1, 3]}))
+        source = ("--file", str(path))
+    assert run_cli(capsys, command, *source)[0] == EXIT_OK
+    code, out, err = run_cli(capsys, command, *source, *flags)
+    assert code == EXIT_USAGE and out == ""
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+
+
 def test_unknown_family_is_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["design", "--family", "mystery", "--n", "12"])
@@ -466,9 +490,13 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
         [
             "estimation.run_trials",
             "estimation.estimate_doas",
+            "estimation.estimate_from_covariance",
             "estimation.estimate_from_snapshots",
             "estimation.music_spectrum",
             "signal.simulate_snapshots",
+            "signal.planes_covariance",
+            "signal.extended_covariance",
+            "signal.snapshots_from_planes",
             "signal.lag_plan",
             "coarray.sum_difference_coarray",
             "coarray.contiguous_stats",
@@ -484,10 +512,16 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
     # one trial loop: each trial is estimated from the snapshots it simulated
     assert counts["estimation.run_trials"] == 1
     assert counts["estimation.estimate_doas"] == 0
-    assert counts["estimation.estimate_from_snapshots"] == 3
+    assert counts["estimation.estimate_from_covariance"] == 3
     assert counts["estimation.music_spectrum"] == 3
     # one simulation per trial: the dump reuses trial 0's snapshots
     assert counts["signal.simulate_snapshots"] == 3
+    # each trial's covariance is read from its planes; the complex X is
+    # formed once, for the dump
+    assert counts["signal.planes_covariance"] == 3
+    assert counts["estimation.estimate_from_snapshots"] == 0
+    assert counts["signal.extended_covariance"] == 0
+    assert counts["signal.snapshots_from_planes"] == 1
     # one lag plan serves the insufficient-DOF check and every trial
     assert counts["signal.lag_plan"] == 1
     assert counts["coarray.sum_difference_coarray"] == 1

@@ -17,6 +17,7 @@ from coarraylab.estimation import (
     MusicConfig,
     SmoothedCovariance,
     estimate_doas,
+    estimate_from_covariance,
     estimate_from_snapshots,
     monte_carlo,
     music_spectrum,
@@ -663,7 +664,7 @@ def _noisy_observations(draw, noiseless=False, designed=False):
 def _noisy_smoothing_cases(draw):
     """R_ss of a noisy virtual observation at either the default or an
     explicit smoothing length."""
-    v, _ = draw(_noisy_observations())
+    v, _ = draw(_noisy_observations(designed=True))
     m = v.half_width
     length = draw(st.one_of(st.none(), st.integers(2, 2 * m + 1)))
     return spatial_smoothing(v, length)
@@ -737,7 +738,7 @@ def test_real_form_is_the_unitary_transform_of_the_window_matrix(m, length):
 
 
 @settings(deadline=None, max_examples=150)
-@given(_noisy_observations(), st.data())
+@given(_noisy_observations(designed=True), st.data())
 def test_real_subspace_matches_the_complex_eigh_of_r_ss(case, data):
     """At the default or an explicit length, the real eigh of Y^T Y / K
     gives the complex eigh's signal subspace and eigenvalues."""
@@ -1000,9 +1001,11 @@ def test_estimate_from_snapshots_is_estimate_doas_after_simulation():
     direct = estimate_doas(arr, sc, cfg, trial=1)
     x = simulate_snapshots(arr, sc, trial=1)
     split = estimate_from_snapshots(x, lag_plan(arr), sc, cfg)
-    np.testing.assert_array_equal(split.spectrum, direct.spectrum)
-    np.testing.assert_array_equal(split.estimates, direct.estimates)
-    assert split.rmse_deg == direct.rmse_deg
+    staged = estimate_from_covariance(extended_covariance(x), lag_plan(arr), sc, cfg)
+    for result in (split, staged):
+        np.testing.assert_array_equal(result.spectrum, direct.spectrum)
+        np.testing.assert_array_equal(result.estimates, direct.estimates)
+        assert result.rmse_deg == direct.rmse_deg
 
 
 def test_required_subarray_length():
@@ -1087,6 +1090,10 @@ PLAN_STAGES = [
     "coarray.contiguous_stats",
     "signal.lag_plan",
     "signal.simulate_snapshots",
+    "signal.planes_covariance",
+    "signal.extended_covariance",
+    "signal.snapshots_from_planes",
+    "estimation.estimate_from_covariance",
     "estimation.estimate_from_snapshots",
 ]
 
@@ -1096,7 +1103,12 @@ def test_monte_carlo_plans_once_per_call(count_calls, numpy_calls):
     counts = count_calls(PLAN_STAGES)
     result = monte_carlo(arr, sc, cfg, trials=4)
     assert result.trials == 4 and not result.insufficient_dofs
-    assert counts["estimation.estimate_from_snapshots"] == 4
+    assert counts["estimation.estimate_from_covariance"] == 4
+    # each trial's covariance is read from its planes: no complex X is formed
+    assert counts["signal.planes_covariance"] == 4
+    assert counts["estimation.estimate_from_snapshots"] == 0
+    assert counts["signal.extended_covariance"] == 0
+    assert counts["signal.snapshots_from_planes"] == 0
     # the co-array is enumerated and the plan built once for all trials
     assert counts["coarray.sum_difference_coarray"] == 1
     assert counts["coarray.contiguous_stats"] == 1
@@ -1142,9 +1154,11 @@ def test_run_trials_yields_estimate_doas_trial_by_trial(model):
     sc = Scenario(angles_deg=(-15.0, 22.0), snapshots=400, snr_db=10.0, seed=3)
     runs = list(run_trials(arr, sc, cfg, 3, coupling=model))
     assert len(runs) == 3
-    for k, (x, got) in enumerate(runs):
+    for k, (planes, got) in enumerate(runs):
         want = estimate_doas(arr, sc, cfg, coupling=model, trial=k)
-        assert x.tobytes() == simulate_snapshots(arr, sc, coupling=model, trial=k).tobytes()
+        drawn = simulate_snapshots(arr, sc, coupling=model, trial=k, planes=True)
+        assert planes.shape == (2 * arr.n, sc.snapshots) and planes.dtype == float
+        assert planes.tobytes() == drawn.tobytes()
         assert got.spectrum.tobytes() == want.spectrum.tobytes()
         assert got.estimates.tobytes() == want.estimates.tobytes()
         assert (got.under_detected, got.rmse_deg) == (want.under_detected, want.rmse_deg)
@@ -1157,7 +1171,7 @@ def test_run_trials_simulates_only_when_iterated(count_calls):
     assert counts["signal.lag_plan"] == 1 and counts["signal.simulate_snapshots"] == 0
     next(runs)
     assert counts["signal.simulate_snapshots"] == 1
-    assert counts["estimation.estimate_from_snapshots"] == 1
+    assert counts["estimation.estimate_from_covariance"] == 1
 
 
 def test_run_trials_is_none_without_enough_dofs(count_calls):
@@ -1174,9 +1188,10 @@ def test_monte_carlo_drops_each_trials_snapshots(monkeypatch):
 
     def tracked(*args, **kwargs):
         assert all(ref() is None for ref in earlier), "an earlier trial's snapshots live on"
-        x = simulate(*args, **kwargs)
-        earlier.append(weakref.ref(x))
-        return x
+        planes = simulate(*args, **kwargs)
+        assert planes.shape == (2 * arr.n, sc.snapshots) and planes.dtype == float
+        earlier.append(weakref.ref(planes))
+        return planes
 
     monkeypatch.setattr(estimation, "simulate_snapshots", tracked)
     assert monte_carlo(arr, sc, cfg, trials=3).trials == 3
