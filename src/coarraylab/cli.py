@@ -103,22 +103,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     families = [f.strip().lower() for f in args.families.split(",") if f.strip()]
-    for fam in families:
-        if fam not in geometry.GENERATED_FAMILIES:
-            supported = ", ".join(geometry.GENERATED_FAMILIES)
-            raise geometry.DesignError(f"unknown family {fam!r} (sweep supports {supported})")
-    if args.n_min > args.n_max:
-        raise geometry.DesignError("--n-min must not exceed --n-max")
+    if not families:
+        raise geometry.DesignError("--families names no family")
+    sizes = sorted(
+        (n, fam) for fam in families for n in geometry.sensor_counts(fam, args.n_min, args.n_max)
+    )
     model = coupling.get_preset(args.coupling)
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        for fam in sorted(families):
-            try:
-                array = geometry.design(fam, n)
-            except geometry.DesignError:
-                continue  # family not defined at this sensor count
-            report, leakage = _analysis_payload(array, model)
-            rows.append((fam, n, report, leakage))
+    # lazily, so that each report's lag sets are dropped once its row is out
+    rows = ((fam, n, *_analysis_payload(geometry.design(fam, n), model)) for n, fam in sizes)
     if args.format == "json":
         payload = []
         for fam, n, report, leakage in rows:
@@ -279,9 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify-lemmas",
                               help="closed-form vs brute-force co-array checks")
     _add_output(p_verify)
-    p_verify.add_argument("--n-min", type=int, default=9)
-    p_verify.add_argument("--n-max", type=int, default=64)
-    p_verify.add_argument("--tsaulas-n-min", type=int, default=5)
+    p_verify.add_argument("--n-min", type=int, default=0,
+                          help="smallest N checked, tsaulas aside (default: each family's own)")
+    p_verify.add_argument("--n-max", type=int, default=verify.N_MAX)
+    p_verify.add_argument("--tsaulas-n-min", type=int, default=0,
+                          help="smallest N checked for tsaulas (default: its own)")
     p_verify.set_defaults(func=cmd_verify_lemmas)
 
     return parser

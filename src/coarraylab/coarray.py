@@ -15,8 +15,6 @@ routines, never the other way around.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -277,12 +275,3 @@ def report_row(report: CoarrayReport) -> list:
         w.get(2, 0),
         w.get(3, 0),
     ]
-
-
-def reports_to_csv(reports: Iterable[CoarrayReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for rep in reports:
-        writer.writerow(report_row(rep))
-    return buf.getvalue()

@@ -32,7 +32,10 @@ def real_field(value, name: str) -> float:
 
 def integer_field(value, name: str) -> int:
     """``value`` as an int, or a ValueError naming the field when it is not
-    a number or not integral (bools, NaN and +-inf included)."""
+    a number or not integral (bools, NaN and +-inf included).  A plain int
+    is returned as it is, however large."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not real_field(value, name).is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -90,6 +93,10 @@ class CouplingModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CouplingModel":
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"coupling must be a JSON object or a preset name, not {type(data).__name__}"
+            )
         known = ("c1_magnitude", "c1_phase", "phase_decrement", "band_limit")
         unknown = sorted(set(data) - set(known))
         if unknown:

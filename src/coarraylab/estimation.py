@@ -616,14 +616,6 @@ def estimate_doas(
     return estimate_from_covariance(planes_covariance(planes), lag_plan(array), scenario, config)
 
 
-def estimate_from_snapshots(
-    x: np.ndarray, plan: LagPlan, scenario: Scenario, config: MusicConfig
-) -> EstimationResult:
-    """The single-trial pipeline after simulation: covariance, virtual
-    observation, smoothing, MUSIC and scoring of the snapshots ``x``."""
-    return estimate_from_covariance(extended_covariance(x), plan, scenario, config)
-
-
 def estimate_from_covariance(
     ec: ExtendedCovariance, plan: LagPlan, scenario: Scenario, config: MusicConfig
 ) -> EstimationResult:

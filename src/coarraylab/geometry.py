@@ -26,18 +26,26 @@ POSITION_UNIT = "half-wavelength"
 #: difference (|m_u +/- m_v| < 2**63) fits in int64.
 POSITION_LIMIT = 2**62
 
+#: The largest sensor count (for a nested array, per stage) that any
+#: builder, ``design`` or ``sensor_counts`` takes.  The generated families
+#: stay inside coarray.MAX_SPAN up to it.
+MAX_SENSORS = 1024
+
 
 class DesignError(ValueError):
     """Invalid design parameters or malformed geometry input."""
 
 
 def _sensor_count(n, name: str) -> int:
-    """``n`` as an int, or a DesignError naming the parameter when it is
-    not an integer (bools included)."""
+    """``n`` as an int of at most MAX_SENSORS, or a DesignError naming the
+    parameter when it is not an integer (bools included) or too large."""
     try:
-        return integer_field(n, name)
+        n = integer_field(n, name)
     except ValueError as err:
         raise DesignError(str(err)) from None
+    if n > MAX_SENSORS:
+        raise DesignError(f"{name} must be at most {MAX_SENSORS} sensors, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -194,8 +202,8 @@ def design_cotsaulas(n: int) -> SensorArray:
 
 def design_ula(n: int) -> SensorArray:
     n = _sensor_count(n, "n")
-    if n < 1:
-        raise DesignError(f"ULA needs n >= 1, got {n}")
+    if n < _MIN_N["ula"]:
+        raise DesignError(f"ULA needs n >= {_MIN_N['ula']}, got {n}")
     return SensorArray("ULA", tuple(range(n)))
 
 
@@ -223,19 +231,39 @@ FAMILIES: dict[str, Family] = {
 
 _FAMILY_BUILDERS = {**{name: f.build for name, f in FAMILIES.items()}, "ula": design_ula}
 
+#: The smallest sensor count of every family ``design`` builds.
+_MIN_N = {**{name: f.min_n for name, f in FAMILIES.items()}, "ula": 1}
+
 #: Every family ``design`` builds from a sensor count alone.
 GENERATED_FAMILIES = tuple(_FAMILY_BUILDERS)
+
+
+def _generated(family: str) -> str:
+    """The lower-case name of a family ``design`` builds."""
+    name = family.lower()
+    if name not in _FAMILY_BUILDERS:
+        known = ", ".join(sorted(_FAMILY_BUILDERS))
+        raise DesignError(f"unknown family {family!r} (known: {known})")
+    return name
 
 
 def design(family: str, n: int) -> SensorArray:
     """Build a named single-parameter geometry ('aulas', 'saulas', 'tsaulas',
     'cotsaulas', 'ula'); nested arrays take two parameters, use design_nested."""
-    try:
-        builder = _FAMILY_BUILDERS[family.lower()]
-    except KeyError:
-        known = ", ".join(sorted(_FAMILY_BUILDERS) + ["nested"])
-        raise DesignError(f"unknown family {family!r} (known: {known})") from None
-    return builder(n)
+    return _FAMILY_BUILDERS[_generated(family)](n)
+
+
+def sensor_counts(family: str, n_min: int, n_max: int) -> range:
+    """The one sensor-count rule of the sweeps: every size ``family``
+    admits from n_min to n_max inclusive, that is from its smallest sensor
+    count on if n_min is below it.  An inverted range, a count that is not
+    an integer or exceeds MAX_SENSORS, or an unknown family is a
+    DesignError."""
+    smallest = _MIN_N[_generated(family)]
+    n_min, n_max = _sensor_count(n_min, "n_min"), _sensor_count(n_max, "n_max")
+    if n_min > n_max:
+        raise DesignError(f"n_min {n_min} exceeds n_max {n_max}")
+    return range(max(smallest, n_min), n_max + 1)
 
 
 def _integer_positions(values: Iterable) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ from .geometry import (
     design_cotsaulas,
     design_saulas,
     design_tsaulas,
+    sensor_counts,
 )
 
 
@@ -211,23 +212,8 @@ _LEMMAS = (
 LEMMA_FAMILIES = {check: family for check, family, _ in _LEMMAS}
 _CHECKERS = {check: checker for check, _, checker in _LEMMAS}
 
-#: Sensor counts each lemma is verified over by default: from its family's
-#: smallest admissible size up to N_MAX.
+#: The largest sensor count each check runs at by default.
 N_MAX = 64
-LEMMA_RANGES: dict[str, tuple[int, int]] = {
-    check: (FAMILIES[family].min_n, N_MAX) for check, family in LEMMA_FAMILIES.items()
-}
-
-
-def _sizes(family: str, n_max: int, n_min: int) -> range:
-    """The one sensor-count rule of the sweeps: from the family's smallest
-    admissible size, or n_min if larger, to n_max inclusive."""
-    return range(max(FAMILIES[family].min_n, n_min), n_max + 1)
-
-
-def lemma_sizes(check: str, n_max: int = N_MAX, n_min: int = 0) -> range:
-    """Sensor counts one lemma's sweep covers (see ``_sizes``)."""
-    return _sizes(LEMMA_FAMILIES[check], n_max, n_min)
 
 
 def run_lemma_sweep(
@@ -235,7 +221,7 @@ def run_lemma_sweep(
 ) -> list[LemmaReport]:
     checker = _CHECKERS[check]
     if n_values is None:
-        n_values = lemma_sizes(check)
+        n_values = sensor_counts(LEMMA_FAMILIES[check], 0, N_MAX)
     return [checker(n) for n in n_values]
 
 
@@ -244,14 +230,15 @@ def run_all(n_max: int = N_MAX, n_min: Mapping[str, int] | None = None) -> list[
     closed-form weight checks of every family over the same counts.
     ``n_min`` maps a family name to the smallest count checked for it (by
     default its smallest admissible size); this is the report list of the
-    ``verify-lemmas`` command too."""
+    ``verify-lemmas`` command too.  Every range is checked before any
+    check runs."""
     n_min = n_min or {}
+    sizes = {family: sensor_counts(family, n_min.get(family, 0), n_max) for family in FAMILIES}
     reports: list[LemmaReport] = []
     for check, family in LEMMA_FAMILIES.items():
-        reports.extend(run_lemma_sweep(check, _sizes(family, n_max, n_min.get(family, 0))))
-    for family in FAMILIES:
-        sizes = _sizes(family, n_max, n_min.get(family, 0))
-        reports.extend(check_weights(family, n) for n in sizes)
+        reports.extend(run_lemma_sweep(check, sizes[family]))
+    for family, counts in sizes.items():
+        reports.extend(check_weights(family, n) for n in counts)
     return reports
 
 

@@ -4,11 +4,12 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from coarraylab import coupling, estimation, geometry, signal, verify
+from coarraylab import cli, coupling, estimation, geometry, signal, verify
 from coarraylab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -243,6 +244,38 @@ def test_sweep_skips_sizes_a_family_does_not_admit(capsys):
     assert ("tsaulas", "5") in {(r[0], r[1]) for r in rows}
 
 
+def test_sweep_starts_each_family_at_its_smallest_size(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--families", "ula,aulas", "--n-min", "8", "--n-max", "9",
+    )
+    assert code == EXIT_OK
+    keys = [tuple(line.split(",")[:2]) for line in out.strip().split("\n")[1:]]
+    assert keys == [("ula", "8"), ("aulas", "9"), ("ula", "9")]
+    code, out, _ = run_cli(capsys, "sweep", "--families", "ula", "--n-min", "0", "--n-max", "2")
+    assert code == EXIT_OK
+    assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] == ["1", "2"]
+
+
+def test_sweep_drops_each_report_once_its_row_is_built(monkeypatch, capsys):
+    """A report holds the array's lag sets (about 25 MB at N = 1024), so the
+    sweep keeps at most the one before the report it is building."""
+    made = []
+    analyse = cli._analysis_payload
+
+    def tracked(array, model):
+        assert sum(ref() is not None for ref in made) <= 1
+        report, leakage = analyse(array, model)
+        made.append(weakref.ref(report))
+        return report, leakage
+
+    monkeypatch.setattr(cli, "_analysis_payload", tracked)
+    for fmt in ("csv", "json"):
+        code, _, _ = run_cli(capsys, "sweep", "--families", "aulas,saulas", "--n-min", "9",
+                             "--n-max", "11", "--format", fmt)
+        assert code == EXIT_OK
+    assert len(made) == 12
+
+
 def test_sweep_json_format(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -267,6 +300,39 @@ def test_sweep_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+OVER_BOUND = str(geometry.MAX_SENSORS + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("sweep", "--families", "aulas", "--n-min", "12", "--n-max", "9"), ("n_min", "n_max")),
+        (("sweep", "--families", "aulas", "--n-min", "9", "--n-max", OVER_BOUND),
+         ("n_max", str(geometry.MAX_SENSORS))),
+        (("sweep", "--families", "aulas,badfam", "--n-min", "9", "--n-max", "12"),
+         ("family", "badfam")),
+        (("sweep", "--families", " , ", "--n-min", "9", "--n-max", "12"), ("--families",)),
+        (("verify-lemmas", "--n-min", "10", "--n-max", "9"), ("n_min", "n_max")),
+        (("verify-lemmas", "--n-max", OVER_BOUND), ("n_max", str(geometry.MAX_SENSORS))),
+    ],
+    ids=["sweep-inverted", "sweep-over-bound", "sweep-unknown-family", "sweep-no-family",
+         "verify-inverted", "verify-over-bound"],
+)
+def test_sensor_count_ranges_are_checked_before_any_work(monkeypatch, capsys, argv, named):
+    """sweep and verify-lemmas take their sizes from one rule: a bad range
+    or family exits 2, names the parameter its flag sets, and nothing is
+    analysed or checked first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the range was checked")
+
+    for owner, name in ((cli, "_analysis_payload"), (verify, "run_lemma_sweep"),
+                        (verify, "check_weights")):
+        monkeypatch.setattr(owner, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert all(word in err for word in named), err
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +539,19 @@ def test_music_rejects_non_finite_or_non_integral_scenario(tmp_path, capsys, fie
     assert all(k in err for k in nulls)
 
 
+@pytest.mark.parametrize("value", [5, [1, 2], True], ids=["number", "list", "true"])
+def test_music_rejects_a_coupling_that_is_not_an_object(tmp_path, capsys, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"angles_deg": [-15.0, 22.0], "snapshots": 400,
+                                "coupling": value}))
+    code, _, err = run_cli(
+        capsys, "music", "--family", "aulas", "--n", "9", "--scenario", str(path),
+        "--grid-step", "0.5",
+    )
+    assert code == EXIT_USAGE
+    assert "coupling" in err
+
+
 @pytest.mark.parametrize("step", ["0.07", "0", "1e-320"])
 def test_music_rejects_grid_step_that_does_not_divide_180(capsys, scenario_file, step):
     code, _, err = run_cli(
@@ -491,7 +570,6 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
             "estimation.run_trials",
             "estimation.estimate_doas",
             "estimation.estimate_from_covariance",
-            "estimation.estimate_from_snapshots",
             "estimation.music_spectrum",
             "signal.simulate_snapshots",
             "signal.planes_covariance",
@@ -519,7 +597,6 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
     # each trial's covariance is read from its planes; the complex X is
     # formed once, for the dump
     assert counts["signal.planes_covariance"] == 3
-    assert counts["estimation.estimate_from_snapshots"] == 0
     assert counts["signal.extended_covariance"] == 0
     assert counts["signal.snapshots_from_planes"] == 1
     # one lag plan serves the insufficient-DOF check and every trial

@@ -18,7 +18,6 @@ from coarraylab.estimation import (
     SmoothedCovariance,
     estimate_doas,
     estimate_from_covariance,
-    estimate_from_snapshots,
     monte_carlo,
     music_spectrum,
     pick_peaks,
@@ -805,8 +804,8 @@ def test_an_explicit_smoothing_length_forms_no_dense_covariance(count_calls):
     the complex eigh's."""
     arr = geometry.design_saulas(12)
     sc = Scenario(angles_deg=(-33.21, 4.04, 48.88), snapshots=500, snr_db=0.0, seed=6)
-    x = simulate_snapshots(arr, sc)
-    v = virtual_observation(extended_covariance(x), lag_plan(arr))
+    ec = extended_covariance(simulate_snapshots(arr, sc))
+    v = virtual_observation(ec, lag_plan(arr))
     lengths = (4, 32, 60, 87)
     assert max(lengths) < estimation.SIZE_RATIO * (3 + estimation.OVERSAMPLE)
     wants = [np.linalg.eigh(spatial_smoothing(v, length))[1][:, -3:] for length in lengths]
@@ -816,7 +815,7 @@ def test_an_explicit_smoothing_length_forms_no_dense_covariance(count_calls):
         assert found.values.size == length
         assert _subspace_distance(found.signal, want) <= 1e-11
         config = MusicConfig.for_step(3, 0.5, smoothing_length=length)
-        estimate_from_snapshots(x, lag_plan(arr), sc, config)
+        estimate_from_covariance(ec, lag_plan(arr), sc, config)
     assert counts["estimation.spatial_smoothing"] == 0
 
 
@@ -994,18 +993,16 @@ def test_estimate_doas_consistent_across_families(family):
     assert result.per_source_error.max() <= cfg.grid_step + 1e-9
 
 
-def test_estimate_from_snapshots_is_estimate_doas_after_simulation():
+def test_estimate_from_covariance_is_estimate_doas_after_simulation():
     arr = geometry.design_saulas(9)
     cfg = MusicConfig.for_step(2, 0.5)
     sc = Scenario(angles_deg=(-15.0, 22.0), snapshots=400, snr_db=10.0, seed=3)
     direct = estimate_doas(arr, sc, cfg, trial=1)
     x = simulate_snapshots(arr, sc, trial=1)
-    split = estimate_from_snapshots(x, lag_plan(arr), sc, cfg)
     staged = estimate_from_covariance(extended_covariance(x), lag_plan(arr), sc, cfg)
-    for result in (split, staged):
-        np.testing.assert_array_equal(result.spectrum, direct.spectrum)
-        np.testing.assert_array_equal(result.estimates, direct.estimates)
-        assert result.rmse_deg == direct.rmse_deg
+    np.testing.assert_array_equal(staged.spectrum, direct.spectrum)
+    np.testing.assert_array_equal(staged.estimates, direct.estimates)
+    assert staged.rmse_deg == direct.rmse_deg
 
 
 def test_required_subarray_length():
@@ -1094,7 +1091,6 @@ PLAN_STAGES = [
     "signal.extended_covariance",
     "signal.snapshots_from_planes",
     "estimation.estimate_from_covariance",
-    "estimation.estimate_from_snapshots",
 ]
 
 
@@ -1106,7 +1102,6 @@ def test_monte_carlo_plans_once_per_call(count_calls, numpy_calls):
     assert counts["estimation.estimate_from_covariance"] == 4
     # each trial's covariance is read from its planes: no complex X is formed
     assert counts["signal.planes_covariance"] == 4
-    assert counts["estimation.estimate_from_snapshots"] == 0
     assert counts["signal.extended_covariance"] == 0
     assert counts["signal.snapshots_from_planes"] == 0
     # the co-array is enumerated and the plan built once for all trials

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from coarraylab.geometry import (
     FAMILIES,
+    GENERATED_FAMILIES,
+    MAX_SENSORS,
     POSITION_LIMIT,
     AulasParams,
     DesignError,
@@ -24,6 +26,7 @@ from coarraylab.geometry import (
     inbuilt_shared_locations,
     load_descriptor,
     save_descriptor,
+    sensor_counts,
     _integer_positions,
 )
 
@@ -296,3 +299,55 @@ def test_family_table_minimum_sizes():
             design(family, spec.min_n - 1)
     with pytest.raises(DesignError):
         AulasParams.for_family("ula", 12)
+
+
+@pytest.mark.parametrize("family", GENERATED_FAMILIES)
+def test_sensor_counts_start_at_the_smallest_size_design_builds(family):
+    sizes = sensor_counts(family, 0, 12)
+    assert sizes.stop == 13 and sizes.start == (FAMILIES[family].min_n if family in FAMILIES else 1)
+    assert design(family, sizes.start).n == sizes.start
+    with pytest.raises(DesignError):
+        design(family, sizes.start - 1)
+    assert sensor_counts(family.upper(), 10, 12) == range(10, 13)
+    assert sensor_counts(family, 0, 0) == range(sizes.start, 1)
+
+
+@pytest.mark.parametrize(
+    ("n_min", "n_max", "message"),
+    [
+        (10, 9, "^n_min 10 exceeds n_max 9$"),
+        (9, MAX_SENSORS + 1,
+         f"^n_max must be at most {MAX_SENSORS} sensors, got {MAX_SENSORS + 1}$"),
+        (MAX_SENSORS + 1, MAX_SENSORS + 1, "^n_min must be at most"),
+        (9.5, 12, "^n_min must be an integer"),
+        (9, True, "^n_max must be an integer"),
+        (9, None, "^n_max must be a number"),
+    ],
+)
+def test_sensor_counts_rejects_bad_ranges(n_min, n_max, message):
+    with pytest.raises(DesignError, match=message):
+        sensor_counts("aulas", n_min, n_max)
+
+
+def test_sensor_counts_rejects_an_unknown_family_as_design_does():
+    for family in ("nested", "mystery"):
+        with pytest.raises(DesignError) as from_design:
+            design(family, 12)
+        with pytest.raises(DesignError, match=f"^unknown family '{family}'") as from_counts:
+            sensor_counts(family, 9, 12)
+        assert str(from_counts.value) == str(from_design.value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*(lambda n, f=f: design(f, n) for f in GENERATED_FAMILIES),
+     lambda n: design_nested(n, 1), lambda n: design_nested(1, n)],
+    ids=[*GENERATED_FAMILIES, "nested-dense", "nested-sparse"],
+)
+def test_every_builder_stops_at_the_sensor_bound(build):
+    assert build(MAX_SENSORS).n >= MAX_SENSORS
+    with pytest.raises(DesignError, match=f"must be at most {MAX_SENSORS} sensors"):
+        build(MAX_SENSORS + 1)
+    # too large for a float; refused by the bound before anything is built
+    with pytest.raises(DesignError, match=f"must be at most {MAX_SENSORS} sensors"):
+        build(10**400)

@@ -12,8 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coarraylab import coarray, geometry, verify
+from coarraylab.geometry import sensor_counts
 from coarraylab.verify import (
-    LEMMA_RANGES,
+    LEMMA_FAMILIES,
+    N_MAX,
     LemmaReport,
     check_lemma1,
     check_lemma2,
@@ -21,7 +23,6 @@ from coarraylab.verify import (
     check_lemma4,
     check_weights,
     closed_form_weights,
-    lemma_sizes,
     run_all,
     run_lemma_sweep,
     shift_study,
@@ -96,7 +97,10 @@ def test_brute_force_count_agrees_with_direct_enumeration():
     assert check_lemma2(12).details["udofs_brute"] == direct
 
 
-LEMMA_CASES = [(check, n) for check in LEMMA_RANGES for n in lemma_sizes(check)]
+LEMMA_CASES = [
+    (check, n) for check, family in LEMMA_FAMILIES.items()
+    for n in sensor_counts(family, 0, N_MAX)
+]
 
 
 @given(st.sampled_from(LEMMA_CASES))
@@ -142,7 +146,7 @@ def test_run_all_enumerates_each_lemma_array_once(monkeypatch):
                 monkeypatch.setattr(namespace, name, counting)
     reports = run_all(16)
     lemma_checks = sum(r.check.startswith("lemma") for r in reports)
-    assert lemma_checks == sum(len(lemma_sizes(check, 16)) for check in LEMMA_RANGES)
+    assert lemma_checks == sum(len(sensor_counts(f, 0, 16)) for f in LEMMA_FAMILIES.values())
     assert counts == {
         "difference_set": lemma_checks,
         "sum_set": lemma_checks,
@@ -165,11 +169,12 @@ def test_run_all_reports_are_unchanged():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("check", sorted(LEMMA_RANGES))
+@pytest.mark.parametrize("check", sorted(LEMMA_FAMILIES))
 def test_full_sweep_passes(check):
-    lo, hi = LEMMA_RANGES[check]
     reports = run_lemma_sweep(check)
-    assert len(reports) == hi - lo + 1
+    assert [r.n for r in reports] == list(sensor_counts(LEMMA_FAMILIES[check], 0, N_MAX))
+    assert reports[0].n == geometry.FAMILIES[LEMMA_FAMILIES[check]].min_n
+    assert reports[-1].n == N_MAX == 64
     failing = [r for r in reports if not r.passed]
     assert failing == []
 
