@@ -105,20 +105,19 @@ def cmd_sweep(args) -> int:
     families = [f.strip().lower() for f in args.families.split(",") if f.strip()]
     if not families:
         raise geometry.DesignError("--families names no family")
-    sizes = sorted(
-        (n, fam) for fam in families for n in geometry.sensor_counts(fam, args.n_min, args.n_max)
-    )
+    repeated = sorted({f for f in families if families.count(f) > 1})
+    if repeated:
+        raise geometry.DesignError(f"--families names {', '.join(repeated)} more than once")
+    counts = geometry.selected_sensor_counts(dict.fromkeys(families, args.n_min), args.n_max)
+    sizes = sorted((n, fam) for fam, ns in counts.items() for n in ns)
     model = coupling.get_preset(args.coupling)
     # lazily, so that each report's lag sets are dropped once its row is out
     rows = ((fam, n, *_analysis_payload(geometry.design(fam, n), model)) for n, fam in sizes)
     if args.format == "json":
-        payload = []
-        for fam, n, report, leakage in rows:
-            entry = report.to_dict()
-            del entry["dc"], entry["sc"], entry["sdc"]
-            entry["family"] = fam
-            entry["coupling_leakage"] = leakage
-            payload.append(entry)
+        payload = [
+            {**report.figures(), "family": fam, "coupling_leakage": leakage}
+            for fam, n, report, leakage in rows
+        ]
         _emit(_json_dumps(payload), args.output)
     else:
         lines = ["family,n,udofs,cva,holes,se,l_c"]
@@ -286,7 +285,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as err:  # pragma: no cover - defensive

@@ -210,20 +210,22 @@ class CoarrayReport:
     spatial_efficiency: float
     weights: dict[int, int]
 
-    def to_dict(self) -> dict:
+    def figures(self) -> dict:
+        """The JSON fields of every figure of merit, without the lag sets."""
         return {
             "array": self.array_name,
             "n": self.n,
-            "dc": [int(x) for x in self.dc],
-            "sc": [int(x) for x in self.sc],
-            "sdc": [int(x) for x in self.sdc],
             "udofs": self.udofs,
             "cva": self.cva,
             "holes": self.hole_count,
-            "hole_positions": [int(x) for x in self.hole_positions],
+            "hole_positions": list(self.hole_positions),
             "spatial_efficiency": self.spatial_efficiency,
             "weights": {str(k): v for k, v in sorted(self.weights.items())},
         }
+
+    def to_dict(self) -> dict:
+        lags = {"dc": self.dc.tolist(), "sc": self.sc.tolist(), "sdc": self.sdc.tolist()}
+        return {**self.figures(), **lags}
 
 
 def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -> CoarrayReport:
@@ -252,7 +254,7 @@ def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -
         udofs=udofs,
         cva=cva,
         hole_count=int(hole_set.size),
-        hole_positions=tuple(int(h) for h in hole_set),
+        hole_positions=tuple(hole_set.tolist()),
         spatial_efficiency=_efficiency(udofs, top),
         weights=weight_table(array, weight_lags),
     )

@@ -8,37 +8,78 @@ compresses the whole matrix into one scalar for cross-array comparison.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-if TYPE_CHECKING:  # geometry takes its integer checks from here
+if TYPE_CHECKING:  # geometry takes its input rules from here
     from .geometry import SensorArray
 
 
 def real_field(value, name: str) -> float:
     """``value`` as a float, or a ValueError naming the field when it is not
-    a number (a JSON null, a string, a list)."""
+    a number (a JSON null, a string, a list) or lies beyond float range."""
     if isinstance(value, str):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ValueError(f"{name} must lie within float range, got {value!r}") from None
 
 
-def integer_field(value, name: str) -> int:
-    """``value`` as an int, or a ValueError naming the field when it is not
-    a number or not integral (bools, NaN and +-inf included).  A plain int
-    is returned as it is, however large."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not real_field(value, name).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def integer_field(value, name: str, minimum: int | None = None) -> int:
+    """The one integer rule: ``value`` as an int, or a ValueError naming the
+    field when it is not a number, not integral (Python and NumPy bools,
+    NaN and +-inf included) or, given ``minimum``, below it.  A plain int
+    is taken as it is, however large."""
+    if type(value) is not int:
+        if isinstance(value, (bool, np.bool_)) or not real_field(value, name).is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def json_object(data, what: str, required: tuple[str, ...] = (),
+                optional: tuple[str, ...] = ()) -> dict:
+    """``data`` after checking that it is a JSON object holding every
+    ``required`` field and no field outside ``required`` and ``optional``;
+    a ValueError names ``what`` and the offending fields."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{what} is missing fields: {missing}")
+    unknown = sorted(set(data) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {unknown}")
+    return data
+
+
+def read_json(path, what: str):
+    """The parsed contents of the JSON file at ``path``; a file that does
+    not decode or parse is a ValueError naming ``what`` and the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as err:  # bad syntax, encoding or nesting
+            raise ValueError(f"malformed {what} {path}: {err}") from None
+
+
+def lookup(table: Mapping, name, what: str):
+    """``table[name]``, or a ValueError listing the names it knows."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):
+        known = ", ".join(sorted(table))
+        raise ValueError(f"unknown {what} {name!r} (known: {known})") from None
 
 
 @dataclass(frozen=True)
@@ -62,8 +103,7 @@ class CouplingModel:
         for name in ("c1_phase", "phase_decrement"):
             if not math.isfinite(real_field(getattr(self, name), name)):
                 raise ValueError(f"{name} must be finite")
-        if integer_field(self.band_limit, "band_limit") < 0:
-            raise ValueError("band_limit must be nonnegative")
+        object.__setattr__(self, "band_limit", integer_field(self.band_limit, "band_limit", 0))
         if self.c1_magnitude > 1.0:
             warnings.warn(
                 "coupling |c1| > 1 breaks the |c_0| >= |c_1| >= ... ordering",
@@ -93,15 +133,8 @@ class CouplingModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CouplingModel":
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"coupling must be a JSON object or a preset name, not {type(data).__name__}"
-            )
         known = ("c1_magnitude", "c1_phase", "phase_decrement", "band_limit")
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ValueError(f"unknown coupling fields: {unknown}")
-        return cls(**{k: data[k] for k in known if k in data})
+        return cls(**json_object(data, "coupling", optional=known))
 
 
 #: Reference coefficient set used by the leakage tables and the coupled
@@ -119,11 +152,7 @@ def preset_names() -> tuple[str, ...]:
 
 
 def get_preset(name: str) -> CouplingModel:
-    try:
-        return _PRESETS[name]
-    except KeyError:
-        known = ", ".join(preset_names())
-        raise ValueError(f"unknown coupling preset {name!r} (known: {known})") from None
+    return lookup(_PRESETS, name, "coupling preset")
 
 
 def coupling_matrix(array: SensorArray, model: CouplingModel) -> np.ndarray:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .coupling import integer_field
+from .coupling import integer_field, json_object, lookup, read_json
 
 POSITION_UNIT = "half-wavelength"
 
@@ -36,13 +37,20 @@ class DesignError(ValueError):
     """Invalid design parameters or malformed geometry input."""
 
 
+@contextmanager
+def _as_design_error():
+    """Raise the ValueError of a shared input rule as a DesignError."""
+    try:
+        yield
+    except ValueError as err:
+        raise DesignError(str(err)) from None
+
+
 def _sensor_count(n, name: str) -> int:
     """``n`` as an int of at most MAX_SENSORS, or a DesignError naming the
     parameter when it is not an integer (bools included) or too large."""
-    try:
+    with _as_design_error():
         n = integer_field(n, name)
-    except ValueError as err:
-        raise DesignError(str(err)) from None
     if n > MAX_SENSORS:
         raise DesignError(f"{name} must be at most {MAX_SENSORS} sensors, got {n}")
     return n
@@ -82,7 +90,8 @@ class SensorArray:
 
     def translated(self, shift: int, name: str | None = None) -> "SensorArray":
         """Rigidly translate every sensor by ``shift`` grid units."""
-        shift = _integer_position(shift, "shift")
+        with _as_design_error():
+            shift = integer_field(shift, "shift")
         return SensorArray(
             name=name if name is not None else f"{self.name}+{shift}",
             positions=tuple(p + shift for p in self.positions),
@@ -97,18 +106,9 @@ class SensorArray:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SensorArray":
-        if not isinstance(data, dict):
-            raise DesignError("array descriptor must be a JSON object")
-        try:
-            name = data["name"]
-            positions = data["positions"]
-        except KeyError as missing:
-            raise DesignError(f"array descriptor missing key {missing}") from None
-        unknown = sorted(set(data) - {"name", "positions", "unit"})
-        if unknown:
-            raise DesignError(f"unknown array descriptor fields: {unknown}")
-        unit = data.get("unit", POSITION_UNIT)
-        return from_positions(name, positions, unit=unit)
+        with _as_design_error():
+            fields = json_object(data, "array descriptor", ("name", "positions"), ("unit",))
+        return from_positions(**fields)
 
 
 class Family(NamedTuple):
@@ -143,10 +143,8 @@ class AulasParams:
 
     @classmethod
     def for_family(cls, family: str, n: int) -> "AulasParams":
-        try:
-            spec = FAMILIES[family]
-        except KeyError:
-            raise DesignError(f"no augmented-ULA family {family!r}") from None
+        with _as_design_error():
+            spec = lookup(FAMILIES, family, "augmented-ULA family")
         n = _sensor_count(n, "n")
         if n < spec.min_n:
             raise DesignError(f"{spec.display_name} needs n >= {spec.min_n}, got {n}")
@@ -240,10 +238,9 @@ GENERATED_FAMILIES = tuple(_FAMILY_BUILDERS)
 
 def _generated(family: str) -> str:
     """The lower-case name of a family ``design`` builds."""
-    name = family.lower()
-    if name not in _FAMILY_BUILDERS:
-        known = ", ".join(sorted(_FAMILY_BUILDERS))
-        raise DesignError(f"unknown family {family!r} (known: {known})")
+    name = str(family).lower()
+    with _as_design_error():
+        lookup(_FAMILY_BUILDERS, name, "family")
     return name
 
 
@@ -266,35 +263,39 @@ def sensor_counts(family: str, n_min: int, n_max: int) -> range:
     return range(max(smallest, n_min), n_max + 1)
 
 
+def selected_sensor_counts(n_min: Mapping[str, int], n_max: int) -> dict[str, range]:
+    """``sensor_counts`` of each family ``n_min`` names, from its own n_min
+    up to n_max.  Every range is checked first, and a selection that holds
+    no sensor count at all is a DesignError naming each range."""
+    sizes = {family: sensor_counts(family, low, n_max) for family, low in n_min.items()}
+    if not any(sizes.values()):
+        ranges = ", ".join(f"{f} n {n_min[f]}..{n_max} (smallest {r.start})"
+                           for f, r in sizes.items())
+        raise DesignError(f"no sensor count selected: {ranges}")
+    return sizes
+
+
 def _integer_positions(values: Iterable) -> tuple[int, ...]:
-    """The one definition of a valid sensor position: a finite number equal
-    to its integer value, below POSITION_LIMIT in magnitude (bools and
-    strings are not positions).
+    """The one definition of a valid sensor position: an integer by
+    ``integer_field``, below POSITION_LIMIT in magnitude.
 
     A tuple of plain ints, as the designs and ``translated`` build, needs
     only the range check and is returned as it is."""
     if type(values) is tuple and values and set(map(type, values)) == {int}:
         cleaned = values
+    elif not isinstance(values, Iterable):
+        raise DesignError(f"sensor positions must be a list, got {values!r}")
     else:
-        cleaned = tuple(_integer_position(p) for p in values)
+        with _as_design_error():
+            cleaned = tuple(integer_field(p, "sensor position") for p in values)
     if not cleaned:
-        raise DesignError("array needs at least one sensor")
+        raise DesignError("sensor positions must hold at least one sensor")
     for q in (min(cleaned), max(cleaned)):
         if abs(q) >= POSITION_LIMIT:
             raise DesignError(
                 f"sensor position {q} outside (-2**62, 2**62): its pair sums overflow int64"
             )
     return cleaned
-
-
-def _integer_position(p, what: str = "sensor position") -> int:
-    try:
-        q = int(p)
-    except (TypeError, ValueError, OverflowError):  # non-numbers, NaN, ±inf
-        q = None
-    if q is None or q != p or isinstance(p, (bool, np.bool_)):
-        raise DesignError(f"non-integer {what} {p!r}")
-    return q
 
 
 def from_positions(
@@ -307,11 +308,8 @@ def from_positions(
 
 def load_descriptor(path) -> SensorArray:
     """Read a JSON array descriptor {"name", "unit", "positions"} from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise DesignError(f"malformed array descriptor {path}: {err}") from None
+    with _as_design_error():
+        data = read_json(path, "array descriptor")
     return SensorArray.from_dict(data)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coupling import PAPER_V, CouplingModel
+from .coupling import PAPER_V, CouplingModel, lookup
 from .estimation import MusicConfig
 from .signal import Scenario
 
@@ -22,45 +22,11 @@ class ScenarioPreset:
     coupling: CouplingModel | None
 
 
-def _comb(count: int, start: float, spread: float) -> tuple[float, ...]:
-    return tuple(start + spread * z / (count - 1) for z in range(count))
-
-
-def uncoupled_comb(seed: int = 101) -> ScenarioPreset:
-    """55 sources from -49 to +49 degrees, 600 snapshots, no coupling."""
-    scenario = Scenario(
-        angles_deg=_comb(55, -49.0, 98.0),
-        snapshots=600,
-        snr_db=0.0,
-        seed=seed,
-    )
-    return ScenarioPreset(
-        name="fig12",
-        scenario=scenario,
-        music=MusicConfig.for_step(55, 0.05),
-        coupling=None,
-    )
-
-
-def coupled_comb(seed: int = 202) -> ScenarioPreset:
-    """27 sources from -59 to +59 degrees, 1000 snapshots, banded coupling."""
-    scenario = Scenario(
-        angles_deg=_comb(27, -59.0, 118.0),
-        snapshots=1000,
-        snr_db=0.0,
-        seed=seed,
-    )
-    return ScenarioPreset(
-        name="fig13",
-        scenario=scenario,
-        music=MusicConfig.for_step(27, 0.05),
-        coupling=PAPER_V,
-    )
-
-
+#: Each preset: source count, first and last comb angle (degrees),
+#: snapshots, default seed and coupling model.
 _PRESETS = {
-    "fig12": uncoupled_comb,
-    "fig13": coupled_comb,
+    "fig12": (55, -49.0, 49.0, 600, 101, None),
+    "fig13": (27, -59.0, 59.0, 1000, 202, PAPER_V),
 }
 
 
@@ -69,9 +35,14 @@ def preset_names() -> tuple[str, ...]:
 
 
 def get_scenario_preset(name: str, seed: int | None = None) -> ScenarioPreset:
-    try:
-        builder = _PRESETS[name]
-    except KeyError:
-        known = ", ".join(preset_names())
-        raise ValueError(f"unknown scenario preset {name!r} (known: {known})") from None
-    return builder() if seed is None else builder(seed=seed)
+    count, first, last, snapshots, default_seed, coupling = lookup(
+        _PRESETS, name, "scenario preset"
+    )
+    spread = last - first
+    scenario = Scenario(
+        angles_deg=tuple(first + spread * z / (count - 1) for z in range(count)),
+        snapshots=snapshots,
+        snr_db=0.0,
+        seed=default_seed if seed is None else seed,
+    )
+    return ScenarioPreset(name, scenario, MusicConfig.for_step(count, 0.05), coupling)

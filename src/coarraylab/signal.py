@@ -22,7 +22,6 @@ its entries per lag with two bincounts.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -31,7 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from . import coarray
-from .coupling import CouplingModel, coupling_matrix, get_preset, integer_field, real_field
+from .coupling import CouplingModel, coupling_matrix, get_preset
+from .coupling import integer_field, json_object, read_json, real_field
 from .geometry import SensorArray
 
 SNAPSHOT_MAGIC = b"CALB"
@@ -40,6 +40,14 @@ SNAPSHOT_FORMAT_VERSION = 1
 #: Noise samples ``simulate_snapshots`` draws per block (256 KB), so the
 #: buffer stays in cache and is reused across the rows of one trial.
 NOISE_BLOCK = 1 << 15
+
+#: The most samples one trial of ``simulate_snapshots`` draws, (Z + 2N) * T:
+#: 256 MiB of float64 planes and amplitudes, checked before the first draw.
+MAX_TRIAL_SAMPLES = 1 << 25
+
+#: The lowest per-source SNR a scenario takes: a noise power of 1e30, so
+#: no noise draw or covariance sum overflows on its account.
+MIN_SNR_DB = -300.0
 
 
 @dataclass(frozen=True)
@@ -66,34 +74,31 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        angles = tuple(real_field(a, "angles_deg") for a in np.atleast_1d(self.angles_deg))
+        angles = _floats(self.angles_deg, "angles_deg")
         if len(angles) == 0:
-            raise ValueError("scenario needs at least one source")
+            raise ValueError("angles_deg needs at least one source")
         if not all(-90.0 < a < 90.0 for a in angles):
-            raise ValueError("source angles must lie strictly inside (-90, 90)")
+            raise ValueError("angles_deg must lie strictly inside (-90, 90)")
         if len(set(angles)) != len(angles):
-            raise ValueError("source angles must be distinct")
+            raise ValueError("angles_deg must be distinct")
         object.__setattr__(self, "angles_deg", angles)
 
         powers = _per_source(self.powers, 1.0, len(angles), "powers")
         if not all(0.0 <= p < math.inf for p in powers):
-            raise ValueError("source powers must be finite and nonnegative")
+            raise ValueError("powers must be finite and nonnegative")
         object.__setattr__(self, "powers", powers)
         phases = _per_source(self.nc_phases, 0.0, len(angles), "nc_phases")
         if not all(math.isfinite(p) for p in phases):
             raise ValueError("nc_phases must be finite")
         object.__setattr__(self, "nc_phases", phases)
 
-        snapshots = integer_field(self.snapshots, "snapshots")
-        if snapshots < 1:
-            raise ValueError("snapshots must be >= 1")
-        object.__setattr__(self, "snapshots", snapshots)
+        object.__setattr__(self, "snapshots", integer_field(self.snapshots, "snapshots", 1))
         if self.snr_db is not None:
             snr = real_field(self.snr_db, "snr_db")
-            if math.isnan(snr) or snr == -math.inf:
-                raise ValueError("snr_db must be a number, +inf or null")
+            if not snr >= MIN_SNR_DB:
+                raise ValueError(f"snr_db must be a number >= {MIN_SNR_DB:g}, +inf or null")
             object.__setattr__(self, "snr_db", snr)
-        object.__setattr__(self, "seed", integer_field(self.seed, "seed"))
+        object.__setattr__(self, "seed", integer_field(self.seed, "seed", 0))
 
     @property
     def num_sources(self) -> int:
@@ -119,29 +124,21 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        if not isinstance(data, dict):
-            raise ValueError("scenario must be a JSON object")
-        if "angles_deg" not in data or "snapshots" not in data:
-            raise ValueError("scenario needs angles_deg and snapshots")
-        known = ("angles_deg", "snapshots", "snr_db", "powers", "nc_phases", "seed")
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {unknown}")
-        return cls(
-            angles_deg=data["angles_deg"],
-            snapshots=data["snapshots"],
-            snr_db=data.get("snr_db", 0.0),
-            powers=data.get("powers"),
-            nc_phases=data.get("nc_phases"),
-            seed=data.get("seed", 0),
-        )
+        optional = ("snr_db", "powers", "nc_phases", "seed")
+        return cls(**json_object(data, "scenario", ("angles_deg", "snapshots"), optional))
+
+
+def _floats(values, what: str) -> tuple[float, ...]:
+    """A number or a sequence of numbers as a tuple of floats."""
+    items = values if isinstance(values, (list, tuple)) else np.atleast_1d(values)
+    return tuple(real_field(v, what) for v in items)
 
 
 def _per_source(values, default: float, count: int, what: str) -> tuple[float, ...]:
     """One float per source: ``values`` converted, or ``default`` repeated."""
     if values is None:
         return (default,) * count
-    values = tuple(real_field(v, what) for v in np.atleast_1d(values))
+    values = _floats(values, what)
     if len(values) != count:
         raise ValueError(f"{what} length must match angles")
     return values
@@ -150,18 +147,12 @@ def _per_source(values, default: float, count: int, what: str) -> tuple[float, .
 def load_scenario(path) -> tuple[Scenario, CouplingModel | None]:
     """Read a scenario JSON file; an optional "coupling" key holds either a
     preset name or an inline coefficient model."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"malformed scenario file {path}: {err}") from None
+    data = read_json(path, "scenario file")
     coupling = data.pop("coupling", None) if isinstance(data, dict) else None
     scenario = Scenario.from_dict(data)
-    if coupling is None:
-        return scenario, None
     if isinstance(coupling, str):
         return scenario, get_preset(coupling)
-    return scenario, CouplingModel.from_dict(coupling)
+    return scenario, None if coupling is None else CouplingModel.from_dict(coupling)
 
 
 def steering_vector(array: SensorArray, theta_deg: float) -> np.ndarray:
@@ -180,7 +171,8 @@ def steering_matrix(array: SensorArray, angles_deg: Sequence[float]) -> np.ndarr
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
     """Counter-based per-trial stream: trial k is reproducible on its own,
     independent of how many trials ran before it."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), int(trial)])))
+    key = [integer_field(seed, "seed", 0), integer_field(trial, "trial", 0)]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 def source_steering(
@@ -222,8 +214,13 @@ def simulate_snapshots(
     C A comes from ``coupling`` or, for a caller that draws many trials of
     one scenario and builds it once, from ``steering``, the
     ``source_steering`` of the same array and scenario; the draw is the
-    same either way.  Giving both is an error.
+    same either way.  Giving both is an error, and so is a trial of more
+    than MAX_TRIAL_SAMPLES samples.
     """
+    samples = (scenario.num_sources + 2 * array.n) * scenario.snapshots
+    if samples > MAX_TRIAL_SAMPLES:
+        raise ValueError(f"snapshots {scenario.snapshots}: one trial would draw (Z + 2N) * T = "
+                         f"{samples} samples, more than {MAX_TRIAL_SAMPLES}")
     if steering is None:
         a = source_steering(array, scenario, coupling)
     elif coupling is not None:

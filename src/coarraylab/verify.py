@@ -25,6 +25,7 @@ from .geometry import (
     design_cotsaulas,
     design_saulas,
     design_tsaulas,
+    selected_sensor_counts,
     sensor_counts,
 )
 
@@ -58,12 +59,8 @@ class LemmaReport:
 
 
 def _plain(value):
-    if isinstance(value, np.ndarray):
-        return [int(x) for x in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
     if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     return value
@@ -231,9 +228,9 @@ def run_all(n_max: int = N_MAX, n_min: Mapping[str, int] | None = None) -> list[
     ``n_min`` maps a family name to the smallest count checked for it (by
     default its smallest admissible size); this is the report list of the
     ``verify-lemmas`` command too.  Every range is checked before any
-    check runs."""
+    check runs, and ranges that hold no sensor count at all are an error."""
     n_min = n_min or {}
-    sizes = {family: sensor_counts(family, n_min.get(family, 0), n_max) for family in FAMILIES}
+    sizes = selected_sensor_counts({f: n_min.get(f, 0) for f in FAMILIES}, n_max)
     reports: list[LemmaReport] = []
     for check, family in LEMMA_FAMILIES.items():
         reports.extend(run_lemma_sweep(check, sizes[family]))

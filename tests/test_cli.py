@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from coarraylab import cli, coupling, estimation, geometry, signal, verify
+from coarraylab import cli, coarray, coupling, estimation, geometry, signal, verify
 from coarraylab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -287,6 +287,51 @@ def test_sweep_json_format(capsys):
     assert len(payload) == 1
     assert payload[0]["family"] == "aulas"
     assert payload[0]["udofs"] == 177
+
+
+def test_sweep_json_never_lists_the_lag_sets(monkeypatch, capsys):
+    """The sweep's JSON rows carry no lag sets, so it never converts them."""
+    def refuse(self):
+        raise AssertionError("sweep converted a report's lag sets")
+
+    monkeypatch.setattr(coarray.CoarrayReport, "to_dict", refuse)
+    code, out, _ = run_cli(capsys, "sweep", "--families", "saulas,tsaulas", "--n-min", "9",
+                           "--n-max", "10", "--format", "json")
+    assert code == EXIT_OK
+    assert [(e["family"], e["n"]) for e in json.loads(out)] == [
+        ("saulas", 9), ("tsaulas", 9), ("saulas", 10), ("tsaulas", 10)]
+    assert not any({"dc", "sc", "sdc"} & set(e) for e in json.loads(out))
+
+
+@pytest.mark.parametrize("families", ["saulas,aulas,saulas", "aulas,AULAs"])
+def test_sweep_refuses_a_family_named_twice(capsys, families):
+    code, out, err = run_cli(capsys, "sweep", "--families", families, "--n-min", "9",
+                             "--n-max", "9")
+    assert code == EXIT_USAGE and out == ""
+    assert "--families names" in err and families.split(",")[0].lower() in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "ranges"),
+    [
+        (("sweep", "--families", "aulas", "--n-min", "1", "--n-max", "4"), ["aulas n 1..4"]),
+        (("sweep", "--families", "aulas,cotsaulas", "--n-min", "1", "--n-max", "8"),
+         ["aulas n 1..8", "cotsaulas n 1..8"]),
+        (("verify-lemmas", "--n-max", "4"), [f"{f} n 0..4" for f in geometry.FAMILIES]),
+    ],
+)
+def test_a_selection_without_a_sensor_count_is_a_usage_error(capsys, argv, ranges):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "no sensor count selected" in err and all(r in err for r in ranges)
+
+
+def test_verify_lemmas_runs_when_only_tsaulas_has_sizes(capsys):
+    code, out, _ = run_cli(capsys, "verify-lemmas", "--n-max", "8")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().split("\n")[1:-1]]
+    assert {(r[0], r[1]) for r in rows} == {("lemma3", "TSAULAs"), ("weights", "TSAULAs")}
+    assert out.strip().endswith("# 8/8 checks passed")
 
 
 @pytest.mark.parametrize(

@@ -192,6 +192,19 @@ def test_sweep_rejects_inadmissible_size():
         run_lemma_sweep("lemma999")
 
 
+@pytest.mark.parametrize(("n_min", "tsaulas"), [(None, "tsaulas n 0..4"),
+                                                 ({"tsaulas": 3}, "tsaulas n 3..4 (smallest 5)")])
+def test_run_all_refuses_ranges_without_a_sensor_count(n_min, tsaulas):
+    with pytest.raises(geometry.DesignError, match="^no sensor count selected: aulas n 0") as err:
+        run_all(4, n_min)
+    assert tsaulas in str(err.value)
+
+
+def test_run_all_runs_when_one_family_has_sizes():
+    assert {(r.check, r.n) for r in run_all(6)} == {
+        (check, n) for check in ("lemma3", "weights") for n in (5, 6)}
+
+
 def test_run_all_small_cap():
     reports = run_all(n_max=16)
     # lemma1/lemma2/lemma4 checkers over 9..16, the lemma3 checker over
