@@ -161,7 +161,10 @@ class SmoothedCovariance:
     """R_ss of ``spatial_smoothing`` as an operator, for conjugate-symmetric
     samples v(-l) = conj v(l), as every ``virtual_observation`` has; the
     trial pipeline's solvers take E_s from its products or from its
-    samples (see ``signal_subspace``), and never form the matrix.
+    samples (see ``signal_subspace``), and never form the matrix.  The
+    subspace iteration applies it to the conjugate-centrosymmetric
+    vectors Q (x_1 + j x_2) of two real coordinate columns at once (see
+    ``_real_product``).
 
     With W the K x L Hankel window matrix W[i, k] = u_{i+k} of the 2m + 1
     virtual samples u_j = v(j - m), R_ss = W^T conj(W) / K, so
@@ -239,9 +242,11 @@ OVERSAMPLE = 8
 #: The iteration is tried only when L >= SIZE_RATIO * (K + OVERSAMPLE).
 #: Each product of a ``SmoothedCovariance`` has the fixed cost of four FFT
 #: calls however small L is, while the eigh that serves below the
-#: threshold grows as L^3.  That eigh is the real one of ``_real_subspace``,
-#: and SIZE_RATIO is where it and the iteration were measured to break even
-#: (see CHANGES.md).
+#: threshold grows as L^3.  That eigh is the real one of ``_real_subspace``.
+#: With the real two-for-one iteration the two were measured to break even
+#: at L / (K + OVERSAMPLE) of about 8 at L = 95, 6 at L = 191 and 5.5 at
+#: L = 383 and 575 (see CHANGES.md); 8 keeps every L <= 95 trial on the
+#: faster real form, at up to a third more time in the 5.5-8 band at large L.
 SIZE_RATIO = 8
 #: Iterations before the real form takes over.
 MAX_ITERATIONS = 20
@@ -260,27 +265,6 @@ class Subspace(NamedTuple):
 
     signal: np.ndarray
     values: np.ndarray
-
-
-def _ritz_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
-    """The K Ritz vectors and the K + OVERSAMPLE Ritz values, both in
-    ascending order, from subspace iteration on a fixed start block; None
-    when it has not converged within MAX_ITERATIONS, as when the gap is
-    within rounding."""
-    length = r.length
-    start = np.random.default_rng(0).standard_normal((length, num_sources + OVERSAMPLE))
-    basis = np.linalg.qr(r @ start)[0]
-    for _ in range(MAX_ITERATIONS):
-        image = r @ basis
-        values, w = np.linalg.eigh(basis.conj().T @ image)
-        w = w[:, -num_sources:]
-        vectors = basis @ w
-        residual = np.linalg.norm(image @ w - vectors * values[-num_sources:])
-        gap = values[-num_sources] - values[-num_sources - 1]
-        if residual <= SUBSPACE_TOL * gap:
-            return Subspace(vectors, values)
-        basis = np.linalg.qr(image)[0]
-    return None
 
 
 def _real_form(u: np.ndarray, length: int) -> np.ndarray:
@@ -330,10 +314,58 @@ def _real_form(u: np.ndarray, length: int) -> np.ndarray:
 def _from_real_basis(w: np.ndarray) -> np.ndarray:
     """Q w for the unitary Q = [[I, 0, jI], [0, sqrt2, 0], [Pi, 0, -jPi]] / sqrt2
     (middle row and column only for odd L): rows i and L-1-i of Q w are
-    (w_i +- j w_{h+i}) / sqrt2, with h = ceil(L / 2)."""
+    (w_i +- j w_{h+i}) / sqrt2, with h = ceil(L / 2).  A real w gives the
+    conjugate-centrosymmetric vectors, Pi conj(Q w) = Q w; w may be complex."""
     half, odd = divmod(w.shape[0], 2)
     head = (w[:half] + 1j * w[half + odd :]) / math.sqrt(2)
-    return np.concatenate([head, w[half : half + odd], head[::-1].conj()])
+    if np.isrealobj(w):
+        tail = head.conj()
+    else:
+        tail = (w[:half] - 1j * w[half + odd :]) / math.sqrt(2)
+    return np.concatenate([head, w[half : half + odd], tail[::-1]])
+
+
+def _to_real_basis(y: np.ndarray) -> np.ndarray:
+    """Q^H y for the Q of ``_from_real_basis``: rows i and h+i of Q^H y are
+    (y_i + y_{L-1-i}) / sqrt2 and j (y_{L-1-i} - y_i) / sqrt2."""
+    half, odd = divmod(y.shape[0], 2)
+    low, high = y[:half], y[half + odd :][::-1]
+    return np.concatenate([(low + high) / math.sqrt(2), y[half : half + odd],
+                           (high - low) * (1j / math.sqrt(2))])
+
+
+def _real_product(r: SmoothedCovariance, x: np.ndarray) -> np.ndarray:
+    """M x for M = Q^H R_ss Q, the real form of ``_real_form`` (Y^T Y / K),
+    and a real L x p block x with p even, two real columns per complex
+    column of one R_ss product: y = R_ss Q (x_1 + j x_2) for the two halves
+    of x, and Q^H y = M x_1 + j M x_2 because M is real."""
+    pairs = x.shape[1] // 2
+    y = _to_real_basis(r @ _from_real_basis(x[:, :pairs] + 1j * x[:, pairs:]))
+    return np.concatenate([y.real, y.imag], axis=1)
+
+
+def _ritz_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
+    """E_s and the top K + OVERSAMPLE Ritz values, both in ascending order,
+    from subspace iteration on M = Q^H R_ss Q (see ``_real_product``) in
+    real coordinates: real QRs, a real Rayleigh-Ritz eigh, and E_s = Q V
+    for the K Ritz vectors V.  The block has K + OVERSAMPLE columns rounded
+    up to even, from a fixed real start block; None when it has not
+    converged within MAX_ITERATIONS, as when the gap is within rounding.
+    Q is unitary, so residual, gap and angles are those of R_ss."""
+    width = num_sources + OVERSAMPLE
+    start = np.random.default_rng(0).standard_normal((r.length, width + width % 2))
+    basis = np.linalg.qr(_real_product(r, start))[0]
+    for _ in range(MAX_ITERATIONS):
+        image = _real_product(r, basis)
+        values, w = np.linalg.eigh(basis.T @ image)
+        w = w[:, -num_sources:]
+        vectors = basis @ w
+        residual = np.linalg.norm(image @ w - vectors * values[-num_sources:])
+        gap = values[-num_sources] - values[-num_sources - 1]
+        if residual <= SUBSPACE_TOL * gap:
+            return Subspace(_from_real_basis(vectors), values[-width:])
+        basis = np.linalg.qr(image)[0]
+    return None
 
 
 def _real_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace:
@@ -355,10 +387,12 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
     type has its own solvers:
 
     - An operator, from L >= SIZE_RATIO * (K + OVERSAMPLE): block subspace
-      iteration with Rayleigh-Ritz on K + OVERSAMPLE vectors from a fixed
-      start block finds E_s from products r_ss X alone, O(L log L) per
-      vector.  The values are then its K + OVERSAMPLE Ritz values.  It
-      stops once the Davis-Kahan bound on the subspace error is at most
+      iteration with Rayleigh-Ritz on K + OVERSAMPLE real vectors (rounded
+      up to even) from a fixed start block, in the real coordinates of the
+      real form, finds E_s from products r_ss X alone, two real vectors
+      per complex column, O(L log L) per pair (see ``_ritz_subspace``).
+      The values are then its top K + OVERSAMPLE Ritz values.  It stops
+      once the Davis-Kahan bound on the subspace error is at most
       SUBSPACE_TOL, and gives up after MAX_ITERATIONS, as it does when the
       gap is within rounding.
     - An operator otherwise: one real eigh of the L x L real form of R_ss,
@@ -712,8 +746,74 @@ def aggregate_trials(
     )
 
 
+#: "%03d" of 0..999 as little-endian words: three ASCII digits, then NUL.
+_DIGIT_GROUPS = np.array([int.from_bytes(b"%03d\0" % i, "little") for i in range(1000)],
+                         dtype="<u4")
+#: Rows ``spectrum_to_csv`` formats at a time, so that the temporaries of
+#: ``_csv_block`` stay small: at most 64 kB each.
+ROW_BLOCK = 2048
+
+
+def _csv_block(values: np.ndarray) -> str:
+    """The rows of an n x c array as CSV lines of c ``'%.6f'`` fields,
+    byte for byte as the % operator writes them.
+
+    Each value is rounded to k = rint(x 1e6) and written into a row buffer
+    of NUL bytes: the sign, the integer digits of |k| // 10^6 without
+    leading zeros, '.', then the six fraction digits as two words of a
+    1000-entry table; one compaction drops the NULs.  '%.6f' rounds the
+    exact binary x, while x 1e6 is rounded to within half an ulp, so the
+    two agree unless x 1e6 lies within that of a half-integer.  A row is
+    formatted by '%.6f' itself instead when one of its values has
+    |x 1e6 - k| + |x 1e6| 2^-51 >= 0.5, that is x 1e6 within two ulps of a
+    half-integer, which also takes every non-finite value and every
+    |x| >= 2^52 / 1e6."""
+    rows, columns = values.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 1e6
+        rounded = np.rint(scaled)
+        slow = ~(np.abs(scaled - rounded) + np.abs(scaled) * 2.0**-51 < 0.5)
+    rounded = np.abs(rounded, out=rounded)
+    rounded[slow] = 0.0
+    whole, fraction = np.divmod(rounded.astype(np.int64), 1_000_000)
+    digits = len(str(whole.max(initial=0)))
+    point = 4 * ((digits + 5) // 4) - 1  # sign, digits and '.' fill whole words
+    words = np.zeros((rows, columns, point // 4 + 3), dtype="<u4")
+    words[..., -2] = _DIGIT_GROUPS[fraction // 1000]
+    words[..., -1] = _DIGIT_GROUPS[fraction % 1000]
+    buf = words.view(np.uint8)
+    buf[..., point] = ord(".")
+    buf[..., :-1, -1] = ord(",")
+    buf[..., -1, -1] = ord("\n")
+    place = 1
+    for column in range(point - 1, point - 1 - digits, -1):
+        digit = whole // place % 10 + ord("0")
+        if place > 1:
+            digit[whole < place] = 0
+        buf[..., column] = digit
+        place *= 10
+    buf[..., point - 1 - digits] = np.where(np.signbit(values), ord("-"), 0)
+    flat = buf.reshape(-1)
+    keep = flat != 0
+    text = str(np.compress(keep, flat).data, "ascii")
+    if not slow.any():
+        return text
+    bounds = np.concatenate([[0], np.cumsum(keep.reshape(rows, -1).sum(axis=1))])
+    form = ",".join(["%.6f"] * columns) + "\n"
+    pieces, done = [], 0
+    for row in np.flatnonzero(slow.any(axis=1)).tolist():
+        pieces += [text[done : bounds[row]], form % tuple(values[row].tolist())]
+        done = bounds[row + 1]
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
 def spectrum_to_csv(angles: np.ndarray, spectrum: np.ndarray) -> str:
-    """CSV (angle_deg, power_db) with the peak normalized to 0 dB."""
-    power_db = 10.0 * np.log10(spectrum / spectrum.max())
-    interleaved = np.column_stack([angles, power_db]).ravel()
-    return "angle_deg,power_db\n" + ("%.6f,%.6f\n" * angles.size) % tuple(interleaved.tolist())
+    """CSV (angle_deg, power_db) with the peak normalized to 0 dB, each
+    value as '%.6f' would write it (see ``_csv_block``); a zero in the
+    spectrum is -inf dB."""
+    with np.errstate(divide="ignore"):
+        power_db = 10.0 * np.log10(spectrum / spectrum.max())
+    rows = np.column_stack([angles, power_db])
+    blocks = (_csv_block(rows[top : top + ROW_BLOCK]) for top in range(0, len(rows), ROW_BLOCK))
+    return "angle_deg,power_db\n" + "".join(blocks)

@@ -45,6 +45,13 @@ NOISE_BLOCK = 1 << 15
 #: 256 MiB of float64 planes and amplitudes, checked before the first draw.
 MAX_TRIAL_SAMPLES = 1 << 25
 
+#: The largest covariance entry ``planes_covariance`` returns, 2^200 (about
+#: 1.6e60).  Co-array MUSIC squares the covariance twice: R_ss is a product
+#: of the virtual samples, and the subspace iteration's residual norm sums
+#: squares of R_ss entries, which stays finite for L^3 K c^4 < 1.8e308, so
+#: up to c = 9e73 at L = 8447.
+MAX_COVARIANCE = 2.0**200
+
 #: The lowest per-source SNR a scenario takes: a noise power of 1e30, so
 #: no noise draw or covariance sum overflows on its account.
 MIN_SNR_DB = -300.0
@@ -182,7 +189,8 @@ def source_steering(
     coupling matrix when a model is given."""
     a = steering_matrix(array, scenario.angles_deg)
     if coupling is not None:
-        a = coupling_matrix(array, coupling) @ a
+        with np.errstate(over="ignore", invalid="ignore"):  # see planes_covariance
+            a = coupling_matrix(array, coupling) @ a
     return a
 
 
@@ -232,10 +240,11 @@ def simulate_snapshots(
         )
     else:
         a = steering
-    b = a * (np.sqrt(scenario.powers) * np.exp(1j * np.asarray(scenario.nc_phases)))
     rng = trial_rng(scenario.seed, trial)
     amplitudes = rng.standard_normal((scenario.num_sources, scenario.snapshots))
-    drawn = np.concatenate([b.real, b.imag]) @ amplitudes
+    with np.errstate(over="ignore", invalid="ignore"):  # see planes_covariance
+        b = a * (np.sqrt(scenario.powers) * np.exp(1j * np.asarray(scenario.nc_phases)))
+        drawn = np.concatenate([b.real, b.imag]) @ amplitudes
     pn = scenario.noise_power
     if pn > 0:
         # the (2N, T) draw taken a block of rows at a time: the same stream
@@ -309,11 +318,27 @@ def planes_covariance(planes: np.ndarray) -> ExtendedCovariance:
     R_hat = (G_AA - G_BB) + j(G_BA + G_AB).  One real product replaces two
     complex ones.  G is computed as one triangle mirrored (syrk), so R_s is
     exactly Hermitian and R_hat exactly symmetric.
+
+    Huge source powers or coupling magnitudes overflow the snapshots or
+    their Gram to inf or nan, or leave entries that MUSIC cannot square;
+    the draw lets inf and nan through without warnings, and the one check
+    here, every entry finite and at most MAX_COVARIANCE, turns both into a
+    ValueError that names the inputs that set the scale.  The check reads
+    the diagonal alone: |G_ij| <= sqrt(G_ii G_jj) for a Gram matrix, and a
+    non-finite sample makes its row's diagonal entry inf or nan.
     """
     planes = np.asarray(planes)
     n = _plane_rows(planes)
-    gram = planes @ planes.T
-    gram /= planes.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = planes @ planes.T
+        gram /= planes.shape[1]
+    scale = gram.diagonal().max(initial=0.0)
+    if not scale <= MAX_COVARIANCE:
+        size = f"reaches {scale:.3g}" if np.isfinite(scale) else "overflows"
+        raise ValueError(
+            f"snapshot covariance {size}; co-array MUSIC squares it and takes at most "
+            f"{MAX_COVARIANCE:.3g}: lower the source powers, the noise power (snr_db) "
+            "or the coupling c1_magnitude")
     aa, bb, cross = gram[:n, :n], gram[n:, n:], gram[:n, n:]
     r_s = np.empty((n, n), dtype=complex)
     r_hat = np.empty((n, n), dtype=complex)

@@ -609,6 +609,96 @@ def test_signal_subspace_takes_the_complex_eigh_on_noiseless_input(family):
     np.testing.assert_array_equal(found.values, values)
 
 
+def _complex_ritz_subspace(r, num_sources):
+    """The complex subspace iteration that ``_ritz_subspace`` replaced: its
+    oracle.  K Ritz vectors and K + OVERSAMPLE Ritz values from products of
+    R_ss with complex blocks, complex QRs and a complex Rayleigh-Ritz eigh;
+    None without convergence within MAX_ITERATIONS."""
+    start = np.random.default_rng(0).standard_normal((r.length, num_sources + estimation.OVERSAMPLE))
+    basis = np.linalg.qr(r @ start)[0]
+    for _ in range(estimation.MAX_ITERATIONS):
+        image = r @ basis
+        values, w = np.linalg.eigh(basis.conj().T @ image)
+        w = w[:, -num_sources:]
+        vectors = basis @ w
+        residual = np.linalg.norm(image @ w - vectors * values[-num_sources:])
+        gap = values[-num_sources] - values[-num_sources - 1]
+        if residual <= estimation.SUBSPACE_TOL * gap:
+            return estimation.Subspace(vectors, values)
+        basis = np.linalg.qr(image)[0]
+    return None
+
+
+@pytest.mark.parametrize(("m", "length"), [(30, 31), (30, 32), (94, 95), (94, 60), (95, 96),
+                                           (95, 33)])
+def test_real_product_is_the_real_form_times_the_block(m, length):
+    """Two real columns per complex product: M x for M = Q^H R_ss Q against
+    Y^T Y / K times x, for even and odd L; Q^H undoes Q."""
+    v = _conjugate_symmetric_observation(m, m + length)
+    op = SmoothedCovariance(v, length)
+    y = estimation._real_form(v.values, length)
+    x = np.random.default_rng(length).standard_normal((length, 6))
+    got = estimation._real_product(op, x)
+    assert got.dtype == float and got.shape == x.shape
+    want = y.T @ (y @ x) / op.windows
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    z = x[:, :3] + 1j * x[:, 3:]
+    np.testing.assert_allclose(estimation._to_real_basis(estimation._from_real_basis(z)), z,
+                               rtol=0, atol=1e-15)
+
+
+@st.composite
+def _iteration_cases(draw):
+    """A noisy virtual observation of m 40-130, a window length L of either
+    parity from 60 up, and a source count from 1 to the most that
+    SIZE_RATIO lets the iteration take at that L, with K + OVERSAMPLE odd
+    about half the time."""
+    m = draw(st.integers(40, 130))
+    length = draw(st.integers(60, 2 * m + 1))
+    most = length // estimation.SIZE_RATIO - estimation.OVERSAMPLE
+    k = draw(st.integers(1, max(1, most)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lags = np.arange(-m, m + 1)
+    sines = np.linspace(-0.8, 0.8, k) + rng.uniform(-0.2, 0.2, k) * 1.6 / k
+    values = np.exp(-1j * np.pi * lags[:, None] * sines[None, :]).sum(axis=1)
+    values[m] += 10.0 ** draw(st.floats(-3.0, 0.0)) * k
+    half = (rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)) * 0.05 * np.sqrt(k)
+    half[0] = half[0].real
+    noise = np.concatenate([half[:0:-1].conj(), half])
+    return VirtualObservation(lags=lags, values=values + noise), length, k
+
+
+@settings(deadline=None, max_examples=60)
+@given(_iteration_cases())
+@example((_trial_observation(), 95, 3))
+def test_real_iteration_matches_the_complex_oracle(case):
+    """The real-coordinate iteration against the complex one it replaced:
+    both stop once their Davis-Kahan estimate of the angle to E_s is at
+    most SUBSPACE_TOL, so their E_s lie within twice that of each other
+    (plus the rounding of two solvers); the top K Ritz values agree, an odd
+    K + OVERSAMPLE is padded by one column whose Ritz value is dropped, and
+    the spectra agree to 1e-5 dB above the guard."""
+    v, length, k = case
+    op = SmoothedCovariance(v, length)
+    want = _complex_ritz_subspace(op, k)
+    found = estimation._ritz_subspace(op, k)
+    assume(want is not None and found is not None)
+    assert found.signal.shape == (length, k)
+    assert found.values.shape == (k + estimation.OVERSAMPLE,)
+    scale = found.values[-1]
+    np.testing.assert_allclose(found.signal.conj().T @ found.signal, np.eye(k), atol=1e-13)
+    values = np.linalg.eigvalsh(spatial_smoothing(v, length))
+    bound = 2 * estimation.SUBSPACE_TOL + _davis_kahan(values, k)
+    assert _subspace_distance(found.signal, want.signal) <= bound
+    np.testing.assert_allclose(found.values[-k:], want.values[-k:], rtol=0, atol=1e-12 * scale)
+    config = MusicConfig.for_step(k, 0.5, smoothing_length=length)
+    _, fast = music_spectrum(op, config)
+    signal = want.signal
+    denom = estimation._null_polynomial(estimation._null_coefficients(signal), config.phasors)
+    above = denom > estimation.GUARD_FACTOR * length**2 * np.finfo(float).eps
+    np.testing.assert_allclose(10 * np.log10(fast[above] * denom[above]), 0.0, rtol=0, atol=1e-5)
+
+
 def test_signal_subspace_falls_back_when_the_iteration_does_not_converge(monkeypatch):
     """Two sources 0.4 degrees apart at 0 dB need more than one iteration;
     capped at one, the solver gives up and the real form serves."""
@@ -1215,20 +1305,60 @@ def _row_formatted_csv(angles, spectrum):
     return "angle_deg,power_db\n" + "".join(f"{a:.6f},{p:.6f}\n" for a, p in rows)
 
 
+def _nudged(x, ulps):
+    """x moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.copysign(np.inf, ulps))
+    return float(x)
+
+
+#: 2^52 / 1e6: from here on x * 1e6 has no fraction bits left.
+_CSV_HUGE = 2.0**52 / 1e6
+
 _CSV_ANGLES = st.one_of(
-    st.sampled_from([-0.0, 0.0, -89.99, 89.99, -4e-7, 5e-7, -5e-7]),
+    st.sampled_from([-0.0, 0.0, -89.99, 89.99, -4e-7, 5e-7, -5e-7, 2.5e-6, -2.5e-6,
+                     _CSV_HUGE, -_CSV_HUGE, np.nextafter(_CSV_HUGE, 0.0), 1e300, -1e300]),
     st.floats(-89.99, 89.99),
+    # near-ties: within a few ulps of a half-unit of the sixth decimal
+    st.builds(lambda k, side, ulps: _nudged(k / 1e6 + side * 5e-7, ulps),
+              st.integers(-90_000_000, 90_000_000), st.sampled_from([-1, 1]),
+              st.integers(-3, 3)),
+    st.builds(lambda k, side: k / 1e6 + side * 5e-7, st.integers(-2**52, 2**52),
+              st.sampled_from([-1, 1])),
+    st.floats(_CSV_HUGE, 1.7e308),
 )
+_CSV_POWERS = st.one_of(st.floats(1e-150, 1e150), st.just(0.0))
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.lists(st.tuples(_CSV_ANGLES, st.floats(1e-150, 1e150)), min_size=1, max_size=40))
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(_CSV_ANGLES, _CSV_POWERS), min_size=1, max_size=40)
+       .filter(lambda rows: any(p > 0 for _, p in rows)))
+@example([(0.0000005, 1.0), (-0.0000005, 0.0), (_CSV_HUGE, 2.0), (1e300, 1e-150)])
 def test_spectrum_to_csv_matches_the_row_formatter(rows):
-    """Negative zeros, the grid edges, values that round to -0.000000 and
-    powers 300 decades below the peak format as the per-row f-strings did."""
+    """Negative zeros, the grid edges, values that round to -0.000000,
+    near-ties k/1e6 +- 5e-7, values of 2^52/1e6 and more (which '%.6f'
+    writes itself), powers 300 decades below the peak and a zero power
+    (-inf dB) format as the per-row f-strings did."""
     angles = np.array([a for a, _ in rows])
     spectrum = np.array([p for _, p in rows])
-    assert spectrum_to_csv(angles, spectrum) == _row_formatted_csv(angles, spectrum)
+    with np.errstate(divide="ignore"):
+        want = _row_formatted_csv(angles, spectrum)
+    assert spectrum_to_csv(angles, spectrum) == want
+
+
+def test_spectrum_to_csv_splices_the_rows_it_leaves_to_the_formatter():
+    """Rows that '%.6f' writes itself, among fast ones, at and across the
+    edges of the ROW_BLOCK blocks."""
+    rng = np.random.default_rng(5)
+    angles = rng.uniform(-1e4, 1e4, 2 * estimation.ROW_BLOCK + 7)
+    angles[rng.integers(0, angles.size, 40)] = np.inf
+    angles[estimation.ROW_BLOCK - 1 : estimation.ROW_BLOCK + 1] = 0.0000005
+    angles[-1] = np.nan
+    spectrum = rng.uniform(1e-6, 1.0, angles.size)
+    spectrum[[0, estimation.ROW_BLOCK]] = 0.0
+    with np.errstate(divide="ignore"):
+        want = _row_formatted_csv(angles, spectrum)
+    assert spectrum_to_csv(angles, spectrum) == want
 
 
 def test_spectrum_to_csv_normalizes_peak():

@@ -9,7 +9,9 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -155,6 +157,43 @@ def test_cli_size_probes_exit_2_before_allocating(tmp_path, no_allocation, scena
     assert code == EXIT_USAGE and named in err
 
 
+@pytest.mark.parametrize("scale", [
+    {"powers": [1e308, 1e308]},
+    {"powers": [1e100, 1.0]},
+    {"coupling": {"c1_magnitude": 1e300}},
+    {"coupling": {"c1_magnitude": sys.float_info.max}},
+    {"powers": [1e150, 1e150], "coupling": {"c1_magnitude": 1e300}},
+])
+def test_overflowing_scales_exit_2_naming_them_without_warnings(tmp_path, scale):
+    """Powers and coupling magnitudes that overflow the covariance, or leave
+    entries co-array MUSIC cannot square, stop at the Gram with one message
+    and no RuntimeWarning on the way."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"angles_deg": [10.0, 20.0], "snapshots": 16, **scale}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)  # |c1| > 1 breaks the ordering
+        code, err = _run(["music", "--family", "saulas", "--n", "12", "--scenario", path,
+                          "--grid-step", "1"])
+    assert code == EXIT_USAGE
+    assert "lower the source powers, the noise power (snr_db) or the coupling c1_magnitude" in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e40])
+def test_planes_covariance_refuses_what_music_cannot_square(bad):
+    """One non-finite or huge sample anywhere in the planes is caught by
+    the check on the Gram's diagonal."""
+    planes = np.ones((4, 3))
+    planes[3, 1] = bad
+    with pytest.raises(ValueError, match="lower the source powers"):
+        signal.planes_covariance(planes)
+
+
+def test_the_covariance_bound_admits_the_lowest_snr():
+    """The noise power at MIN_SNR_DB stays below the covariance bound."""
+    assert 10 ** (-signal.MIN_SNR_DB / 10) < signal.MAX_COVARIANCE
+
+
 # ---------------------------------------------------------------------------
 # The CLI contract under malformed input
 # ---------------------------------------------------------------------------
@@ -177,8 +216,17 @@ def scenario_faults(draw):
     """A scenario document with one fault, and the words one of which the
     error must contain."""
     doc = dict(BASE_SCENARIO)
-    kind = draw(st.sampled_from(["value", "list", "missing", "unknown", "coupling", "text"]))
-    if kind in ("value", "list"):
+    kind = draw(st.sampled_from(["value", "list", "missing", "unknown", "coupling", "scale",
+                                 "text"]))
+    if kind == "scale":
+        # powers and coupling magnitudes up to the float maximum
+        huge = st.floats(0.0, sys.float_info.max)
+        if draw(st.booleans()):
+            doc["powers"] = [draw(huge), draw(huge)]
+        else:
+            doc["coupling"] = {"c1_magnitude": draw(huge)}
+        blame = ["source powers"]
+    elif kind in ("value", "list"):
         field = draw(st.sampled_from(SCENARIO_FIELDS))
         doc[field] = draw(VALUES if kind == "value" else LISTS)
         blame = [field, "insufficient uDOFs"] if field == "angles_deg" else [field]
