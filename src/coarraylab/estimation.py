@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import nufft
 from .coupling import CouplingModel, integer_field
 from .geometry import SensorArray
 from .signal import (
@@ -34,7 +35,7 @@ from .signal import (
 
 
 #: The most search-grid points a MusicConfig takes: 2**20 points hold
-#: 32 MiB of angles, phasors and spectrum (0.000172-degree pitch over 180).
+#: 32 MiB of angles, NUFFT plan and spectrum (0.000172-degree pitch over 180).
 MAX_GRID_POINTS = 1 << 20
 
 
@@ -44,7 +45,9 @@ class MusicConfig:
 
     The grid spans the open interval (-90, 90) degrees; the default is a
     0.01-degree pitch (17999 points).  ``for_step`` builds a config from a
-    pitch directly.
+    pitch directly.  The grid and the NUFFT plan of ``music_spectrum``
+    (see ``nufft_plan``) are computed on first use and kept on the config,
+    so the trials of a study that share a config share them.
     """
 
     num_sources: int
@@ -87,12 +90,19 @@ class MusicConfig:
         grid.flags.writeable = False
         return grid
 
-    @cached_property
-    def phasors(self) -> np.ndarray:
-        """z = exp(j pi sin theta) on the grid (read-only, computed once)."""
-        z = np.exp(1j * np.pi * np.sin(np.deg2rad(self.grid)))
-        z.flags.writeable = False
-        return z
+    def nufft_plan(self, length: int) -> nufft.NufftPlan:
+        """Where the grid points omega = pi sin theta sit on the FFT that
+        evaluates a null polynomial of L coefficients (see ``nufft.plan``),
+        read-only.  The config keeps the plan of the last FFT length N it
+        was asked for, which every L with that N shares; a study runs one L,
+        so its trials share one plan, and a config used at several N holds
+        one plan at a time."""
+        size = nufft.size_for(length)
+        plan = self.__dict__.get("_plan")
+        if plan is None or plan.size != size:
+            # frozen: cached in the instance dict, as cached_property does
+            plan = self.__dict__["_plan"] = nufft.plan(np.sin(np.deg2rad(self.grid)) / 2, size)
+        return plan
 
     @property
     def grid_step(self) -> float:
@@ -144,19 +154,6 @@ def spatial_smoothing(v: VirtualObservation, subarray_len: int | None = None) ->
     return extended_covariance(np.lib.stride_tricks.sliding_window_view(u, length).T).r_s
 
 
-def _fft_length(size: int) -> int:
-    """The smallest 2^a 3^b 5^c that is at least ``size``."""
-    best = 1 << (size - 1).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            best = min(best, odd << ((size - 1) // odd).bit_length())
-            odd *= 3
-        odd5 *= 5
-    return best
-
-
 class SmoothedCovariance:
     """R_ss of ``spatial_smoothing`` as an operator, for conjugate-symmetric
     samples v(-l) = conj v(l), as every ``virtual_observation`` has; the
@@ -183,7 +180,7 @@ class SmoothedCovariance:
                              "v(-l) = conj v(l); use spatial_smoothing for other samples")
         self.samples = u
         self.windows = u.size - self.length + 1
-        self._fft_size = _fft_length(u.size)
+        self._fft_size = nufft.fft_length(u.size)
 
     @cached_property
     def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
@@ -360,8 +357,10 @@ def _ritz_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
         values, w = np.linalg.eigh(basis.T @ image)
         w = w[:, -num_sources:]
         vectors = basis @ w
-        residual = np.linalg.norm(image @ w - vectors * values[-num_sources:])
-        gap = values[-num_sources] - values[-num_sources - 1]
+        # both over the top Ritz value, so the norm cannot overflow
+        scale = abs(values[-1]) or 1.0
+        residual = np.linalg.norm((image @ w - vectors * values[-num_sources:]) / scale)
+        gap = (values[-num_sources] - values[-num_sources - 1]) / scale
         if residual <= SUBSPACE_TOL * gap:
             return Subspace(_from_real_basis(vectors), values[-width:])
         basis = np.linalg.qr(image)[0]
@@ -420,16 +419,22 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
     return _real_subspace(r_ss, num_sources)
 
 
-#: The polynomial's absolute rounding error is of order L^2 * eps: its
-#: coefficients are c_0 = L - K and |c_d| <= K for d >= 1 (a unit vector's
-#: autocorrelation is at most 1), z^d carries a phase error of about d * eps,
-#: and ``_null_polynomial`` adds up L such terms; the tests hold it below
-#: 0.7 * L^2 * eps against a long-double Horner oracle.  Near a true DOA
-#: the exact value falls to 1e-26 or less, where the polynomial returns
-#: rounding noise of either sign, so values below GUARD_FACTOR * L^2 * eps
-#: are recomputed directly (see ``music_spectrum``).
-#: Above that bound the relative error is below 1 / GUARD_FACTOR = 1e-8, far
-#: inside the 1e-5 dB to which spectra are compared.
+#: The null polynomial f = sum_{|d|<L} h_d e^{j d omega} of ``music_spectrum``
+#: has h_0 = c_0 = L - K and sum_{d>=1} |c_d| <= K (L - 1) / 2 (the
+#: autocorrelations of a unit vector e at d >= 1 add up to at most
+#: (||e||_1^2 - 1) / 2), so ||h||_1 = |c_0| + 2 sum_{d>=1} |c_d| <= L^2.
+#: ``nufft.evaluate`` takes it with an absolute error of at most
+#: nufft.ERROR_BOUND * ||h||_1 * eps <= 10 L^2 eps: the kernel's aliasing
+#: (4e-16 of ||h||_1), the kernel's polynomial fit (3.1e-15 per piece) and
+#: the FFT's rounding on deconvolved bins (see ``nufft``).  Against a
+#: long-double Horner it was at most 4.9 ||h||_1 eps on 3000 draws like the
+#: tests', 1.1 L^2 eps at L = 2 and 0.002-0.05 L^2 eps from L = 95 up.
+#: Near a true DOA the exact value falls to 1e-26 or less, where the
+#: evaluation returns rounding noise of either sign, so values below
+#: GUARD_FACTOR * L^2 * eps are recomputed directly (see
+#: ``music_spectrum``).  Above that bound the relative error is below
+#: nufft.ERROR_BOUND / GUARD_FACTOR = 1e-7, far inside the 1e-5 dB to which
+#: spectra are compared.
 GUARD_FACTOR = 1e8
 
 
@@ -447,67 +452,17 @@ def _null_spectrum_residual(signal: np.ndarray, angles: np.ndarray) -> np.ndarra
     return np.sum(a.real**2 + a.imag**2, axis=0)
 
 
-#: Grid points evaluated per block by ``_null_polynomial``; at L = 2175 its
-#: two complex temporaries of about sqrt(L) rows take about 0.7 MB each.
-GRID_BLOCK = 2048
-
-
 def _null_coefficients(signal: np.ndarray) -> np.ndarray:
     """c_0 .. c_{L-1} of the null polynomial of E_s (see ``music_spectrum``):
     c_d = [d == 0] L - sum_k sum_j e_k[j + d] conj(e_k[j]), the
     autocorrelations of the K columns of E_s from one zero-padded FFT of
     the smallest 2^a 3^b 5^c length at least 2L - 1, so no lag wraps."""
     length = signal.shape[0]
-    spectra = np.fft.fft(signal, n=_fft_length(2 * length - 1), axis=0)
+    spectra = np.fft.fft(signal, n=nufft.fft_length(2 * length - 1), axis=0)
     autocorr = np.fft.ifft(np.sum(spectra.real**2 + spectra.imag**2, axis=1))
     coeffs = -autocorr[:length]
     coeffs[0] += length
     return coeffs
-
-
-def _null_polynomial(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """f(z) = c_0 + 2 Re sum_{d>=1} c_d z^d at every phasor in z.
-
-    Baby steps and giant steps (Paterson & Stockmeyer, SIAM J. Comput.
-    1973): with B = floor(sqrt(L - 1)) and Q = ceil((L - 1) / B),
-    sum_{d>=1} c_d z^d = z sum_q (z^B)^q S_q(z), where
-    S_q(z) = sum_{r<B} c_{1+qB+r} z^r.  All Q values S_q come from one
-    complex matrix product of the Q x B coefficient block with the powers
-    z^0 .. z^(B-1), and Horner's rule in z^B combines them in Q - 1 steps,
-    so about 2 sqrt(L) passes over the grid replace Horner's L.  The grid
-    is taken in equal blocks of at most GRID_BLOCK points (the last one
-    padded with z = 1), so the temporaries are allocated once and stay
-    small.
-    """
-    length = coeffs.size
-    step = math.isqrt(length - 1)
-    rows = -(-(length - 1) // step)
-    table = np.zeros(rows * step, dtype=complex)
-    table[: length - 1] = coeffs[1:]
-    table = table.reshape(rows, step)
-
-    count = -(-z.size // GRID_BLOCK)
-    width = -(-z.size // count)
-    padded = np.ones(count * width, dtype=complex)
-    padded[: z.size] = z
-    powers = np.empty((step, width), dtype=complex)
-    powers[0] = 1.0
-    sums = np.empty((rows, width), dtype=complex)
-    giant = np.empty(width, dtype=complex)
-    denom = np.empty(count * width)
-    for block, out in zip(padded.reshape(count, width), denom.reshape(count, width)):
-        for r in range(1, step):
-            np.multiply(powers[r - 1], block, out=powers[r])
-        np.matmul(table, powers, out=sums)
-        np.multiply(powers[-1], block, out=giant)
-        tail = sums[-1]
-        for q in range(rows - 2, -1, -1):
-            tail *= giant
-            tail += sums[q]
-        tail *= block
-        np.multiply(tail.real, 2.0, out=out)
-        out += coeffs[0].real
-    return denom[: z.size]
 
 
 def music_spectrum(
@@ -524,18 +479,23 @@ def music_spectrum(
     z = exp(j pi sin theta) that Root-MUSIC roots; c_d is the sum of the
     d-th subdiagonal of P.  The c_d come from the autocorrelations of the K
     signal eigenvectors (one zero-padded FFT), and f is evaluated on the
-    grid in blocks, by one matrix product and about 2 sqrt(L) passes (see
-    ``_null_polynomial``), so no L x G steering matrix is formed.  ``r_ss``
-    is a ``SmoothedCovariance``, which the trial pipeline passes, or a
-    dense Hermitian matrix such as ``spatial_smoothing`` builds.  Grid
-    points where f falls below the rounding bound (see GUARD_FACTOR), which
-    occur only next to a near-exact null, are recomputed as the residual
+    whole grid by a type-2 NUFFT (see ``nufft``): one real FFT of
+    N >= 2 (2L - 1) points and nufft.KERNEL_TERMS Horner steps over the
+    grid, O(L log L + G P) for G grid points, so no L x G steering matrix
+    is formed.  Its plan, each grid point's first bin and offset, is O(G)
+    and kept on the config (see ``MusicConfig.nufft_plan``).  The tests
+    hold it against the blocked baby-step, giant-step evaluation it
+    replaced and against a long-double Horner.  ``r_ss`` is a
+    ``SmoothedCovariance``, which the trial pipeline passes, or a dense
+    Hermitian matrix such as ``spatial_smoothing`` builds.  Grid points
+    where f falls below the rounding bound (see GUARD_FACTOR), which occur
+    only next to a near-exact null, are recomputed as the residual
     ||a - E_s E_s^H a||^2, whichever solver found E_s.
     """
     signal = signal_subspace(r_ss, config.num_sources).signal
     length = signal.shape[0]
     angles = config.grid
-    denom = _null_polynomial(_null_coefficients(signal), config.phasors)
+    denom = nufft.evaluate(_null_coefficients(signal), config.nufft_plan(length))
 
     low = denom < GUARD_FACTOR * length**2 * np.finfo(float).eps
     if low.any():

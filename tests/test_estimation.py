@@ -4,6 +4,8 @@ error scoring, and the Monte-Carlo loop."""
 from __future__ import annotations
 
 import json
+import math
+import warnings
 import weakref
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coarraylab import estimation, geometry
+from coarraylab import estimation, geometry, nufft
 from coarraylab.coupling import PAPER_V
 from coarraylab.estimation import (
     MusicConfig,
@@ -243,7 +245,7 @@ def _is_5_smooth(n):
 
 def test_fft_length_is_the_smallest_5_smooth_length():
     for size in range(1, 3000):
-        got = estimation._fft_length(size)
+        got = nufft.fft_length(size)
         assert got >= size and _is_5_smooth(got)
         assert not any(_is_5_smooth(n) for n in range(size, got))
 
@@ -265,7 +267,7 @@ def test_smoothed_covariance_applies_the_window_product(case, columns, seed):
     want = _window_product(v, length) @ x
     got = op @ x
     assert got.shape == want.shape
-    size = estimation._fft_length(v.values.size)
+    size = nufft.fft_length(v.values.size)
     energy = np.sum(np.abs(v.values) ** 2)
     bound = 4 * np.log2(size) * np.finfo(float).eps * energy * np.linalg.norm(x, axis=0)
     assert np.all(np.abs(got - want).max(axis=0) <= bound / op.windows)
@@ -355,9 +357,67 @@ def test_spectrum_peaks_at_on_grid_sources_exactly():
     np.testing.assert_allclose(estimates, np.sort(truth), atol=1e-9)
 
 
+def _phasors(config):
+    """z = exp(j pi sin theta) on the config's grid."""
+    return np.exp(1j * np.pi * np.sin(np.deg2rad(config.grid)))
+
+
+#: Grid points evaluated per block by ``_blocked_null_polynomial``; at
+#: L = 2175 its two complex temporaries of about sqrt(L) rows take about
+#: 0.7 MB each.
+GRID_BLOCK = 2048
+
+
+def _blocked_null_polynomial(coeffs, z):
+    """f(z) = c_0 + 2 Re sum_{d>=1} c_d z^d at every phasor in z: the
+    blocked evaluation that ``nufft.evaluate`` replaced, and its
+    oracle.
+
+    Baby steps and giant steps (Paterson & Stockmeyer, SIAM J. Comput.
+    1973): with B = floor(sqrt(L - 1)) and Q = ceil((L - 1) / B),
+    sum_{d>=1} c_d z^d = z sum_q (z^B)^q S_q(z), where
+    S_q(z) = sum_{r<B} c_{1+qB+r} z^r.  All Q values S_q come from one
+    complex matrix product of the Q x B coefficient block with the powers
+    z^0 .. z^(B-1), and Horner's rule in z^B combines them in Q - 1 steps,
+    so about 2 sqrt(L) passes over the grid replace Horner's L.  The grid
+    is taken in equal blocks of at most GRID_BLOCK points (the last one
+    padded with z = 1), so the temporaries are allocated once and stay
+    small.
+    """
+    length = coeffs.size
+    step = math.isqrt(length - 1)
+    rows = -(-(length - 1) // step)
+    table = np.zeros(rows * step, dtype=complex)
+    table[: length - 1] = coeffs[1:]
+    table = table.reshape(rows, step)
+
+    count = -(-z.size // GRID_BLOCK)
+    width = -(-z.size // count)
+    padded = np.ones(count * width, dtype=complex)
+    padded[: z.size] = z
+    powers = np.empty((step, width), dtype=complex)
+    powers[0] = 1.0
+    sums = np.empty((rows, width), dtype=complex)
+    giant = np.empty(width, dtype=complex)
+    denom = np.empty(count * width)
+    for block, out in zip(padded.reshape(count, width), denom.reshape(count, width)):
+        for r in range(1, step):
+            np.multiply(powers[r - 1], block, out=powers[r])
+        np.matmul(table, powers, out=sums)
+        np.multiply(powers[-1], block, out=giant)
+        tail = sums[-1]
+        for q in range(rows - 2, -1, -1):
+            tail *= giant
+            tail += sums[q]
+        tail *= block
+        np.multiply(tail.real, 2.0, out=out)
+        out += coeffs[0].real
+    return denom[: z.size]
+
+
 def _polyval_long_double(coeffs, z):
     """c_0 + 2 Re sum_{d>=1} c_d z^d by Horner's rule in long double (the
-    x87 80-bit format on x86-64): the oracle of ``_null_polynomial``."""
+    x87 80-bit format on x86-64): the oracle of both grid evaluations."""
     z = z.astype(np.clongdouble)
     tail = np.full(z.shape, np.clongdouble(coeffs[-1]))
     for c in coeffs[-2:0:-1]:
@@ -375,8 +435,9 @@ def _polyval_long_double(coeffs, z):
 )
 def test_blocked_null_polynomial_matches_a_long_double_horner(length, step):
     """The blocked evaluation within 0.7 L^2 eps, the bound GUARD_FACTOR
-    assumes, on random and rank-K noiseless signal subspaces."""
+    assumed for it, on random and rank-K noiseless signal subspaces."""
     config = MusicConfig.for_step(1, step)
+    phasors = _phasors(config)
     rng = np.random.default_rng(length)
     k_values = sorted({1, min(4, length - 1), min(55, length - 1)})
     for k in k_values:
@@ -385,10 +446,85 @@ def test_blocked_null_polynomial_matches_a_long_double_horner(length, step):
         noiseless = estimation._steering(length, thetas)
         for x in (random, noiseless):
             coeffs = estimation._null_coefficients(np.linalg.qr(x)[0])
-            got = estimation._null_polynomial(coeffs, config.phasors)
-            want = _polyval_long_double(coeffs, config.phasors)
+            got = _blocked_null_polynomial(coeffs, phasors)
+            want = _polyval_long_double(coeffs, phasors)
             assert got.shape == config.grid.shape
             assert np.abs(got - want).max() <= 0.7 * length**2 * np.finfo(float).eps
+
+
+#: pi in long double
+_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _plan_phasors(plan):
+    """exp(j omega) in long double at the points the plan evaluates,
+    omega = 2 pi x / N with x = start + (offset + w - 1) / 2 mod N."""
+    start = plan.start.astype(np.longdouble)
+    x = start + (plan.offset.astype(np.longdouble) + nufft.KERNEL_WIDTH - 1) / 2
+    return np.exp(1j * (2 * _PI / plan.size) * x)
+
+
+@st.composite
+def _nufft_cases(draw):
+    """Null coefficients of L 2-2200 and K 1 to L - 1, and a grid.
+
+    The subspace is random, the complement of L - K orthonormalised
+    Gaussian columns when K > L / 2 so the QR stays small, or noiseless:
+    K steering vectors at distinct sines -1 + 2 b / L for integers b,
+    which are orthogonal, so E_s needs no QR.  The grid is a ``for_step``
+    grid, a two-point one, one that runs to -90 or 90 degrees, or any
+    other, most of them asymmetric."""
+    length = draw(st.integers(2, 2200))
+    k = draw(st.integers(1, length - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        sines = -1.0 + 2.0 * rng.choice(length, size=k, replace=False) / length
+        signal = np.exp(-1j * np.pi * np.arange(length)[:, None] * sines) / np.sqrt(length)
+        coeffs = estimation._null_coefficients(signal)
+    else:
+        width = min(k, length - k)
+        x = rng.standard_normal((length, width)) + 1j * rng.standard_normal((length, width))
+        coeffs = estimation._null_coefficients(np.linalg.qr(x)[0])
+        if width < k:
+            coeffs = -coeffs
+            coeffs[0] += length
+    kind = draw(st.sampled_from(["step", "two", "edge", "any"]))
+    if kind == "step":
+        step = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.5, 10.0, 60.0]))
+        return coeffs, MusicConfig.for_step(1, step)
+    points = 2 if kind == "two" else draw(st.integers(2, 2000))
+    start = draw(st.floats(-90.0, 89.0))
+    stop = draw(st.floats(start + 0.5, 90.0))
+    if kind == "edge":
+        start, stop = draw(st.sampled_from([(-90.0, stop), (start, 90.0), (-90.0, 90.0)]))
+    return coeffs, MusicConfig(num_sources=1, grid_start=start, grid_stop=stop,
+                               grid_points=points)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_nufft_cases())
+# E_s = [1, j] / sqrt2 on the two-point grid at -90 and 90 degrees, where
+# omega = -pi and pi read the same bins
+@example((np.array([1.0, -0.5j]), MusicConfig(num_sources=1, grid_start=-90.0,
+                                              grid_stop=90.0, grid_points=2)))
+def test_nufft_null_polynomial_matches_the_horner_and_the_blocked_oracle(case):
+    """The NUFFT within nufft.ERROR_BOUND ||h||_1 eps of a long-double
+    Horner at the points it evaluates, and its spectrum within
+    1e-5 dB of the blocked evaluation at the grid's phasors wherever the
+    guard does not fire."""
+    coeffs, config = case
+    length = coeffs.size
+    plan = config.nufft_plan(length)
+    got = nufft.evaluate(coeffs, plan)
+    assert got.shape == config.grid.shape
+    eps = np.finfo(float).eps
+    norm = abs(coeffs[0]) + 2 * np.abs(coeffs[1:]).sum()
+    assert norm <= length**2
+    error = np.abs(got - _polyval_long_double(coeffs, _plan_phasors(plan))).max()
+    assert error <= nufft.ERROR_BOUND * norm * eps
+    blocked = _blocked_null_polynomial(coeffs, _phasors(config))
+    above = got >= estimation.GUARD_FACTOR * length**2 * eps
+    np.testing.assert_allclose(10 * np.log10(got[above] / blocked[above]), 0.0, rtol=0, atol=1e-5)
 
 
 def test_spectrum_of_the_operator_matches_the_dense_matrix():
@@ -694,7 +830,7 @@ def test_real_iteration_matches_the_complex_oracle(case):
     config = MusicConfig.for_step(k, 0.5, smoothing_length=length)
     _, fast = music_spectrum(op, config)
     signal = want.signal
-    denom = estimation._null_polynomial(estimation._null_coefficients(signal), config.phasors)
+    denom = nufft.evaluate(estimation._null_coefficients(signal), config.nufft_plan(length))
     above = denom > estimation.GUARD_FACTOR * length**2 * np.finfo(float).eps
     np.testing.assert_allclose(10 * np.log10(fast[above] * denom[above]), 0.0, rtol=0, atol=1e-5)
 
@@ -710,6 +846,22 @@ def test_signal_subspace_falls_back_when_the_iteration_does_not_converge(monkeyp
     want = estimation._real_subspace(op, 2)
     np.testing.assert_array_equal(found.signal, want.signal)
     np.testing.assert_array_equal(found.values, want.values)
+
+
+def test_iteration_converges_on_samples_near_1e100():
+    """Samples near 1e100 put R_ss entries near 1e200, whose squares
+    overflow: with the Ritz residual and gap taken over the top Ritz value,
+    the iteration converges without a RuntimeWarning, to the real form's
+    E_s within SUBSPACE_TOL (plus the rounding of the real eigh)."""
+    v = _trial_observation()
+    op = SmoothedCovariance(VirtualObservation(v.lags, v.values * 1e100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        found = estimation._ritz_subspace(op, 3)
+        want = estimation._real_subspace(op, 3)
+    assert found is not None
+    bound = estimation.SUBSPACE_TOL + _davis_kahan(want.values, 3)
+    assert _subspace_distance(found.signal, want.signal) <= bound
 
 
 def test_k_vector_spectrum_is_deterministic():
@@ -956,7 +1108,8 @@ def test_noiseless_null_peaks_exactly_at_its_grid_point(family, theta):
         assert not under
         assert peaks[0] == angles[np.abs(angles - theta).argmin()]
         signal = signal_subspace(r, 1).signal
-        denom = estimation._null_polynomial(estimation._null_coefficients(signal), cfg.phasors)
+        plan = cfg.nufft_plan(r.shape[0])
+        denom = nufft.evaluate(estimation._null_coefficients(signal), plan)
         low = denom < estimation.GUARD_FACTOR * r.shape[0] ** 2 * np.finfo(float).eps
         assert low.any()
         exact = estimation._null_spectrum_residual(signal, angles[low])
@@ -1283,13 +1436,26 @@ def test_monte_carlo_drops_each_trials_snapshots(monkeypatch):
     assert len(earlier) == 3
 
 
-def test_music_config_grid_and_phasors_are_shared_and_read_only():
+def test_music_config_grid_and_nufft_plan_are_shared_and_read_only():
+    """L = 29 and 30 share N = 120 and one plan, L = 32 (N = 128) replaces
+    it; every array is read-only, and start and offset place each grid
+    point at x = N sin(theta) / 2 modulo N."""
     cfg = MusicConfig.for_step(2, 0.5)
-    assert cfg.grid is cfg.grid and cfg.phasors is cfg.phasors
-    assert not cfg.grid.flags.writeable and not cfg.phasors.flags.writeable
-    np.testing.assert_array_equal(
-        cfg.phasors, np.exp(1j * np.pi * np.sin(np.deg2rad(cfg.grid)))
-    )
+    assert cfg.grid is cfg.grid and not cfg.grid.flags.writeable
+    plan = cfg.nufft_plan(29)
+    assert plan.size == 120 and cfg.nufft_plan(30) is plan
+    other = cfg.nufft_plan(32)
+    assert other.size == 128 and cfg.nufft_plan(32) is other
+    assert cfg.nufft_plan(29) is not plan and cfg.nufft_plan(29).size == 120
+    for part in (plan.start, plan.offset, plan.deconvolution):
+        assert not part.flags.writeable
+    assert plan.start.shape == plan.offset.shape == cfg.grid.shape
+    assert plan.start.min() >= 0 and plan.start.max() < plan.size
+    assert np.all((plan.offset > -1) & (plan.offset <= 1))
+    x = plan.start + (plan.offset + nufft.KERNEL_WIDTH - 1) / 2
+    want = plan.size * np.sin(np.deg2rad(cfg.grid)) / 2
+    np.testing.assert_allclose((x - want + plan.size / 2) % plan.size, plan.size / 2,
+                               rtol=0, atol=1e-12)
     assert cfg == MusicConfig.for_step(2, 0.5)
 
 
