@@ -175,23 +175,20 @@ def weight_function(a, f: int) -> int:
 def weight_table(a, lags: Iterable[int] | None = None) -> dict[int, int]:
     """w(f) for each requested lag (default: every lag in the difference set).
 
-    The full table counts the N^2 differences with np.unique.  A requested
-    lag is counted without enumerating them: w(f) sums, over each position
-    m_u, how many positions equal m_u - f.
+    The full table counts the N^2 differences with np.unique.  Requested lags
+    are counted without enumerating them: w(f) sums, over each position m_u,
+    how many positions equal m_u - f, for every lag in one pass.
     """
     p = _positions(a)
     if lags is None:
         diffs = p[:, None] - p[None, :]
         values, counts = np.unique(diffs, return_counts=True)
         return dict(zip(values.tolist(), counts.tolist()))
+    keys = [integer_field(f, "lag") for f in lags]
     s = np.sort(p)
-    table = {}
-    for f in lags:
-        f = integer_field(f, "lag")
-        below = s - f
-        hits = np.searchsorted(s, below, "right") - np.searchsorted(s, below, "left")
-        table[f] = int(hits.sum())
-    return table
+    below = s - np.array(keys, dtype=np.int64)[:, None]
+    hits = np.searchsorted(s, below, "right") - np.searchsorted(s, below, "left")
+    return dict(zip(keys, hits.sum(axis=1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -231,18 +228,23 @@ class CoarrayReport:
 def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -> CoarrayReport:
     """Compute difference / sum / sum-difference sets and the derived merit
     figures (uDOFs, CVA, holes, spatial efficiency, small-lag weights) in one
-    pass that enumerates each set once.
+    pass that forms each pair difference and each pair sum once.
 
-    The union, its contiguous segment and its holes are read off one
-    occupancy bitmap of dc and sc over [-top, top] (both sets are symmetric
-    about 0).  That is the range the hole list covers anyway, so the bitmap
-    needs no density guard; a span over MAX_SPAN lags is refused."""
-    dc = difference_set(array)
-    sc = sum_set(array)
-    top = max(int(dc[-1]), int(sc[-1]))
+    Both sets are symmetric about 0 and reach at most top = max(aperture,
+    2 * max|m|), which is known from the positions alone, so a span over
+    MAX_SPAN lags is refused before anything span-sized is allocated.  dc is
+    ``difference_set``'s; the pair sums are scattered into one occupancy
+    bitmap over [-top, top], mirrored for sc, and dc is added to it for the
+    union, its contiguous segment and its holes.  That is the range the hole
+    list covers anyway, so the bitmap needs no density guard."""
+    p = array.as_array()
+    top = max(int(p[-1] - p[0]), 2 * max(int(p[-1]), -int(p[0])))
     _listable_span(-top, top)
-    occ = _occupancy(-top, top, dc, sc)
-    sdc = np.flatnonzero(occ) - top
+    dc = difference_set(array)
+    occ = _occupancy(-top, top, p[:, None] + p[None, :])
+    occ |= occ[::-1]
+    sc = np.flatnonzero(occ) - top
+    occ[dc + top] = True
     udofs, cva = _segment(occ, top)
     hole_set = np.flatnonzero(~occ) - top
     return CoarrayReport(
@@ -250,7 +252,7 @@ def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -
         n=array.n,
         dc=dc,
         sc=sc,
-        sdc=sdc,
+        sdc=np.flatnonzero(occ) - top,
         udofs=udofs,
         cva=cva,
         hole_count=int(hole_set.size),

@@ -4,12 +4,14 @@ Each geometry family ships with closed-form expressions for its contiguous
 lag range, total usable DOFs, hole layout and small-lag weights.  Each
 checker enumerates its array once by raw pair enumeration (one
 ``coarray_report``) and compares; the closed forms under test are never used
-to produce the reference side.
+to produce the reference side.  ``run_all`` hands the w(1..3) each lemma
+check counted on to the weight check of the same array, so every array is
+enumerated once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -19,7 +21,6 @@ from .coarray import difference_set  # noqa: F401  (benchmarks/ reads verify.dif
 from .geometry import (
     FAMILIES,
     AulasParams,
-    SensorArray,
     design,
     design_aulas,
     design_cotsaulas,
@@ -39,6 +40,9 @@ class LemmaReport:
     n: int
     claims: dict[str, bool]
     details: dict
+    #: w(1..3) as a lemma check counted them on the array it enumerated, for
+    #: the weight check of the same array; not part of the report's output.
+    weights: Mapping[int, int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -71,22 +75,47 @@ def _count_in(lags: np.ndarray, lo: int, hi: int) -> int:
     return int(np.searchsorted(lags, hi, "right") - np.searchsorted(lags, lo))
 
 
-def _check_augmented(
-    check: str, array: SensorArray, p: AulasParams, shift: int
-) -> LemmaReport:
+def _first_difference(lags: np.ndarray, lo: int, hi: int, expected) -> int | None:
+    """The smallest lag of [lo, hi] that is in exactly one of the sorted lag
+    set and the sorted ``expected`` lags of that range, or None."""
+    got = lags[np.searchsorted(lags, lo):np.searchsorted(lags, hi, "right")]
+    want = np.asarray(expected, dtype=np.int64)
+    k = min(got.size, want.size)
+    split = np.flatnonzero(got[:k] != want[:k])
+    if split.size:
+        return int(min(got[split[0]], want[split[0]]))
+    return None if got.size == want.size else int(max(got, want, key=len)[k])
+
+
+def _segment_miss(udofs: int, closed_udofs: int) -> int:
+    """The first lag where two contiguous segments 2m + 1 lags wide differ."""
+    return (min(udofs, closed_udofs) + 1) // 2
+
+
+def _lemma_report(check: str, rep: CoarrayReport, n: int, claims: dict, details: dict,
+                  first_lag: dict) -> LemmaReport:
+    """The report of a lemma check.  ``first_lag`` maps a claim to a callable
+    giving the first lag where brute force and the closed form disagree; it
+    runs for failing claims only, so a passing report's details stay as they
+    are."""
+    missed = {c: first_lag[c]() for c, ok in claims.items() if not ok and c in first_lag}
+    if missed:
+        details["first_disagreement"] = missed
+    return LemmaReport(check, rep.array_name, n, claims, details, rep.weights)
+
+
+def _check_augmented(check: str, rep: CoarrayReport, p: AulasParams, shift: int) -> LemmaReport:
     """Shared body of lemmas 1 and 2: the base augmented ULA and its copy
     slid up by ``shift``.  The difference set does not move; the sum set and
     its band move up by 2*shift."""
     n1m, half = p.n1 * p.m, p.m // 2
-    rep = coarray_report(array)
     dc, sc = rep.dc, rep.sc
 
     top = n1m + half - 1
-    expected_dc_pos = np.setdiff1d(
-        np.arange(0, top + 1, dtype=np.int64), [n1m], assume_unique=True
-    )
+    expected_dc_pos = np.delete(np.arange(0, top + 1, dtype=np.int64), n1m)
     lo, hi = band = (n1m - half + 2 * shift, 2 * n1m + p.m - 2 + 2 * shift)
     closed_udofs = 4 * n1m + 2 * p.m - 3 + 4 * shift
+    plugs = (n1m + 1, n1m + 2)
     claims = {
         "dc_contiguous_single_hole": bool(
             np.array_equal(dc[dc >= 0], expected_dc_pos)
@@ -97,9 +126,7 @@ def _check_augmented(
     }
     if shift:
         # both plugs n1m + 1, n1m + 2 are differences and neither is a sum
-        claims["dc_fills_sc_holes"] = (
-            _count_in(dc, n1m + 1, n1m + 2) == 2 and _count_in(sc, n1m + 1, n1m + 2) == 0
-        )
+        claims["dc_fills_sc_holes"] = _count_in(dc, *plugs) == 2 and _count_in(sc, *plugs) == 0
     claims["sdc_hole_free"] = rep.hole_count == 0
     claims["udofs_matches_closed_form"] = rep.udofs == closed_udofs
     details = {
@@ -108,7 +135,18 @@ def _check_augmented(
         "dc_hole": n1m,
         "sc_band": band,
     }
-    return LemmaReport(check, array.name, p.n, claims, details)
+    first_lag = {
+        "dc_contiguous_single_hole": lambda: _first_difference(
+            dc, 0, max(int(dc[-1]), top), expected_dc_pos),
+        "sc_band_contiguous": lambda: _first_difference(sc, lo, hi, np.arange(lo, hi + 1)),
+        "sc_max_is_twice_aperture": lambda: _first_difference(sc, hi, max(int(sc[-1]), hi), [hi]),
+        "sum_lag_fills_dc_hole": lambda: n1m,
+        "dc_fills_sc_holes": lambda: next(
+            f for f in plugs if _count_in(dc, f, f) == 0 or _count_in(sc, f, f) == 1),
+        "sdc_hole_free": lambda: rep.hole_positions[0],
+        "udofs_matches_closed_form": lambda: _segment_miss(rep.udofs, closed_udofs),
+    }
+    return _lemma_report(check, rep, p.n, claims, details, first_lag)
 
 
 def check_lemma1(n: int) -> LemmaReport:
@@ -121,7 +159,7 @@ def check_lemma1(n: int) -> LemmaReport:
     4*n1*m + 2*m - 3 usable DOFs.
     """
     p = AulasParams.for_family("aulas", n)
-    return _check_augmented("lemma1", design_aulas(n), p, shift=0)
+    return _check_augmented("lemma1", coarray_report(design_aulas(n)), p, shift=0)
 
 
 def check_lemma2(n: int) -> LemmaReport:
@@ -129,7 +167,7 @@ def check_lemma2(n: int) -> LemmaReport:
     the difference set plugs the two holes just above n1*m that the shifted
     sum set leaves behind, and the co-array keeps 4*n1*m + 4*m - 3 DOFs."""
     p = AulasParams.for_family("saulas", n)
-    return _check_augmented("lemma2", design_saulas(n), p, shift=p.m // 2)
+    return _check_augmented("lemma2", coarray_report(design_saulas(n)), p, shift=p.m // 2)
 
 
 def check_lemma3(n: int) -> LemmaReport:
@@ -137,18 +175,19 @@ def check_lemma3(n: int) -> LemmaReport:
     each side (4*n1*m + 4*m - 7 DOFs) and every remaining hole lies strictly
     outside that segment, m - 2 of them in total."""
     p = AulasParams.for_family("tsaulas", n)
-    array = design_tsaulas(n)
     n1m = p.n1 * p.m
-    rep = coarray_report(array)
+    rep = coarray_report(design_tsaulas(n))
 
     l_t1 = 2 * n1m + 2 * p.m - 4
     closed_udofs = 4 * n1m + 4 * p.m - 7
+    span = 2 * n1m + 3 * p.m - 6
+    inside = [h for h in rep.hole_positions if abs(h) <= l_t1]
     claims = {
         "contiguous_through_l_t1": (rep.udofs - 1) // 2 == l_t1,
         "udofs_matches_closed_form": rep.udofs == closed_udofs,
-        "holes_outside_segment": all(abs(h) > l_t1 for h in rep.hole_positions),
+        "holes_outside_segment": not inside,
         "hole_count_matches": rep.hole_count == p.m - 2,
-        "span_matches": int(rep.sdc[-1]) == 2 * n1m + 3 * p.m - 6,
+        "span_matches": int(rep.sdc[-1]) == span,
     }
     details = {
         "udofs_brute": rep.udofs,
@@ -156,16 +195,22 @@ def check_lemma3(n: int) -> LemmaReport:
         "l_t1": l_t1,
         "holes": rep.hole_positions,
     }
-    return LemmaReport("lemma3", array.name, n, claims, details)
+    first_lag = {
+        "contiguous_through_l_t1": lambda: _segment_miss(rep.udofs, 2 * l_t1 + 1),
+        "udofs_matches_closed_form": lambda: _segment_miss(rep.udofs, closed_udofs),
+        "holes_outside_segment": lambda: inside[0],
+        "span_matches": lambda: _first_difference(
+            rep.sdc, span, max(int(rep.sdc[-1]), span), [span]),
+    }
+    return _lemma_report("lemma3", rep, n, claims, details, first_lag)
 
 
 def check_lemma4(n: int) -> LemmaReport:
     """Compressed variant: the sum-difference co-array is hole-free over its
     whole span, 4*n1*m + 6*m - 7 DOFs with n1 = n - m."""
     p = AulasParams.for_family("cotsaulas", n)
-    array = design_cotsaulas(n)
     n1m = p.n1 * p.m
-    rep = coarray_report(array)
+    rep = coarray_report(design_cotsaulas(n))
 
     closed_udofs = 4 * n1m + 6 * p.m - 7
     span = 2 * n1m + 3 * p.m - 4
@@ -175,7 +220,13 @@ def check_lemma4(n: int) -> LemmaReport:
         "span_matches": int(rep.sdc[-1]) == span and rep.udofs == 2 * span + 1,
     }
     details = {"udofs_brute": rep.udofs, "udofs_closed": closed_udofs, "span": span}
-    return LemmaReport("lemma4", array.name, n, claims, details)
+    first_lag = {
+        "sdc_hole_free": lambda: rep.hole_positions[0],
+        "udofs_matches_closed_form": lambda: _segment_miss(rep.udofs, closed_udofs),
+        "span_matches": lambda: _first_difference(
+            rep.sdc, 0, max(int(rep.sdc[-1]), span), np.arange(span + 1)),
+    }
+    return _lemma_report("lemma4", rep, n, claims, details, first_lag)
 
 
 def closed_form_weights(family: str, n: int) -> dict[int, int]:
@@ -189,14 +240,16 @@ def closed_form_weights(family: str, n: int) -> dict[int, int]:
     return {1: 1, 2: m - 3, 3: 2}
 
 
-def check_weights(family: str, n: int) -> LemmaReport:
-    """Compare closed-form w(1..3) against direct pair counting."""
+def check_weights(family: str, n: int, counted: Mapping[int, int] | None = None) -> LemmaReport:
+    """Compare closed-form w(1..3) against direct pair counting.  ``counted``
+    takes the w(1..3) that a check which enumerated the same array counted;
+    without it the array is designed and counted here."""
     predicted = closed_form_weights(family, n)
-    array = design(family, n)
-    counted = weight_table(array, (1, 2, 3))
+    if counted is None:
+        counted = weight_table(design(family, n), (1, 2, 3))
     claims = {f"w{f}_matches": counted[f] == predicted[f] for f in (1, 2, 3)}
-    details = {"counted": counted, "closed_form": predicted}
-    return LemmaReport("weights", array.name, n, claims, details)
+    details = {"counted": dict(counted), "closed_form": predicted}
+    return LemmaReport("weights", FAMILIES[family.lower()].display_name, n, claims, details)
 
 
 #: Each lemma check: the family it makes its claims about and its checker.
@@ -228,14 +281,19 @@ def run_all(n_max: int = N_MAX, n_min: Mapping[str, int] | None = None) -> list[
     ``n_min`` maps a family name to the smallest count checked for it (by
     default its smallest admissible size); this is the report list of the
     ``verify-lemmas`` command too.  Every range is checked before any
-    check runs, and ranges that hold no sensor count at all are an error."""
+    check runs, and ranges that hold no sensor count at all are an error.
+
+    Each (family, n) array is designed and enumerated once, by its lemma
+    check's one ``coarray_report``; the weight check of the same array reads
+    the w(1..3) that report counted, which its LemmaReport carries."""
     n_min = n_min or {}
     sizes = selected_sensor_counts({f: n_min.get(f, 0) for f in FAMILIES}, n_max)
     reports: list[LemmaReport] = []
     for check, family in LEMMA_FAMILIES.items():
         reports.extend(run_lemma_sweep(check, sizes[family]))
+    counted = {(LEMMA_FAMILIES[r.check], r.n): r.weights for r in reports}
     for family, counts in sizes.items():
-        reports.extend(check_weights(family, n) for n in counts)
+        reports.extend(check_weights(family, n, counted.get((family, n))) for n in counts)
     return reports
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,26 +133,113 @@ def test_count_in_counts_set_members_in_the_interval(lags, lo, width):
     assert verify._count_in(np.array(sorted(lags), dtype=np.int64), lo, hi) == expected
 
 
-def test_run_all_enumerates_each_lemma_array_once(monkeypatch):
-    counts = dict.fromkeys(("difference_set", "sum_set", "sum_difference_coarray"), 0)
-    for name in counts:
-        original = getattr(coarray, name)
+@given(st.sets(st.integers(-30, 30), max_size=20), st.sets(st.integers(-30, 30), max_size=20),
+       st.integers(-35, 35), st.integers(0, 12))
+def test_first_difference_is_the_smallest_lag_in_one_set_only(lags, expected, lo, width):
+    hi = lo + width
+    within = sorted(f for f in expected if lo <= f <= hi)
+    odd = {f for f in lags ^ set(within) if lo <= f <= hi}
+    got = verify._first_difference(np.array(sorted(lags), dtype=np.int64), lo, hi, within)
+    assert got == (min(odd) if odd else None)
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
 
-        for namespace in (coarray, verify):
-            if getattr(namespace, name, None) is original:
-                monkeypatch.setattr(namespace, name, counting)
-    reports = run_all(16)
-    lemma_checks = sum(r.check.startswith("lemma") for r in reports)
-    assert lemma_checks == sum(len(sensor_counts(f, 0, 16)) for f in LEMMA_FAMILIES.values())
-    assert counts == {
-        "difference_set": lemma_checks,
-        "sum_set": lemma_checks,
-        "sum_difference_coarray": 0,
+def test_failing_lemma_claims_name_their_first_disagreeing_lag(monkeypatch):
+    # AULAs(9) is (0, 6, 12, 18, 21, 22, 23, 25, 26); without its last sensor
+    # the lag 8 is no difference any more, and 52 no sum
+    wrong = geometry.from_positions("AULAs", geometry.design_aulas(9).positions[:-1])
+    monkeypatch.setattr(verify, "design_aulas", lambda n: wrong)
+    report = check_lemma1(9)
+    assert report.details.pop("first_disagreement") == {
+        "dc_contiguous_single_hole": 8,
+        "sc_band_contiguous": 26,
+        "sc_max_is_twice_aperture": 52,
+        "sdc_hole_free": -49,
+        "udofs_matches_closed_form": 8,
     }
+    assert set(report.failures()) == {"dc_contiguous_single_hole", "sc_band_contiguous",
+                                      "sc_max_is_twice_aperture", "sdc_hole_free",
+                                      "udofs_matches_closed_form"}
+    assert report.details == {"udofs_brute": 15, "udofs_closed": 105, "dc_hole": 24,
+                              "sc_band": (21, 52)}
+
+
+def test_a_wrong_shift_names_the_lags_it_moves():
+    # SAULAs(9) sits at shift m/2 = 3; claimed at shift 4, the sum band would
+    # end at 60, but the sums stop at 58
+    p = geometry.AulasParams.for_family("saulas", 9)
+    rep = coarray.coarray_report(geometry.design_saulas(9))
+    report = verify._check_augmented("lemma2", rep, p, shift=p.m // 2 + 1)
+    assert report.details["first_disagreement"] == {
+        "sc_band_contiguous": 59,
+        "sc_max_is_twice_aperture": 60,
+        "udofs_matches_closed_form": 59,
+    }
+    assert "first_disagreement" not in check_lemma2(9).details
+
+
+def test_failing_lemma3_and_lemma4_claims_name_their_first_lag(monkeypatch):
+    tsaulas = geometry.design_tsaulas(9).positions  # (-26, 3, 9, ..., 30)
+    cotsaulas = geometry.design_cotsaulas(9).positions  # (-20, 3, ..., 24, 25)
+    monkeypatch.setattr(verify, "design_tsaulas",
+                        lambda n: geometry.from_positions("TSAULAs", tsaulas[1:]))
+    monkeypatch.setattr(verify, "design_cotsaulas",
+                        lambda n: geometry.from_positions("Co-TSAULAs", cotsaulas[:-1]))
+    assert check_lemma3(9).details["first_disagreement"] == {
+        "contiguous_through_l_t1": 1,
+        "udofs_matches_closed_form": 1,
+        "holes_outside_segment": -54,
+    }
+    assert check_lemma4(9).details["first_disagreement"] == {
+        "sdc_hole_free": -47,
+        "udofs_matches_closed_form": 45,
+        "span_matches": 45,
+    }
+
+
+def test_run_all_enumerates_each_lemma_array_once(count_calls, monkeypatch):
+    counts = count_calls(["geometry.design", "coarray.difference_set", "coarray.sum_set",
+                          "coarray.sum_difference_coarray", "coarray.weight_table"])
+    enumerated = []
+    report = coarray.coarray_report
+
+    def recording(array, *args, **kwargs):
+        enumerated.append((array.name, array.n))
+        return report(array, *args, **kwargs)
+
+    monkeypatch.setattr(coarray, "coarray_report", recording)
+    monkeypatch.setattr(verify, "coarray_report", recording)
+    reports = run_all(16)
+    lemmas = [(r.family, r.n) for r in reports if r.check.startswith("lemma")]
+    assert len(lemmas) == sum(len(sensor_counts(f, 0, 16)) for f in LEMMA_FAMILIES.values())
+    # one report per (family, n), and the weight checks read its counts
+    assert enumerated == lemmas
+    assert sorted((r.family, r.n) for r in reports if r.check == "weights") == sorted(lemmas)
+    # each report takes dc from difference_set and counts w(1..3) once; the
+    # weight checks design nothing (check_weights alone designs through
+    # geometry.design), and sum_set and sum_difference_coarray never run
+    assert counts == dict.fromkeys(("coarray.difference_set", "coarray.weight_table"),
+                                   len(lemmas))
+
+
+def test_run_all_reports_equal_the_standalone_checks():
+    families = {spec.display_name: name for name, spec in geometry.FAMILIES.items()}
+    for r in run_all(24):
+        if r.check == "weights":
+            alone = check_weights(families[r.family], r.n)
+        else:
+            alone = verify._CHECKERS[r.check](r.n)
+        assert r.to_dict() == alone.to_dict()
+
+
+def test_run_all_keeps_only_the_weights_of_each_report():
+    run_all(12)
+    tracemalloc.start()
+    try:
+        run_all(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 #: sha256 of run_all(64)'s reports, one sorted-key JSON line each, as
