@@ -54,13 +54,6 @@ def _values(*parts) -> np.ndarray:
     return values
 
 
-def _span(values: np.ndarray) -> tuple[int, int, bool]:
-    """(min, max) of the values and whether a bitmap over [min, max] is
-    dense enough to use (the one guard on the bitmap path)."""
-    lo, hi = int(values.min()), int(values.max())
-    return lo, hi, hi - lo < BITMAP_SLOTS_PER_VALUE * values.size
-
-
 def _occupancy(lo: int, hi: int, *parts) -> np.ndarray:
     """occ[k] is True iff lag lo + k occurs in one of the parts; every value
     must lie in [lo, hi]."""
@@ -68,6 +61,11 @@ def _occupancy(lo: int, hi: int, *parts) -> np.ndarray:
     for values in parts:
         occ[values - lo] = True
     return occ
+
+
+def _marked(occ: np.ndarray, lo: int) -> LagSet:
+    """The lags lo + k whose slot k of a bitmap over [lo, ...] is set, sorted."""
+    return occ.nonzero()[0] + lo
 
 
 def _listable_span(lo: int, hi: int) -> None:
@@ -90,22 +88,27 @@ def _segment(occ: np.ndarray, zero: int) -> tuple[int, int]:
     return 2 * m + 1, 2 * m
 
 
-def _lagset(*parts) -> LagSet:
-    """The distinct lags of all the given value arrays together, sorted."""
+def _lagset(*parts, span: tuple[int, int] | None = None) -> LagSet:
+    """The distinct lags of all the given value arrays together, sorted;
+    ``span`` is their (min, max) where the caller knows it."""
     values = _values(*parts)
-    lo, hi, dense = _span(values)
-    if not dense:
+    lo, hi = span or (int(values.min()), int(values.max()))
+    if hi - lo >= BITMAP_SLOTS_PER_VALUE * values.size:  # the one density guard
         return np.unique(values)
-    return np.flatnonzero(_occupancy(lo, hi, values)) + lo
+    return _marked(_occupancy(lo, hi, values), lo)
 
 
 def difference_set(a, b=None) -> LagSet:
     """All pairwise differences {m_v - m_u : m_v in b, m_u in a}.
 
     With one argument this is the (self-)difference co-array, which is always
-    symmetric about 0 and contains 0.
+    symmetric about 0 and contains 0; a SensorArray's sorted positions give
+    its span [-aperture, aperture].
     """
     pa = _positions(a)
+    if b is None and isinstance(a, SensorArray):
+        aperture = int(pa[-1] - pa[0])
+        return _lagset(pa[:, None] - pa[None, :], span=(-aperture, aperture))
     pb = pa if b is None else _positions(b)
     return _lagset(pb[:, None] - pa[None, :])
 
@@ -142,9 +145,9 @@ def holes(lags) -> LagSet:
     """Integers missing from a lag set between its min and max (at most
     MAX_SPAN of them)."""
     values = _values(lags)
-    lo, hi, _ = _span(values)
+    lo, hi = int(values.min()), int(values.max())
     _listable_span(lo, hi)
-    return np.flatnonzero(~_occupancy(lo, hi, values)) + lo
+    return _marked(~_occupancy(lo, hi, values), lo)
 
 
 def spatial_efficiency(lags) -> float:
@@ -177,7 +180,8 @@ def weight_table(a, lags: Iterable[int] | None = None) -> dict[int, int]:
 
     The full table counts the N^2 differences with np.unique.  Requested lags
     are counted without enumerating them: w(f) sums, over each position m_u,
-    how many positions equal m_u - f, for every lag in one pass.
+    how many positions equal m_u - f, for every lag in one pass over the
+    sorted positions (a SensorArray's already are).
     """
     p = _positions(a)
     if lags is None:
@@ -185,9 +189,9 @@ def weight_table(a, lags: Iterable[int] | None = None) -> dict[int, int]:
         values, counts = np.unique(diffs, return_counts=True)
         return dict(zip(values.tolist(), counts.tolist()))
     keys = [integer_field(f, "lag") for f in lags]
-    s = np.sort(p)
+    s = p if isinstance(a, SensorArray) else np.sort(p)
     below = s - np.array(keys, dtype=np.int64)[:, None]
-    hits = np.searchsorted(s, below, "right") - np.searchsorted(s, below, "left")
+    hits = s.searchsorted(below, "right") - s.searchsorted(below, "left")
     return dict(zip(keys, hits.sum(axis=1).tolist()))
 
 
@@ -243,16 +247,16 @@ def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -
     dc = difference_set(array)
     occ = _occupancy(-top, top, p[:, None] + p[None, :])
     occ |= occ[::-1]
-    sc = np.flatnonzero(occ) - top
+    sc = _marked(occ, -top)
     occ[dc + top] = True
     udofs, cva = _segment(occ, top)
-    hole_set = np.flatnonzero(~occ) - top
+    hole_set = _marked(~occ, -top)
     return CoarrayReport(
         array_name=array.name,
         n=array.n,
         dc=dc,
         sc=sc,
-        sdc=np.flatnonzero(occ) - top,
+        sdc=_marked(occ, -top),
         udofs=udofs,
         cva=cva,
         hole_count=int(hole_set.size),

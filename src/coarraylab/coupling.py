@@ -156,14 +156,18 @@ def get_preset(name: str) -> CouplingModel:
 
 
 def coupling_matrix(array: SensorArray, model: CouplingModel) -> np.ndarray:
-    """N x N matrix C with C[u, v] = c_{|m_u - m_v|}, with the coefficient
-    taken once per distinct separation, so the cost does not grow with the
-    aperture."""
+    """N x N matrix C with C[u, v] = c_{|m_u - m_v|}.  The coefficient is
+    taken once per distinct separation inside the band and every entry past
+    it is 0, so the cost grows neither with the aperture nor with the band
+    limit."""
     pos = array.as_array()
     sep = np.abs(pos[:, None] - pos[None, :])
-    distinct, index = np.unique(sep, return_inverse=True)
+    inside = sep <= min(model.band_limit, int(pos[-1] - pos[0]))
+    distinct, index = np.unique(sep[inside], return_inverse=True)
     coeff = np.array([model.coefficient(q) for q in distinct.tolist()], dtype=complex)
-    return coeff[index.reshape(sep.shape)]
+    c = np.zeros(sep.shape, dtype=complex)
+    c[inside] = coeff[index]
+    return c
 
 
 def coupling_leakage(c: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -37,13 +36,15 @@ class DesignError(ValueError):
     """Invalid design parameters or malformed geometry input."""
 
 
-@contextmanager
-def _as_design_error():
+class _as_design_error:
     """Raise the ValueError of a shared input rule as a DesignError."""
-    try:
-        yield
-    except ValueError as err:
-        raise DesignError(str(err)) from None
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, err, traceback) -> None:
+        if kind is not None and issubclass(kind, ValueError):
+            raise DesignError(str(err)) from None
 
 
 def _sensor_count(n, name: str) -> int:
@@ -153,41 +154,49 @@ class AulasParams:
                    n3=m // 2 - spec.n3_offset)
 
 
-def _family_array(family: str, positions: list[int]) -> SensorArray:
-    return SensorArray(FAMILIES[family].display_name, tuple(sorted(positions)))
+def _family_array(family: str, *blocks) -> SensorArray:
+    """The array of a generated family from position blocks that are each
+    increasing and follow one another in increasing order."""
+    positions = np.concatenate(blocks).tolist()
+    return SensorArray(FAMILIES[family].display_name, tuple(positions))
+
+
+def _augmented(p: AulasParams) -> np.ndarray:
+    """The augmented ULA's positions: a coarse n1-element grid of pitch m,
+    then the dense run from n1*m - m/2 to n1*m + m/2 - 1 without n1*m."""
+    n1m, half = p.n1 * p.m, p.m // 2
+    return np.concatenate((np.arange(0, n1m, p.m), np.arange(n1m - half, n1m),
+                           np.arange(n1m + 1, n1m + half)))
 
 
 def design_aulas(n: int) -> SensorArray:
     """Augmented ULA: a coarse n1-element grid of pitch m plus two dense
     tails straddling the last coarse sensor."""
-    p = AulasParams.for_family("aulas", n)
-    n1m, half = p.n1 * p.m, p.m // 2
-    part1 = [k * p.m for k in range(p.n1)]
-    part2 = [n1m - half - 1 + k for k in range(1, half + 1)]
-    part3 = [n1m + k for k in range(1, half)]
-    return _family_array("aulas", part1 + part2 + part3)
+    return _family_array("aulas", _augmented(AulasParams.for_family("aulas", n)))
 
 
 def design_saulas(n: int) -> SensorArray:
     """Shifted variant: the same structure as design_aulas moved up by m/2,
     which relocates the sum co-array without touching the difference set."""
     p = AulasParams.for_family("saulas", n)
-    return design_aulas(n).translated(p.m // 2, name=FAMILIES["saulas"].display_name)
+    return _family_array("saulas", _augmented(p) + p.m // 2)
 
 
-def _transformed_shifted(p: AulasParams) -> list[int]:
+def _transformed_shifted(p: AulasParams) -> tuple[np.ndarray, ...]:
+    """The blocks of the transformed-shifted array, in increasing order: the
+    mirrored sensor, the coarse grid from m/2 at pitch m and two tails at
+    pitch 2."""
     n1m, half = p.n1 * p.m, p.m // 2
-    part1 = [half + k * p.m for k in range(p.n1)]
-    part2 = [n1m - half + 2 * k for k in range(1, half)] + [-n1m - half + 1]
-    part3 = [n1m + half - 1 + 2 * k for k in range(1, half)]
-    return part1 + part2 + part3
+    return (np.array([-n1m - half + 1]), np.arange(half, n1m, p.m),
+            np.arange(n1m - half + 2, n1m + half - 1, 2),
+            np.arange(n1m + half + 1, n1m + 3 * half - 2, 2))
 
 
 def design_tsaulas(n: int) -> SensorArray:
     """Transformed-shifted variant: dense tails opened up to pitch 2 and a
     single mirrored sensor far on the negative axis."""
     p = AulasParams.for_family("tsaulas", n)
-    return _family_array("tsaulas", _transformed_shifted(p))
+    return _family_array("tsaulas", *_transformed_shifted(p))
 
 
 def design_cotsaulas(n: int) -> SensorArray:
@@ -195,7 +204,7 @@ def design_cotsaulas(n: int) -> SensorArray:
     extra tail sensor, trading a shorter span for a hole-free co-array."""
     p = AulasParams.for_family("cotsaulas", n)
     tail = p.n1 * p.m + 3 * (p.m // 2) - 2
-    return _family_array("cotsaulas", _transformed_shifted(p) + [tail])
+    return _family_array("cotsaulas", *_transformed_shifted(p), np.array([tail]))
 
 
 def design_ula(n: int) -> SensorArray:

@@ -5,8 +5,9 @@ lag range, total usable DOFs, hole layout and small-lag weights.  Each
 checker enumerates its array once by raw pair enumeration (one
 ``coarray_report``) and compares; the closed forms under test are never used
 to produce the reference side.  ``run_all`` hands the w(1..3) each lemma
-check counted on to the weight check of the same array, so every array is
-enumerated once.
+check counted, and the AulasParams it built, on to the weight check of the
+same array, so every array is enumerated once and its weight check sizes
+nothing again.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ class LemmaReport:
     n: int
     claims: dict[str, bool]
     details: dict
-    #: w(1..3) as a lemma check counted them on the array it enumerated, for
-    #: the weight check of the same array; not part of the report's output.
+    #: w(1..3) as a lemma check counted them on the array it enumerated, and
+    #: the AulasParams it built, for the weight check of the same array; not
+    #: part of the report's output.
     weights: Mapping[int, int] | None = field(default=None, compare=False, repr=False)
+    params: AulasParams | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -72,7 +75,7 @@ def _plain(value):
 
 def _count_in(lags: np.ndarray, lo: int, hi: int) -> int:
     """How many lags of a sorted lag set lie in [lo, hi]."""
-    return int(np.searchsorted(lags, hi, "right") - np.searchsorted(lags, lo))
+    return int(lags.searchsorted(hi, "right") - lags.searchsorted(lo))
 
 
 def _first_difference(lags: np.ndarray, lo: int, hi: int, expected) -> int | None:
@@ -92,7 +95,7 @@ def _segment_miss(udofs: int, closed_udofs: int) -> int:
     return (min(udofs, closed_udofs) + 1) // 2
 
 
-def _lemma_report(check: str, rep: CoarrayReport, n: int, claims: dict, details: dict,
+def _lemma_report(check: str, rep: CoarrayReport, p: AulasParams, claims: dict, details: dict,
                   first_lag: dict) -> LemmaReport:
     """The report of a lemma check.  ``first_lag`` maps a claim to a callable
     giving the first lag where brute force and the closed form disagree; it
@@ -101,7 +104,7 @@ def _lemma_report(check: str, rep: CoarrayReport, n: int, claims: dict, details:
     missed = {c: first_lag[c]() for c, ok in claims.items() if not ok and c in first_lag}
     if missed:
         details["first_disagreement"] = missed
-    return LemmaReport(check, rep.array_name, n, claims, details, rep.weights)
+    return LemmaReport(check, rep.array_name, p.n, claims, details, rep.weights, p)
 
 
 def _check_augmented(check: str, rep: CoarrayReport, p: AulasParams, shift: int) -> LemmaReport:
@@ -112,14 +115,14 @@ def _check_augmented(check: str, rep: CoarrayReport, p: AulasParams, shift: int)
     dc, sc = rep.dc, rep.sc
 
     top = n1m + half - 1
-    expected_dc_pos = np.delete(np.arange(0, top + 1, dtype=np.int64), n1m)
     lo, hi = band = (n1m - half + 2 * shift, 2 * n1m + p.m - 2 + 2 * shift)
     closed_udofs = 4 * n1m + 2 * p.m - 3 + 4 * shift
     plugs = (n1m + 1, n1m + 2)
     claims = {
-        "dc_contiguous_single_hole": bool(
-            np.array_equal(dc[dc >= 0], expected_dc_pos)
-        ),
+        # the lags 0..top less n1m are dc's nonnegative part: dc ends at top,
+        # holds top lags of [0, top] and not n1m
+        "dc_contiguous_single_hole": (int(dc[-1]) == top and _count_in(dc, 0, top) == top
+                                      and _count_in(dc, n1m, n1m) == 0),
         "sc_band_contiguous": _count_in(sc, lo, hi) == hi - lo + 1,
         "sc_max_is_twice_aperture": int(sc[-1]) == hi,
         "sum_lag_fills_dc_hole": _count_in(sc, n1m, n1m) == 1,
@@ -137,7 +140,7 @@ def _check_augmented(check: str, rep: CoarrayReport, p: AulasParams, shift: int)
     }
     first_lag = {
         "dc_contiguous_single_hole": lambda: _first_difference(
-            dc, 0, max(int(dc[-1]), top), expected_dc_pos),
+            dc, 0, max(int(dc[-1]), top), np.delete(np.arange(top + 1), n1m)),
         "sc_band_contiguous": lambda: _first_difference(sc, lo, hi, np.arange(lo, hi + 1)),
         "sc_max_is_twice_aperture": lambda: _first_difference(sc, hi, max(int(sc[-1]), hi), [hi]),
         "sum_lag_fills_dc_hole": lambda: n1m,
@@ -146,7 +149,7 @@ def _check_augmented(check: str, rep: CoarrayReport, p: AulasParams, shift: int)
         "sdc_hole_free": lambda: rep.hole_positions[0],
         "udofs_matches_closed_form": lambda: _segment_miss(rep.udofs, closed_udofs),
     }
-    return _lemma_report(check, rep, p.n, claims, details, first_lag)
+    return _lemma_report(check, rep, p, claims, details, first_lag)
 
 
 def check_lemma1(n: int) -> LemmaReport:
@@ -202,7 +205,7 @@ def check_lemma3(n: int) -> LemmaReport:
         "span_matches": lambda: _first_difference(
             rep.sdc, span, max(int(rep.sdc[-1]), span), [span]),
     }
-    return _lemma_report("lemma3", rep, n, claims, details, first_lag)
+    return _lemma_report("lemma3", rep, p, claims, details, first_lag)
 
 
 def check_lemma4(n: int) -> LemmaReport:
@@ -226,13 +229,14 @@ def check_lemma4(n: int) -> LemmaReport:
         "span_matches": lambda: _first_difference(
             rep.sdc, 0, max(int(rep.sdc[-1]), span), np.arange(span + 1)),
     }
-    return _lemma_report("lemma4", rep, n, claims, details, first_lag)
+    return _lemma_report("lemma4", rep, p, claims, details, first_lag)
 
 
-def closed_form_weights(family: str, n: int) -> dict[int, int]:
-    """Predicted pair counts at lags 1..3 for each generated family."""
+def closed_form_weights(family: str, n: int, params: AulasParams | None = None) -> dict[int, int]:
+    """Predicted pair counts at lags 1..3 for each generated family;
+    ``params``, when given, are the family's AulasParams at n."""
     family = family.lower()
-    m = AulasParams.for_family(family, n).m
+    m = (params or AulasParams.for_family(family, n)).m
     if family in ("aulas", "saulas"):
         return {1: m - 3, 2: m - 4, 3: (m - 5 if m > 6 else m // 2)}
     if family == "tsaulas":
@@ -240,11 +244,13 @@ def closed_form_weights(family: str, n: int) -> dict[int, int]:
     return {1: 1, 2: m - 3, 3: 2}
 
 
-def check_weights(family: str, n: int, counted: Mapping[int, int] | None = None) -> LemmaReport:
+def check_weights(family: str, n: int, counted: Mapping[int, int] | None = None,
+                  params: AulasParams | None = None) -> LemmaReport:
     """Compare closed-form w(1..3) against direct pair counting.  ``counted``
-    takes the w(1..3) that a check which enumerated the same array counted;
-    without it the array is designed and counted here."""
-    predicted = closed_form_weights(family, n)
+    and ``params`` take the w(1..3) that a check which enumerated the same
+    array counted and the AulasParams it built; without them the array is
+    designed and counted here."""
+    predicted = closed_form_weights(family, n, params)
     if counted is None:
         counted = weight_table(design(family, n), (1, 2, 3))
     claims = {f"w{f}_matches": counted[f] == predicted[f] for f in (1, 2, 3)}
@@ -285,15 +291,16 @@ def run_all(n_max: int = N_MAX, n_min: Mapping[str, int] | None = None) -> list[
 
     Each (family, n) array is designed and enumerated once, by its lemma
     check's one ``coarray_report``; the weight check of the same array reads
-    the w(1..3) that report counted, which its LemmaReport carries."""
+    the w(1..3) that report counted and the AulasParams of the lemma check,
+    which its LemmaReport carries."""
     n_min = n_min or {}
     sizes = selected_sensor_counts({f: n_min.get(f, 0) for f in FAMILIES}, n_max)
     reports: list[LemmaReport] = []
     for check, family in LEMMA_FAMILIES.items():
         reports.extend(run_lemma_sweep(check, sizes[family]))
-    counted = {(LEMMA_FAMILIES[r.check], r.n): r.weights for r in reports}
+    shared = {(LEMMA_FAMILIES[r.check], r.n): (r.weights, r.params) for r in reports}
     for family, counts in sizes.items():
-        reports.extend(check_weights(family, n, counted.get((family, n))) for n in counts)
+        reports.extend(check_weights(family, n, *shared.get((family, n), ())) for n in counts)
     return reports
 
 

@@ -154,7 +154,37 @@ def test_matrix_matches_the_coefficient_vector_oracle(family, model):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_matrix_takes_one_coefficient_per_distinct_separation(monkeypatch):
+def _per_separation_matrix(array, model):
+    """The matrix as first built: one coefficient per distinct separation,
+    mapped back through np.unique's inverse."""
+    pos = array.as_array()
+    sep = np.abs(pos[:, None] - pos[None, :])
+    distinct, index = np.unique(sep, return_inverse=True)
+    coeff = np.array([model.coefficient(q) for q in distinct.tolist()], dtype=complex)
+    return coeff[index.reshape(sep.shape)]
+
+
+def _assert_matches_the_per_separation_oracle(array):
+    for model in (coupling.PAPER_V, coupling.NONE, CouplingModel(band_limit=3)):
+        got, want = coupling_matrix(array, model), _per_separation_matrix(array, model)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert coupling_leakage(got) == coupling_leakage(want)
+
+
+@pytest.mark.parametrize("family", geometry.GENERATED_FAMILIES)
+def test_matrix_matches_the_per_separation_oracle(family):
+    """Byte for byte, matrices and leakage, at every size up to 80 and at
+    the largest."""
+    for n in [*geometry.sensor_counts(family, 0, 80), geometry.MAX_SENSORS]:
+        _assert_matches_the_per_separation_oracle(geometry.design(family, n))
+
+
+def test_matrix_matches_the_per_separation_oracle_on_a_sparse_geometry():
+    _assert_matches_the_per_separation_oracle(
+        geometry.from_positions("far", [0, 1, 2, 10**10]))
+
+
+def test_matrix_takes_one_coefficient_per_separation_in_the_band(monkeypatch):
     calls = []
     coefficient = CouplingModel.coefficient
 
@@ -165,8 +195,12 @@ def test_matrix_takes_one_coefficient_per_distinct_separation(monkeypatch):
     monkeypatch.setattr(CouplingModel, "coefficient", counting)
     far = 10**10
     c = coupling_matrix(geometry.from_positions("far", [0, 1, 2, far]), coupling.PAPER_V)
-    assert sorted(calls) == [0, 1, 2, far - 2, far - 1, far]
+    assert sorted(calls) == [0, 1, 2]
     assert c[0, 3] == 0 and c[0, 1] == coefficient(coupling.PAPER_V, 1)
+    # a band as wide as the far sensor's separations takes each of them once
+    calls.clear()
+    coupling_matrix(geometry.from_positions("far", [0, 1, 2, far]), CouplingModel(band_limit=far))
+    assert sorted(calls) == [0, 1, 2, far - 2, far - 1, far]
 
 
 def test_identity_preset_yields_exact_identity():

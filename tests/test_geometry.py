@@ -351,3 +351,53 @@ def test_every_builder_stops_at_the_sensor_bound(build):
     # too large for a float; refused by the bound before anything is built
     with pytest.raises(DesignError, match=f"must be at most {MAX_SENSORS} sensors"):
         build(10**400)
+
+
+# The list-based builders as first written, the oracle of the np.arange
+# blocks the designs build from.
+
+
+def _aulas_list(p):
+    n1m, half = p.n1 * p.m, p.m // 2
+    part1 = [k * p.m for k in range(p.n1)]
+    part2 = [n1m - half - 1 + k for k in range(1, half + 1)]
+    part3 = [n1m + k for k in range(1, half)]
+    return part1 + part2 + part3
+
+
+def _transformed_shifted_list(p):
+    n1m, half = p.n1 * p.m, p.m // 2
+    part1 = [half + k * p.m for k in range(p.n1)]
+    part2 = [n1m - half + 2 * k for k in range(1, half)] + [-n1m - half + 1]
+    part3 = [n1m + half - 1 + 2 * k for k in range(1, half)]
+    return part1 + part2 + part3
+
+
+LIST_BUILDERS = {
+    "aulas": _aulas_list,
+    "saulas": lambda p: [q + p.m // 2 for q in _aulas_list(p)],
+    "tsaulas": _transformed_shifted_list,
+    "cotsaulas": lambda p: _transformed_shifted_list(p) + [p.n1 * p.m + 3 * (p.m // 2) - 2],
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_designs_match_the_list_based_builders(family):
+    """Every size from the family's smallest to MAX_SENSORS: the same name
+    and the same sorted positions as the list-based builder."""
+    spec = FAMILIES[family]
+    for n in range(spec.min_n, MAX_SENSORS + 1):
+        p = AulasParams.for_family(family, n)
+        array = design(family, n)
+        assert array.name == spec.display_name
+        assert array.positions == tuple(sorted(LIST_BUILDERS[family](p)))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_params_and_designs_follow_the_sensor_count_rule(family):
+    for call in (AulasParams.for_family, design):
+        for n, message in ((True, "^n must be an integer"),
+                           (MAX_SENSORS + 1, f"^n must be at most {MAX_SENSORS} sensors")):
+            with pytest.raises(DesignError, match=message):
+                call(family, n)
+        assert call(family, 12.0) == call(family, 12)

@@ -3,13 +3,14 @@ co-array claims against directly enumerated lag sets."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coarraylab import coarray, geometry, verify
@@ -141,6 +142,29 @@ def test_first_difference_is_the_smallest_lag_in_one_set_only(lags, expected, lo
     odd = {f for f in lags ^ set(within) if lo <= f <= hi}
     got = verify._first_difference(np.array(sorted(lags), dtype=np.int64), lo, hi, within)
     assert got == (min(odd) if odd else None)
+
+
+@given(st.integers(9, 64), st.booleans(),
+       st.sets(st.tuples(st.sampled_from(["zero", "hole", "top"]), st.integers(-2, 2)),
+               max_size=3))
+@example(9, False, {("top", 1)})   # a lag past the top
+@example(12, True, {("hole", 0)})  # the hole filled
+@example(9, False, {("top", 0)})   # the top missing
+def test_dc_claim_counts_equal_the_expected_vector(n, shifted, toggles):
+    """The three range counts of dc_contiguous_single_hole against the
+    nonnegative part of dc compared whole, on the lag set of an AULAs or
+    SAULAs array with lags toggled near 0, the hole n1*m and the top."""
+    family = "saulas" if shifted else "aulas"
+    p = geometry.AulasParams.for_family(family, n)
+    n1m, top = p.n1 * p.m, p.n1 * p.m + p.m // 2 - 1
+    anchors = {"zero": 0, "hole": n1m, "top": top}
+    rep = coarray.coarray_report(geometry.design(family, n))
+    dc = set(rep.dc.tolist()) ^ {anchors[a] + d for a, d in toggles}
+    dc = np.array(sorted(dc), dtype=np.int64)
+    report = verify._check_augmented("lemma", dataclasses.replace(rep, dc=dc), p,
+                                     shift=p.m // 2 if shifted else 0)
+    expected = np.delete(np.arange(top + 1), n1m)
+    assert report.claims["dc_contiguous_single_hole"] == np.array_equal(dc[dc >= 0], expected)
 
 
 def test_failing_lemma_claims_name_their_first_disagreeing_lag(monkeypatch):
