@@ -8,12 +8,15 @@ the spectrum search can still pass.
 
 Regenerate the files (only when an output change is intended) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+which captures the named invocations, or all of them when none is named.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +90,12 @@ INVOCATIONS = {
          "--output", "{out}/coupled"],
         ["coupled.spectrum.csv", "coupled.estimates.json"],
     ),
+    # L = 159, K = 4: E_s from the subspace iteration of signal_subspace
+    "music_ritz_trials2": (
+        ["music", "--family", "saulas", "--n", "16", "--scenario", "{out}/offgrid.json",
+         "--grid-step", "0.5", "--trials", "2", "--output", "{out}/ritz"],
+        ["ritz.spectrum.csv", "ritz.estimates.json"],
+    ),
 }
 
 
@@ -121,8 +130,8 @@ def test_cli_output_matches_golden(name, tmp_path):
             assert got == want, artefact
 
 
-def capture() -> None:
-    for name in sorted(INVOCATIONS):
+def capture(names: list[str]) -> None:
+    for name in names or sorted(INVOCATIONS):
         target = GOLDEN_DIR / name
         run_invocation(name, target)
         for filename in SCENARIOS:
@@ -131,4 +140,4 @@ def capture() -> None:
 
 
 if __name__ == "__main__":
-    capture()
+    capture(sys.argv[1:])
