@@ -158,19 +158,20 @@ class SmoothedCovariance:
     """R_ss of ``spatial_smoothing`` as an operator, for conjugate-symmetric
     samples v(-l) = conj v(l), as every ``virtual_observation`` has; the
     trial pipeline's solvers take E_s from its products or from its
-    samples (see ``signal_subspace``), and never form the matrix.  The
-    subspace iteration applies it to the conjugate-centrosymmetric
-    vectors Q (x_1 + j x_2) of two real coordinate columns at once (see
-    ``_real_product``).
+    samples (see ``signal_subspace``), and never form the matrix.
 
-    With W the K x L Hankel window matrix W[i, k] = u_{i+k} of the 2m + 1
-    virtual samples u_j = v(j - m), R_ss = W^T conj(W) / K, so
-    R_ss X = W^T (conj(W) X) / K: two correlations of the samples with the
-    columns of X (Liu & Vaidyanathan, IEEE SPL 2015), each one FFT product.
-    A circular length of at least 2m + 1, the sample count, keeps the
-    wrap-around off every entry kept; the smallest 2^a 3^b 5^c such length
-    is used.  R_ss is Hermitian by construction, so only the samples are
-    checked.  ``shape`` is (L, L).
+    Its one product is M x for the real form M = Q^H R_ss Q (see
+    ``_real_form``) and a real L x p block x, p even: the halves x_1, x_2
+    of x ride on one complex column z = Q (x_1 + j x_2), and
+    Q^H R_ss z = M x_1 + j M x_2.  With W the K x L Hankel window matrix
+    W[i, k] = u_{i+k} of the 2m + 1 samples u_j = v(j - m),
+    R_ss z = W^T (conj(W) z) / K (Liu & Vaidyanathan, IEEE SPL 2015), and
+    as conj(u_j) = u_{2m-j} both factors are convolutions with u:
+    (conj(W) z)_i = (u * z)_{2m-i} and (W^T y)_k = (u * reversed y)_{K-1+k},
+    each one FFT product with the spectrum of u.  A circular length of at
+    least 2m + 1, the smallest 2^a 3^b 5^c, keeps the wrap-around off every
+    entry kept.  R_ss is Hermitian by construction, so only the samples
+    are checked.  ``shape`` is (L, L).
     """
 
     def __init__(self, v: VirtualObservation, subarray_len: int | None = None):
@@ -183,38 +184,50 @@ class SmoothedCovariance:
         self._fft_size = nufft.fft_length(u.size)
 
     @cached_property
-    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """The FFTs of u and conj(u), taken at the first product, so a
-        trial that goes straight to the real form takes none."""
-        u = self.samples
-        return np.fft.fft(u, self._fft_size), np.fft.fft(u.conj(), self._fft_size)
+    def _spectrum(self) -> np.ndarray:
+        """The FFT of u, taken at the first product, so a trial that goes
+        straight to the real form takes none."""
+        return np.fft.fft(self.samples, self._fft_size)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.length, self.length)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """R_ss x for an L x p block x, in O(p m log m) on p x F buffers."""
+        """M x for a real L x p block x, p even, in O(p m log m) on p/2 x F
+        buffers.  Q and Q^H are applied times sqrt2, and the 2 this leaves
+        is divided out with K."""
         size, length, windows = self._fft_size, self.length, self.windows
-        count = length + windows - 1
-        samples, conj_samples = self._spectra
-        buf = np.zeros((x.shape[1], size), dtype=complex)
-        # (conj(W) x)_i = sum_k conj(u_{i+k}) x_k: the convolution of conj(u)
-        # with x reversed, at i + L - 1
-        buf[:, :length] = x[::-1].T
+        half, odd = divmod(length, 2)
+        low, mid, high = slice(half), slice(half, half + odd), slice(half + odd, length)
+        pairs = x.shape[1] // 2
+        x_1, x_2 = x.T[:pairs], x.T[pairs:]
+        buf = np.zeros((pairs, size), dtype=complex)
+        # rows i and L-1-i of sqrt2 Q (x_1 + j x_2): (x_1 + j x_2)_i +- j (x_1 + j x_2)_{h+i}
+        head, tail = buf[:, low], buf[:, high][:, ::-1]
+        np.subtract(x_1[:, low], x_2[:, high], out=head.real)
+        np.add(x_2[:, low], x_1[:, high], out=head.imag)
+        np.add(x_1[:, low], x_2[:, high], out=tail.real)
+        np.subtract(x_2[:, low], x_1[:, high], out=tail.imag)
+        buf[:, mid] = (x_1[:, mid] + 1j * x_2[:, mid]) * math.sqrt(2)
+        spectrum = self._spectrum
         buf = np.fft.fft(buf)
-        buf *= conj_samples
+        buf *= spectrum
         buf = np.fft.ifft(buf)
-        # (W^T y)_k = sum_i u_{i+k} y_i: the convolution of u with y
-        # reversed, at k + K - 1
-        buf[:, :windows] = buf[:, count - 1 : length - 2 : -1]
-        buf[:, windows:] = 0.0
-        buf = np.fft.fft(buf)
-        buf *= samples
+        # conj(W) z reversed is entries L-1 .. 2m of u * z
+        buf = np.fft.fft(buf[:, length - 1 : self.samples.size], size)
+        buf *= spectrum
         buf = np.fft.ifft(buf)
-        z = buf[:, windows - 1 : count].T
-        z /= windows
-        return z
+        y = buf[:, windows - 1 : windows - 1 + length]
+        y /= 2 * windows
+        # rows i and h+i of sqrt2 Q^H y: y_i + y_{L-1-i} and j (y_{L-1-i} - y_i)
+        both, diff = y[:, low] + y[:, high][:, ::-1], y[:, high][:, ::-1] - y[:, low]
+        middle = y[:, mid] * math.sqrt(2)
+        out = np.empty((x.shape[1], length))
+        out[:pairs, low], out[pairs:, low] = both.real, both.imag
+        out[:pairs, mid], out[pairs:, mid] = middle.real, middle.imag
+        out[:pairs, high], out[pairs:, high] = -diff.imag, diff.real
+        return out.T
 
 
 def _check_hermitian(r: np.ndarray) -> np.ndarray:
@@ -310,50 +323,27 @@ def _real_form(u: np.ndarray, length: int) -> np.ndarray:
 
 def _from_real_basis(w: np.ndarray) -> np.ndarray:
     """Q w for the unitary Q = [[I, 0, jI], [0, sqrt2, 0], [Pi, 0, -jPi]] / sqrt2
-    (middle row and column only for odd L): rows i and L-1-i of Q w are
-    (w_i +- j w_{h+i}) / sqrt2, with h = ceil(L / 2).  A real w gives the
-    conjugate-centrosymmetric vectors, Pi conj(Q w) = Q w; w may be complex."""
+    (middle row and column only for odd L) and a real w: rows i and L-1-i
+    of Q w are (w_i +- j w_{h+i}) / sqrt2, with h = ceil(L / 2), so Q w is
+    conjugate-centrosymmetric, Pi conj(Q w) = Q w."""
     half, odd = divmod(w.shape[0], 2)
     head = (w[:half] + 1j * w[half + odd :]) / math.sqrt(2)
-    if np.isrealobj(w):
-        tail = head.conj()
-    else:
-        tail = (w[:half] - 1j * w[half + odd :]) / math.sqrt(2)
-    return np.concatenate([head, w[half : half + odd], tail[::-1]])
-
-
-def _to_real_basis(y: np.ndarray) -> np.ndarray:
-    """Q^H y for the Q of ``_from_real_basis``: rows i and h+i of Q^H y are
-    (y_i + y_{L-1-i}) / sqrt2 and j (y_{L-1-i} - y_i) / sqrt2."""
-    half, odd = divmod(y.shape[0], 2)
-    low, high = y[:half], y[half + odd :][::-1]
-    return np.concatenate([(low + high) / math.sqrt(2), y[half : half + odd],
-                           (high - low) * (1j / math.sqrt(2))])
-
-
-def _real_product(r: SmoothedCovariance, x: np.ndarray) -> np.ndarray:
-    """M x for M = Q^H R_ss Q, the real form of ``_real_form`` (Y^T Y / K),
-    and a real L x p block x with p even, two real columns per complex
-    column of one R_ss product: y = R_ss Q (x_1 + j x_2) for the two halves
-    of x, and Q^H y = M x_1 + j M x_2 because M is real."""
-    pairs = x.shape[1] // 2
-    y = _to_real_basis(r @ _from_real_basis(x[:, :pairs] + 1j * x[:, pairs:]))
-    return np.concatenate([y.real, y.imag], axis=1)
+    return np.concatenate([head, w[half : half + odd], head[::-1].conj()])
 
 
 def _ritz_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
     """E_s and the top K + OVERSAMPLE Ritz values, both in ascending order,
-    from subspace iteration on M = Q^H R_ss Q (see ``_real_product``) in
-    real coordinates: real QRs, a real Rayleigh-Ritz eigh, and E_s = Q V
+    from subspace iteration on M = Q^H R_ss Q (the product of
+    ``SmoothedCovariance``) in real coordinates: real QRs, a real Rayleigh-Ritz eigh, and E_s = Q V
     for the K Ritz vectors V.  The block has K + OVERSAMPLE columns rounded
     up to even, from a fixed real start block; None when it has not
     converged within MAX_ITERATIONS, as when the gap is within rounding.
     Q is unitary, so residual, gap and angles are those of R_ss."""
     width = num_sources + OVERSAMPLE
     start = np.random.default_rng(0).standard_normal((r.length, width + width % 2))
-    basis = np.linalg.qr(_real_product(r, start))[0]
+    basis = np.linalg.qr(r @ start)[0]
     for _ in range(MAX_ITERATIONS):
-        image = _real_product(r, basis)
+        image = r @ basis
         values, w = np.linalg.eigh(basis.T @ image)
         w = w[:, -num_sources:]
         vectors = basis @ w
@@ -388,8 +378,8 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
     - An operator, from L >= SIZE_RATIO * (K + OVERSAMPLE): block subspace
       iteration with Rayleigh-Ritz on K + OVERSAMPLE real vectors (rounded
       up to even) from a fixed start block, in the real coordinates of the
-      real form, finds E_s from products r_ss X alone, two real vectors
-      per complex column, O(L log L) per pair (see ``_ritz_subspace``).
+      real form, finds E_s from the operator's real products r_ss @ X
+      alone, O(L log L) per pair of columns (see ``_ritz_subspace``).
       The values are then its top K + OVERSAMPLE Ritz values.  It stops
       once the Davis-Kahan bound on the subspace error is at most
       SUBSPACE_TOL, and gives up after MAX_ITERATIONS, as it does when the

@@ -250,27 +250,48 @@ def test_fft_length_is_the_smallest_5_smooth_length():
         assert not any(_is_5_smooth(n) for n in range(size, got))
 
 
+def _conjugate_symmetric_observation(m, seed):
+    """Random samples over lags -m..m with v(-l) = conj v(l)."""
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+    half[0] = half[0].real
+    return VirtualObservation(lags=np.arange(-m, m + 1),
+                              values=np.concatenate([half[:0:-1].conj(), half]))
+
+
 @settings(deadline=None, max_examples=200)
-@given(_virtual_observations(symmetric=True), st.integers(1, 12), st.integers(0, 2**32 - 1))
-def test_smoothed_covariance_applies_the_window_product(case, columns, seed):
-    """R_ss X by two FFT correlations against the window product times X,
-    on conjugate-symmetric samples, the only ones the operator takes.
-    The FFT rounds relative to the norms of its inputs, so the bound is
-    normwise per column x of X: the error stayed below
-    1.9 log2(F) eps ||u||^2 ||x|| / K on 3000 cases (F the FFT length, u
-    the samples), and the test allows 4."""
+@given(_virtual_observations(symmetric=True), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example((_conjugate_symmetric_observation(30, 61), 31), 3, 31)
+@example((_conjugate_symmetric_observation(94, 154), 60), 3, 60)
+@example((_conjugate_symmetric_observation(95, 128), 33), 3, 33)
+@example((_conjugate_symmetric_observation(94, 189), 95), 1, 95)
+def test_smoothed_covariance_applies_the_window_product(case, pairs, seed):
+    """The operator's one product, M x for the real form M = Q^H R_ss Q and
+    a real L x 2p block x, against Q^H R_ss Q applied to x_1 + j x_2 (the
+    halves of x) with R_ss the long-double window product, and against
+    Y^T (Y x) / K of the gathered real form: conjugate-symmetric samples,
+    the only ones the operator takes, at window lengths of either parity,
+    K = L and K != L.  The FFT rounds relative to the norms of its inputs,
+    so the bound is normwise per complex column z = x_1 + j x_2: the error
+    stayed below 0.95 log2(F) eps ||u||^2 ||z|| / K against the window
+    product and 1.5 against the real form on 3000 cases (F the FFT length,
+    u the samples), and the test allows 4 for both."""
     v, length = case
     op = SmoothedCovariance(v, length)
     assert op.shape == (length, length)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((length, columns)) + 1j * rng.standard_normal((length, columns))
-    want = _window_product(v, length) @ x
+    x = np.random.default_rng(seed).standard_normal((length, 2 * pairs))
     got = op @ x
-    assert got.shape == want.shape
+    assert got.dtype == float and got.shape == x.shape
+    z = x[:, :pairs] + 1j * x[:, pairs:]
+    q = estimation._from_real_basis(np.eye(length))
+    want = q.conj().T @ (_window_product(v, length) @ (q @ z))
     size = nufft.fft_length(v.values.size)
     energy = np.sum(np.abs(v.values) ** 2)
-    bound = 4 * np.log2(size) * np.finfo(float).eps * energy * np.linalg.norm(x, axis=0)
-    assert np.all(np.abs(got - want).max(axis=0) <= bound / op.windows)
+    bound = 4 * np.log2(size) * np.finfo(float).eps * energy * np.linalg.norm(z, axis=0)
+    bound = np.tile(bound / op.windows, 2)
+    assert np.all(np.abs(got - np.hstack([want.real, want.imag])).max(axis=0) <= bound)
+    y = estimation._real_form(v.values, length)
+    assert np.all(np.abs(got - y.T @ (y @ x) / op.windows).max(axis=0) <= bound)
 
 
 def test_smoothed_covariance_rejects_what_spatial_smoothing_rejects():
@@ -748,9 +769,9 @@ def test_signal_subspace_takes_the_complex_eigh_on_noiseless_input(family):
 def _complex_ritz_subspace(r, num_sources):
     """The complex subspace iteration that ``_ritz_subspace`` replaced: its
     oracle.  K Ritz vectors and K + OVERSAMPLE Ritz values from products of
-    R_ss with complex blocks, complex QRs and a complex Rayleigh-Ritz eigh;
-    None without convergence within MAX_ITERATIONS."""
-    start = np.random.default_rng(0).standard_normal((r.length, num_sources + estimation.OVERSAMPLE))
+    the dense R_ss r with complex blocks, complex QRs and a complex
+    Rayleigh-Ritz eigh; None without convergence within MAX_ITERATIONS."""
+    start = np.random.default_rng(0).standard_normal((r.shape[0], num_sources + estimation.OVERSAMPLE))
     basis = np.linalg.qr(r @ start)[0]
     for _ in range(estimation.MAX_ITERATIONS):
         image = r @ basis
@@ -763,24 +784,6 @@ def _complex_ritz_subspace(r, num_sources):
             return estimation.Subspace(vectors, values)
         basis = np.linalg.qr(image)[0]
     return None
-
-
-@pytest.mark.parametrize(("m", "length"), [(30, 31), (30, 32), (94, 95), (94, 60), (95, 96),
-                                           (95, 33)])
-def test_real_product_is_the_real_form_times_the_block(m, length):
-    """Two real columns per complex product: M x for M = Q^H R_ss Q against
-    Y^T Y / K times x, for even and odd L; Q^H undoes Q."""
-    v = _conjugate_symmetric_observation(m, m + length)
-    op = SmoothedCovariance(v, length)
-    y = estimation._real_form(v.values, length)
-    x = np.random.default_rng(length).standard_normal((length, 6))
-    got = estimation._real_product(op, x)
-    assert got.dtype == float and got.shape == x.shape
-    want = y.T @ (y @ x) / op.windows
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
-    z = x[:, :3] + 1j * x[:, 3:]
-    np.testing.assert_allclose(estimation._to_real_basis(estimation._from_real_basis(z)), z,
-                               rtol=0, atol=1e-15)
 
 
 @st.composite
@@ -816,7 +819,7 @@ def test_real_iteration_matches_the_complex_oracle(case):
     the spectra agree to 1e-5 dB above the guard."""
     v, length, k = case
     op = SmoothedCovariance(v, length)
-    want = _complex_ritz_subspace(op, k)
+    want = _complex_ritz_subspace(np.asarray(_window_product(v, length), dtype=complex), k)
     found = estimation._ritz_subspace(op, k)
     assume(want is not None and found is not None)
     assert found.signal.shape == (length, k)
@@ -925,15 +928,6 @@ def _toeplitz(v):
     """T[i, k] = v(i - k) for i, k in 0..m, entry by entry."""
     m = v.half_width
     return np.array([[v.value_at(i - k) for k in range(m + 1)] for i in range(m + 1)])
-
-
-def _conjugate_symmetric_observation(m, seed):
-    """Random samples over lags -m..m with v(-l) = conj v(l)."""
-    rng = np.random.default_rng(seed)
-    half = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
-    half[0] = half[0].real
-    return VirtualObservation(lags=np.arange(-m, m + 1),
-                              values=np.concatenate([half[:0:-1].conj(), half]))
 
 
 @pytest.mark.parametrize("length", range(2, 14))
