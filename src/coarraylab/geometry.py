@@ -117,14 +117,15 @@ class Family(NamedTuple):
 
     With the sparse spacing m = 2*ceil(n/4), the family puts
     n1 = n - m + n1_offset sensors on the coarse grid and sizes its second
-    dense tail as n3 = m/2 - n3_offset.
+    dense tail as n3 = m/2 - n3_offset; ``build`` lays the array out from
+    those ``AulasParams``.
     """
 
     display_name: str
     min_n: int
     n1_offset: int
     n3_offset: int
-    build: Callable[[int], "SensorArray"]
+    build: Callable[["AulasParams"], "SensorArray"]
 
 
 @dataclass(frozen=True)
@@ -169,16 +170,11 @@ def _augmented(p: AulasParams) -> np.ndarray:
                            np.arange(n1m + 1, n1m + half)))
 
 
-def design_aulas(n: int) -> SensorArray:
-    """Augmented ULA: a coarse n1-element grid of pitch m plus two dense
-    tails straddling the last coarse sensor."""
-    return _family_array("aulas", _augmented(AulasParams.for_family("aulas", n)))
+def _aulas(p: AulasParams) -> SensorArray:
+    return _family_array("aulas", _augmented(p))
 
 
-def design_saulas(n: int) -> SensorArray:
-    """Shifted variant: the same structure as design_aulas moved up by m/2,
-    which relocates the sum co-array without touching the difference set."""
-    p = AulasParams.for_family("saulas", n)
+def _saulas(p: AulasParams) -> SensorArray:
     return _family_array("saulas", _augmented(p) + p.m // 2)
 
 
@@ -192,19 +188,42 @@ def _transformed_shifted(p: AulasParams) -> tuple[np.ndarray, ...]:
             np.arange(n1m + half + 1, n1m + 3 * half - 2, 2))
 
 
+def _tsaulas(p: AulasParams) -> SensorArray:
+    return _family_array("tsaulas", *_transformed_shifted(p))
+
+
+def _cotsaulas(p: AulasParams) -> SensorArray:
+    tail = p.n1 * p.m + 3 * (p.m // 2) - 2
+    return _family_array("cotsaulas", *_transformed_shifted(p), np.array([tail]))
+
+
+def _design(family: str, n: int) -> SensorArray:
+    """A generated family's array at n sensors, built from its AulasParams."""
+    return FAMILIES[family].build(AulasParams.for_family(family, n))
+
+
+def design_aulas(n: int) -> SensorArray:
+    """Augmented ULA: a coarse n1-element grid of pitch m plus two dense
+    tails straddling the last coarse sensor."""
+    return _design("aulas", n)
+
+
+def design_saulas(n: int) -> SensorArray:
+    """Shifted variant: the same structure as design_aulas moved up by m/2,
+    which relocates the sum co-array without touching the difference set."""
+    return _design("saulas", n)
+
+
 def design_tsaulas(n: int) -> SensorArray:
     """Transformed-shifted variant: dense tails opened up to pitch 2 and a
     single mirrored sensor far on the negative axis."""
-    p = AulasParams.for_family("tsaulas", n)
-    return _family_array("tsaulas", *_transformed_shifted(p))
+    return _design("tsaulas", n)
 
 
 def design_cotsaulas(n: int) -> SensorArray:
     """Compressed variant of design_tsaulas: one fewer coarse sensor and one
     extra tail sensor, trading a shorter span for a hole-free co-array."""
-    p = AulasParams.for_family("cotsaulas", n)
-    tail = p.n1 * p.m + 3 * (p.m // 2) - 2
-    return _family_array("cotsaulas", *_transformed_shifted(p), np.array([tail]))
+    return _design("cotsaulas", n)
 
 
 def design_ula(n: int) -> SensorArray:
@@ -230,13 +249,14 @@ def design_nested(n_dense: int, n_sparse: int) -> SensorArray:
 
 #: The generated augmented-ULA families, by CLI name.
 FAMILIES: dict[str, Family] = {
-    "aulas": Family("AULAs", 9, n1_offset=1, n3_offset=2, build=design_aulas),
-    "saulas": Family("SAULAs", 9, n1_offset=1, n3_offset=2, build=design_saulas),
-    "tsaulas": Family("TSAULAs", 5, n1_offset=1, n3_offset=1, build=design_tsaulas),
-    "cotsaulas": Family("Co-TSAULAs", 9, n1_offset=0, n3_offset=1, build=design_cotsaulas),
+    "aulas": Family("AULAs", 9, n1_offset=1, n3_offset=2, build=_aulas),
+    "saulas": Family("SAULAs", 9, n1_offset=1, n3_offset=2, build=_saulas),
+    "tsaulas": Family("TSAULAs", 5, n1_offset=1, n3_offset=1, build=_tsaulas),
+    "cotsaulas": Family("Co-TSAULAs", 9, n1_offset=0, n3_offset=1, build=_cotsaulas),
 }
 
-_FAMILY_BUILDERS = {**{name: f.build for name, f in FAMILIES.items()}, "ula": design_ula}
+_FAMILY_BUILDERS = {"aulas": design_aulas, "saulas": design_saulas, "tsaulas": design_tsaulas,
+                    "cotsaulas": design_cotsaulas, "ula": design_ula}
 
 #: The smallest sensor count of every family ``design`` builds.
 _MIN_N = {**{name: f.min_n for name, f in FAMILIES.items()}, "ula": 1}

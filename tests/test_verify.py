@@ -167,11 +167,18 @@ def test_dc_claim_counts_equal_the_expected_vector(n, shifted, toggles):
     assert report.claims["dc_contiguous_single_hole"] == np.array_equal(dc[dc >= 0], expected)
 
 
+def _substitute(monkeypatch, family, array):
+    """Make ``family`` build ``array`` at every size, where the lemma checks
+    build their arrays: through geometry.FAMILIES."""
+    spec = geometry.FAMILIES[family]
+    monkeypatch.setitem(geometry.FAMILIES, family, spec._replace(build=lambda p: array))
+
+
 def test_failing_lemma_claims_name_their_first_disagreeing_lag(monkeypatch):
     # AULAs(9) is (0, 6, 12, 18, 21, 22, 23, 25, 26); without its last sensor
     # the lag 8 is no difference any more, and 52 no sum
     wrong = geometry.from_positions("AULAs", geometry.design_aulas(9).positions[:-1])
-    monkeypatch.setattr(verify, "design_aulas", lambda n: wrong)
+    _substitute(monkeypatch, "aulas", wrong)
     report = check_lemma1(9)
     assert report.details.pop("first_disagreement") == {
         "dc_contiguous_single_hole": 8,
@@ -204,10 +211,8 @@ def test_a_wrong_shift_names_the_lags_it_moves():
 def test_failing_lemma3_and_lemma4_claims_name_their_first_lag(monkeypatch):
     tsaulas = geometry.design_tsaulas(9).positions  # (-26, 3, 9, ..., 30)
     cotsaulas = geometry.design_cotsaulas(9).positions  # (-20, 3, ..., 24, 25)
-    monkeypatch.setattr(verify, "design_tsaulas",
-                        lambda n: geometry.from_positions("TSAULAs", tsaulas[1:]))
-    monkeypatch.setattr(verify, "design_cotsaulas",
-                        lambda n: geometry.from_positions("Co-TSAULAs", cotsaulas[:-1]))
+    _substitute(monkeypatch, "tsaulas", geometry.from_positions("TSAULAs", tsaulas[1:]))
+    _substitute(monkeypatch, "cotsaulas", geometry.from_positions("Co-TSAULAs", cotsaulas[:-1]))
     assert check_lemma3(9).details["first_disagreement"] == {
         "contiguous_through_l_t1": 1,
         "udofs_matches_closed_form": 1,
@@ -230,13 +235,24 @@ def test_run_all_enumerates_each_lemma_array_once(count_calls, monkeypatch):
         enumerated.append((array.name, array.n))
         return report(array, *args, **kwargs)
 
+    sized = []
+    for_family = geometry.AulasParams.for_family
+
+    def sizing(family, n):
+        sized.append((geometry.FAMILIES[family].display_name, n))
+        return for_family(family, n)
+
     monkeypatch.setattr(coarray, "coarray_report", recording)
     monkeypatch.setattr(verify, "coarray_report", recording)
+    monkeypatch.setattr(geometry.AulasParams, "for_family", staticmethod(sizing))
     reports = run_all(16)
     lemmas = [(r.family, r.n) for r in reports if r.check.startswith("lemma")]
     assert len(lemmas) == sum(len(sensor_counts(f, 0, 16)) for f in LEMMA_FAMILIES.values())
-    # one report per (family, n), and the weight checks read its counts
+    # one report per (family, n), and the weight checks read its counts;
+    # each array is sized once, by its lemma check, which builds it from
+    # those AulasParams
     assert enumerated == lemmas
+    assert sized == lemmas
     assert sorted((r.family, r.n) for r in reports if r.check == "weights") == sorted(lemmas)
     # each report takes dc from difference_set and counts w(1..3) once; the
     # weight checks design nothing (check_weights alone designs through
