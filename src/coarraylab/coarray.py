@@ -20,8 +20,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .coupling import integer_field
 from .geometry import SensorArray, _integer_positions
+from .inputs import integer_field
 
 LagSet = np.ndarray
 

@@ -18,8 +18,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import nufft
-from .coupling import CouplingModel, integer_field
+from .coupling import CouplingModel
 from .geometry import SensorArray
+from .inputs import integer_field
 from .signal import (
     ExtendedCovariance,
     LagPlan,

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .coupling import integer_field, json_object, lookup, read_json
+from .inputs import integer_field, json_object, lookup, read_json
 
 POSITION_UNIT = "half-wavelength"
 

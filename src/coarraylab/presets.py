@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coupling import PAPER_V, CouplingModel, lookup
+from .coupling import PAPER_V, CouplingModel
 from .estimation import MusicConfig
+from .inputs import lookup
 from .signal import Scenario
 
 

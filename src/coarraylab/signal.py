@@ -31,8 +31,8 @@ import numpy as np
 
 from . import coarray
 from .coupling import CouplingModel, coupling_matrix, get_preset
-from .coupling import integer_field, json_object, read_json, real_field
 from .geometry import SensorArray
+from .inputs import integer_field, json_object, read_json, real_field
 
 SNAPSHOT_MAGIC = b"CALB"
 SNAPSHOT_FORMAT_VERSION = 1

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from coarraylab import signal
 from coarraylab.cli import EXIT_OK, EXIT_USAGE, main
-from coarraylab.coupling import CouplingModel, integer_field
+from coarraylab.coupling import CouplingModel
+from coarraylab.inputs import integer_field
 from coarraylab.estimation import MAX_GRID_POINTS, MusicConfig, run_trials
 from coarraylab.geometry import design, design_nested, design_ula, from_positions, sensor_counts
 from coarraylab.signal import (
