@@ -707,6 +707,22 @@ def _trial_observation(n=12, angles=(-33.21, 4.04, 48.88)):
     return virtual_observation(extended_covariance(x), lag_plan(arr))
 
 
+def test_the_operator_keeps_one_spectrum_of_the_samples():
+    """Both correlations of a product take the FFT of the samples, which
+    the first product computes and later ones reuse; the real form, which
+    takes no product, leaves it uncomputed."""
+    v = _trial_observation()
+    op = SmoothedCovariance(v)
+    estimation._real_subspace(op, 3)
+    assert "_spectrum" not in vars(op)
+    x = np.random.default_rng(0).standard_normal((op.length, 4))
+    first = op @ x
+    spectrum = vars(op)["_spectrum"]
+    np.testing.assert_array_equal(spectrum, np.fft.fft(v.values, nufft.fft_length(v.values.size)))
+    assert (op @ x).tobytes() == first.tobytes()
+    assert vars(op)["_spectrum"] is spectrum
+
+
 @pytest.mark.parametrize(
     ("n", "angles"),
     [(12, (-33.21, 4.04, 48.88)), (16, (-50.3, -12.7, 20.1, 61.9)), (20, (-5.55, 30.02))],

@@ -301,6 +301,25 @@ def test_family_table_minimum_sizes():
         AulasParams.for_family("ula", 12)
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_each_family_builds_its_array_from_its_params(family, monkeypatch):
+    """``design`` sizes a generated array once and lays it out with the
+    family's ``build``, which takes the AulasParams alone: the lemma checks
+    call it with the params they already hold."""
+    for_family = AulasParams.for_family
+    sized = []
+
+    def sizing(name, n):
+        sized.append((name, n))
+        return for_family(name, n)
+
+    monkeypatch.setattr(AulasParams, "for_family", staticmethod(sizing))
+    sizes = range(FAMILIES[family].min_n, 40)
+    for n in sizes:
+        assert FAMILIES[family].build(for_family(family, n)) == design(family, n)
+    assert sized == [(family, n) for n in sizes]
+
+
 @pytest.mark.parametrize("family", GENERATED_FAMILIES)
 def test_sensor_counts_start_at_the_smallest_size_design_builds(family):
     sizes = sensor_counts(family, 0, 12)
