@@ -182,13 +182,12 @@ class SmoothedCovariance:
                              "v(-l) = conj v(l); use spatial_smoothing for other samples")
         self.samples = u
         self.windows = u.size - self.length + 1
-        self._fft_size = nufft.fft_length(u.size)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
         """The FFT of u, taken at the first product, so a trial that goes
         straight to the real form takes none."""
-        return np.fft.fft(self.samples, self._fft_size)
+        return np.fft.fft(self.samples, nufft.fft_length(self.samples.size))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -198,12 +197,12 @@ class SmoothedCovariance:
         """M x for a real L x p block x, p even, in O(p m log m) on p/2 x F
         buffers.  Q and Q^H are applied times sqrt2, and the 2 this leaves
         is divided out with K."""
-        size, length, windows = self._fft_size, self.length, self.windows
+        spectrum, length, windows = self._spectrum, self.length, self.windows
         half, odd = divmod(length, 2)
         low, mid, high = slice(half), slice(half, half + odd), slice(half + odd, length)
         pairs = x.shape[1] // 2
         x_1, x_2 = x.T[:pairs], x.T[pairs:]
-        buf = np.zeros((pairs, size), dtype=complex)
+        buf = np.zeros((pairs, spectrum.size), dtype=complex)
         # rows i and L-1-i of sqrt2 Q (x_1 + j x_2): (x_1 + j x_2)_i +- j (x_1 + j x_2)_{h+i}
         head, tail = buf[:, low], buf[:, high][:, ::-1]
         np.subtract(x_1[:, low], x_2[:, high], out=head.real)
@@ -211,12 +210,11 @@ class SmoothedCovariance:
         np.add(x_1[:, low], x_2[:, high], out=tail.real)
         np.subtract(x_2[:, low], x_1[:, high], out=tail.imag)
         buf[:, mid] = (x_1[:, mid] + 1j * x_2[:, mid]) * math.sqrt(2)
-        spectrum = self._spectrum
         buf = np.fft.fft(buf)
         buf *= spectrum
         buf = np.fft.ifft(buf)
         # conj(W) z reversed is entries L-1 .. 2m of u * z
-        buf = np.fft.fft(buf[:, length - 1 : self.samples.size], size)
+        buf = np.fft.fft(buf[:, length - 1 : self.samples.size], spectrum.size)
         buf *= spectrum
         buf = np.fft.ifft(buf)
         y = buf[:, windows - 1 : windows - 1 + length]
@@ -334,11 +332,12 @@ def _from_real_basis(w: np.ndarray) -> np.ndarray:
 
 def _ritz_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
     """E_s and the top K + OVERSAMPLE Ritz values, both in ascending order,
-    from subspace iteration on M = Q^H R_ss Q (the product of
-    ``SmoothedCovariance``) in real coordinates: real QRs, a real Rayleigh-Ritz eigh, and E_s = Q V
-    for the K Ritz vectors V.  The block has K + OVERSAMPLE columns rounded
-    up to even, from a fixed real start block; None when it has not
-    converged within MAX_ITERATIONS, as when the gap is within rounding.
+    from subspace iteration on M = Q^H R_ss Q, the product of
+    ``SmoothedCovariance``, in real coordinates: real QRs, a real
+    Rayleigh-Ritz eigh, and E_s = Q V for the K Ritz vectors V.  The block
+    has K + OVERSAMPLE columns rounded up to even, from a fixed real start
+    block; None when it has not converged within MAX_ITERATIONS, as when
+    the gap is within rounding.
     Q is unitary, so residual, gap and angles are those of R_ss."""
     width = num_sources + OVERSAMPLE
     start = np.random.default_rng(0).standard_normal((r.length, width + width % 2))

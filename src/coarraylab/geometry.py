@@ -117,15 +117,15 @@ class Family(NamedTuple):
 
     With the sparse spacing m = 2*ceil(n/4), the family puts
     n1 = n - m + n1_offset sensors on the coarse grid and sizes its second
-    dense tail as n3 = m/2 - n3_offset; ``build`` lays the array out from
-    those ``AulasParams``.
+    dense tail as n3 = m/2 - n3_offset; ``layout`` gives the increasing
+    sensor positions from those ``AulasParams``.
     """
 
     display_name: str
     min_n: int
     n1_offset: int
     n3_offset: int
-    build: Callable[["AulasParams"], "SensorArray"]
+    layout: Callable[["AulasParams"], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,11 @@ class AulasParams:
                    n3=m // 2 - spec.n3_offset)
 
 
-def _family_array(family: str, *blocks) -> SensorArray:
-    """The array of a generated family from position blocks that are each
-    increasing and follow one another in increasing order."""
-    positions = np.concatenate(blocks).tolist()
-    return SensorArray(FAMILIES[family].display_name, tuple(positions))
+def family_array(family: str, p: AulasParams) -> SensorArray:
+    """The array of a generated family laid out from its AulasParams ``p``;
+    ``design`` sizes it first, a caller that holds the params does not."""
+    spec = FAMILIES[family]
+    return SensorArray(spec.display_name, tuple(spec.layout(p).tolist()))
 
 
 def _augmented(p: AulasParams) -> np.ndarray:
@@ -170,60 +170,37 @@ def _augmented(p: AulasParams) -> np.ndarray:
                            np.arange(n1m + 1, n1m + half)))
 
 
-def _aulas(p: AulasParams) -> SensorArray:
-    return _family_array("aulas", _augmented(p))
-
-
-def _saulas(p: AulasParams) -> SensorArray:
-    return _family_array("saulas", _augmented(p) + p.m // 2)
-
-
-def _transformed_shifted(p: AulasParams) -> tuple[np.ndarray, ...]:
-    """The blocks of the transformed-shifted array, in increasing order: the
-    mirrored sensor, the coarse grid from m/2 at pitch m and two tails at
-    pitch 2."""
+def _transformed_shifted(p: AulasParams) -> np.ndarray:
+    """The transformed-shifted array's positions: the mirrored sensor, the
+    coarse grid from m/2 at pitch m and two tails at pitch 2."""
     n1m, half = p.n1 * p.m, p.m // 2
-    return (np.array([-n1m - half + 1]), np.arange(half, n1m, p.m),
-            np.arange(n1m - half + 2, n1m + half - 1, 2),
-            np.arange(n1m + half + 1, n1m + 3 * half - 2, 2))
-
-
-def _tsaulas(p: AulasParams) -> SensorArray:
-    return _family_array("tsaulas", *_transformed_shifted(p))
-
-
-def _cotsaulas(p: AulasParams) -> SensorArray:
-    tail = p.n1 * p.m + 3 * (p.m // 2) - 2
-    return _family_array("cotsaulas", *_transformed_shifted(p), np.array([tail]))
-
-
-def _design(family: str, n: int) -> SensorArray:
-    """A generated family's array at n sensors, built from its AulasParams."""
-    return FAMILIES[family].build(AulasParams.for_family(family, n))
+    return np.concatenate(([-n1m - half + 1], np.arange(half, n1m, p.m),
+                           np.arange(n1m - half + 2, n1m + half - 1, 2),
+                           np.arange(n1m + half + 1, n1m + 3 * half - 2, 2)))
 
 
 def design_aulas(n: int) -> SensorArray:
     """Augmented ULA: a coarse n1-element grid of pitch m plus two dense
     tails straddling the last coarse sensor."""
-    return _design("aulas", n)
+    return family_array("aulas", AulasParams.for_family("aulas", n))
 
 
 def design_saulas(n: int) -> SensorArray:
     """Shifted variant: the same structure as design_aulas moved up by m/2,
     which relocates the sum co-array without touching the difference set."""
-    return _design("saulas", n)
+    return family_array("saulas", AulasParams.for_family("saulas", n))
 
 
 def design_tsaulas(n: int) -> SensorArray:
     """Transformed-shifted variant: dense tails opened up to pitch 2 and a
     single mirrored sensor far on the negative axis."""
-    return _design("tsaulas", n)
+    return family_array("tsaulas", AulasParams.for_family("tsaulas", n))
 
 
 def design_cotsaulas(n: int) -> SensorArray:
     """Compressed variant of design_tsaulas: one fewer coarse sensor and one
     extra tail sensor, trading a shorter span for a hole-free co-array."""
-    return _design("cotsaulas", n)
+    return family_array("cotsaulas", AulasParams.for_family("cotsaulas", n))
 
 
 def design_ula(n: int) -> SensorArray:
@@ -249,10 +226,13 @@ def design_nested(n_dense: int, n_sparse: int) -> SensorArray:
 
 #: The generated augmented-ULA families, by CLI name.
 FAMILIES: dict[str, Family] = {
-    "aulas": Family("AULAs", 9, n1_offset=1, n3_offset=2, build=_aulas),
-    "saulas": Family("SAULAs", 9, n1_offset=1, n3_offset=2, build=_saulas),
-    "tsaulas": Family("TSAULAs", 5, n1_offset=1, n3_offset=1, build=_tsaulas),
-    "cotsaulas": Family("Co-TSAULAs", 9, n1_offset=0, n3_offset=1, build=_cotsaulas),
+    "aulas": Family("AULAs", 9, n1_offset=1, n3_offset=2, layout=_augmented),
+    "saulas": Family("SAULAs", 9, n1_offset=1, n3_offset=2,
+                     layout=lambda p: _augmented(p) + p.m // 2),
+    "tsaulas": Family("TSAULAs", 5, n1_offset=1, n3_offset=1, layout=_transformed_shifted),
+    "cotsaulas": Family("Co-TSAULAs", 9, n1_offset=0, n3_offset=1,
+                        layout=lambda p: np.append(_transformed_shifted(p),
+                                                   p.n1 * p.m + 3 * (p.m // 2) - 2)),
 }
 
 _FAMILY_BUILDERS = {"aulas": design_aulas, "saulas": design_saulas, "tsaulas": design_tsaulas,

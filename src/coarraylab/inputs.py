@@ -1,11 +1,6 @@
-"""The input rules: one definition each of a real field, an integer field,
-a JSON object with known fields, a JSON file and a lookup by name.
-
-Every module that takes user input (a scenario, an array descriptor, a
-coupling model, a CLI option) parses it with these, so bad input fails the
-same way everywhere: a ValueError that names the field, which the CLI
-turns into exit 2.
-"""
+"""The input rules, one definition each: a real field, an integer field, a
+JSON object with known fields, a JSON file and a lookup by name.  Each
+refuses bad input with a ValueError that names it."""
 
 from __future__ import annotations
 

@@ -2,9 +2,9 @@
 
 Each geometry family ships with closed-form expressions for its contiguous
 lag range, total usable DOFs, hole layout and small-lag weights.  Each
-checker enumerates its array once by raw pair enumeration (one
-``coarray_report``) and compares; the closed forms under test are never used
-to produce the reference side.  ``run_all`` hands the w(1..3) each lemma
+checker sizes its array once, builds it from those AulasParams, enumerates
+it once by raw pair enumeration (one ``coarray_report``) and compares; the
+closed forms under test are never used to produce the reference side.  ``run_all`` hands the w(1..3) each lemma
 check counted, and the AulasParams it built, on to the weight check of the
 same array, so every array is enumerated once and its weight check sizes
 nothing again.
@@ -19,7 +19,14 @@ import numpy as np
 
 from .coarray import CoarrayReport, coarray_report, weight_table
 from .coarray import difference_set  # noqa: F401  (benchmarks/ reads verify.difference_set)
-from .geometry import FAMILIES, AulasParams, design, selected_sensor_counts, sensor_counts
+from .geometry import (
+    FAMILIES,
+    AulasParams,
+    design,
+    family_array,
+    selected_sensor_counts,
+    sensor_counts,
+)
 
 
 @dataclass(frozen=True)
@@ -97,14 +104,6 @@ def _lemma_report(check: str, rep: CoarrayReport, p: AulasParams, claims: dict, 
     return LemmaReport(check, rep.array_name, p.n, claims, details, rep.weights, p)
 
 
-def _enumerate(family: str, n: int) -> tuple[AulasParams, CoarrayReport]:
-    """The AulasParams of a lemma check's array and the array's one
-    ``coarray_report``; the array is built from those params, so it is
-    sized once."""
-    p = AulasParams.for_family(family, n)
-    return p, coarray_report(FAMILIES[family].build(p))
-
-
 def _check_augmented(check: str, rep: CoarrayReport, p: AulasParams, shift: int) -> LemmaReport:
     """Shared body of lemmas 1 and 2: the base augmented ULA and its copy
     slid up by ``shift``.  The difference set does not move; the sum set and
@@ -159,15 +158,16 @@ def check_lemma1(n: int) -> LemmaReport:
     hole; together the sum-difference co-array is hole-free with
     4*n1*m + 2*m - 3 usable DOFs.
     """
-    p, rep = _enumerate("aulas", n)
-    return _check_augmented("lemma1", rep, p, shift=0)
+    p = AulasParams.for_family("aulas", n)
+    return _check_augmented("lemma1", coarray_report(family_array("aulas", p)), p, shift=0)
 
 
 def check_lemma2(n: int) -> LemmaReport:
     """Same structure for the shifted variant, where the roles invert: now
     the difference set plugs the two holes just above n1*m that the shifted
     sum set leaves behind, and the co-array keeps 4*n1*m + 4*m - 3 DOFs."""
-    p, rep = _enumerate("saulas", n)
+    p = AulasParams.for_family("saulas", n)
+    rep = coarray_report(family_array("saulas", p))
     return _check_augmented("lemma2", rep, p, shift=p.m // 2)
 
 
@@ -175,8 +175,9 @@ def check_lemma3(n: int) -> LemmaReport:
     """Transformed-shifted variant: contiguous through 2*n1*m + 2*m - 4 on
     each side (4*n1*m + 4*m - 7 DOFs) and every remaining hole lies strictly
     outside that segment, m - 2 of them in total."""
-    p, rep = _enumerate("tsaulas", n)
+    p = AulasParams.for_family("tsaulas", n)
     n1m = p.n1 * p.m
+    rep = coarray_report(family_array("tsaulas", p))
 
     l_t1 = 2 * n1m + 2 * p.m - 4
     closed_udofs = 4 * n1m + 4 * p.m - 7
@@ -208,8 +209,9 @@ def check_lemma3(n: int) -> LemmaReport:
 def check_lemma4(n: int) -> LemmaReport:
     """Compressed variant: the sum-difference co-array is hole-free over its
     whole span, 4*n1*m + 6*m - 7 DOFs with n1 = n - m."""
-    p, rep = _enumerate("cotsaulas", n)
+    p = AulasParams.for_family("cotsaulas", n)
     n1m = p.n1 * p.m
+    rep = coarray_report(family_array("cotsaulas", p))
 
     closed_udofs = 4 * n1m + 6 * p.m - 7
     span = 2 * n1m + 3 * p.m - 4

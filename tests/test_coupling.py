@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import graphlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coarraylab import coupling, geometry
+from coarraylab import coupling, geometry, inputs
 from coarraylab.coupling import (
     CouplingModel,
     coupling_leakage,
@@ -310,3 +313,33 @@ def test_model_dict_round_trip():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises((TypeError, ValueError)):
         CouplingModel.from_dict({"c1_magnitude": 0.3, "mystery": 1})
+
+
+# ---------------------------------------------------------------------------
+# Module imports
+# ---------------------------------------------------------------------------
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """The package modules each module of ``coarraylab`` imports."""
+    package = Path(inputs.__file__).parent
+    graph = {}
+    for path in package.glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported |= {node.module} if node.module else {a.name for a in node.names}
+        graph[path.stem] = imported
+    return graph
+
+
+def test_module_imports_form_a_tree_rooted_at_the_input_rules():
+    """``inputs`` imports no package module, every module that parses an
+    integer takes the rule from it, and the package's imports, those under
+    TYPE_CHECKING included, have no cycle."""
+    graph = _package_imports()
+    assert graph["inputs"] == set()
+    for module in ("coarray", "coupling", "estimation", "geometry", "signal"):
+        assert "inputs" in graph[module], module
+    graph.pop("__init__")
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle

@@ -787,7 +787,8 @@ def _complex_ritz_subspace(r, num_sources):
     oracle.  K Ritz vectors and K + OVERSAMPLE Ritz values from products of
     the dense R_ss r with complex blocks, complex QRs and a complex
     Rayleigh-Ritz eigh; None without convergence within MAX_ITERATIONS."""
-    start = np.random.default_rng(0).standard_normal((r.shape[0], num_sources + estimation.OVERSAMPLE))
+    width = num_sources + estimation.OVERSAMPLE
+    start = np.random.default_rng(0).standard_normal((r.shape[0], width))
     basis = np.linalg.qr(r @ start)[0]
     for _ in range(estimation.MAX_ITERATIONS):
         image = r @ basis

@@ -22,6 +22,7 @@ from coarraylab.geometry import (
     design_saulas,
     design_tsaulas,
     design_ula,
+    family_array,
     from_positions,
     inbuilt_shared_locations,
     load_descriptor,
@@ -303,8 +304,8 @@ def test_family_table_minimum_sizes():
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_each_family_builds_its_array_from_its_params(family, monkeypatch):
-    """``design`` sizes a generated array once and lays it out with the
-    family's ``build``, which takes the AulasParams alone: the lemma checks
+    """``design`` sizes a generated array once and lays it out with
+    ``family_array``, which takes the AulasParams alone: the lemma checks
     call it with the params they already hold."""
     for_family = AulasParams.for_family
     sized = []
@@ -316,7 +317,7 @@ def test_each_family_builds_its_array_from_its_params(family, monkeypatch):
     monkeypatch.setattr(AulasParams, "for_family", staticmethod(sizing))
     sizes = range(FAMILIES[family].min_n, 40)
     for n in sizes:
-        assert FAMILIES[family].build(for_family(family, n)) == design(family, n)
+        assert family_array(family, for_family(family, n)) == design(family, n)
     assert sized == [(family, n) for n in sizes]
 
 

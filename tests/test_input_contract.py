@@ -5,8 +5,6 @@ before anything is allocated at scale."""
 
 from __future__ import annotations
 
-import ast
-import graphlib
 import io
 import json
 import math
@@ -22,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coarraylab import inputs, signal
+from coarraylab import signal
 from coarraylab.cli import EXIT_OK, EXIT_USAGE, main
 from coarraylab.coupling import CouplingModel
 from coarraylab.estimation import MAX_GRID_POINTS, MusicConfig, run_trials
@@ -34,36 +32,6 @@ from coarraylab.signal import (
     VirtualObservation,
     simulate_snapshots,
 )
-
-# ---------------------------------------------------------------------------
-# One home for the rules
-# ---------------------------------------------------------------------------
-
-
-def _package_imports() -> dict[str, set[str]]:
-    """The package modules each module of ``coarraylab`` imports."""
-    package = Path(inputs.__file__).parent
-    graph = {}
-    for path in package.glob("*.py"):
-        imported = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                imported |= {node.module} if node.module else {a.name for a in node.names}
-        graph[path.stem] = imported
-    return graph
-
-
-def test_the_input_rules_module_sits_at_the_root_of_an_import_tree():
-    """``inputs`` imports no package module, every module that parses an
-    integer takes the rule from it, and the package's imports, those under
-    TYPE_CHECKING included, have no cycle."""
-    graph = _package_imports()
-    assert graph["inputs"] == set()
-    for module in ("coarray", "coupling", "estimation", "geometry", "signal"):
-        assert "inputs" in graph[module], module
-    graph.pop("__init__")
-    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
-
 
 # ---------------------------------------------------------------------------
 # One integer rule

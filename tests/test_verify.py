@@ -167,18 +167,18 @@ def test_dc_claim_counts_equal_the_expected_vector(n, shifted, toggles):
     assert report.claims["dc_contiguous_single_hole"] == np.array_equal(dc[dc >= 0], expected)
 
 
-def _substitute(monkeypatch, family, array):
-    """Make ``family`` build ``array`` at every size, where the lemma checks
-    build their arrays: through geometry.FAMILIES."""
+def _substitute(monkeypatch, family, positions):
+    """Make ``family`` lay out ``positions`` at every size, where the lemma
+    checks build their arrays: through geometry.FAMILIES."""
     spec = geometry.FAMILIES[family]
-    monkeypatch.setitem(geometry.FAMILIES, family, spec._replace(build=lambda p: array))
+    monkeypatch.setitem(geometry.FAMILIES, family,
+                        spec._replace(layout=lambda p: np.array(positions)))
 
 
 def test_failing_lemma_claims_name_their_first_disagreeing_lag(monkeypatch):
     # AULAs(9) is (0, 6, 12, 18, 21, 22, 23, 25, 26); without its last sensor
     # the lag 8 is no difference any more, and 52 no sum
-    wrong = geometry.from_positions("AULAs", geometry.design_aulas(9).positions[:-1])
-    _substitute(monkeypatch, "aulas", wrong)
+    _substitute(monkeypatch, "aulas", geometry.design_aulas(9).positions[:-1])
     report = check_lemma1(9)
     assert report.details.pop("first_disagreement") == {
         "dc_contiguous_single_hole": 8,
@@ -211,8 +211,8 @@ def test_a_wrong_shift_names_the_lags_it_moves():
 def test_failing_lemma3_and_lemma4_claims_name_their_first_lag(monkeypatch):
     tsaulas = geometry.design_tsaulas(9).positions  # (-26, 3, 9, ..., 30)
     cotsaulas = geometry.design_cotsaulas(9).positions  # (-20, 3, ..., 24, 25)
-    _substitute(monkeypatch, "tsaulas", geometry.from_positions("TSAULAs", tsaulas[1:]))
-    _substitute(monkeypatch, "cotsaulas", geometry.from_positions("Co-TSAULAs", cotsaulas[:-1]))
+    _substitute(monkeypatch, "tsaulas", tsaulas[1:])
+    _substitute(monkeypatch, "cotsaulas", cotsaulas[:-1])
     assert check_lemma3(9).details["first_disagreement"] == {
         "contiguous_through_l_t1": 1,
         "udofs_matches_closed_form": 1,
