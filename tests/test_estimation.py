@@ -262,9 +262,11 @@ def _conjugate_symmetric_observation(m, seed):
 @settings(deadline=None, max_examples=200)
 @given(_virtual_observations(symmetric=True), st.integers(1, 6), st.integers(0, 2**32 - 1))
 @example((_conjugate_symmetric_observation(30, 61), 31), 3, 31)
+@example((_conjugate_symmetric_observation(30, 62), 32), 3, 32)
 @example((_conjugate_symmetric_observation(94, 154), 60), 3, 60)
-@example((_conjugate_symmetric_observation(95, 128), 33), 3, 33)
 @example((_conjugate_symmetric_observation(94, 189), 95), 1, 95)
+@example((_conjugate_symmetric_observation(95, 128), 33), 3, 33)
+@example((_conjugate_symmetric_observation(95, 191), 96), 2, 96)
 def test_smoothed_covariance_applies_the_window_product(case, pairs, seed):
     """The operator's one product, M x for the real form M = Q^H R_ss Q and
     a real L x 2p block x, against Q^H R_ss Q applied to x_1 + j x_2 (the
