@@ -296,6 +296,24 @@ def test_smoothed_covariance_applies_the_window_product(case, pairs, seed):
     assert np.all(np.abs(got - y.T @ (y @ x) / op.windows).max(axis=0) <= bound)
 
 
+@pytest.mark.parametrize(("m", "length"), [(30, 31), (30, 32), (94, 95), (94, 60), (95, 96),
+                                           (95, 33)])
+def test_real_product_is_the_real_form_times_the_block(m, length):
+    """Two real columns per complex product: M x for M = Q^H R_ss Q against
+    Y^T Y / K times x, for even and odd L; Q^H undoes Q."""
+    v = _conjugate_symmetric_observation(m, m + length)
+    op = SmoothedCovariance(v, length)
+    y = estimation._real_form(v.values, length)
+    x = np.random.default_rng(length).standard_normal((length, 6))
+    got = op @ x
+    assert got.dtype == float and got.shape == x.shape
+    want = y.T @ (y @ x) / op.windows
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    z = x[:, :3] + 1j * x[:, 3:]
+    q = estimation._from_real_basis(np.eye(length))
+    np.testing.assert_allclose(q.conj().T @ (q @ z), z, rtol=0, atol=1e-15)
+
+
 def test_smoothed_covariance_rejects_what_spatial_smoothing_rejects():
     """Everything ``spatial_smoothing`` rejects, and samples that are not
     conjugate-symmetric, which it accepts."""
