@@ -2,17 +2,19 @@
 
 The virtual observation behaves like a single-snapshot measurement of a long
 virtual ULA, so rank is restored by spatial smoothing before the usual
-noise-subspace spectrum search.  Peak picking, sorted-order RMSE and
-``run_trials``, the one trial loop of ``monte_carlo`` and ``music``, live
-here too, so a "single run" and "trial 0 of a Monte Carlo" are one path.
+noise-subspace spectrum search.  Peak picking, sorted-order RMSE and the
+trial loops live here too: ``monte_carlo`` runs its trials in blocks and
+``run_trials``, the ``music`` CLI's loop, one at a time, both through one
+pipeline that takes a block of trials, so a "single run" and "trial 0 of a
+Monte Carlo" are one path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -27,8 +29,10 @@ from .signal import (
     Scenario,
     VirtualObservation,
     extended_covariance,
+    gram_covariance,
     lag_plan,
     planes_covariance,
+    planes_gram,
     simulate_snapshots,
     source_steering,
     virtual_observation,
@@ -251,11 +255,14 @@ OVERSAMPLE = 8
 #: The iteration is tried only when L >= SIZE_RATIO * (K + OVERSAMPLE).
 #: Each product of a ``SmoothedCovariance`` has the fixed cost of four FFT
 #: calls however small L is, while the eigh that serves below the
-#: threshold grows as L^3.  That eigh is the real one of ``_real_subspace``.
-#: With the real two-for-one iteration the two were measured to break even
-#: at L / (K + OVERSAMPLE) of about 8 at L = 95, 6 at L = 191 and 5.5 at
-#: L = 383 and 575 (see CHANGES.md); 8 keeps every L <= 95 trial on the
-#: faster real form, at up to a third more time in the 5.5-8 band at large L.
+#: threshold grows as L^3.  That eigh is the real one of ``_real_subspaces``,
+#: stacked over a block of TRIAL_BLOCK_BYTES (14 trials at L = 95, 3 at
+#: L = 191, 1 from L = 257).  Per trial, the two break even where the
+#: iteration's convergence, so the source SNR, puts them (see CHANGES.md):
+#: at L / (K + OVERSAMPLE) of about 10.5 at L = 95, 7 at L = 191 and 8 at
+#: L = 383 on 0 dB SAULAs trials with K sources on a comb, as the paper's
+#: studies run, and of about 6, below 5.3 and below 4.9 on well-separated
+#: sources at about 10 dB.  8 lies in that band.
 SIZE_RATIO = 8
 #: Iterations before the real form takes over.
 MAX_ITERATIONS = 20
@@ -297,9 +304,10 @@ def _real_form(u: np.ndarray, length: int) -> np.ndarray:
     where s_p = 1 except 1 / sqrt2 at the middle index, p = floor(K / 2)
     for rows and floor(L / 2) for columns, when K and L are odd.  At K = L,
     Y is the real form Q^H T Q of the Hermitian Toeplitz
-    T[i, k] = u_{m+i-k}, since W = T Pi and Pi Q = Q J.
+    T[i, k] = u_{m+i-k}, since W = T Pi and Pi Q = Q J.  Samples stacked on
+    leading axes give their Y stacked the same way.
     """
-    windows = u.size + 1 - length
+    windows = u.shape[-1] + 1 - length
     half, odd = divmod(length, 2)
     bottom = windows // 2
     top = bottom + odd
@@ -308,15 +316,16 @@ def _real_form(u: np.ndarray, length: int) -> np.ndarray:
     toeplitz = rows - cols + (length - 1)
     hankel = rows + cols
     a, b = u.real, u.imag
-    real = np.empty((windows, length))
+    real = np.empty((*u.shape[:-1], windows, length))
     left, right = slice(None, half + odd), slice(half + odd, None)
-    np.add(a[toeplitz], a[hankel], out=real[:top, left])
-    np.subtract(b[hankel[:, :half]], b[toeplitz[:, :half]], out=real[:top, right])
-    np.add(b[hankel[:bottom]], b[toeplitz[:bottom]], out=real[top:, left])
-    np.subtract(a[toeplitz[:bottom, :half]], a[hankel[:bottom, :half]], out=real[top:, right])
+    np.add(a[..., toeplitz], a[..., hankel], out=real[..., :top, left])
+    np.subtract(b[..., hankel[:, :half]], b[..., toeplitz[:, :half]], out=real[..., :top, right])
+    np.add(b[..., hankel[:bottom]], b[..., toeplitz[:bottom]], out=real[..., top:, left])
+    np.subtract(a[..., toeplitz[:bottom, :half]], a[..., hankel[:bottom, :half]],
+                out=real[..., top:, right])
     if odd:
-        real[top - 1] /= math.sqrt(2)
-        real[:, half] /= math.sqrt(2)
+        real[..., top - 1, :] /= math.sqrt(2)
+        real[..., half] /= math.sqrt(2)
     return real
 
 
@@ -357,13 +366,46 @@ def _ritz_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
     return None
 
 
-def _real_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace:
-    """E_s and all L eigenvalues, ascending, of R_ss from one real eigh of
-    Y^T Y / K (see ``_real_form``), gathered in O(K L) from the
-    conjugate-symmetric samples."""
-    y = _real_form(r.samples, r.length)
-    values, w = np.linalg.eigh(y.T @ y / r.windows)
-    return Subspace(_from_real_basis(w[:, -num_sources:]), values)
+def _real_subspaces(ops: Sequence[SmoothedCovariance], num_sources: int) -> Iterator[Subspace]:
+    """E_s and all L eigenvalues, ascending, of the R_ss of each operator
+    of a block of one shape, from one real eigh over the stack of their
+    real forms Y^T Y / K (see ``_real_form``), each Y gathered in O(K L)
+    from its conjugate-symmetric samples.  The stacked product forms each
+    slot's Y^T Y as one syrk and LAPACK solves a stack one matrix at a time,
+    so each operator's subspace has the bytes it has when solved alone.
+    The eigh runs at the call; each E_s is formed when it is asked for."""
+    y = _real_form(np.stack([op.samples for op in ops]), ops[0].length)
+    forms = np.matmul(y.swapaxes(-1, -2), y)
+    del y  # gone before the eigh, which holds the stack twice
+    forms /= ops[0].windows
+    values, w = np.linalg.eigh(forms)
+    return (Subspace(_from_real_basis(vectors[:, -num_sources:]), trial_values)
+            for trial_values, vectors in zip(values, w))
+
+
+def _check_model_order(num_sources: int, length: int) -> None:
+    if num_sources >= length:
+        raise ValueError(
+            f"insufficient uDOFs: {num_sources} sources need a smoothed "
+            f"subarray longer than {num_sources}, got {length}"
+        )
+
+
+def _operator_subspaces(
+    ops: Sequence[SmoothedCovariance], num_sources: int
+) -> Iterator[Subspace]:
+    """The ``signal_subspace`` of each operator of a block of one shape, in
+    order.  From L >= SIZE_RATIO * (K + OVERSAMPLE) each trial is solved on
+    its own when it is asked for, by its iteration or, where that gives up,
+    by its own real form; below it the block's real forms go through one
+    stacked eigh at the call."""
+    length = ops[0].length
+    _check_model_order(num_sources, length)
+    if length < SIZE_RATIO * (num_sources + OVERSAMPLE):
+        return _real_subspaces(ops, num_sources)
+    # a Subspace is a non-empty tuple, so only a None from the iteration falls back
+    return (_ritz_subspace(op, num_sources) or next(_real_subspaces([op], num_sources))
+            for op in ops)
 
 
 def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> Subspace:
@@ -386,27 +428,19 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
       gap is within rounding.
     - An operator otherwise: one real eigh of the L x L real form of R_ss,
       gathered from the samples at any window length (see
-      ``_real_subspace``); the values are all L eigenvalues.
+      ``_real_subspaces``); the values are all L eigenvalues.
     - A dense matrix: the complex eigh, with all L eigenvalues.
+
+    An operator is solved as a block of one (see ``_operator_subspaces``).
     """
     num_sources = integer_field(num_sources, "num_sources", 1)
-    dense = not isinstance(r_ss, SmoothedCovariance)
-    if dense:
-        r_ss = _check_hermitian(r_ss)
+    if isinstance(r_ss, SmoothedCovariance):
+        return next(_operator_subspaces([r_ss], num_sources))
+    r_ss = _check_hermitian(r_ss)
     length = r_ss.shape[0]
-    if num_sources >= length:
-        raise ValueError(
-            f"insufficient uDOFs: {num_sources} sources need a smoothed "
-            f"subarray longer than {num_sources}, got {length}"
-        )
-    if dense:
-        values, vectors = np.linalg.eigh(r_ss)
-        return Subspace(vectors[:, length - num_sources :], values)
-    if length >= SIZE_RATIO * (num_sources + OVERSAMPLE):
-        found = _ritz_subspace(r_ss, num_sources)
-        if found is not None:
-            return found
-    return _real_subspace(r_ss, num_sources)
+    _check_model_order(num_sources, length)
+    values, vectors = np.linalg.eigh(r_ss)
+    return Subspace(vectors[:, length - num_sources :], values)
 
 
 #: The null polynomial f = sum_{|d|<L} h_d e^{j d omega} of ``music_spectrum``
@@ -456,7 +490,7 @@ def _null_coefficients(signal: np.ndarray) -> np.ndarray:
 
 
 def music_spectrum(
-    r_ss: np.ndarray | SmoothedCovariance, config: MusicConfig
+    r_ss: np.ndarray | SmoothedCovariance, config: MusicConfig, subspace: Subspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-subspace pseudo-spectrum P(theta) = 1 / ||E_n^H a(theta)||^2.
 
@@ -481,8 +515,13 @@ def music_spectrum(
     where f falls below the rounding bound (see GUARD_FACTOR), which occur
     only next to a near-exact null, are recomputed as the residual
     ||a - E_s E_s^H a||^2, whichever solver found E_s.
+
+    ``subspace`` is the ``signal_subspace`` of r_ss when the caller has
+    solved it already, as a block of trials does in one stacked eigh.
     """
-    signal = signal_subspace(r_ss, config.num_sources).signal
+    if subspace is None:
+        subspace = signal_subspace(r_ss, config.num_sources)
+    signal = subspace.signal
     length = signal.shape[0]
     angles = config.grid
     denom = nufft.evaluate(_null_coefficients(signal), config.nufft_plan(length))
@@ -600,27 +639,76 @@ def estimate_from_covariance(
     ec: ExtendedCovariance, plan: LagPlan, scenario: Scenario, config: MusicConfig
 ) -> EstimationResult:
     """The single-trial pipeline after the covariance: virtual observation,
-    smoothing, MUSIC and scoring."""
+    smoothing, MUSIC and scoring, run as a block of one."""
+    return next(_estimate_block(ec, plan, scenario, config))
+
+
+def _estimate_block(
+    ec: ExtendedCovariance, plan: LagPlan, scenario: Scenario, config: MusicConfig
+) -> Iterator[EstimationResult]:
+    """The trial pipeline after the covariance for one trial, or for a
+    block of trials stacked on a leading axis, lazily in trial order.  The
+    virtual observations and the eigen step run once for the whole block
+    (see ``_operator_subspaces``); each trial then finishes on its own,
+    spectrum, peaks and score, when its result is asked for, so one
+    spectrum is alive at a time."""
     v = virtual_observation(ec, plan)
-    r_ss = SmoothedCovariance(v, config.smoothing_length)
-    angles, spectrum = music_spectrum(r_ss, config)
-    estimates, under = pick_peaks(angles, spectrum, config.num_sources)
+    ops = [SmoothedCovariance(VirtualObservation(v.lags, values), config.smoothing_length)
+           for values in v.values.reshape(-1, v.lags.size)]
     truth = np.sort(np.asarray(scenario.angles_deg))
-    errors = _errors_against_truth(estimates, truth, config.error_cap_deg)
-    return EstimationResult(
-        angles=angles,
-        spectrum=spectrum,
-        estimates=estimates,
-        under_detected=under,
-        per_source_error=errors,
-        rmse_deg=float(np.sqrt(np.mean(errors**2))),
-    )
+    for op, subspace in zip(ops, _operator_subspaces(ops, config.num_sources)):
+        angles, spectrum = music_spectrum(op, config, subspace)
+        estimates, under = pick_peaks(angles, spectrum, config.num_sources)
+        errors = _errors_against_truth(estimates, truth, config.error_cap_deg)
+        yield EstimationResult(
+            angles=angles,
+            spectrum=spectrum,
+            estimates=estimates,
+            under_detected=under,
+            per_source_error=errors,
+            rmse_deg=float(np.sqrt(np.mean(errors**2))),
+        )
 
 
 def required_subarray_length(plan: LagPlan, config: MusicConfig) -> int:
     """The smoothing subarray length L a run uses: the config's, or m + 1
     read off the array's ``lag_plan``."""
     return config.smoothing_length or plan.default_length
+
+
+#: The bytes each per-trial stack of a block of ``monte_carlo`` trials may
+#: take: a block holds as many trials as fit this budget in the largest of
+#: its stacks, the real forms Y (K x L) or M = Y^T Y / K and its
+#: eigenvectors (L x L) or the Gram matrices and covariance blocks
+#: (4 N^2 values), so 14 trials at L = 95 and 3 at K x L = 1082 x 32.
+TRIAL_BLOCK_BYTES = 1 << 20
+
+
+def _block_size(plan: LagPlan, config: MusicConfig) -> int:
+    """Trials per block: TRIAL_BLOCK_BYTES over the bytes of one trial's
+    largest stack, at least 1."""
+    length = required_subarray_length(plan, config)
+    windows = 2 * plan.half_width + 2 - length
+    largest = 8 * max(windows * length, length * length, 4 * len(plan.positions) ** 2)
+    return max(1, TRIAL_BLOCK_BYTES // largest)
+
+
+def _prepare_trials(
+    array: SensorArray,
+    scenario: Scenario,
+    config: MusicConfig,
+    trials: int,
+    coupling: CouplingModel | None,
+) -> tuple[int, LagPlan, np.ndarray] | None:
+    """What the trials of a study share: the checked trial count, the
+    array's ``lag_plan`` and the coupled steering matrix, each built once;
+    None, before the steering, when the smoothed subarray is too short for
+    the source count."""
+    trials = integer_field(trials, "trials", 1)
+    plan = lag_plan(array)
+    if required_subarray_length(plan, config) <= config.num_sources:
+        return None
+    return trials, plan, source_steering(array, scenario, coupling)
 
 
 def run_trials(
@@ -630,17 +718,18 @@ def run_trials(
     trials: int,
     coupling: CouplingModel | None = None,
 ) -> Iterator[tuple[np.ndarray, EstimationResult]] | None:
-    """The one trial loop: builds the array's ``lag_plan`` once and returns
-    None when the smoothed subarray is too short for the source count, else
-    builds the coupled steering matrix once and returns a lazy iterator of
-    (snapshot planes, result) over trials 0 .. trials-1.  Each trial is
-    drawn as the real planes [Re X; Im X] (2N x T) of ``simulate_snapshots``
-    and its covariance read from them, so no complex X is formed."""
-    trials = integer_field(trials, "trials", 1)
-    plan = lag_plan(array)
-    if required_subarray_length(plan, config) <= config.num_sources:
+    """The lazy trial loop of the ``music`` CLI: builds the array's
+    ``lag_plan`` once and returns None when the smoothed subarray is too
+    short for the source count, else builds the coupled steering matrix
+    once and returns a lazy iterator of (snapshot planes, result) over
+    trials 0 .. trials-1.  Each trial is drawn as the real planes
+    [Re X; Im X] (2N x T) of ``simulate_snapshots``, its covariance read
+    from them, so no complex X is formed, and estimated as a block of one
+    of ``monte_carlo``'s pipeline."""
+    prepared = _prepare_trials(array, scenario, config, trials, coupling)
+    if prepared is None:
         return None
-    steering = source_steering(array, scenario, coupling)
+    trials, plan, steering = prepared
 
     def trial(t: int) -> tuple[np.ndarray, EstimationResult]:
         planes = simulate_snapshots(array, scenario, trial=t, steering=steering, planes=True)
@@ -658,14 +747,20 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Repeat the single-trial pipeline with independent per-trial streams.
 
+    The trials run in blocks of ``_block_size``: each trial is drawn and
+    reduced at once to its ``planes_gram``, so its planes are gone before
+    the next draw, and the block's Grams then go through the rest of the
+    pipeline together (see ``_estimate_block``).  Every result is the one
+    ``estimate_doas`` gives for its trial alone, byte for byte.
+
     A geometry whose smoothed subarray cannot support the requested source
     count does not abort the comparison: every trial is recorded as fully
     under-detected (capped errors, zero detections) so aggregate RMSE remains
     comparable across geometries.
     """
-    runs = run_trials(array, scenario, config, trials, coupling)
-    if runs is None:
-        trials = int(trials)  # run_trials has checked that it is integral
+    prepared = _prepare_trials(array, scenario, config, trials, coupling)
+    if prepared is None:
+        trials = int(trials)  # _prepare_trials has checked that it is integral
         return MonteCarloResult(
             rmse_deg=config.error_cap_deg,
             detection_rate=0.0,
@@ -673,8 +768,17 @@ def monte_carlo(
             estimates_per_trial=((),) * trials,
             insufficient_dofs=True,
         )
-    # itemgetter drops each trial's snapshots before the next is simulated
-    return aggregate_trials(map(itemgetter(1), runs), scenario, config)
+    trials, plan, steering = prepared
+    size = _block_size(plan, config)
+
+    def block(top: int) -> Iterator[EstimationResult]:
+        grams = [planes_gram(simulate_snapshots(array, scenario, trial=t, steering=steering,
+                                                planes=True))
+                 for t in range(top, min(top + size, trials))]
+        return _estimate_block(gram_covariance(np.stack(grams)), plan, scenario, config)
+
+    blocks = map(block, range(0, trials, size))
+    return aggregate_trials(itertools.chain.from_iterable(blocks), scenario, config)
 
 
 def aggregate_trials(

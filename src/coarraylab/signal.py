@@ -12,12 +12,13 @@ B r(t) of the weighted steering B = C A diag(sqrt(p) e^{j phi}).  A trial is
 therefore drawn as the snapshots' real planes P = [Re X; Im X] (2N x T): one
 real product [Re B; Im B] r plus the noise drawn in the same layout.  Both
 covariance blocks come from one real Gram matrix of those planes
-(``planes_covariance``), so the trial pipeline never forms the complex X;
-``simulate_snapshots`` builds it from the planes when a caller asks for it.
-What depends only on the geometry (the contiguous lag
+(``planes_gram``, then ``gram_covariance``), so the trial pipeline never
+forms the complex X; ``simulate_snapshots`` builds it from the planes when a
+caller asks for it.  What depends only on the geometry (the contiguous lag
 segment, which covariance entries fall in it and how many share each lag) is
-a ``LagPlan``, built once per array by ``lag_plan``; each trial then averages
-its entries per lag with two bincounts.
+a ``LagPlan``, built once per array by ``lag_plan``; the trials then average
+their entries per lag with two bincounts.  The stages after the Gram take a
+leading trial axis, so a block of trials runs them once.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ NOISE_BLOCK = 1 << 15
 #: 256 MiB of float64 planes and amplitudes, checked before the first draw.
 MAX_TRIAL_SAMPLES = 1 << 25
 
-#: The largest covariance entry ``planes_covariance`` returns, 2^200 (about
+#: The largest covariance entry ``planes_gram`` returns, 2^200 (about
 #: 1.6e60).  Co-array MUSIC squares the covariance twice: R_ss is a product
 #: of the virtual samples, and the subspace iteration's residual norm sums
 #: squares of R_ss entries, which stays finite for L^3 K c^4 < 1.8e308, so
@@ -189,7 +190,7 @@ def source_steering(
     coupling matrix when a model is given."""
     a = steering_matrix(array, scenario.angles_deg)
     if coupling is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # see planes_covariance
+        with np.errstate(over="ignore", invalid="ignore"):  # see planes_gram
             a = coupling_matrix(array, coupling) @ a
     return a
 
@@ -205,7 +206,7 @@ def simulate_snapshots(
 ) -> np.ndarray:
     """Draw the snapshots X = C A s(t) + n(t) of one trial: the N x T
     complex matrix, or with ``planes`` its real planes [Re X; Im X], the
-    2N x T layout that ``planes_covariance`` reads.
+    2N x T layout that ``planes_gram`` reads.
 
     Sources are strictly non-circular (real Gaussian amplitude r_z(t) times
     the fixed weight sqrt(p_z) e^{j phi_z}); noise is circular complex white
@@ -242,7 +243,7 @@ def simulate_snapshots(
         a = steering
     rng = trial_rng(scenario.seed, trial)
     amplitudes = rng.standard_normal((scenario.num_sources, scenario.snapshots))
-    with np.errstate(over="ignore", invalid="ignore"):  # see planes_covariance
+    with np.errstate(over="ignore", invalid="ignore"):  # see planes_gram
         b = a * (np.sqrt(scenario.powers) * np.exp(1j * np.asarray(scenario.nc_phases)))
         drawn = np.concatenate([b.real, b.imag]) @ amplitudes
     pn = scenario.noise_power
@@ -281,7 +282,8 @@ def snapshots_from_planes(planes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExtendedCovariance:
-    """Standard and unconjugated covariance blocks of one snapshot batch."""
+    """Standard and unconjugated covariance blocks of one snapshot batch,
+    N x N each, or of a block of trials, stacked on leading axes."""
 
     r_s: np.ndarray
     r_hat: np.ndarray
@@ -289,14 +291,14 @@ class ExtendedCovariance:
     def __post_init__(self) -> None:
         r_s = np.asarray(self.r_s)
         r_hat = np.asarray(self.r_hat)
-        if r_s.shape != r_hat.shape or r_s.ndim != 2 or r_s.shape[0] != r_s.shape[1]:
+        if r_s.shape != r_hat.shape or r_s.ndim < 2 or r_s.shape[-1] != r_s.shape[-2]:
             raise ValueError("covariance blocks must be square and same-shaped")
         object.__setattr__(self, "r_s", r_s)
         object.__setattr__(self, "r_hat", r_hat)
 
     @property
     def n(self) -> int:
-        return self.r_s.shape[0]
+        return self.r_s.shape[-1]
 
     @property
     def r_so(self) -> np.ndarray:
@@ -309,15 +311,12 @@ class ExtendedCovariance:
         )
 
 
-def planes_covariance(planes: np.ndarray) -> ExtendedCovariance:
-    """R_s = X X^H / T and R_hat = X X^T / T from the real planes
-    P = [A; B] (2N x T) of X = A + jB, as ``simulate_snapshots`` draws them.
-
-    Both blocks come from the four N x N blocks of one real Gram matrix
-    G = P P^T / T: R_s = (G_AA + G_BB) + j(G_BA - G_AB) and
-    R_hat = (G_AA - G_BB) + j(G_BA + G_AB).  One real product replaces two
-    complex ones.  G is computed as one triangle mirrored (syrk), so R_s is
-    exactly Hermitian and R_hat exactly symmetric.
+def planes_gram(planes: np.ndarray) -> np.ndarray:
+    """The real Gram matrix G = P P^T / T (2N x 2N) of the real planes
+    P = [A; B] (2N x T) of X = A + jB, as ``simulate_snapshots`` draws them:
+    the one product a trial's covariance takes from its snapshots (see
+    ``gram_covariance``).  G is computed as one triangle mirrored (syrk), so
+    it is exactly symmetric.
 
     Huge source powers or coupling magnitudes overflow the snapshots or
     their Gram to inf or nan, or leave entries that MUSIC cannot square;
@@ -328,7 +327,7 @@ def planes_covariance(planes: np.ndarray) -> ExtendedCovariance:
     non-finite sample makes its row's diagonal entry inf or nan.
     """
     planes = np.asarray(planes)
-    n = _plane_rows(planes)
+    _plane_rows(planes)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = planes @ planes.T
         gram /= planes.shape[1]
@@ -339,14 +338,37 @@ def planes_covariance(planes: np.ndarray) -> ExtendedCovariance:
             f"snapshot covariance {size}; co-array MUSIC squares it and takes at most "
             f"{MAX_COVARIANCE:.3g}: lower the source powers, the noise power (snr_db) "
             "or the coupling c1_magnitude")
-    aa, bb, cross = gram[:n, :n], gram[n:, n:], gram[:n, n:]
-    r_s = np.empty((n, n), dtype=complex)
-    r_hat = np.empty((n, n), dtype=complex)
+    return gram
+
+
+def gram_covariance(gram: np.ndarray) -> ExtendedCovariance:
+    """R_s = X X^H / T and R_hat = X X^T / T from the ``planes_gram`` G of
+    X = A + jB, or from a stack of them, one per trial, on a leading axis.
+
+    With G_AA, G_AB, G_BB the N x N blocks of G,
+    R_s = (G_AA + G_BB) + j(G_BA - G_AB) and
+    R_hat = (G_AA - G_BB) + j(G_BA + G_AB): one real product replaces two
+    complex ones, R_s is exactly Hermitian and R_hat exactly symmetric.
+    """
+    gram = np.asarray(gram)
+    if gram.ndim < 2 or gram.shape[-1] != gram.shape[-2] or gram.shape[-1] % 2:
+        raise ValueError("a Gram matrix of snapshot planes is real 2N x 2N")
+    n = gram.shape[-1] // 2
+    aa, bb, cross = gram[..., :n, :n], gram[..., n:, n:], gram[..., :n, n:]
+    cross_t = cross.swapaxes(-1, -2)
+    r_s = np.empty(aa.shape, dtype=complex)
+    r_hat = np.empty(aa.shape, dtype=complex)
     np.add(aa, bb, out=r_s.real)
-    np.subtract(cross.T, cross, out=r_s.imag)
+    np.subtract(cross_t, cross, out=r_s.imag)
     np.subtract(aa, bb, out=r_hat.real)
-    np.add(cross.T, cross, out=r_hat.imag)
+    np.add(cross_t, cross, out=r_hat.imag)
     return ExtendedCovariance(r_s=r_s, r_hat=r_hat)
+
+
+def planes_covariance(planes: np.ndarray) -> ExtendedCovariance:
+    """R_s and R_hat of one trial from its real planes [Re X; Im X]: the
+    ``gram_covariance`` of its ``planes_gram``."""
+    return gram_covariance(planes_gram(planes))
 
 
 def extended_covariance(x: np.ndarray) -> ExtendedCovariance:
@@ -385,7 +407,8 @@ def exact_extended_covariance(
 
 @dataclass(frozen=True)
 class VirtualObservation:
-    """Averaged virtual-array samples on the contiguous lag segment [-m, m]."""
+    """Averaged virtual-array samples on the contiguous lag segment [-m, m]:
+    2m + 1 values, or one row of them per trial of a block."""
 
     lags: np.ndarray
     values: np.ndarray
@@ -464,17 +487,23 @@ def virtual_observation(ec: ExtendedCovariance, plan: LagPlan) -> VirtualObserva
     ``plan`` is the ``lag_plan`` of the array the covariance came from.
     With S(l) the sum of the upper-block entries at lag l (two bincounts,
     real and imaginary parts), the mean of r_so at lag l is
-    (S(l) + conj S(-l)) / (c(l) + c(-l)).
+    (S(l) + conj S(-l)) / (c(l) + c(-l)).  A stack of B covariances gives
+    B x (2m + 1) values from the same two bincounts, trial b's entries
+    binned from b (2m + 1) on: each bin sums its entries in the order one
+    trial alone would, so every row is the observation of its trial.
     """
     if ec.n != len(plan.positions):
         raise ValueError("covariance size does not match array")
-    entries = np.concatenate([ec.r_s, ec.r_hat], axis=1).ravel()[plan.index]
-    width = plan.lags.size
-    real = np.bincount(plan.bins, entries.real, width)
-    imag = np.bincount(plan.bins, entries.imag, width)
-    values = np.empty(width, dtype=complex)
-    np.divide(real + real[::-1], plan.counts, out=values.real)
-    np.divide(imag - imag[::-1], plan.counts, out=values.imag)
+    upper = np.concatenate([ec.r_s, ec.r_hat], axis=-1)
+    entries = upper.reshape(*upper.shape[:-2], -1)[..., plan.index]
+    stack, width = entries.shape[:-1], plan.lags.size
+    trials = math.prod(stack)
+    bins = (plan.bins + width * np.arange(trials)[:, None]).ravel()
+    real = np.bincount(bins, entries.real.ravel(), trials * width).reshape(*stack, width)
+    imag = np.bincount(bins, entries.imag.ravel(), trials * width).reshape(*stack, width)
+    values = np.empty((*stack, width), dtype=complex)
+    np.divide(real + real[..., ::-1], plan.counts, out=values.real)
+    np.divide(imag - imag[..., ::-1], plan.counts, out=values.imag)
     return VirtualObservation(lags=plan.lags, values=values)
 
 

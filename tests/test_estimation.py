@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coarraylab import estimation, geometry, nufft
+from coarraylab import estimation, geometry, nufft, presets
 from coarraylab.coupling import PAPER_V
 from coarraylab.estimation import (
     MusicConfig,
@@ -733,7 +734,7 @@ def test_the_operator_keeps_one_spectrum_of_the_samples():
     takes no product, leaves it uncomputed."""
     v = _trial_observation()
     op = SmoothedCovariance(v)
-    estimation._real_subspace(op, 3)
+    estimation._real_subspaces([op], 3)
     assert "_spectrum" not in vars(op)
     x = np.random.default_rng(0).standard_normal((op.length, 4))
     first = op @ x
@@ -775,7 +776,7 @@ def test_the_operator_takes_the_real_form_below_the_size_ratio():
     v = _trial_observation()
     small = SmoothedCovariance(v, threshold - 1)
     found = signal_subspace(small, k)
-    want = estimation._real_subspace(small, k)
+    want = next(estimation._real_subspaces([small], k))
     np.testing.assert_array_equal(found.values, want.values)
     np.testing.assert_array_equal(found.signal, want.signal)
     found = signal_subspace(SmoothedCovariance(v, threshold), k)
@@ -883,7 +884,7 @@ def test_signal_subspace_falls_back_when_the_iteration_does_not_converge(monkeyp
     monkeypatch.setattr(estimation, "MAX_ITERATIONS", 1)
     assert estimation._ritz_subspace(op, 2) is None
     found = signal_subspace(op, 2)
-    want = estimation._real_subspace(op, 2)
+    want = next(estimation._real_subspaces([op], 2))
     np.testing.assert_array_equal(found.signal, want.signal)
     np.testing.assert_array_equal(found.values, want.values)
 
@@ -898,7 +899,7 @@ def test_iteration_converges_on_samples_near_1e100():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         found = estimation._ritz_subspace(op, 3)
-        want = estimation._real_subspace(op, 3)
+        want = next(estimation._real_subspaces([op], 3))
     assert found is not None
     bound = estimation.SUBSPACE_TOL + _davis_kahan(want.values, 3)
     assert _subspace_distance(found.signal, want.signal) <= bound
@@ -1018,12 +1019,35 @@ def test_real_subspace_matches_the_complex_eigh_of_r_ss(case, data):
     m = v.half_width
     length = data.draw(st.one_of(st.just(m + 1), st.integers(2, 2 * m + 1)), label="length")
     assume(k < length)
-    found = estimation._real_subspace(SmoothedCovariance(v, length), k)
+    found = next(estimation._real_subspaces([SmoothedCovariance(v, length)], k))
     values, vectors = np.linalg.eigh(spatial_smoothing(v, length))
     assert found.signal.shape == (length, k)
     np.testing.assert_allclose(found.values, values, rtol=0, atol=1e-13 * values[-1])
     np.testing.assert_allclose(found.signal.conj().T @ found.signal, np.eye(k), atol=1e-13)
     assert _subspace_distance(found.signal, vectors[:, -k:]) <= _davis_kahan(values, k)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 60), st.integers(2, 121), st.integers(1, 5), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+@example(m=47, length=95, trials=5, k=27, seed=1)
+@example(m=47, length=40, trials=3, k=3, seed=2)
+def test_stacked_real_forms_give_each_operator_its_own_subspace(m, length, trials, k, seed):
+    """One stacked eigh over the real forms of 1 to 5 operators of one
+    shape gives each the Subspace bytes that signal_subspace gives it
+    alone, at odd and even L below the size ratio."""
+    assume(k < length <= 2 * m + 1)
+    assume(length < estimation.SIZE_RATIO * (k + estimation.OVERSAMPLE))
+    rng = np.random.default_rng(seed)
+    lags = np.arange(-m, m + 1)
+    ops = []
+    for _ in range(trials):
+        u = rng.standard_normal(lags.size) + 1j * rng.standard_normal(lags.size)
+        ops.append(SmoothedCovariance(VirtualObservation(lags, (u + u[::-1].conj()) / 2), length))
+    for op, found in zip(ops, estimation._real_subspaces(ops, k), strict=True):
+        alone = signal_subspace(op, k)
+        assert found.signal.tobytes() == alone.signal.tobytes()
+        assert found.values.tobytes() == alone.values.tobytes()
 
 
 def _davis_kahan(values, k):
@@ -1361,10 +1385,12 @@ PLAN_STAGES = [
     "coarray.contiguous_stats",
     "signal.lag_plan",
     "signal.simulate_snapshots",
-    "signal.planes_covariance",
+    "signal.planes_gram",
+    "signal.gram_covariance",
     "signal.extended_covariance",
     "signal.snapshots_from_planes",
     "estimation.estimate_from_covariance",
+    "estimation.music_spectrum",
 ]
 
 
@@ -1373,9 +1399,11 @@ def test_monte_carlo_plans_once_per_call(count_calls, numpy_calls):
     counts = count_calls(PLAN_STAGES)
     result = monte_carlo(arr, sc, cfg, trials=4)
     assert result.trials == 4 and not result.insufficient_dofs
-    assert counts["estimation.estimate_from_covariance"] == 4
-    # each trial's covariance is read from its planes: no complex X is formed
-    assert counts["signal.planes_covariance"] == 4
+    assert counts["estimation.music_spectrum"] == 4
+    # each trial's covariance is read from its planes: no complex X is formed;
+    # the four trials fit one block, whose covariance blocks are taken at once
+    assert counts["signal.planes_gram"] == 4
+    assert counts["signal.gram_covariance"] == 1
     assert counts["signal.extended_covariance"] == 0
     assert counts["signal.snapshots_from_planes"] == 0
     # the co-array is enumerated and the plan built once for all trials
@@ -1465,6 +1493,117 @@ def test_monte_carlo_drops_each_trials_snapshots(monkeypatch):
     monkeypatch.setattr(estimation, "simulate_snapshots", tracked)
     assert monte_carlo(arr, sc, cfg, trials=3).trials == 3
     assert len(earlier) == 3
+
+
+def _fig13_like():
+    """fig13's 27 sources and coupling on TSAULAs(12): L = 93, real form."""
+    preset = presets.get_scenario_preset("fig13")
+    return geometry.design_tsaulas(12), preset.scenario, preset.music, PAPER_V
+
+
+def _short_windows():
+    """An explicit L = 40 on SAULAs(12) (m = 94): 150 windows of 40."""
+    sc = Scenario(angles_deg=(-33.21, 4.04, 48.88), snapshots=300, snr_db=0.0, seed=6)
+    return geometry.design_saulas(12), sc, MusicConfig.for_step(3, 0.5, smoothing_length=40), None
+
+
+def _iterated():
+    """Three sources at L = 95 >= SIZE_RATIO * (3 + OVERSAMPLE)."""
+    sc = Scenario(angles_deg=(-33.21, 4.04, 48.88), snapshots=300, snr_db=0.0, seed=6)
+    return geometry.design_saulas(12), sc, MusicConfig.for_step(3, 0.5), None
+
+
+def _iterated_with_a_fallback():
+    """Two sources 0.8 degrees apart at 0 dB: with the iteration held to 5
+    steps, trial 1 of these seven needs 6 and falls back to its real form."""
+    sc = Scenario(angles_deg=(10.0, 10.8), snapshots=200, snr_db=0.0, seed=4)
+    return geometry.design_saulas(12), sc, MusicConfig.for_step(2, 0.1), None
+
+
+@pytest.mark.parametrize("case", [_fig13_like, _short_windows, _iterated, _iterated_with_a_fallback])
+def test_blocked_monte_carlo_is_estimate_doas_trial_by_trial(case, monkeypatch):
+    """Seven trials in blocks of 3, 3 and 1 give, byte for byte, the
+    estimates, RMSE, detection rate and spectra of estimate_doas run on
+    each trial alone."""
+    arr, sc, cfg, model = case()
+    if case is _iterated_with_a_fallback:
+        monkeypatch.setattr(estimation, "MAX_ITERATIONS", 5)
+    alone = [estimate_doas(arr, sc, cfg, coupling=model, trial=t) for t in range(7)]
+    plan = lag_plan(arr)
+    length = required_subarray_length(plan, cfg)
+    windows = 2 * plan.half_width + 2 - length
+    per_trial = 8 * max(windows * length, length * length, 4 * arr.n**2)
+    monkeypatch.setattr(estimation, "TRIAL_BLOCK_BYTES", 3 * per_trial + 7)
+    assert estimation._block_size(plan, cfg) == 3
+
+    spectra, blocks, ritz = [], [], []
+    spectrum, gram_covariance, ritz_subspace = (
+        estimation.music_spectrum, estimation.gram_covariance, estimation._ritz_subspace)
+
+    def recorded(*args, **kwargs):
+        result = spectrum(*args, **kwargs)
+        spectra.append(result[1])
+        return result
+
+    def stacked(grams):
+        blocks.append(len(grams))
+        return gram_covariance(grams)
+
+    def iterated(*args):
+        ritz.append(ritz_subspace(*args))
+        return ritz[-1]
+
+    monkeypatch.setattr(estimation, "music_spectrum", recorded)
+    monkeypatch.setattr(estimation, "gram_covariance", stacked)
+    monkeypatch.setattr(estimation, "_ritz_subspace", iterated)
+    got = monte_carlo(arr, sc, cfg, 7, coupling=model)
+
+    assert blocks == [3, 3, 1]
+    iterating = length >= estimation.SIZE_RATIO * (cfg.num_sources + estimation.OVERSAMPLE)
+    assert len(ritz) == (7 if iterating else 0)
+    gave_up = [k for k, found in enumerate(ritz) if found is None]
+    assert gave_up == ([1] if case is _iterated_with_a_fallback else [])
+    want = estimation.aggregate_trials(alone, sc, cfg)
+    assert got.estimates_per_trial == want.estimates_per_trial
+    assert got.rmse_deg == want.rmse_deg
+    assert got.detection_rate == want.detection_rate
+    assert [s.tobytes() for s in spectra] == [r.spectrum.tobytes() for r in alone]
+
+
+@pytest.mark.parametrize("n", [9, 12, 32, 64])
+def test_a_block_fits_the_budget(n):
+    """A block's Grams, real forms Y and M and eigenvectors each fit
+    TRIAL_BLOCK_BYTES, unless one trial's alone does not, which then gets
+    a block of its own; at L = 95 (fig12 and fig13 on SAULAs(12)) a block
+    holds at least 10 trials."""
+    plan = lag_plan(geometry.design_saulas(n))
+    m = plan.half_width
+    for length in sorted({2, m // 2 + 1, m + 1, 2 * m + 1}):
+        size = estimation._block_size(plan, MusicConfig.for_step(1, 1.0, smoothing_length=length))
+        windows = 2 * m + 2 - length
+        stacks = [(2 * n) ** 2, windows * length, length**2]
+        assert size >= 1
+        assert size == 1 or 8 * size * max(stacks) <= estimation.TRIAL_BLOCK_BYTES
+    if n == 12:
+        fig12 = presets.get_scenario_preset("fig12")
+        assert plan.default_length == 95 and estimation._block_size(plan, fig12.music) >= 10
+
+
+def test_a_fig12_study_holds_two_stacks_of_the_budget_at_most():
+    """The eigen step of a block holds its real forms M and their
+    eigenvectors, one TRIAL_BLOCK_BYTES each; the real forms Y are freed
+    first, and each E_s is formed when its trial finishes.  A third budget
+    covers one trial's draw and spectrum."""
+    fig12 = presets.get_scenario_preset("fig12")
+    arr = geometry.design_saulas(12)
+    monte_carlo(arr, fig12.scenario, fig12.music, 1)  # the grid and NUFFT plan
+    tracemalloc.start()
+    try:
+        monte_carlo(arr, fig12.scenario, fig12.music, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * estimation.TRIAL_BLOCK_BYTES
 
 
 def test_music_config_grid_and_nufft_plan_are_shared_and_read_only():

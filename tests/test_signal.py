@@ -486,6 +486,9 @@ def test_extended_covariance_rejects_bad_shapes():
             signal.planes_covariance(planes)
         with pytest.raises(ValueError, match="real 2N x T"):
             signal.snapshots_from_planes(planes)
+    for gram in (np.zeros(4), np.zeros((4, 6)), np.zeros((2, 3, 3))):
+        with pytest.raises(ValueError, match="real 2N x 2N"):
+            signal.gram_covariance(gram)
     with pytest.raises(ValueError):
         ExtendedCovariance(r_s=np.eye(3), r_hat=np.eye(4))
 
