@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -42,6 +44,31 @@ from .signal import (
 #: The most search-grid points a MusicConfig takes: 2**20 points hold
 #: 32 MiB of angles, NUFFT plan and spectrum (0.000172-degree pitch over 180).
 MAX_GRID_POINTS = 1 << 20
+#: Search grids and their NUFFT plans are kept process-wide, one per grid
+#: (and FFT length N for a plan), so equal grids share them: once the kept
+#: ones hold more than GRID_CACHE_BYTES, the least recently used go, though
+#: never the one just asked for.  A grid takes 8 bytes per point and a plan
+#: 16 per point plus 2 N, 0.42 MiB together on the 0.01-degree grid at
+#: L = 575 and 24 MiB plus 2 N at MAX_GRID_POINTS.
+GRID_CACHE_BYTES = 1 << 25
+_GRID_CACHE: OrderedDict[tuple, tuple[np.ndarray | nufft.NufftPlan, int]] = OrderedDict()
+_GRID_LOCK = threading.RLock()  # a plan's build asks for its grid
+
+
+def _shared(key: tuple, build) -> np.ndarray | nufft.NufftPlan:
+    """The read-only grid or plan kept under ``key``, from ``build()`` on
+    a miss."""
+    with _GRID_LOCK:
+        value, size = _GRID_CACHE.pop(key, (None, 0))
+        if value is None:
+            value = build()
+            parts = [value] if isinstance(value, np.ndarray) else value[1:]
+            size = sum(part.nbytes for part in parts)
+        _GRID_CACHE[key] = value, size
+        held = sum(size for _, size in _GRID_CACHE.values())
+        while held > GRID_CACHE_BYTES and len(_GRID_CACHE) > 1:
+            held -= _GRID_CACHE.popitem(last=False)[1][1]
+        return value
 
 
 @dataclass(frozen=True)
@@ -50,9 +77,10 @@ class MusicConfig:
 
     The grid spans the open interval (-90, 90) degrees; the default is a
     0.01-degree pitch (17999 points).  ``for_step`` builds a config from a
-    pitch directly.  The grid and the NUFFT plan of ``music_spectrum``
-    (see ``nufft_plan``) are computed on first use and kept on the config,
-    so the trials of a study that share a config share them.
+    pitch directly.  The grid and the NUFFT plans of ``music_spectrum``
+    (see ``nufft_plan``) are computed on first use and kept process-wide
+    within GRID_CACHE_BYTES, so every config with the same grid shares
+    them, the trials of a study and successive ``music`` calls alike.
     """
 
     num_sources: int
@@ -89,25 +117,28 @@ class MusicConfig:
                    grid_points=points, **kwargs)
 
     @cached_property
+    def _grid_key(self) -> tuple:
+        # the bits of the ends, so that grids from -0.0 and 0.0 stay apart
+        return float(self.grid_start).hex(), float(self.grid_stop).hex(), self.grid_points
+
+    @property
     def grid(self) -> np.ndarray:
-        """The search angles in degrees (read-only, computed once)."""
-        grid = np.linspace(self.grid_start, self.grid_stop, self.grid_points)
-        grid.flags.writeable = False
-        return grid
+        """The search angles in degrees (read-only, shared by equal grids)."""
+        def build() -> np.ndarray:
+            grid = np.linspace(self.grid_start, self.grid_stop, self.grid_points)
+            grid.flags.writeable = False
+            return grid
+
+        return _shared((self._grid_key, None), build)
 
     def nufft_plan(self, length: int) -> nufft.NufftPlan:
         """Where the grid points omega = pi sin theta sit on the FFT that
         evaluates a null polynomial of L coefficients (see ``nufft.plan``),
-        read-only.  The config keeps the plan of the last FFT length N it
-        was asked for, which every L with that N shares; a study runs one L,
-        so its trials share one plan, and a config used at several N holds
-        one plan at a time."""
+        read-only.  One plan serves every L with the same FFT length N and
+        every config with the same grid (see GRID_CACHE_BYTES)."""
         size = nufft.size_for(length)
-        plan = self.__dict__.get("_plan")
-        if plan is None or plan.size != size:
-            # frozen: cached in the instance dict, as cached_property does
-            plan = self.__dict__["_plan"] = nufft.plan(np.sin(np.deg2rad(self.grid)) / 2, size)
-        return plan
+        return _shared((self._grid_key, size),
+                       lambda: nufft.plan(np.sin(np.deg2rad(self.grid)) / 2, size))
 
     @property
     def grid_step(self) -> float:
@@ -249,21 +280,28 @@ def _check_hermitian(r: np.ndarray) -> np.ndarray:
 #: Rayleigh-Ritz (Halko, Martinsson & Tropp, SIAM Review 2011; Saad,
 #: Numerical Methods for Large Eigenvalue Problems, 2011) on K + OVERSAMPLE
 #: vectors: the K-th Ritz vector converges at the rate
-#: lambda_{K+OVERSAMPLE+1} / lambda_K per iteration, about 1e-3 on the noisy
-#: SAULAs(32) inputs (L = 575), which converge in 4-5 iterations.
-OVERSAMPLE = 8
+#: lambda_{K+OVERSAMPLE+1} / lambda_K per iteration.  With a flat noise
+#: floor that rate barely depends on the oversampling, so 4 extra columns
+#: serve: on 0 dB draws of 2 sources 0.5-0.8 degrees apart (L = 95, 159),
+#: 4 sources (L = 575) and 12 sources (L = 2175) the iteration took
+#: 0.2-0.5 more steps than on K + 8 columns, 4.5-6.5 in all, and never
+#: gave up (see CHANGES.md).
+OVERSAMPLE = 4
 #: The iteration is tried only when L >= SIZE_RATIO * (K + OVERSAMPLE).
 #: Each product of a ``SmoothedCovariance`` has the fixed cost of four FFT
 #: calls however small L is, while the eigh that serves below the
 #: threshold grows as L^3.  That eigh is the real one of ``_real_subspaces``,
 #: stacked over a block of TRIAL_BLOCK_BYTES (14 trials at L = 95, 3 at
-#: L = 191, 1 from L = 257).  Per trial, the two break even where the
-#: iteration's convergence, so the source SNR, puts them (see CHANGES.md):
-#: at L / (K + OVERSAMPLE) of about 10.5 at L = 95, 7 at L = 191 and 8 at
-#: L = 383 on 0 dB SAULAs trials with K sources on a comb, as the paper's
-#: studies run, and of about 6, below 5.3 and below 4.9 on well-separated
-#: sources at about 10 dB.  8 lies in that band.
-SIZE_RATIO = 8
+#: L = 191, 1 from L = 257).  Per trial, the two break even at
+#: L / (K + OVERSAMPLE) of (0 dB comb, 10 dB comb over +-60 degrees):
+#:
+#:     L = 59     above 11.8 (K = 1), above 11.8
+#:     L = 95     11.8, 11
+#:     L = 191    8.6, 7.7
+#:     L = 383    8.5, 8.5
+#:
+#: 10 lies between the two ends, and keeps L = 59, K = 2 on the real form.
+SIZE_RATIO = 10
 #: Iterations before the real form takes over.
 MAX_ITERATIONS = 20
 #: Converged when the Ritz residual ||R X - X Theta||_F over the Ritz gap
@@ -271,7 +309,7 @@ MAX_ITERATIONS = 20
 #: the signal subspace with Ritz value K+1 standing in for lambda_{L-K}, is
 #: at most SUBSPACE_TOL.  Near a peak the spectrum's relative error is
 #: about 2 sqrt(L / f) times that angle, with f >= GUARD_FACTOR * L^2 * eps
-#: above the guard, so at most 2e-9 wherever the iteration runs (L >= 72).
+#: above the guard, so at most 2e-9 wherever the iteration runs (L >= 50).
 SUBSPACE_TOL = 1e-12
 
 
@@ -339,6 +377,15 @@ def _from_real_basis(w: np.ndarray) -> np.ndarray:
     return np.concatenate([head, w[half : half + odd], head[::-1].conj()])
 
 
+@lru_cache(maxsize=4)
+def _start_block(length: int, width: int) -> np.ndarray:
+    """The fixed real L x p start block of ``_ritz_subspace``, built once
+    per shape and read-only; the last four shapes are kept."""
+    start = np.random.default_rng(0).standard_normal((length, width))
+    start.flags.writeable = False
+    return start
+
+
 def _ritz_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
     """E_s and the top K + OVERSAMPLE Ritz values, both in ascending order,
     from subspace iteration on M = Q^H R_ss Q, the product of
@@ -349,8 +396,7 @@ def _ritz_subspace(r: SmoothedCovariance, num_sources: int) -> Subspace | None:
     the gap is within rounding.
     Q is unitary, so residual, gap and angles are those of R_ss."""
     width = num_sources + OVERSAMPLE
-    start = np.random.default_rng(0).standard_normal((r.length, width + width % 2))
-    basis = np.linalg.qr(r @ start)[0]
+    basis = np.linalg.qr(r @ _start_block(r.length, width + width % 2))[0]
     for _ in range(MAX_ITERATIONS):
         image = r @ basis
         values, w = np.linalg.eigh(basis.T @ image)
@@ -507,11 +553,12 @@ def music_spectrum(
     N >= 2 (2L - 1) points and nufft.KERNEL_TERMS Horner steps over the
     grid, O(L log L + G P) for G grid points, so no L x G steering matrix
     is formed.  Its plan, each grid point's first bin and offset, is O(G)
-    and kept on the config (see ``MusicConfig.nufft_plan``).  The tests
-    hold it against the blocked baby-step, giant-step evaluation it
-    replaced and against a long-double Horner.  ``r_ss`` is a
-    ``SmoothedCovariance``, which the trial pipeline passes, or a dense
-    Hermitian matrix such as ``spatial_smoothing`` builds.  Grid points
+    and shared by every config of the grid (see
+    ``MusicConfig.nufft_plan``).  The tests hold it against the blocked
+    baby-step, giant-step evaluation it replaced and against a long-double
+    Horner.  ``r_ss`` is a ``SmoothedCovariance``, which the trial pipeline
+    passes, or a dense Hermitian matrix such as ``spatial_smoothing``
+    builds.  Grid points
     where f falls below the rounding bound (see GUARD_FACTOR), which occur
     only next to a near-exact null, are recomputed as the residual
     ||a - E_s E_s^H a||^2, whichever solver found E_s.

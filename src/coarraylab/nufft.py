@@ -14,7 +14,7 @@ bin offset, as in FINUFFT, so no kernel value is taken per point.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +39,10 @@ KERNEL_TERMS = 14
 ERROR_BOUND = 10
 
 
+@lru_cache(maxsize=64)
 def fft_length(size: int) -> int:
-    """The smallest 2^a 3^b 5^c that is at least ``size``."""
+    """The smallest 2^a 3^b 5^c that is at least ``size``; the last 64
+    sizes asked for are kept."""
     best = 1 << (size - 1).bit_length()
     odd5 = 1
     while odd5 < best:

@@ -3,7 +3,7 @@ modules, and package functions in every namespace that holds them."""
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -50,10 +50,12 @@ class CountingNumpy:
 @pytest.fixture
 def numpy_calls(monkeypatch) -> Counter:
     """Counts of the numpy calls CountingNumpy tracks, made inside coarray,
-    signal and estimation."""
+    signal and estimation, from an empty cache of search grids, so that a
+    grid an earlier test built is counted where it is built again."""
     counts = Counter()
     for module in (coarray, signal, estimation):
         monkeypatch.setattr(module, "np", CountingNumpy(counts))
+    monkeypatch.setattr(estimation, "_GRID_CACHE", OrderedDict())
     return counts
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 import tracemalloc
 import warnings
 import weakref
@@ -37,6 +38,7 @@ from coarraylab.signal import (
     exact_extended_covariance,
     extended_covariance,
     lag_plan,
+    planes_covariance,
     simulate_snapshots,
     virtual_observation,
 )
@@ -669,7 +671,7 @@ def test_spectrum_matches_direct_projection(case):
 def _centro_hermitian_cases(draw):
     """A centro-Hermitian PSD matrix (L 2-200) plus a noise floor sigma^2 I,
     with a source count K < L that the K-vector solver takes on where
-    L >= 54: either K steering vectors at random angles, or
+    L >= 50: either K steering vectors at random angles, or
     (X + Pi X* Pi) / 2 for a random PSD X and the exchange matrix Pi.
     The steering phases are taken about the middle sensor, so Pi a* = a
     holds to the last bit; the unit factor this adds cancels in a a^H."""
@@ -697,7 +699,7 @@ def _centro_hermitian_cases(draw):
 @given(_centro_hermitian_cases())
 def test_real_form_spectrum_matches_complex_eigh(case):
     """The spectrum of noisy centro-Hermitian matrices, most of them served
-    by the K-vector solver where L >= 54, against the direct projection
+    by the K-vector solver where L >= 50, against the direct projection
     onto E_n from the complex eigh."""
     r, config = case
     k = config.num_sources
@@ -1103,7 +1105,7 @@ def test_an_explicit_smoothing_length_forms_no_dense_covariance(count_calls):
     sc = Scenario(angles_deg=(-33.21, 4.04, 48.88), snapshots=500, snr_db=0.0, seed=6)
     ec = extended_covariance(simulate_snapshots(arr, sc))
     v = virtual_observation(ec, lag_plan(arr))
-    lengths = (4, 32, 60, 87)
+    lengths = (4, 32, 51, 69)
     assert max(lengths) < estimation.SIZE_RATIO * (3 + estimation.OVERSAMPLE)
     wants = [np.linalg.eigh(spatial_smoothing(v, length))[1][:, -3:] for length in lengths]
     counts = count_calls(["estimation.spatial_smoothing"])
@@ -1514,9 +1516,10 @@ def _iterated():
 
 
 def _iterated_with_a_fallback():
-    """Two sources 0.8 degrees apart at 0 dB: with the iteration held to 5
-    steps, trial 1 of these seven needs 6 and falls back to its real form."""
-    sc = Scenario(angles_deg=(10.0, 10.8), snapshots=200, snr_db=0.0, seed=4)
+    """Two sources 0.9 degrees apart at 0 dB: with the iteration held to 5
+    steps, trial 2 of these seven needs more and falls back to its real
+    form."""
+    sc = Scenario(angles_deg=(10.0, 10.9), snapshots=200, snr_db=0.0, seed=2)
     return geometry.design_saulas(12), sc, MusicConfig.for_step(2, 0.1), None
 
 
@@ -1562,7 +1565,7 @@ def test_blocked_monte_carlo_is_estimate_doas_trial_by_trial(case, monkeypatch):
     iterating = length >= estimation.SIZE_RATIO * (cfg.num_sources + estimation.OVERSAMPLE)
     assert len(ritz) == (7 if iterating else 0)
     gave_up = [k for k, found in enumerate(ritz) if found is None]
-    assert gave_up == ([1] if case is _iterated_with_a_fallback else [])
+    assert gave_up == ([2] if case is _iterated_with_a_fallback else [])
     want = estimation.aggregate_trials(alone, sc, cfg)
     assert got.estimates_per_trial == want.estimates_per_trial
     assert got.rmse_deg == want.rmse_deg
@@ -1606,17 +1609,22 @@ def test_a_fig12_study_holds_two_stacks_of_the_budget_at_most():
     assert peak <= 3 * estimation.TRIAL_BLOCK_BYTES
 
 
-def test_music_config_grid_and_nufft_plan_are_shared_and_read_only():
-    """L = 29 and 30 share N = 120 and one plan, L = 32 (N = 128) replaces
-    it; every array is read-only, and start and offset place each grid
-    point at x = N sin(theta) / 2 modulo N."""
+def test_music_config_grid_and_nufft_plan_are_shared_and_read_only(monkeypatch):
+    """Equal grids share one grid and one plan per FFT length N, whatever
+    else their configs hold: L = 29 and 30 share N = 120, L = 32 (N = 128)
+    gets a plan of its own and both are kept; another grid gets its own.
+    Every array is read-only, and start and offset place each grid point
+    at x = N sin(theta) / 2 modulo N."""
+    monkeypatch.setattr(estimation, "_GRID_CACHE", OrderedDict())
     cfg = MusicConfig.for_step(2, 0.5)
-    assert cfg.grid is cfg.grid and not cfg.grid.flags.writeable
+    equal = MusicConfig.for_step(3, 0.5, smoothing_length=40)
+    assert cfg.grid is cfg.grid is equal.grid and not cfg.grid.flags.writeable
     plan = cfg.nufft_plan(29)
-    assert plan.size == 120 and cfg.nufft_plan(30) is plan
+    assert plan.size == 120 and cfg.nufft_plan(30) is plan and equal.nufft_plan(29) is plan
     other = cfg.nufft_plan(32)
-    assert other.size == 128 and cfg.nufft_plan(32) is other
-    assert cfg.nufft_plan(29) is not plan and cfg.nufft_plan(29).size == 120
+    assert other.size == 128 and equal.nufft_plan(32) is other and cfg.nufft_plan(29) is plan
+    finer = MusicConfig.for_step(2, 0.25)
+    assert finer.grid.size == 719 and finer.nufft_plan(29) is not plan
     for part in (plan.start, plan.offset, plan.deconvolution):
         assert not part.flags.writeable
     assert plan.start.shape == plan.offset.shape == cfg.grid.shape
@@ -1627,6 +1635,102 @@ def test_music_config_grid_and_nufft_plan_are_shared_and_read_only():
     np.testing.assert_allclose((x - want + plan.size / 2) % plan.size, plan.size / 2,
                                rtol=0, atol=1e-12)
     assert cfg == MusicConfig.for_step(2, 0.5)
+
+
+def test_grids_apart_only_in_the_sign_of_zero_are_kept_apart(monkeypatch):
+    """-0.0 and 0.0 compare equal but end their grids on different angles,
+    which the spectrum CSV writes as -0.000000 and 0.000000."""
+    monkeypatch.setattr(estimation, "_GRID_CACHE", OrderedDict())
+    minus, plus = (MusicConfig(num_sources=1, grid_start=-1.0, grid_stop=stop, grid_points=3)
+                   for stop in (-0.0, 0.0))
+    assert minus == plus
+    assert np.signbit(minus.grid[-1]) and not np.signbit(plus.grid[-1])
+
+
+def test_grids_and_plans_kept_after_their_configs_stay_within_the_bound(monkeypatch):
+    """Configs of twelve different 0.001-degree grids (4.1 MiB of grid and
+    plan each) are gone after use; what the process keeps of them stays
+    within GRID_CACHE_BYTES, and the one used last is kept."""
+    monkeypatch.setattr(estimation, "_GRID_CACHE", OrderedDict())
+    tracemalloc.start()
+    try:
+        for shift in range(12):
+            cfg = MusicConfig(num_sources=1, grid_start=-89.999 + 1e-4 * shift,
+                              grid_stop=89.999, grid_points=179_999)
+            cfg.nufft_plan(575)
+        last = cfg._grid_key
+        del cfg
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    held = sum(size for _, size in estimation._GRID_CACHE.values())
+    assert 12 * 4 * 2**20 > estimation.GRID_CACHE_BYTES >= held > 0
+    assert kept <= estimation.GRID_CACHE_BYTES + 2**20
+    assert (last, nufft.size_for(575)) in estimation._GRID_CACHE
+
+
+def test_a_round_of_the_paper_studies_plans_no_more_than_once_per_grid_and_length(monkeypatch):
+    """fig12 and fig13 share the 0.05-degree grid and run at L = 95, 93
+    and 87 (N = 384, 375 and 360): the first round of their four studies
+    plans each N once, and a round on fresh presets of another seed plans
+    none."""
+    monkeypatch.setattr(estimation, "_GRID_CACHE", OrderedDict())
+    plans = []
+    plan = nufft.plan
+    monkeypatch.setattr(nufft, "plan", lambda *args: plans.append(args[1]) or plan(*args))
+    arrays = [geometry.design_saulas(12), geometry.design_tsaulas(12),
+              geometry.design_cotsaulas(12), geometry.design_saulas(12)]
+    for seed in (0, 1):
+        fig12 = presets.get_scenario_preset("fig12", seed=seed)
+        fig13 = presets.get_scenario_preset("fig13", seed=seed)
+        for preset, array in zip((fig12, fig13, fig13, fig13), arrays):
+            monte_carlo(array, preset.scenario, preset.music, 1, coupling=preset.coupling)
+        assert plans == [384, 375, 360]
+
+
+def test_the_start_block_is_built_once_per_shape_and_read_only(monkeypatch):
+    """Each shape's start block is drawn once, from the fixed seed, and
+    every iteration of that shape reads the same read-only array."""
+    v = _trial_observation()
+    estimation._start_block.cache_clear()
+    drawn = []
+    rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: drawn.append(seed) or rng(seed))
+    op = SmoothedCovariance(v)
+    first = estimation._ritz_subspace(op, 3)
+    block = estimation._start_block(op.length, 8)
+    again = estimation._ritz_subspace(SmoothedCovariance(v), 3)
+    assert drawn == [0] and estimation._start_block(op.length, 8) is block
+    assert not block.flags.writeable
+    np.testing.assert_array_equal(block, rng(0).standard_normal((op.length, 8)))
+    assert first.signal.tobytes() == again.signal.tobytes()
+
+
+#: The sources of the three scenarios of the ``music_fine_n32`` benchmark
+#: workload: SAULAs(32), L = 575, T = 400 at 10 dB, scenario seeds 0, 1, 2.
+FINE_N32_ANGLES = ((-56.726, -41.413, -28.469, -20.257), (-14.243, -4.511, 22.46, 48.412),
+                   (-27.269, -18.333, 12.268, 33.2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_large_l_music_scenarios_converge_on_k_plus_oversample_columns(seed, monkeypatch):
+    """Each of the three trials of each ``music_fine_n32`` scenario
+    converges on the K + OVERSAMPLE = 8 columns within 5 iterations, so
+    none falls back to the real form at L = 575."""
+    arr = geometry.design_saulas(32)
+    sc = Scenario(angles_deg=FINE_N32_ANGLES[seed], snapshots=400, snr_db=10.0, seed=seed)
+    plan = lag_plan(arr)
+    products = []
+    product = SmoothedCovariance.__matmul__
+    monkeypatch.setattr(SmoothedCovariance, "__matmul__",
+                        lambda op, x: products.append(x.shape) or product(op, x))
+    for trial in range(3):
+        planes = simulate_snapshots(arr, sc, trial=trial, planes=True)
+        op = SmoothedCovariance(virtual_observation(planes_covariance(planes), plan))
+        products.clear()
+        found = estimation._ritz_subspace(op, 4)
+        assert found is not None and found.values.size == 4 + estimation.OVERSAMPLE
+        assert products[0] == (575, 8) and len(products) <= 6
 
 
 # ---------------------------------------------------------------------------
