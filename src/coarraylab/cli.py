@@ -10,7 +10,6 @@ byte-identical across reruns of the same invocation.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import operator
@@ -232,12 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_design = sub.add_parser("design", help="emit a geometry descriptor (JSON)")
     _add_output(p_design, formats=False)
     _add_array_source(p_design)
+    p_design.set_defaults(func=cmd_design)
 
     p_analyze = sub.add_parser("analyze", help="co-array metrics for one array")
     _add_output(p_analyze)
     _add_array_source(p_analyze)
     p_analyze.add_argument("--coupling", default="paper-v",
                            choices=coupling.preset_names())
+    p_analyze.set_defaults(func=cmd_analyze)
 
     p_sweep = sub.add_parser("sweep", help="metrics across a sensor-count range")
     _add_output(p_sweep)
@@ -247,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-max", type=int, required=True)
     p_sweep.add_argument("--coupling", default="paper-v",
                          choices=coupling.preset_names())
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_music = sub.add_parser("music", help="simulate snapshots and estimate DOAs")
     _add_output(p_music, formats=False)
@@ -263,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="search grid pitch in degrees")
     p_music.add_argument("--dump-snapshots",
                          help="also write trial-0 snapshots to this path")
+    p_music.set_defaults(func=cmd_music)
 
     p_verify = sub.add_parser("verify-lemmas",
                               help="closed-form vs brute-force co-array checks")
@@ -272,23 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=verify.N_MAX)
     p_verify.add_argument("--tsaulas-n-min", type=int, default=0,
                           help="smallest N checked for tsaulas (default: its own)")
+    p_verify.set_defaults(func=cmd_verify_lemmas)
 
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built once per process: parsing leaves the parser
-    as it was, and each call gets a fresh namespace."""
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    # looked up per call, as the parser names its commands and holds no function
-    command = globals()["cmd_" + args.command.replace("-", "_")]
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return command(args)
+        return args.func(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

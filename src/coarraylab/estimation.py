@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -44,31 +42,6 @@ from .signal import (
 #: The most search-grid points a MusicConfig takes: 2**20 points hold
 #: 32 MiB of angles, NUFFT plan and spectrum (0.000172-degree pitch over 180).
 MAX_GRID_POINTS = 1 << 20
-#: Search grids and their NUFFT plans are kept process-wide, one per grid
-#: (and FFT length N for a plan), so equal grids share them: once the kept
-#: ones hold more than GRID_CACHE_BYTES, the least recently used go, though
-#: never the one just asked for.  A grid takes 8 bytes per point and a plan
-#: 16 per point plus 2 N, 0.42 MiB together on the 0.01-degree grid at
-#: L = 575 and 24 MiB plus 2 N at MAX_GRID_POINTS.
-GRID_CACHE_BYTES = 1 << 25
-_GRID_CACHE: OrderedDict[tuple, tuple[np.ndarray | nufft.NufftPlan, int]] = OrderedDict()
-_GRID_LOCK = threading.RLock()  # a plan's build asks for its grid
-
-
-def _shared(key: tuple, build) -> np.ndarray | nufft.NufftPlan:
-    """The read-only grid or plan kept under ``key``, from ``build()`` on
-    a miss."""
-    with _GRID_LOCK:
-        value, size = _GRID_CACHE.pop(key, (None, 0))
-        if value is None:
-            value = build()
-            parts = [value] if isinstance(value, np.ndarray) else value[1:]
-            size = sum(part.nbytes for part in parts)
-        _GRID_CACHE[key] = value, size
-        held = sum(size for _, size in _GRID_CACHE.values())
-        while held > GRID_CACHE_BYTES and len(_GRID_CACHE) > 1:
-            held -= _GRID_CACHE.popitem(last=False)[1][1]
-        return value
 
 
 @dataclass(frozen=True)
@@ -77,10 +50,9 @@ class MusicConfig:
 
     The grid spans the open interval (-90, 90) degrees; the default is a
     0.01-degree pitch (17999 points).  ``for_step`` builds a config from a
-    pitch directly.  The grid and the NUFFT plans of ``music_spectrum``
-    (see ``nufft_plan``) are computed on first use and kept process-wide
-    within GRID_CACHE_BYTES, so every config with the same grid shares
-    them, the trials of a study and successive ``music`` calls alike.
+    pitch directly.  The grid and the NUFFT plan of ``music_spectrum``
+    (see ``nufft_plan``) are computed on first use and kept on the config,
+    so the trials of a study that share a config share them.
     """
 
     num_sources: int
@@ -117,28 +89,25 @@ class MusicConfig:
                    grid_points=points, **kwargs)
 
     @cached_property
-    def _grid_key(self) -> tuple:
-        # the bits of the ends, so that grids from -0.0 and 0.0 stay apart
-        return float(self.grid_start).hex(), float(self.grid_stop).hex(), self.grid_points
-
-    @property
     def grid(self) -> np.ndarray:
-        """The search angles in degrees (read-only, shared by equal grids)."""
-        def build() -> np.ndarray:
-            grid = np.linspace(self.grid_start, self.grid_stop, self.grid_points)
-            grid.flags.writeable = False
-            return grid
-
-        return _shared((self._grid_key, None), build)
+        """The search angles in degrees (read-only, computed once)."""
+        grid = np.linspace(self.grid_start, self.grid_stop, self.grid_points)
+        grid.flags.writeable = False
+        return grid
 
     def nufft_plan(self, length: int) -> nufft.NufftPlan:
         """Where the grid points omega = pi sin theta sit on the FFT that
         evaluates a null polynomial of L coefficients (see ``nufft.plan``),
-        read-only.  One plan serves every L with the same FFT length N and
-        every config with the same grid (see GRID_CACHE_BYTES)."""
+        read-only.  The config keeps the plan of the last FFT length N it
+        was asked for, which every L with that N shares; a study runs one L,
+        so its trials share one plan, and a config used at several N holds
+        one plan at a time."""
         size = nufft.size_for(length)
-        return _shared((self._grid_key, size),
-                       lambda: nufft.plan(np.sin(np.deg2rad(self.grid)) / 2, size))
+        plan = self.__dict__.get("_plan")
+        if plan is None or plan.size != size:
+            # frozen: cached in the instance dict, as cached_property does
+            plan = self.__dict__["_plan"] = nufft.plan(np.sin(np.deg2rad(self.grid)) / 2, size)
+        return plan
 
     @property
     def grid_step(self) -> float:
@@ -287,21 +256,27 @@ def _check_hermitian(r: np.ndarray) -> np.ndarray:
 #: 0.2-0.5 more steps than on K + 8 columns, 4.5-6.5 in all, and never
 #: gave up (see CHANGES.md).
 OVERSAMPLE = 4
-#: The iteration is tried only when L >= SIZE_RATIO * (K + OVERSAMPLE).
+#: The iteration is tried only when L >= SIZE_RATIO * (K + SIZE_PAD).
 #: Each product of a ``SmoothedCovariance`` has the fixed cost of four FFT
 #: calls however small L is, while the eigh that serves below the
 #: threshold grows as L^3.  That eigh is the real one of ``_real_subspaces``,
 #: stacked over a block of TRIAL_BLOCK_BYTES (14 trials at L = 95, 3 at
-#: L = 191, 1 from L = 257).  Per trial, the two break even at
-#: L / (K + OVERSAMPLE) of (0 dB comb, 10 dB comb over +-60 degrees):
+#: L = 191, 1 from L = 257).  On K + OVERSAMPLE columns, per trial, the two
+#: break even at L / (K + OVERSAMPLE) of (0 dB comb, 10 dB comb over +-60
+#: degrees):
 #:
 #:     L = 59     above 11.8 (K = 1), above 11.8
 #:     L = 95     11.8, 11
 #:     L = 191    8.6, 7.7
 #:     L = 383    8.5, 8.5
 #:
-#: 10 lies between the two ends, and keeps L = 59, K = 2 on the real form.
-SIZE_RATIO = 10
+#: a ratio that falls as L, and so K, grows.  8 (K + 8), the rule measured
+#: on K + 8 columns, falls the same way: it asks L / (K + 4) >= 14.4 at
+#: K = 1, 12 at K = 4, 10 at K = 12 and 9.3 at K = 20, so it stays just on
+#: the real form's side of the table at every L in it, and the narrower
+#: block moved no shape off its route.
+SIZE_RATIO = 8
+SIZE_PAD = 8
 #: Iterations before the real form takes over.
 MAX_ITERATIONS = 20
 #: Converged when the Ritz residual ||R X - X Theta||_F over the Ritz gap
@@ -309,7 +284,7 @@ MAX_ITERATIONS = 20
 #: the signal subspace with Ritz value K+1 standing in for lambda_{L-K}, is
 #: at most SUBSPACE_TOL.  Near a peak the spectrum's relative error is
 #: about 2 sqrt(L / f) times that angle, with f >= GUARD_FACTOR * L^2 * eps
-#: above the guard, so at most 2e-9 wherever the iteration runs (L >= 50).
+#: above the guard, so at most 2e-9 wherever the iteration runs (L >= 72).
 SUBSPACE_TOL = 1e-12
 
 
@@ -441,13 +416,13 @@ def _operator_subspaces(
     ops: Sequence[SmoothedCovariance], num_sources: int
 ) -> Iterator[Subspace]:
     """The ``signal_subspace`` of each operator of a block of one shape, in
-    order.  From L >= SIZE_RATIO * (K + OVERSAMPLE) each trial is solved on
+    order.  From L >= SIZE_RATIO * (K + SIZE_PAD) each trial is solved on
     its own when it is asked for, by its iteration or, where that gives up,
     by its own real form; below it the block's real forms go through one
     stacked eigh at the call."""
     length = ops[0].length
     _check_model_order(num_sources, length)
-    if length < SIZE_RATIO * (num_sources + OVERSAMPLE):
+    if length < SIZE_RATIO * (num_sources + SIZE_PAD):
         return _real_subspaces(ops, num_sources)
     # a Subspace is a non-empty tuple, so only a None from the iteration falls back
     return (_ritz_subspace(op, num_sources) or next(_real_subspaces([op], num_sources))
@@ -463,7 +438,7 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
     dense matrix, which is checked to be finite and Hermitian.  Each input
     type has its own solvers:
 
-    - An operator, from L >= SIZE_RATIO * (K + OVERSAMPLE): block subspace
+    - An operator, from L >= SIZE_RATIO * (K + SIZE_PAD): block subspace
       iteration with Rayleigh-Ritz on K + OVERSAMPLE real vectors (rounded
       up to even) from a fixed start block, in the real coordinates of the
       real form, finds E_s from the operator's real products r_ss @ X
@@ -553,12 +528,11 @@ def music_spectrum(
     N >= 2 (2L - 1) points and nufft.KERNEL_TERMS Horner steps over the
     grid, O(L log L + G P) for G grid points, so no L x G steering matrix
     is formed.  Its plan, each grid point's first bin and offset, is O(G)
-    and shared by every config of the grid (see
-    ``MusicConfig.nufft_plan``).  The tests hold it against the blocked
-    baby-step, giant-step evaluation it replaced and against a long-double
-    Horner.  ``r_ss`` is a ``SmoothedCovariance``, which the trial pipeline
-    passes, or a dense Hermitian matrix such as ``spatial_smoothing``
-    builds.  Grid points
+    and kept on the config (see ``MusicConfig.nufft_plan``).  The tests
+    hold it against the blocked baby-step, giant-step evaluation it
+    replaced and against a long-double Horner.  ``r_ss`` is a
+    ``SmoothedCovariance``, which the trial pipeline passes, or a dense
+    Hermitian matrix such as ``spatial_smoothing`` builds.  Grid points
     where f falls below the rounding bound (see GUARD_FACTOR), which occur
     only next to a near-exact null, are recomputed as the residual
     ||a - E_s E_s^H a||^2, whichever solver found E_s.

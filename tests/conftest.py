@@ -3,7 +3,7 @@ modules, and package functions in every namespace that holds them."""
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -50,12 +50,10 @@ class CountingNumpy:
 @pytest.fixture
 def numpy_calls(monkeypatch) -> Counter:
     """Counts of the numpy calls CountingNumpy tracks, made inside coarray,
-    signal and estimation, from an empty cache of search grids, so that a
-    grid an earlier test built is counted where it is built again."""
+    signal and estimation."""
     counts = Counter()
     for module in (coarray, signal, estimation):
         monkeypatch.setattr(module, "np", CountingNumpy(counts))
-    monkeypatch.setattr(estimation, "_GRID_CACHE", OrderedDict())
     return counts
 
 

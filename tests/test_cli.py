@@ -650,36 +650,6 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
     assert counts["coarray.contiguous_stats"] == 1
     assert numpy_calls["np.unique"] == 0 and numpy_calls["np.add.at"] == 0
     assert numpy_calls["np.linspace"] == 1
-    # a second call builds a config of the same grid, which shares the first's
-    code, _, _ = run_cli(
-        capsys,
-        "music", "--family", "saulas", "--n", "9",
-        "--scenario", str(scenario_file), "--grid-step", "0.5", "--output", str(tmp_path / "again"),
-    )
-    assert code == EXIT_OK and numpy_calls["np.linspace"] == 1
-
-
-def test_the_shared_parser_leaks_nothing_from_one_call_into_the_next(tmp_path, capsys,
-                                                                    scenario_file):
-    """main() parses with one parser per process; a flag given to one call
-    is not a default of the next, and each command parses as it does on a
-    fresh parser."""
-    music = ["music", "--family", "saulas", "--n", "9", "--scenario", str(scenario_file),
-             "--grid-step", "1"]
-    code, out, _ = run_cli(capsys, *music, "--seed", "7")
-    assert code == EXIT_OK and json.loads(out)["config"]["seed"] == 7
-    code, out, _ = run_cli(capsys, *music)
-    assert code == EXIT_OK and json.loads(out)["config"]["seed"] == 3
-    code, _, _ = run_cli(capsys, "sweep", "--families", "saulas", "--n-min", "9",
-                         "--n-max", "10", "--format", "json", "--output", str(tmp_path / "s.json"))
-    assert code == EXIT_OK
-    assert cli._parser() is cli._parser()
-    for argv in (["verify-lemmas"], music, ["sweep", "--families", "ula", "--n-min", "4",
-                                             "--n-max", "5"]):
-        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
-    defaults = cli._parser().parse_args(["verify-lemmas"])
-    assert (defaults.n_min, defaults.tsaulas_n_min, defaults.format, defaults.output) == (
-        0, 0, "csv", None)
 
 
 def test_music_never_builds_the_dense_smoothed_covariance(tmp_path, capsys, count_calls):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import OrderedDict
 import tracemalloc
 import warnings
 import weakref
@@ -671,12 +670,12 @@ def test_spectrum_matches_direct_projection(case):
 def _centro_hermitian_cases(draw):
     """A centro-Hermitian PSD matrix (L 2-200) plus a noise floor sigma^2 I,
     with a source count K < L that the K-vector solver takes on where
-    L >= 50: either K steering vectors at random angles, or
+    L >= 72: either K steering vectors at random angles, or
     (X + Pi X* Pi) / 2 for a random PSD X and the exchange matrix Pi.
     The steering phases are taken about the middle sensor, so Pi a* = a
     holds to the last bit; the unit factor this adds cancels in a a^H."""
     length = draw(st.integers(2, 200))
-    most = length // estimation.SIZE_RATIO - estimation.OVERSAMPLE
+    most = length // estimation.SIZE_RATIO - estimation.SIZE_PAD
     k = draw(st.integers(1, max(1, min(length - 1, most))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     config = MusicConfig.for_step(k, 0.5)
@@ -699,7 +698,7 @@ def _centro_hermitian_cases(draw):
 @given(_centro_hermitian_cases())
 def test_real_form_spectrum_matches_complex_eigh(case):
     """The spectrum of noisy centro-Hermitian matrices, most of them served
-    by the K-vector solver where L >= 50, against the direct projection
+    by the K-vector solver where L >= 72, against the direct projection
     onto E_n from the complex eigh."""
     r, config = case
     k = config.num_sources
@@ -770,11 +769,11 @@ def test_signal_subspace_matches_complex_eigh(n, angles):
 
 
 def test_the_operator_takes_the_real_form_below_the_size_ratio():
-    """Below SIZE_RATIO * (K + OVERSAMPLE) the operator's E_s comes from
+    """Below SIZE_RATIO * (K + SIZE_PAD) the operator's E_s comes from
     the real form, and at that length from the iteration; a dense matrix
     takes the complex eigh even there."""
     k = 3
-    threshold = estimation.SIZE_RATIO * (k + estimation.OVERSAMPLE)
+    threshold = estimation.SIZE_RATIO * (k + estimation.SIZE_PAD)
     v = _trial_observation()
     small = SmoothedCovariance(v, threshold - 1)
     found = signal_subspace(small, k)
@@ -798,7 +797,7 @@ def test_signal_subspace_takes_the_complex_eigh_on_noiseless_input(family):
     arr = geometry.design(family, 12)
     sc = Scenario(angles_deg=(37.0,), snapshots=1, snr_db=None)
     r = spatial_smoothing(virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr)))
-    assert r.shape[0] >= estimation.SIZE_RATIO * (1 + estimation.OVERSAMPLE)
+    assert r.shape[0] >= estimation.SIZE_RATIO * (1 + estimation.SIZE_PAD)
     found = signal_subspace(r, 1)
     values, vectors = np.linalg.eigh(r)
     np.testing.assert_array_equal(found.signal, vectors[:, -1:])
@@ -834,7 +833,7 @@ def _iteration_cases(draw):
     about half the time."""
     m = draw(st.integers(40, 130))
     length = draw(st.integers(60, 2 * m + 1))
-    most = length // estimation.SIZE_RATIO - estimation.OVERSAMPLE
+    most = length // estimation.SIZE_RATIO - estimation.SIZE_PAD
     k = draw(st.integers(1, max(1, most)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lags = np.arange(-m, m + 1)
@@ -1039,7 +1038,7 @@ def test_stacked_real_forms_give_each_operator_its_own_subspace(m, length, trial
     shape gives each the Subspace bytes that signal_subspace gives it
     alone, at odd and even L below the size ratio."""
     assume(k < length <= 2 * m + 1)
-    assume(length < estimation.SIZE_RATIO * (k + estimation.OVERSAMPLE))
+    assume(length < estimation.SIZE_RATIO * (k + estimation.SIZE_PAD))
     rng = np.random.default_rng(seed)
     lags = np.arange(-m, m + 1)
     ops = []
@@ -1066,7 +1065,7 @@ def _davis_kahan(values, k):
 @given(_noisy_observations(noiseless=True, designed=True), st.data())
 def test_signal_subspace_of_the_operator_matches_the_complex_eigh(case, data):
     """Noisy and noiseless observations at lengths on both sides of
-    SIZE_RATIO * (K + OVERSAMPLE): the operator's E_s, from the iteration
+    SIZE_RATIO * (K + SIZE_PAD): the operator's E_s, from the iteration
     or the real form, spans the complex eigh's of the dense R_ss.  The
     iteration stops once its own estimate of its angle to E_s is at most
     SUBSPACE_TOL, so the bound allows twice that on top of the eigh's:
@@ -1075,7 +1074,7 @@ def test_signal_subspace_of_the_operator_matches_the_complex_eigh(case, data):
     guard and peak alike."""
     v, k = case
     size = v.lags.size
-    threshold = estimation.SIZE_RATIO * (k + estimation.OVERSAMPLE)
+    threshold = estimation.SIZE_RATIO * (k + estimation.SIZE_PAD)
     length = data.draw(st.one_of(st.just(v.half_width + 1), st.integers(2, size),
                                  st.integers(min(threshold, size), size)), label="length")
     assume(k < length)
@@ -1105,8 +1104,8 @@ def test_an_explicit_smoothing_length_forms_no_dense_covariance(count_calls):
     sc = Scenario(angles_deg=(-33.21, 4.04, 48.88), snapshots=500, snr_db=0.0, seed=6)
     ec = extended_covariance(simulate_snapshots(arr, sc))
     v = virtual_observation(ec, lag_plan(arr))
-    lengths = (4, 32, 51, 69)
-    assert max(lengths) < estimation.SIZE_RATIO * (3 + estimation.OVERSAMPLE)
+    lengths = (4, 32, 60, 87)
+    assert max(lengths) < estimation.SIZE_RATIO * (3 + estimation.SIZE_PAD)
     wants = [np.linalg.eigh(spatial_smoothing(v, length))[1][:, -3:] for length in lengths]
     counts = count_calls(["estimation.spatial_smoothing"])
     for length, want in zip(lengths, wants):
@@ -1510,7 +1509,7 @@ def _short_windows():
 
 
 def _iterated():
-    """Three sources at L = 95 >= SIZE_RATIO * (3 + OVERSAMPLE)."""
+    """Three sources at L = 95 >= SIZE_RATIO * (3 + SIZE_PAD)."""
     sc = Scenario(angles_deg=(-33.21, 4.04, 48.88), snapshots=300, snr_db=0.0, seed=6)
     return geometry.design_saulas(12), sc, MusicConfig.for_step(3, 0.5), None
 
@@ -1562,7 +1561,7 @@ def test_blocked_monte_carlo_is_estimate_doas_trial_by_trial(case, monkeypatch):
     got = monte_carlo(arr, sc, cfg, 7, coupling=model)
 
     assert blocks == [3, 3, 1]
-    iterating = length >= estimation.SIZE_RATIO * (cfg.num_sources + estimation.OVERSAMPLE)
+    iterating = length >= estimation.SIZE_RATIO * (cfg.num_sources + estimation.SIZE_PAD)
     assert len(ritz) == (7 if iterating else 0)
     gave_up = [k for k, found in enumerate(ritz) if found is None]
     assert gave_up == ([2] if case is _iterated_with_a_fallback else [])
@@ -1609,22 +1608,17 @@ def test_a_fig12_study_holds_two_stacks_of_the_budget_at_most():
     assert peak <= 3 * estimation.TRIAL_BLOCK_BYTES
 
 
-def test_music_config_grid_and_nufft_plan_are_shared_and_read_only(monkeypatch):
-    """Equal grids share one grid and one plan per FFT length N, whatever
-    else their configs hold: L = 29 and 30 share N = 120, L = 32 (N = 128)
-    gets a plan of its own and both are kept; another grid gets its own.
-    Every array is read-only, and start and offset place each grid point
-    at x = N sin(theta) / 2 modulo N."""
-    monkeypatch.setattr(estimation, "_GRID_CACHE", OrderedDict())
+def test_music_config_grid_and_nufft_plan_are_shared_and_read_only():
+    """L = 29 and 30 share N = 120 and one plan, L = 32 (N = 128) replaces
+    it; every array is read-only, and start and offset place each grid
+    point at x = N sin(theta) / 2 modulo N."""
     cfg = MusicConfig.for_step(2, 0.5)
-    equal = MusicConfig.for_step(3, 0.5, smoothing_length=40)
-    assert cfg.grid is cfg.grid is equal.grid and not cfg.grid.flags.writeable
+    assert cfg.grid is cfg.grid and not cfg.grid.flags.writeable
     plan = cfg.nufft_plan(29)
-    assert plan.size == 120 and cfg.nufft_plan(30) is plan and equal.nufft_plan(29) is plan
+    assert plan.size == 120 and cfg.nufft_plan(30) is plan
     other = cfg.nufft_plan(32)
-    assert other.size == 128 and equal.nufft_plan(32) is other and cfg.nufft_plan(29) is plan
-    finer = MusicConfig.for_step(2, 0.25)
-    assert finer.grid.size == 719 and finer.nufft_plan(29) is not plan
+    assert other.size == 128 and cfg.nufft_plan(32) is other
+    assert cfg.nufft_plan(29) is not plan and cfg.nufft_plan(29).size == 120
     for part in (plan.start, plan.offset, plan.deconvolution):
         assert not part.flags.writeable
     assert plan.start.shape == plan.offset.shape == cfg.grid.shape
@@ -1635,57 +1629,6 @@ def test_music_config_grid_and_nufft_plan_are_shared_and_read_only(monkeypatch):
     np.testing.assert_allclose((x - want + plan.size / 2) % plan.size, plan.size / 2,
                                rtol=0, atol=1e-12)
     assert cfg == MusicConfig.for_step(2, 0.5)
-
-
-def test_grids_apart_only_in_the_sign_of_zero_are_kept_apart(monkeypatch):
-    """-0.0 and 0.0 compare equal but end their grids on different angles,
-    which the spectrum CSV writes as -0.000000 and 0.000000."""
-    monkeypatch.setattr(estimation, "_GRID_CACHE", OrderedDict())
-    minus, plus = (MusicConfig(num_sources=1, grid_start=-1.0, grid_stop=stop, grid_points=3)
-                   for stop in (-0.0, 0.0))
-    assert minus == plus
-    assert np.signbit(minus.grid[-1]) and not np.signbit(plus.grid[-1])
-
-
-def test_grids_and_plans_kept_after_their_configs_stay_within_the_bound(monkeypatch):
-    """Configs of twelve different 0.001-degree grids (4.1 MiB of grid and
-    plan each) are gone after use; what the process keeps of them stays
-    within GRID_CACHE_BYTES, and the one used last is kept."""
-    monkeypatch.setattr(estimation, "_GRID_CACHE", OrderedDict())
-    tracemalloc.start()
-    try:
-        for shift in range(12):
-            cfg = MusicConfig(num_sources=1, grid_start=-89.999 + 1e-4 * shift,
-                              grid_stop=89.999, grid_points=179_999)
-            cfg.nufft_plan(575)
-        last = cfg._grid_key
-        del cfg
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    held = sum(size for _, size in estimation._GRID_CACHE.values())
-    assert 12 * 4 * 2**20 > estimation.GRID_CACHE_BYTES >= held > 0
-    assert kept <= estimation.GRID_CACHE_BYTES + 2**20
-    assert (last, nufft.size_for(575)) in estimation._GRID_CACHE
-
-
-def test_a_round_of_the_paper_studies_plans_no_more_than_once_per_grid_and_length(monkeypatch):
-    """fig12 and fig13 share the 0.05-degree grid and run at L = 95, 93
-    and 87 (N = 384, 375 and 360): the first round of their four studies
-    plans each N once, and a round on fresh presets of another seed plans
-    none."""
-    monkeypatch.setattr(estimation, "_GRID_CACHE", OrderedDict())
-    plans = []
-    plan = nufft.plan
-    monkeypatch.setattr(nufft, "plan", lambda *args: plans.append(args[1]) or plan(*args))
-    arrays = [geometry.design_saulas(12), geometry.design_tsaulas(12),
-              geometry.design_cotsaulas(12), geometry.design_saulas(12)]
-    for seed in (0, 1):
-        fig12 = presets.get_scenario_preset("fig12", seed=seed)
-        fig13 = presets.get_scenario_preset("fig13", seed=seed)
-        for preset, array in zip((fig12, fig13, fig13, fig13), arrays):
-            monte_carlo(array, preset.scenario, preset.music, 1, coupling=preset.coupling)
-        assert plans == [384, 375, 360]
 
 
 def test_the_start_block_is_built_once_per_shape_and_read_only(monkeypatch):
