@@ -96,6 +96,13 @@ INVOCATIONS = {
          "--grid-step", "0.5", "--trials", "2", "--output", "{out}/ritz"],
         ["ritz.spectrum.csv", "ritz.estimates.json"],
     ),
+    # a preset, with its coupling: L = 95, K = 27, three trials that the
+    # stacked real form can take as one block, and trial 0's snapshot dump
+    "music_preset_dump": (
+        ["music", "--family", "saulas", "--n", "12", "--preset", "fig13", "--grid-step", "1",
+         "--trials", "3", "--dump-snapshots", "{out}/preset.bin", "--output", "{out}/preset"],
+        ["preset.spectrum.csv", "preset.estimates.json", "preset.bin"],
+    ),
 }
 
 
