@@ -34,7 +34,6 @@ from .estimation import (
     pick_peaks,
     rmse,
     signal_subspace,
-    spatial_smoothing,
 )
 from .geometry import (
     AulasParams,
@@ -123,7 +122,6 @@ __all__ = [
     "signal_subspace",
     "simulate_snapshots",
     "spatial_efficiency",
-    "spatial_smoothing",
     "steering_matrix",
     "steering_vector",
     "sum_difference_coarray",

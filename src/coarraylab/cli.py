@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import operator
 import sys
 from typing import Sequence
 
@@ -157,16 +156,18 @@ def cmd_music(args) -> int:
     array = _resolve_array(args)
     scenario, music, model = _resolve_scenario(args)
     trials = args.trials
-    runs = estimation.run_trials(array, scenario, music, trials, coupling=model)
-    if runs is None:
+
+    def dump(planes):
+        signal.write_snapshots(args.dump_snapshots, signal.snapshots_from_planes(planes))
+
+    results = estimation.trial_results(array, scenario, music, trials, coupling=model,
+                                       first_planes=dump if args.dump_snapshots else None)
+    if results is None:
         raise ValueError(
             f"insufficient uDOFs: array {array.name} cannot resolve "
             f"{music.num_sources} sources"
         )
-    planes, first = next(runs)
-    if args.dump_snapshots:
-        signal.write_snapshots(args.dump_snapshots, signal.snapshots_from_planes(planes))
-    del planes  # later trials run without trial 0's snapshots alive
+    first = next(results)
     summary = {
         "array": array.name,
         "n": array.n,
@@ -183,8 +184,7 @@ def cmd_music(args) -> int:
         },
     }
     if trials > 1:
-        results = itertools.chain([first], map(operator.itemgetter(1), runs))
-        mc = estimation.aggregate_trials(results, scenario, music)
+        mc = estimation.aggregate_trials(itertools.chain([first], results), scenario, music)
         summary["rmse_deg"] = round(mc.rmse_deg, 6)
         summary["detection_rate"] = mc.detection_rate
 

@@ -3,10 +3,9 @@
 The virtual observation behaves like a single-snapshot measurement of a long
 virtual ULA, so rank is restored by spatial smoothing before the usual
 noise-subspace spectrum search.  Peak picking, sorted-order RMSE and the
-trial loops live here too: ``monte_carlo`` runs its trials in blocks and
-``run_trials``, the ``music`` CLI's loop, one at a time, both through one
-pipeline that takes a block of trials, so a "single run" and "trial 0 of a
-Monte Carlo" are one path.
+trial loop live here too: ``trial_results`` runs the trials of a study in
+blocks, for ``monte_carlo`` and for the ``music`` CLI alike, so a "single
+run" and "trial 0 of a Monte Carlo" are one path.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,10 +27,8 @@ from .signal import (
     LagPlan,
     Scenario,
     VirtualObservation,
-    extended_covariance,
     gram_covariance,
     lag_plan,
-    planes_covariance,
     planes_gram,
     simulate_snapshots,
     source_steering,
@@ -140,30 +137,16 @@ def _smoothing_samples(v: VirtualObservation, subarray_len: int | None) -> tuple
     return u, length
 
 
-def spatial_smoothing(v: VirtualObservation, subarray_len: int | None = None) -> np.ndarray:
-    """Rank-restoring average of sliding windows over the virtual samples.
-
-    With half-width m, window i (i = 0..K-1) is w_i[k] = v(i - m + k); the
-    default window length L = m + 1 yields K = L windows and
-    R_ss = (1/K) sum_i w_i w_i^H, an L x L Hermitian PSD matrix whose signal
-    eigenvectors align with the length-L virtual steering vectors.
-
-    This is the dense form of ``SmoothedCovariance``, which the trial
-    pipeline uses; the pipeline never builds it.  ``signal_subspace`` takes
-    it through the complex eigh, so it serves samples that are not
-    conjugate-symmetric, which the operator refuses, and it is the tests'
-    oracle.  It is the sample covariance of the K windows taken as
-    snapshots: one real syrk, so R_ss is exactly Hermitian.
-    """
-    u, length = _smoothing_samples(v, subarray_len)
-    return extended_covariance(np.lib.stride_tricks.sliding_window_view(u, length).T).r_s
-
-
 class SmoothedCovariance:
-    """R_ss of ``spatial_smoothing`` as an operator, for conjugate-symmetric
-    samples v(-l) = conj v(l), as every ``virtual_observation`` has; the
-    trial pipeline's solvers take E_s from its products or from its
-    samples (see ``signal_subspace``), and never form the matrix.
+    """The rank-restoring average of sliding windows over the virtual
+    samples, as an operator.  With half-width m, window i (i = 0..K-1) is
+    w_i[k] = v(i - m + k); the default window length L = m + 1 yields K = L
+    windows and R_ss = (1/K) sum_i w_i w_i^H, an L x L Hermitian PSD matrix
+    whose signal eigenvectors align with the length-L virtual steering
+    vectors.  The samples must be conjugate-symmetric, v(-l) = conj v(l), as
+    every ``virtual_observation`` is; the solvers take E_s from the
+    operator's products or from its samples (see ``signal_subspace``), and
+    never form the matrix.
 
     Its one product is M x for the real form M = Q^H R_ss Q (see
     ``_real_form``) and a real L x p block x, p even: the halves x_1, x_2
@@ -183,7 +166,7 @@ class SmoothedCovariance:
         u, self.length = _smoothing_samples(v, subarray_len)
         if not np.array_equal(u, u[::-1].conj()):
             raise ValueError("virtual observation must be conjugate-symmetric, "
-                             "v(-l) = conj v(l); use spatial_smoothing for other samples")
+                             "v(-l) = conj v(l), as a virtual_observation is")
         self.samples = u
         self.windows = u.size - self.length + 1
 
@@ -231,18 +214,6 @@ class SmoothedCovariance:
         out[:pairs, mid], out[pairs:, mid] = middle.real, middle.imag
         out[:pairs, high], out[pairs:, high] = -diff.imag, diff.real
         return out.T
-
-
-def _check_hermitian(r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError("covariance must be square")
-    scale = np.abs(r).max()
-    if not np.isfinite(scale):
-        raise ValueError("covariance has non-finite entries")
-    if np.abs(r - r.conj().T).max() > 1e-9 * max(scale, 1.0):
-        raise ValueError("covariance is not Hermitian")
-    return r
 
 
 #: The signal subspace comes from block subspace iteration with
@@ -429,16 +400,13 @@ def _operator_subspaces(
             for op in ops)
 
 
-def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> Subspace:
-    """E_s, the num_sources principal eigenvectors of r_ss as an L x K
+def signal_subspace(r_ss: SmoothedCovariance, num_sources: int) -> Subspace:
+    """E_s, the num_sources principal eigenvectors of R_ss as an L x K
     matrix in ascending eigenvalue order, and the eigenvalues the solver
-    knows, ascending.
+    knows, ascending.  The operator is solved as a block of one (see
+    ``_operator_subspaces``), by the first of two solvers that serves:
 
-    ``r_ss`` is a ``SmoothedCovariance``, Hermitian by construction, or a
-    dense matrix, which is checked to be finite and Hermitian.  Each input
-    type has its own solvers:
-
-    - An operator, from L >= SIZE_RATIO * (K + SIZE_PAD): block subspace
+    - From L >= SIZE_RATIO * (K + SIZE_PAD): block subspace
       iteration with Rayleigh-Ritz on K + OVERSAMPLE real vectors (rounded
       up to even) from a fixed start block, in the real coordinates of the
       real form, finds E_s from the operator's real products r_ss @ X
@@ -447,21 +415,11 @@ def signal_subspace(r_ss: np.ndarray | SmoothedCovariance, num_sources: int) -> 
       once the Davis-Kahan bound on the subspace error is at most
       SUBSPACE_TOL, and gives up after MAX_ITERATIONS, as it does when the
       gap is within rounding.
-    - An operator otherwise: one real eigh of the L x L real form of R_ss,
-      gathered from the samples at any window length (see
-      ``_real_subspaces``); the values are all L eigenvalues.
-    - A dense matrix: the complex eigh, with all L eigenvalues.
-
-    An operator is solved as a block of one (see ``_operator_subspaces``).
+    - Otherwise, and where the iteration gives up: one real eigh of the
+      L x L real form of R_ss, gathered from the samples at any window
+      length (see ``_real_subspaces``); the values are all L eigenvalues.
     """
-    num_sources = integer_field(num_sources, "num_sources", 1)
-    if isinstance(r_ss, SmoothedCovariance):
-        return next(_operator_subspaces([r_ss], num_sources))
-    r_ss = _check_hermitian(r_ss)
-    length = r_ss.shape[0]
-    _check_model_order(num_sources, length)
-    values, vectors = np.linalg.eigh(r_ss)
-    return Subspace(vectors[:, length - num_sources :], values)
+    return next(_operator_subspaces([r_ss], integer_field(num_sources, "num_sources", 1)))
 
 
 #: The null polynomial f = sum_{|d|<L} h_d e^{j d omega} of ``music_spectrum``
@@ -511,7 +469,7 @@ def _null_coefficients(signal: np.ndarray) -> np.ndarray:
 
 
 def music_spectrum(
-    r_ss: np.ndarray | SmoothedCovariance, config: MusicConfig, subspace: Subspace | None = None
+    r_ss: SmoothedCovariance, config: MusicConfig, subspace: Subspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-subspace pseudo-spectrum P(theta) = 1 / ||E_n^H a(theta)||^2.
 
@@ -530,15 +488,14 @@ def music_spectrum(
     is formed.  Its plan, each grid point's first bin and offset, is O(G)
     and kept on the config (see ``MusicConfig.nufft_plan``).  The tests
     hold it against the blocked baby-step, giant-step evaluation it
-    replaced and against a long-double Horner.  ``r_ss`` is a
-    ``SmoothedCovariance``, which the trial pipeline passes, or a dense
-    Hermitian matrix such as ``spatial_smoothing`` builds.  Grid points
+    replaced and against a long-double Horner.  Grid points
     where f falls below the rounding bound (see GUARD_FACTOR), which occur
     only next to a near-exact null, are recomputed as the residual
     ||a - E_s E_s^H a||^2, whichever solver found E_s.
 
     ``subspace`` is the ``signal_subspace`` of r_ss when the caller has
-    solved it already, as a block of trials does in one stacked eigh.
+    solved it already, as a block of trials does in one stacked eigh; r_ss
+    is read only when it is None.
     """
     if subspace is None:
         subspace = signal_subspace(r_ss, config.num_sources)
@@ -651,17 +608,11 @@ def estimate_doas(
     coupling: CouplingModel | None = None,
     trial: int = 0,
 ) -> EstimationResult:
-    """Run the full single-trial pipeline and score it against the scenario."""
+    """Run the full single-trial pipeline and score it against the scenario:
+    one trial drawn as its real planes and estimated as a block of one."""
     planes = simulate_snapshots(array, scenario, coupling=coupling, trial=trial, planes=True)
-    return estimate_from_covariance(planes_covariance(planes), lag_plan(array), scenario, config)
-
-
-def estimate_from_covariance(
-    ec: ExtendedCovariance, plan: LagPlan, scenario: Scenario, config: MusicConfig
-) -> EstimationResult:
-    """The single-trial pipeline after the covariance: virtual observation,
-    smoothing, MUSIC and scoring, run as a block of one."""
-    return next(_estimate_block(ec, plan, scenario, config))
+    ec = gram_covariance(planes_gram(planes))
+    return next(_estimate_block(ec, lag_plan(array), scenario, config))
 
 
 def _estimate_block(
@@ -697,7 +648,7 @@ def required_subarray_length(plan: LagPlan, config: MusicConfig) -> int:
     return config.smoothing_length or plan.default_length
 
 
-#: The bytes each per-trial stack of a block of ``monte_carlo`` trials may
+#: The bytes each per-trial stack of a block of ``trial_results`` may
 #: take: a block holds as many trials as fit this budget in the largest of
 #: its stacks, the real forms Y (K x L) or M = Y^T Y / K and its
 #: eigenvectors (L x L) or the Gram matrices and covariance blocks
@@ -714,49 +665,48 @@ def _block_size(plan: LagPlan, config: MusicConfig) -> int:
     return max(1, TRIAL_BLOCK_BYTES // largest)
 
 
-def _prepare_trials(
-    array: SensorArray,
-    scenario: Scenario,
-    config: MusicConfig,
-    trials: int,
-    coupling: CouplingModel | None,
-) -> tuple[int, LagPlan, np.ndarray] | None:
-    """What the trials of a study share: the checked trial count, the
-    array's ``lag_plan`` and the coupled steering matrix, each built once;
-    None, before the steering, when the smoothed subarray is too short for
-    the source count."""
-    trials = integer_field(trials, "trials", 1)
-    plan = lag_plan(array)
-    if required_subarray_length(plan, config) <= config.num_sources:
-        return None
-    return trials, plan, source_steering(array, scenario, coupling)
-
-
-def run_trials(
+def trial_results(
     array: SensorArray,
     scenario: Scenario,
     config: MusicConfig,
     trials: int,
     coupling: CouplingModel | None = None,
-) -> Iterator[tuple[np.ndarray, EstimationResult]] | None:
-    """The lazy trial loop of the ``music`` CLI: builds the array's
-    ``lag_plan`` once and returns None when the smoothed subarray is too
-    short for the source count, else builds the coupled steering matrix
-    once and returns a lazy iterator of (snapshot planes, result) over
-    trials 0 .. trials-1.  Each trial is drawn as the real planes
-    [Re X; Im X] (2N x T) of ``simulate_snapshots``, its covariance read
-    from them, so no complex X is formed, and estimated as a block of one
-    of ``monte_carlo``'s pipeline."""
-    prepared = _prepare_trials(array, scenario, config, trials, coupling)
-    if prepared is None:
+    first_planes: Callable[[np.ndarray], object] | None = None,
+) -> Iterator[EstimationResult] | None:
+    """The trial loop of a study: the results of trials 0 .. trials-1,
+    lazily and in order.  It checks the trial count and builds the array's
+    ``lag_plan`` once, and returns None, before any draw, when the smoothed
+    subarray is too short for the source count; otherwise it builds the
+    coupled steering matrix once, and the trials run in blocks of
+    ``_block_size``.  Each trial is drawn as the real planes [Re X; Im X]
+    (2N x T) of ``simulate_snapshots`` and reduced at once to its
+    ``planes_gram``, so no complex X is formed and its planes are gone
+    before the next draw; the block's Grams then go through the rest of the
+    pipeline together (see ``_estimate_block``).  Every result is the one
+    ``estimate_doas`` gives for its trial alone, byte for byte.
+
+    ``first_planes``, when given, is called with trial 0's planes once
+    their Gram has passed its check, as the ``music`` CLI writes its
+    snapshot dump."""
+    trials = integer_field(trials, "trials", 1)
+    plan = lag_plan(array)
+    if required_subarray_length(plan, config) <= config.num_sources:
         return None
-    trials, plan, steering = prepared
+    steering = source_steering(array, scenario, coupling)
+    size = _block_size(plan, config)
 
-    def trial(t: int) -> tuple[np.ndarray, EstimationResult]:
+    def gram(t: int) -> np.ndarray:
         planes = simulate_snapshots(array, scenario, trial=t, steering=steering, planes=True)
-        return planes, estimate_from_covariance(planes_covariance(planes), plan, scenario, config)
+        checked = planes_gram(planes)
+        if t == 0 and first_planes is not None:
+            first_planes(planes)
+        return checked
 
-    return map(trial, range(trials))
+    def block(top: int) -> Iterator[EstimationResult]:
+        grams = np.stack([gram(t) for t in range(top, min(top + size, trials))])
+        return _estimate_block(gram_covariance(grams), plan, scenario, config)
+
+    return itertools.chain.from_iterable(map(block, range(0, trials, size)))
 
 
 def monte_carlo(
@@ -766,22 +716,17 @@ def monte_carlo(
     trials: int,
     coupling: CouplingModel | None = None,
 ) -> MonteCarloResult:
-    """Repeat the single-trial pipeline with independent per-trial streams.
-
-    The trials run in blocks of ``_block_size``: each trial is drawn and
-    reduced at once to its ``planes_gram``, so its planes are gone before
-    the next draw, and the block's Grams then go through the rest of the
-    pipeline together (see ``_estimate_block``).  Every result is the one
-    ``estimate_doas`` gives for its trial alone, byte for byte.
+    """Repeat the single-trial pipeline with independent per-trial streams:
+    ``aggregate_trials`` over ``trial_results``.
 
     A geometry whose smoothed subarray cannot support the requested source
     count does not abort the comparison: every trial is recorded as fully
     under-detected (capped errors, zero detections) so aggregate RMSE remains
     comparable across geometries.
     """
-    prepared = _prepare_trials(array, scenario, config, trials, coupling)
-    if prepared is None:
-        trials = int(trials)  # _prepare_trials has checked that it is integral
+    results = trial_results(array, scenario, config, trials, coupling)
+    if results is None:
+        trials = int(trials)  # trial_results has checked that it is integral
         return MonteCarloResult(
             rmse_deg=config.error_cap_deg,
             detection_rate=0.0,
@@ -789,17 +734,7 @@ def monte_carlo(
             estimates_per_trial=((),) * trials,
             insufficient_dofs=True,
         )
-    trials, plan, steering = prepared
-    size = _block_size(plan, config)
-
-    def block(top: int) -> Iterator[EstimationResult]:
-        grams = [planes_gram(simulate_snapshots(array, scenario, trial=t, steering=steering,
-                                                planes=True))
-                 for t in range(top, min(top + size, trials))]
-        return _estimate_block(gram_covariance(np.stack(grams)), plan, scenario, config)
-
-    blocks = map(block, range(0, trials, size))
-    return aggregate_trials(itertools.chain.from_iterable(blocks), scenario, config)
+    return aggregate_trials(results, scenario, config)
 
 
 def aggregate_trials(

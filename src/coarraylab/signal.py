@@ -365,16 +365,10 @@ def gram_covariance(gram: np.ndarray) -> ExtendedCovariance:
     return ExtendedCovariance(r_s=r_s, r_hat=r_hat)
 
 
-def planes_covariance(planes: np.ndarray) -> ExtendedCovariance:
-    """R_s and R_hat of one trial from its real planes [Re X; Im X]: the
-    ``gram_covariance`` of its ``planes_gram``."""
-    return gram_covariance(planes_gram(planes))
-
-
 def extended_covariance(x: np.ndarray) -> ExtendedCovariance:
     """Sample covariances R_s = X X^H / T and R_hat = X X^T / T of an N x T
-    snapshot matrix: X is split into its real planes [Re X; Im X] for
-    ``planes_covariance``."""
+    snapshot matrix: the ``gram_covariance`` of the ``planes_gram`` of its
+    real planes [Re X; Im X]."""
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError("snapshot matrix must be 2-D (sensors x time)")
@@ -382,7 +376,7 @@ def extended_covariance(x: np.ndarray) -> ExtendedCovariance:
     planes = np.empty((2 * n, t))
     planes[:n] = x.real
     planes[n:] = x.imag
-    return planes_covariance(planes)
+    return gram_covariance(planes_gram(planes))
 
 
 def exact_extended_covariance(

@@ -126,7 +126,7 @@ def test_criterion_07_noiseless_single_source_pipeline_is_grid_exact():
             ideal = np.exp(-1j * np.pi * vo.lags * np.sin(np.deg2rad(theta)))
             assert np.abs(vo.values - ideal).max() < 1e-8, (name, theta)
 
-            r_ss = estimation.spatial_smoothing(vo)
+            r_ss = estimation.SmoothedCovariance(vo)
             angles, spectrum = estimation.music_spectrum(r_ss, config)
             peaks, under = estimation.pick_peaks(angles, spectrum, 1)
             assert not under, (name, theta)

@@ -612,42 +612,44 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
                                           count_calls, numpy_calls):
     counts = count_calls(
         [
-            "estimation.run_trials",
+            "estimation.trial_results",
             "estimation.estimate_doas",
-            "estimation.estimate_from_covariance",
             "estimation.music_spectrum",
             "signal.simulate_snapshots",
-            "signal.planes_covariance",
+            "signal.planes_gram",
             "signal.extended_covariance",
             "signal.snapshots_from_planes",
             "signal.lag_plan",
             "coarray.sum_difference_coarray",
             "coarray.contiguous_stats",
+            "coupling.coupling_matrix",
         ],
     )
     code, _, _ = run_cli(
         capsys,
         "music", "--family", "saulas", "--n", "9",
         "--scenario", str(scenario_file), "--grid-step", "0.5", "--trials", "3",
+        "--coupling", "paper-v",
         "--dump-snapshots", str(tmp_path / "snaps.bin"), "--output", str(tmp_path / "run"),
     )
     assert code == EXIT_OK
     # one trial loop: each trial is estimated from the snapshots it simulated
-    assert counts["estimation.run_trials"] == 1
+    assert counts["estimation.trial_results"] == 1
     assert counts["estimation.estimate_doas"] == 0
-    assert counts["estimation.estimate_from_covariance"] == 3
     assert counts["estimation.music_spectrum"] == 3
     # one simulation per trial: the dump reuses trial 0's snapshots
     assert counts["signal.simulate_snapshots"] == 3
     # each trial's covariance is read from its planes; the complex X is
     # formed once, for the dump
-    assert counts["signal.planes_covariance"] == 3
+    assert counts["signal.planes_gram"] == 3
     assert counts["signal.extended_covariance"] == 0
     assert counts["signal.snapshots_from_planes"] == 1
-    # one lag plan serves the insufficient-DOF check and every trial
+    # one lag plan serves the insufficient-DOF check and every trial, and
+    # one coupling matrix every draw
     assert counts["signal.lag_plan"] == 1
     assert counts["coarray.sum_difference_coarray"] == 1
     assert counts["coarray.contiguous_stats"] == 1
+    assert counts["coupling.coupling_matrix"] == 1
     assert numpy_calls["np.unique"] == 0 and numpy_calls["np.add.at"] == 0
     assert numpy_calls["np.linspace"] == 1
 
@@ -659,25 +661,25 @@ def test_music_never_builds_the_dense_smoothed_covariance(tmp_path, capsys, coun
     real form gathered from its samples, so it forms none either.  Nor
     does a noiseless trial, whose floor is rounding but whose gap is wide,
     so the iteration converges."""
-    counts = count_calls(["estimation.spatial_smoothing"])
+    counts = count_calls(["estimation._ritz_subspace", "estimation._real_subspaces"])
     path = tmp_path / "four.json"
     path.write_text(json.dumps({"angles_deg": [-41.2, -10.3, 17.7, 50.1],
                                 "snapshots": 400, "snr_db": 10.0}))
     code, _, _ = run_cli(capsys, "music", "--family", "saulas", "--n", "32",
                          "--scenario", str(path), "--grid-step", "1")
     assert code == EXIT_OK
-    assert counts["estimation.spatial_smoothing"] == 0
+    assert (counts["estimation._ritz_subspace"], counts["estimation._real_subspaces"]) == (1, 0)
     code, _, _ = run_cli(capsys, "music", "--family", "saulas", "--n", "12",
                          "--preset", "fig13", "--grid-step", "1")
     assert code == EXIT_OK
-    assert counts["estimation.spatial_smoothing"] == 0
+    assert (counts["estimation._ritz_subspace"], counts["estimation._real_subspaces"]) == (1, 1)
     noiseless = tmp_path / "noiseless.json"
     noiseless.write_text(json.dumps({"angles_deg": [-41.2, 17.7], "snapshots": 400,
                                      "snr_db": None}))
     code, _, _ = run_cli(capsys, "music", "--family", "saulas", "--n", "12",
                          "--scenario", str(noiseless), "--grid-step", "1")
     assert code == EXIT_OK
-    assert counts["estimation.spatial_smoothing"] == 0
+    assert (counts["estimation._ritz_subspace"], counts["estimation._real_subspaces"]) == (2, 1)
 
 
 def test_music_builds_the_coupling_matrix_once_per_call(tmp_path, capsys, scenario_file,

@@ -1,5 +1,6 @@
 """Tests for spatial smoothing, the subspace spectrum search, peak picking,
-error scoring, and the Monte-Carlo loop."""
+error scoring, and the trial loop, against the reference pipeline of
+``reference``."""
 
 from __future__ import annotations
 
@@ -14,33 +15,35 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from coarraylab import estimation, geometry, nufft, presets
 from coarraylab.coupling import PAPER_V
 from coarraylab.estimation import (
     MusicConfig,
     SmoothedCovariance,
     estimate_doas,
-    estimate_from_covariance,
     monte_carlo,
     music_spectrum,
     pick_peaks,
     required_subarray_length,
     rmse,
-    run_trials,
     signal_subspace,
-    spatial_smoothing,
     spectrum_to_csv,
+    trial_results,
 )
 from coarraylab.signal import (
+    ExtendedCovariance,
     Scenario,
     VirtualObservation,
     exact_extended_covariance,
     extended_covariance,
+    gram_covariance,
     lag_plan,
-    planes_covariance,
+    planes_gram,
     simulate_snapshots,
     virtual_observation,
 )
+from test_golden import POWER_DB_ATOL
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +137,7 @@ def test_for_step_rejects_pitches_that_do_not_divide_180(step):
 
 def test_smoothing_hand_example():
     v = VirtualObservation(lags=np.arange(-1, 2), values=np.array([2 - 1j, 3, 2 + 1j]))
-    got = spatial_smoothing(v, 2)
+    got = reference.spatial_smoothing(v, 2)
     expected = np.array([[7.0, 6.0 - 3.0j], [6.0 + 3.0j, 7.0]])
     np.testing.assert_array_equal(got, expected)
 
@@ -144,7 +147,7 @@ def test_smoothing_default_length_and_shape():
     v = VirtualObservation(
         lags=np.arange(-m, m + 1), values=np.ones(2 * m + 1, dtype=complex)
     )
-    r = spatial_smoothing(v)
+    r = reference.spatial_smoothing(v)
     assert r.shape == (m + 1, m + 1)
 
 
@@ -153,7 +156,7 @@ def test_smoothing_of_pure_phase_ramp_is_rank_one_steering_product():
     lags = np.arange(-m, m + 1)
     mu = -np.pi * np.sin(np.deg2rad(27.0))
     v = VirtualObservation(lags=lags, values=np.exp(1j * mu * lags))
-    r = spatial_smoothing(v)
+    r = reference.spatial_smoothing(v)
     a = np.exp(1j * mu * np.arange(m + 1))
     np.testing.assert_allclose(r, np.outer(a, a.conj()), atol=1e-12)
     eigvals = np.linalg.eigvalsh(r)
@@ -166,7 +169,7 @@ def test_smoothing_is_hermitian_and_psd():
     m = 20
     vals = rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1)
     v = VirtualObservation(lags=np.arange(-m, m + 1), values=vals)
-    r = spatial_smoothing(v)
+    r = reference.spatial_smoothing(v)
     np.testing.assert_allclose(r, r.conj().T, atol=1e-13 * np.abs(r).max())
     assert np.linalg.eigvalsh(r).min() > -1e-12 * np.abs(r).max()
 
@@ -178,31 +181,23 @@ _MISSHAPEN_SAMPLES = (np.ones(7, dtype=complex), np.ones((5, 2), dtype=complex))
 def test_smoothing_rejects_bad_inputs():
     good = VirtualObservation(lags=np.arange(-2, 3), values=np.ones(5, dtype=complex))
     with pytest.raises(ValueError):
-        spatial_smoothing(good, 1)
+        reference.spatial_smoothing(good, 1)
     with pytest.raises(ValueError):
-        spatial_smoothing(good, 6)
+        reference.spatial_smoothing(good, 6)
     with pytest.raises(ValueError, match="subarray_len"):
-        spatial_smoothing(good, 2.5)
-    assert spatial_smoothing(good, 5).shape == (5, 5)  # single full window
+        reference.spatial_smoothing(good, 2.5)
+    assert reference.spatial_smoothing(good, 5).shape == (5, 5)  # single full window
     skew = VirtualObservation(lags=np.arange(0, 5), values=np.ones(5, dtype=complex))
     with pytest.raises(ValueError):
-        spatial_smoothing(skew)
+        reference.spatial_smoothing(skew)
     for bad in (np.nan, np.inf, -np.inf):
         values = np.ones(5, dtype=complex)
         values[1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            spatial_smoothing(VirtualObservation(lags=np.arange(-2, 3), values=values))
+            reference.spatial_smoothing(VirtualObservation(lags=np.arange(-2, 3), values=values))
     for values in _MISSHAPEN_SAMPLES:
         with pytest.raises(ValueError, match="one per lag"):
-            spatial_smoothing(VirtualObservation(lags=np.arange(-2, 3), values=values))
-
-
-def _window_product(v, length):
-    """The O(K L^2) definition of R_ss in long double (the x87 80-bit
-    format on x86-64): the oracle of ``spatial_smoothing``."""
-    u = np.asarray(v.values, dtype=np.clongdouble)
-    windows = np.lib.stride_tricks.sliding_window_view(u, length)
-    return windows.T @ windows.conj() / windows.shape[0]
+            reference.spatial_smoothing(VirtualObservation(lags=np.arange(-2, 3), values=values))
 
 
 @st.composite
@@ -231,10 +226,10 @@ def test_smoothing_matches_the_window_product(case):
     larger than max |v|^2 per entry: against the long-double window
     product its error stayed below 0.39 L eps max |v|^2 on 6000 cases."""
     v, length = case
-    got = spatial_smoothing(v, length)
+    got = reference.spatial_smoothing(v, length)
     assert got.shape == (length, length)
     bound = length * np.finfo(float).eps * np.abs(v.values).max() ** 2
-    assert np.abs(got - _window_product(v, length)).max() <= bound
+    assert np.abs(got - reference.window_product(v, length)).max() <= bound
     np.testing.assert_array_equal(np.triu(got, 1), np.tril(got, -1).conj().T)
 
 
@@ -288,7 +283,7 @@ def test_smoothed_covariance_applies_the_window_product(case, pairs, seed):
     assert got.dtype == float and got.shape == x.shape
     z = x[:, :pairs] + 1j * x[:, pairs:]
     q = estimation._from_real_basis(np.eye(length))
-    want = q.conj().T @ (_window_product(v, length) @ (q @ z))
+    want = q.conj().T @ (reference.window_product(v, length) @ (q @ z))
     size = nufft.fft_length(v.values.size)
     energy = np.sum(np.abs(v.values) ** 2)
     bound = 4 * np.log2(size) * np.finfo(float).eps * energy * np.linalg.norm(z, axis=0)
@@ -317,8 +312,8 @@ def test_real_product_is_the_real_form_times_the_block(m, length):
 
 
 def test_smoothed_covariance_rejects_what_spatial_smoothing_rejects():
-    """Everything ``spatial_smoothing`` rejects, and samples that are not
-    conjugate-symmetric, which it accepts."""
+    """Everything the reference's dense smoothing rejects, and samples that
+    are not conjugate-symmetric, which it accepts."""
     good = VirtualObservation(lags=np.arange(-2, 3), values=np.ones(5, dtype=complex))
     for length in (1, 6):
         with pytest.raises(ValueError):
@@ -332,7 +327,7 @@ def test_smoothed_covariance_rejects_what_spatial_smoothing_rejects():
         with pytest.raises(ValueError, match="one per lag"):
             SmoothedCovariance(VirtualObservation(lags=np.arange(-2, 3), values=values))
     ramp = VirtualObservation(lags=np.arange(-2, 3), values=np.arange(5) + 0j)
-    spatial_smoothing(ramp)
+    reference.spatial_smoothing(ramp)
     with pytest.raises(ValueError, match="conjugate-symmetric"):
         SmoothedCovariance(ramp)
 
@@ -351,38 +346,45 @@ def test_smoothed_covariance_rejects_non_finite_samples(bad):
 # ---------------------------------------------------------------------------
 
 
+def _white_observation(m):
+    """v(0) = 1 and 0 at every other lag of -m..m, whose R_ss at the
+    default length L = m + 1 is I / L."""
+    values = np.zeros(2 * m + 1, dtype=complex)
+    values[m] = 1.0
+    return VirtualObservation(lags=np.arange(-m, m + 1), values=values)
+
+
 def test_spectrum_rejects_too_many_sources():
     cfg = MusicConfig(num_sources=5, grid_points=91)
+    white = SmoothedCovariance(_white_observation(4))
     with pytest.raises(ValueError, match="insufficient uDOFs"):
-        music_spectrum(np.eye(5, dtype=complex), cfg)
+        music_spectrum(white, cfg)
     for bad in (0, -1, True, 2.5, None):
         with pytest.raises(ValueError, match="num_sources"):
-            signal_subspace(np.eye(5, dtype=complex), bad)
+            signal_subspace(white, bad)
         with pytest.raises(ValueError, match="num_sources"):
             pick_peaks(np.arange(4.0), np.array([0.0, 2.0, 1.0, 0.0]), bad)
 
 
-def test_spectrum_rejects_non_hermitian():
-    cfg = MusicConfig(num_sources=1, grid_points=91)
-    bad = np.eye(4, dtype=complex)
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError, match="Hermitian"):
-        music_spectrum(bad, cfg)
-    with pytest.raises(ValueError):
-        music_spectrum(np.ones((2, 3), dtype=complex), cfg)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_spectrum_rejects_non_finite_covariance(bad):
+    """A non-finite covariance entry reaches the virtual samples, which the
+    operator refuses before any spectrum is searched."""
     r = np.eye(6, dtype=complex)
     r[2, 2] = bad
+    v = virtual_observation(ExtendedCovariance(r, np.zeros_like(r)),
+                            lag_plan(geometry.design_ula(6)))
     with pytest.raises(ValueError, match="non-finite"):
-        music_spectrum(r, MusicConfig(num_sources=1, grid_points=91))
+        music_spectrum(SmoothedCovariance(v), MusicConfig(num_sources=1, grid_points=91))
 
 
 def test_spectrum_of_white_covariance_is_flat():
+    """E_s of the complex eigh of R_ss = I / 10: the standard basis."""
     cfg = MusicConfig(num_sources=2, grid_start=-80, grid_stop=80, grid_points=161)
-    angles, spec = music_spectrum(np.eye(10, dtype=complex), cfg)
+    white = _white_observation(9)
+    r = reference.spatial_smoothing(white)
+    np.testing.assert_array_equal(r, np.eye(10) / 10)
+    angles, spec = music_spectrum(SmoothedCovariance(white), cfg, reference.subspace(r, 2))
     assert angles.shape == spec.shape == (161,)
     # every direction projects identically onto an isotropic noise subspace
     np.testing.assert_allclose(spec, 1.0 / 8.0, rtol=1e-10)
@@ -394,7 +396,7 @@ def test_spectrum_peaks_at_on_grid_sources_exactly():
     truth = (-20.15, 0.0, 33.3)  # all multiples of the 0.05-degree pitch
     sc = Scenario(angles_deg=truth, snapshots=10, snr_db=None)
     vo = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
-    angles, spec = music_spectrum(spatial_smoothing(vo), cfg)
+    angles, spec = music_spectrum(SmoothedCovariance(vo), cfg)
     estimates, under = pick_peaks(angles, spec, 3)
     assert not under
     np.testing.assert_allclose(estimates, np.sort(truth), atol=1e-9)
@@ -571,8 +573,9 @@ def test_nufft_null_polynomial_matches_the_horner_and_the_blocked_oracle(case):
 
 
 def test_spectrum_of_the_operator_matches_the_dense_matrix():
-    """One SAULAs(32) trial (L = 575): the operator's spectrum against the
-    dense R_ss's, both through the K-vector solver."""
+    """One SAULAs(32) trial (L = 575): the operator's spectrum, from the
+    K-vector solver, against the one of the complex eigh's E_s of the
+    dense R_ss."""
     arr = geometry.design_saulas(32)
     sc = Scenario(angles_deg=(-41.2, -10.3, 17.7, 50.1), snapshots=400, snr_db=10.0, seed=1)
     v = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), lag_plan(arr))
@@ -580,17 +583,10 @@ def test_spectrum_of_the_operator_matches_the_dense_matrix():
     op = SmoothedCovariance(v)
     assert signal_subspace(op, 4).values.size == 4 + estimation.OVERSAMPLE
     _, fast = music_spectrum(op, cfg)
-    _, dense = music_spectrum(spatial_smoothing(v), cfg)
+    _, dense = reference.nufft_spectrum(reference.spatial_smoothing(v), cfg)
     np.testing.assert_allclose(fast, dense, rtol=1e-9)
     np.testing.assert_array_equal(pick_peaks(cfg.grid, fast, 4)[0],
                                   pick_peaks(cfg.grid, dense, 4)[0])
-
-
-def _null_spectrum_direct(noise: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """||E_n^H a(theta)||^2 by projecting each steering vector onto the noise
-    eigenvectors (the columns of ``noise``): O(L * (L-K)) per angle."""
-    a = estimation._steering(noise.shape[0], angles)
-    return np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
 
 
 def _strict_maxima(spectrum):
@@ -647,10 +643,10 @@ def _psd_cases(draw):
 def test_spectrum_matches_direct_projection(case):
     r, config = case
     k = config.num_sources
-    angles, spec = music_spectrum(r, config)
+    angles, spec = reference.nufft_spectrum(r, config)
     assert np.all(np.isfinite(spec)) and np.all(spec > 0)
     _, vectors = np.linalg.eigh(r)  # the oracle projects onto E_n of this eigh
-    direct = _null_spectrum_direct(vectors[:, : r.shape[0] - k], angles)
+    direct = reference.null_spectrum_direct(vectors[:, : r.shape[0] - k], angles)
     with np.errstate(divide="ignore"):
         direct_spec = 1.0 / direct
     above = direct > estimation.GUARD_FACTOR * r.shape[0] ** 2 * np.finfo(float).eps
@@ -697,15 +693,21 @@ def _centro_hermitian_cases(draw):
 @settings(deadline=None, max_examples=150)
 @given(_centro_hermitian_cases())
 def test_real_form_spectrum_matches_complex_eigh(case):
-    """The spectrum of noisy centro-Hermitian matrices, most of them served
-    by the K-vector solver where L >= 72, against the direct projection
-    onto E_n from the complex eigh."""
+    """The spectrum of noisy centro-Hermitian matrices from the E_s of their
+    real form Q^H R Q, the form the solvers take of every R_ss, against the
+    direct projection onto E_n from the complex eigh, where the gap
+    determines E_s to 1e-8."""
     r, config = case
     k = config.num_sources
-    angles, spec = music_spectrum(r, config)
+    q = estimation._from_real_basis(np.eye(r.shape[0]))
+    values, w = np.linalg.eigh((q.conj().T @ r @ q).real)
+    subspace = estimation.Subspace(estimation._from_real_basis(w[:, -k:]), values)
+    angles, spec = music_spectrum(None, config, subspace)
     assert np.all(np.isfinite(spec)) and np.all(spec > 0)
-    _, vectors = np.linalg.eigh(r)
-    direct = _null_spectrum_direct(vectors[:, : r.shape[0] - k], angles)
+    values, vectors = np.linalg.eigh(r)
+    if _davis_kahan(values, k) > 1e-8:
+        return  # a gap within rounding leaves E_s, so the spectrum, undetermined
+    direct = reference.null_spectrum_direct(vectors[:, : r.shape[0] - k], angles)
     above = direct > estimation.GUARD_FACTOR * r.shape[0] ** 2 * np.finfo(float).eps
     np.testing.assert_allclose(1.0 / spec[above], direct[above], rtol=1e-6)
     if not _kth_maxima_tie(1.0 / direct, k):
@@ -757,7 +759,7 @@ def test_signal_subspace_matches_complex_eigh(n, angles):
     k = len(angles)
     v = _trial_observation(n, angles)
     found = signal_subspace(SmoothedCovariance(v), k)
-    r = spatial_smoothing(v)
+    r = reference.spatial_smoothing(v)
     assert found.signal.shape == (r.shape[0], k)
     assert found.values.shape == (k + estimation.OVERSAMPLE,)
     values, vectors = np.linalg.eigh(r)
@@ -770,8 +772,7 @@ def test_signal_subspace_matches_complex_eigh(n, angles):
 
 def test_the_operator_takes_the_real_form_below_the_size_ratio():
     """Below SIZE_RATIO * (K + SIZE_PAD) the operator's E_s comes from
-    the real form, and at that length from the iteration; a dense matrix
-    takes the complex eigh even there."""
+    the real form, and at that length from the iteration."""
     k = 3
     threshold = estimation.SIZE_RATIO * (k + estimation.SIZE_PAD)
     v = _trial_observation()
@@ -782,26 +783,6 @@ def test_the_operator_takes_the_real_form_below_the_size_ratio():
     np.testing.assert_array_equal(found.signal, want.signal)
     found = signal_subspace(SmoothedCovariance(v, threshold), k)
     assert found.values.size == k + estimation.OVERSAMPLE
-    r = spatial_smoothing(v, threshold)
-    values, vectors = np.linalg.eigh(r)
-    found = signal_subspace(r, k)
-    np.testing.assert_array_equal(found.values, values)
-    np.testing.assert_array_equal(found.signal, vectors[:, -k:])
-
-
-@pytest.mark.parametrize("family", ["aulas", "saulas", "tsaulas", "cotsaulas"])
-def test_signal_subspace_takes_the_complex_eigh_on_noiseless_input(family):
-    """Criterion 07's inputs as a dense matrix, long enough for the
-    iteration on the operator: a dense matrix always takes the complex
-    eigh."""
-    arr = geometry.design(family, 12)
-    sc = Scenario(angles_deg=(37.0,), snapshots=1, snr_db=None)
-    r = spatial_smoothing(virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr)))
-    assert r.shape[0] >= estimation.SIZE_RATIO * (1 + estimation.SIZE_PAD)
-    found = signal_subspace(r, 1)
-    values, vectors = np.linalg.eigh(r)
-    np.testing.assert_array_equal(found.signal, vectors[:, -1:])
-    np.testing.assert_array_equal(found.values, values)
 
 
 def _complex_ritz_subspace(r, num_sources):
@@ -858,14 +839,14 @@ def test_real_iteration_matches_the_complex_oracle(case):
     the spectra agree to 1e-5 dB above the guard."""
     v, length, k = case
     op = SmoothedCovariance(v, length)
-    want = _complex_ritz_subspace(np.asarray(_window_product(v, length), dtype=complex), k)
+    want = _complex_ritz_subspace(np.asarray(reference.window_product(v, length), dtype=complex), k)
     found = estimation._ritz_subspace(op, k)
     assume(want is not None and found is not None)
     assert found.signal.shape == (length, k)
     assert found.values.shape == (k + estimation.OVERSAMPLE,)
     scale = found.values[-1]
     np.testing.assert_allclose(found.signal.conj().T @ found.signal, np.eye(k), atol=1e-13)
-    values = np.linalg.eigvalsh(spatial_smoothing(v, length))
+    values = np.linalg.eigvalsh(reference.spatial_smoothing(v, length))
     bound = 2 * estimation.SUBSPACE_TOL + _davis_kahan(values, k)
     assert _subspace_distance(found.signal, want.signal) <= bound
     np.testing.assert_allclose(found.values[-k:], want.values[-k:], rtol=0, atol=1e-12 * scale)
@@ -950,7 +931,7 @@ def _noisy_smoothing_cases(draw):
     v, _ = draw(_noisy_observations(designed=True))
     m = v.half_width
     length = draw(st.one_of(st.none(), st.integers(2, 2 * m + 1)))
-    return spatial_smoothing(v, length)
+    return reference.spatial_smoothing(v, length)
 
 
 @settings(deadline=None, max_examples=100)
@@ -1006,7 +987,7 @@ def test_real_form_is_the_unitary_transform_of_the_window_matrix(m, length):
     bound = 8 * np.finfo(float).eps * length * scale
     np.testing.assert_allclose(got, want.real, rtol=0, atol=bound)
     assert np.abs(want.imag).max() <= bound
-    r = q_l.conj().T @ spatial_smoothing(v, length) @ q_l
+    r = q_l.conj().T @ reference.spatial_smoothing(v, length) @ q_l
     np.testing.assert_allclose(got.T @ got / windows, r.real, rtol=0,
                                atol=8 * np.finfo(float).eps * length * scale**2)
 
@@ -1021,7 +1002,7 @@ def test_real_subspace_matches_the_complex_eigh_of_r_ss(case, data):
     length = data.draw(st.one_of(st.just(m + 1), st.integers(2, 2 * m + 1)), label="length")
     assume(k < length)
     found = next(estimation._real_subspaces([SmoothedCovariance(v, length)], k))
-    values, vectors = np.linalg.eigh(spatial_smoothing(v, length))
+    values, vectors = np.linalg.eigh(reference.spatial_smoothing(v, length))
     assert found.signal.shape == (length, k)
     np.testing.assert_allclose(found.values, values, rtol=0, atol=1e-13 * values[-1])
     np.testing.assert_allclose(found.signal.conj().T @ found.signal, np.eye(k), atol=1e-13)
@@ -1079,7 +1060,7 @@ def test_signal_subspace_of_the_operator_matches_the_complex_eigh(case, data):
                                  st.integers(min(threshold, size), size)), label="length")
     assume(k < length)
     op = SmoothedCovariance(v, length)
-    r = spatial_smoothing(v, length)
+    r = reference.spatial_smoothing(v, length)
     values, vectors = np.linalg.eigh(r)
     found = signal_subspace(op, k)
     bound = _davis_kahan(values, k)
@@ -1088,7 +1069,7 @@ def test_signal_subspace_of_the_operator_matches_the_complex_eigh(case, data):
         return  # a gap within rounding leaves E_s, so the spectrum, undetermined
     config = MusicConfig.for_step(k, 0.5)
     angles, fast = music_spectrum(op, config)
-    _, dense = music_spectrum(r, config)
+    _, dense = reference.nufft_spectrum(r, config)
     above = 1.0 / dense > estimation.GUARD_FACTOR * length**2 * np.finfo(float).eps
     np.testing.assert_allclose(fast[above], dense[above], rtol=1e-6)
     if not _kth_maxima_tie(dense, k):
@@ -1096,39 +1077,34 @@ def test_signal_subspace_of_the_operator_matches_the_complex_eigh(case, data):
                                       pick_peaks(angles, dense, k)[0])
 
 
-def test_an_explicit_smoothing_length_forms_no_dense_covariance(count_calls):
+def test_an_explicit_smoothing_length_forms_no_dense_covariance():
     """Below the size ratio every window length of a noisy trial (m = 94
-    here) takes the real form, so no L x L R_ss is built; its E_s spans
-    the complex eigh's."""
+    here) takes the real form gathered from the samples, whose E_s spans
+    the complex eigh's of the dense R_ss, and ``estimate_doas`` at that
+    length gives the operator's spectrum."""
     arr = geometry.design_saulas(12)
     sc = Scenario(angles_deg=(-33.21, 4.04, 48.88), snapshots=500, snr_db=0.0, seed=6)
-    ec = extended_covariance(simulate_snapshots(arr, sc))
-    v = virtual_observation(ec, lag_plan(arr))
+    v = virtual_observation(extended_covariance(simulate_snapshots(arr, sc)), lag_plan(arr))
     lengths = (4, 32, 60, 87)
     assert max(lengths) < estimation.SIZE_RATIO * (3 + estimation.SIZE_PAD)
-    wants = [np.linalg.eigh(spatial_smoothing(v, length))[1][:, -3:] for length in lengths]
-    counts = count_calls(["estimation.spatial_smoothing"])
-    for length, want in zip(lengths, wants):
-        found = signal_subspace(SmoothedCovariance(v, length), 3)
+    for length in lengths:
+        op = SmoothedCovariance(v, length)
+        found = signal_subspace(op, 3)
         assert found.values.size == length
+        want = np.linalg.eigh(reference.spatial_smoothing(v, length))[1][:, -3:]
         assert _subspace_distance(found.signal, want) <= 1e-11
         config = MusicConfig.for_step(3, 0.5, smoothing_length=length)
-        estimate_from_covariance(ec, lag_plan(arr), sc, config)
-    assert counts["estimation.spatial_smoothing"] == 0
+        spectrum = music_spectrum(op, config, found)[1]
+        assert estimate_doas(arr, sc, config).spectrum.tobytes() == spectrum.tobytes()
 
 
 def test_the_real_form_needs_conjugate_symmetric_samples():
     """Y is real only when v(-l) = conj v(l), so the operator refuses other
-    samples; their dense R_ss takes the complex eigh."""
+    samples."""
     v = _trial_observation()
     skewed = VirtualObservation(lags=v.lags, values=v.values * (1.0 + 0.01 * v.lags))
     with pytest.raises(ValueError, match="conjugate-symmetric"):
         SmoothedCovariance(skewed)
-    r = spatial_smoothing(skewed)
-    _, vectors = np.linalg.eigh(r)
-    np.testing.assert_array_equal(signal_subspace(r, 3).signal, vectors[:, -3:])
-    _, spectrum = music_spectrum(r, MusicConfig.for_step(3, 0.5))
-    assert np.all(np.isfinite(spectrum)) and np.all(spectrum > 0)
 
 
 @pytest.mark.parametrize("family", ["aulas", "saulas", "tsaulas", "cotsaulas"])
@@ -1141,7 +1117,7 @@ def test_noiseless_operator_takes_the_iteration(family):
     v = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
     found = signal_subspace(SmoothedCovariance(v), 1)
     assert found.values.size == 1 + estimation.OVERSAMPLE
-    _, vectors = np.linalg.eigh(spatial_smoothing(v))
+    _, vectors = np.linalg.eigh(reference.spatial_smoothing(v))
     assert _subspace_distance(found.signal, vectors[:, -1:]) <= 1e-11
 
 
@@ -1157,16 +1133,17 @@ def test_noiseless_null_peaks_exactly_at_its_grid_point(family, theta):
     cfg = MusicConfig(num_sources=1)
     sc = Scenario(angles_deg=(theta,), snapshots=1, snr_db=None)
     v = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
-    for r in (spatial_smoothing(v), SmoothedCovariance(v)):
-        angles, spec = music_spectrum(r, cfg)
+    op = SmoothedCovariance(v)
+    for found in (reference.subspace(reference.spatial_smoothing(v), 1), signal_subspace(op, 1)):
+        angles, spec = music_spectrum(op, cfg, found)
         assert np.all(np.isfinite(spec)) and np.all(spec > 0)
         peaks, under = pick_peaks(angles, spec, 1)
         assert not under
         assert peaks[0] == angles[np.abs(angles - theta).argmin()]
-        signal = signal_subspace(r, 1).signal
-        plan = cfg.nufft_plan(r.shape[0])
+        signal = found.signal
+        plan = cfg.nufft_plan(op.length)
         denom = nufft.evaluate(estimation._null_coefficients(signal), plan)
-        low = denom < estimation.GUARD_FACTOR * r.shape[0] ** 2 * np.finfo(float).eps
+        low = denom < estimation.GUARD_FACTOR * op.length**2 * np.finfo(float).eps
         assert low.any()
         exact = estimation._null_spectrum_residual(signal, angles[low])
         np.testing.assert_array_equal(spec[low], 1.0 / np.maximum(exact, np.finfo(float).tiny))
@@ -1292,16 +1269,67 @@ def test_estimate_doas_consistent_across_families(family):
     assert result.per_source_error.max() <= cfg.grid_step + 1e-9
 
 
-def test_estimate_from_covariance_is_estimate_doas_after_simulation():
+def test_the_complex_snapshots_covariance_gives_estimate_doas():
+    """The covariance of the complex X of a trial holds the bytes of the
+    one ``estimate_doas`` reads from the trial's planes."""
     arr = geometry.design_saulas(9)
     cfg = MusicConfig.for_step(2, 0.5)
     sc = Scenario(angles_deg=(-15.0, 22.0), snapshots=400, snr_db=10.0, seed=3)
     direct = estimate_doas(arr, sc, cfg, trial=1)
     x = simulate_snapshots(arr, sc, trial=1)
-    staged = estimate_from_covariance(extended_covariance(x), lag_plan(arr), sc, cfg)
+    staged = next(estimation._estimate_block(extended_covariance(x), lag_plan(arr), sc, cfg))
     np.testing.assert_array_equal(staged.spectrum, direct.spectrum)
     np.testing.assert_array_equal(staged.estimates, direct.estimates)
     assert staged.rmse_deg == direct.rmse_deg
+
+
+@st.composite
+def _pipeline_cases(draw):
+    """A noisy trial on a generated family of at most 12 sensors or a nested
+    array, with or without PAPER_V: 1-4 sources on a 12-degree comb, and
+    the default or an explicit smoothing length L > K that leaves at least
+    K windows, so that the K signal eigenvalues stand apart from the
+    rest."""
+    family = draw(st.sampled_from(geometry.GENERATED_FAMILIES + ("nested",)))
+    if family == "nested":
+        arr = geometry.design_nested(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    else:
+        fewest = geometry.FAMILIES[family].min_n if family in geometry.FAMILIES else 2
+        arr = geometry.design(family, draw(st.integers(fewest, 12)))
+    m = lag_plan(arr).half_width
+    k = draw(st.integers(1, min(4, m)))
+    length = draw(st.one_of(st.none(), st.integers(k + 1, 2 * m + 2 - k)))
+    comb = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k, unique=True))
+    offset = draw(st.floats(-5.0, 5.0))
+    sc = Scenario(
+        angles_deg=tuple(12.0 * c + offset for c in comb),
+        snapshots=draw(st.integers(20, 200)),
+        snr_db=draw(st.floats(0.0, 20.0)),
+        nc_phases=tuple(draw(st.floats(0.0, np.pi)) for _ in comb),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    config = MusicConfig.for_step(k, 0.5, smoothing_length=length)
+    return arr, sc, config, draw(st.sampled_from([None, PAPER_V])), draw(st.integers(0, 3))
+
+
+def _power_db(spectrum):
+    return 10.0 * np.log10(spectrum / spectrum.max())
+
+
+@settings(deadline=None, max_examples=100)
+@given(_pipeline_cases())
+def test_estimate_doas_matches_the_reference_pipeline(case):
+    """The whole trial against ``reference.trial_spectrum``: complex
+    snapshots, dense covariances, the np.unique lag average, dense
+    smoothing, the complex eigh and an L x G steering spectrum.  The
+    spectra agree within the goldens' POWER_DB_ATOL, and the peaks are the
+    same."""
+    arr, sc, config, model, trial = case
+    got = estimate_doas(arr, sc, config, coupling=model, trial=trial)
+    angles, want = reference.trial_spectrum(arr, sc, config, coupling=model, trial=trial)
+    np.testing.assert_array_equal(got.angles, angles)
+    assert np.abs(_power_db(got.spectrum) - _power_db(want)).max() <= POWER_DB_ATOL
+    np.testing.assert_array_equal(got.estimates, pick_peaks(angles, want, config.num_sources)[0])
 
 
 def test_required_subarray_length():
@@ -1369,7 +1397,7 @@ def test_monte_carlo_rejects_zero_trials():
         with pytest.raises(ValueError, match="trials"):
             monte_carlo(arr, sc, cfg, trials=bad)
         with pytest.raises(ValueError, match="trials"):
-            run_trials(arr, sc, cfg, bad)
+            trial_results(arr, sc, cfg, bad)
 
 
 def test_monte_carlo_result_serializes_to_json():
@@ -1390,7 +1418,6 @@ PLAN_STAGES = [
     "signal.gram_covariance",
     "signal.extended_covariance",
     "signal.snapshots_from_planes",
-    "estimation.estimate_from_covariance",
     "estimation.music_spectrum",
 ]
 
@@ -1441,41 +1468,48 @@ def test_insufficient_dofs_is_read_off_the_plan(count_calls):
 
 
 # ---------------------------------------------------------------------------
-# The shared trial loop
+# The one trial loop
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("model", [None, PAPER_V])
-def test_run_trials_yields_estimate_doas_trial_by_trial(model):
+def test_trial_results_yields_estimate_doas_trial_by_trial(model):
+    """Each result is ``estimate_doas`` of its trial, and the hook sees
+    trial 0's planes, once."""
     arr = geometry.design_saulas(9)
     cfg = MusicConfig.for_step(2, 0.5)
     sc = Scenario(angles_deg=(-15.0, 22.0), snapshots=400, snr_db=10.0, seed=3)
-    runs = list(run_trials(arr, sc, cfg, 3, coupling=model))
-    assert len(runs) == 3
-    for k, (planes, got) in enumerate(runs):
+    seen = []
+    results = list(trial_results(arr, sc, cfg, 3, coupling=model, first_planes=seen.append))
+    assert len(results) == 3
+    drawn = simulate_snapshots(arr, sc, coupling=model, trial=0, planes=True)
+    assert len(seen) == 1 and seen[0].dtype == float
+    assert seen[0].tobytes() == drawn.tobytes()
+    for k, got in enumerate(results):
         want = estimate_doas(arr, sc, cfg, coupling=model, trial=k)
-        drawn = simulate_snapshots(arr, sc, coupling=model, trial=k, planes=True)
-        assert planes.shape == (2 * arr.n, sc.snapshots) and planes.dtype == float
-        assert planes.tobytes() == drawn.tobytes()
         assert got.spectrum.tobytes() == want.spectrum.tobytes()
         assert got.estimates.tobytes() == want.estimates.tobytes()
         assert (got.under_detected, got.rmse_deg) == (want.under_detected, want.rmse_deg)
 
 
-def test_run_trials_simulates_only_when_iterated(count_calls):
+def test_trial_results_simulates_only_when_iterated(count_calls):
+    """Nothing is drawn before the first result is asked for; then the
+    first block, here all three trials, is drawn and one spectrum
+    searched."""
     arr, sc, cfg = _tiny_mc_setup()
+    assert estimation._block_size(lag_plan(arr), cfg) >= 3
     counts = count_calls(PLAN_STAGES)
-    runs = run_trials(arr, sc, cfg, 3)
+    results = trial_results(arr, sc, cfg, 3)
     assert counts["signal.lag_plan"] == 1 and counts["signal.simulate_snapshots"] == 0
-    next(runs)
-    assert counts["signal.simulate_snapshots"] == 1
-    assert counts["estimation.estimate_from_covariance"] == 1
+    next(results)
+    assert counts["signal.simulate_snapshots"] == 3
+    assert counts["estimation.music_spectrum"] == 1
 
 
-def test_run_trials_is_none_without_enough_dofs(count_calls):
+def test_trial_results_is_none_without_enough_dofs(count_calls):
     arr, sc, cfg = _nine_sources_on_na22()
     counts = count_calls(PLAN_STAGES)
-    assert run_trials(arr, sc, cfg, 3) is None
+    assert trial_results(arr, sc, cfg, 3, first_planes=pytest.fail) is None
     assert counts["signal.simulate_snapshots"] == 0
 
 
@@ -1494,6 +1528,12 @@ def test_monte_carlo_drops_each_trials_snapshots(monkeypatch):
     monkeypatch.setattr(estimation, "simulate_snapshots", tracked)
     assert monte_carlo(arr, sc, cfg, trials=3).trials == 3
     assert len(earlier) == 3
+    # with the hook set, as the music CLI sets it: trial 0's planes are
+    # handed to it and dropped all the same
+    shapes = []
+    results = trial_results(arr, sc, cfg, 3, first_planes=lambda planes: shapes.append(planes.shape))
+    assert len(list(results)) == 3 and len(earlier) == 6
+    assert shapes == [(2 * arr.n, sc.snapshots)]
 
 
 def _fig13_like():
@@ -1669,7 +1709,7 @@ def test_the_large_l_music_scenarios_converge_on_k_plus_oversample_columns(seed,
                         lambda op, x: products.append(x.shape) or product(op, x))
     for trial in range(3):
         planes = simulate_snapshots(arr, sc, trial=trial, planes=True)
-        op = SmoothedCovariance(virtual_observation(planes_covariance(planes), plan))
+        op = SmoothedCovariance(virtual_observation(gram_covariance(planes_gram(planes)), plan))
         products.clear()
         found = estimation._ritz_subspace(op, 4)
         assert found is not None and found.values.size == 4 + estimation.OVERSAMPLE

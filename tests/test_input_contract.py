@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from coarraylab import signal
 from coarraylab.cli import EXIT_OK, EXIT_USAGE, main
 from coarraylab.coupling import CouplingModel
-from coarraylab.estimation import MAX_GRID_POINTS, MusicConfig, run_trials
+from coarraylab.estimation import MAX_GRID_POINTS, MusicConfig, trial_results
 from coarraylab.geometry import design, design_nested, design_ula, from_positions, sensor_counts
 from coarraylab.inputs import integer_field
 from coarraylab.signal import (
@@ -51,7 +51,7 @@ INTEGER_FIELDS = {
     "grid_points": lambda v: MusicConfig(num_sources=1, grid_points=v),
     "smoothing_length": lambda v: MusicConfig(num_sources=1, smoothing_length=v),
     "snapshots": lambda v: Scenario(angles_deg=(1.0,), snapshots=v),
-    "trials": lambda v: run_trials(_ULA, _ONE_SOURCE, MusicConfig.for_step(1, 1.0), v),
+    "trials": lambda v: trial_results(_ULA, _ONE_SOURCE, MusicConfig.for_step(1, 1.0), v),
     "trial": lambda v: simulate_snapshots(_ULA, _ONE_SOURCE, trial=v),
     "seed": lambda v: Scenario(angles_deg=(1.0,), snapshots=1, seed=v),
     "band_limit": lambda v: CouplingModel(band_limit=v),
@@ -168,26 +168,30 @@ def test_cli_size_probes_exit_2_before_allocating(tmp_path, no_allocation, scena
 def test_overflowing_scales_exit_2_naming_them_without_warnings(tmp_path, scale):
     """Powers and coupling magnitudes that overflow the covariance, or leave
     entries co-array MUSIC cannot square, stop at the Gram with one message
-    and no RuntimeWarning on the way."""
+    and no RuntimeWarning on the way, and trial 0's Gram is checked before
+    its planes reach the snapshot dump, so no file is written."""
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"angles_deg": [10.0, 20.0], "snapshots": 16, **scale}))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         warnings.simplefilter("ignore", UserWarning)  # |c1| > 1 breaks the ordering
         code, err = _run(["music", "--family", "saulas", "--n", "12", "--scenario", path,
-                          "--grid-step", "1"])
+                          "--grid-step", "1", "--dump-snapshots", tmp_path / "snaps.bin",
+                          "--output", tmp_path / "run"])
     assert code == EXIT_USAGE
     assert "lower the source powers, the noise power (snr_db) or the coupling c1_magnitude" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e40])
 def test_planes_covariance_refuses_what_music_cannot_square(bad):
     """One non-finite or huge sample anywhere in the planes is caught by
-    the check on the Gram's diagonal."""
+    the check on the diagonal of their Gram, the covariance the trial loop
+    reads from them."""
     planes = np.ones((4, 3))
     planes[3, 1] = bad
     with pytest.raises(ValueError, match="lower the source powers"):
-        signal.planes_covariance(planes)
+        signal.planes_gram(planes)
 
 
 def test_the_covariance_bound_admits_the_lowest_snr():

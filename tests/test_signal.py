@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from coarraylab import coarray, coupling, geometry, presets, signal
 from coarraylab.signal import (
     ExtendedCovariance,
@@ -441,13 +442,6 @@ def test_extended_covariance_blocks_and_stack():
     np.testing.assert_allclose(r_so, r_so.conj().T, atol=1e-13)
 
 
-def complex_products(x):
-    """Oracle: R_s and R_hat as the two complex products X X^H / T and
-    X X^T / T."""
-    t = x.shape[1]
-    return x @ x.conj().T / t, x @ x.T / t
-
-
 @settings(deadline=None)
 @given(
     st.integers(1, 12),
@@ -464,10 +458,10 @@ def test_gram_covariance_matches_the_complex_products(n, t, seed, scale, real):
     ec = extended_covariance(x)
     # the trial pipeline's route: the same Gram of the planes [Re X; Im X]
     planes = np.concatenate([x.real, np.imag(x)])
-    from_planes = signal.planes_covariance(planes)
+    from_planes = signal.gram_covariance(signal.planes_gram(planes))
     assert from_planes.r_s.tobytes() == ec.r_s.tobytes()
     assert from_planes.r_hat.tobytes() == ec.r_hat.tobytes()
-    want_s, want_hat = complex_products(x)
+    want_s, want_hat = reference.covariances(x)
     # each entry is a length-T dot product over T
     atol = 4 * t * EPS * np.abs(x).max() ** 2
     np.testing.assert_allclose(ec.r_s, want_s, rtol=0, atol=atol)
@@ -483,7 +477,7 @@ def test_extended_covariance_rejects_bad_shapes():
         extended_covariance(np.zeros(5, dtype=complex))
     for planes in (np.zeros(6), np.zeros((3, 4)), np.zeros((4, 4), dtype=complex)):
         with pytest.raises(ValueError, match="real 2N x T"):
-            signal.planes_covariance(planes)
+            signal.planes_gram(planes)
         with pytest.raises(ValueError, match="real 2N x T"):
             signal.snapshots_from_planes(planes)
     for gram in (np.zeros(4), np.zeros((4, 6)), np.zeros((2, 3, 3))):
@@ -548,20 +542,6 @@ def test_exact_covariance_gives_ideal_virtual_observation(points, angles, powers
     np.testing.assert_allclose(vo.values, ideal, rtol=0, atol=1e-12 * sum(sc.powers))
 
 
-def averaged_r_so(ec, array):
-    """Oracle: every distinct lag of r_so averaged with np.unique and
-    np.add.at, cut to the contiguous segment of the sum-difference
-    co-array."""
-    lags, inverse = np.unique(extended_lag_matrix(array).ravel(), return_inverse=True)
-    sums = np.zeros(lags.size, dtype=complex)
-    np.add.at(sums, inverse, ec.r_so.ravel())
-    means = sums / np.bincount(inverse, minlength=lags.size)
-    udofs, _ = coarray.contiguous_stats(lags)
-    half = (udofs - 1) // 2
-    segment = np.arange(-half, half + 1)
-    return segment, means[np.searchsorted(lags, segment)]
-
-
 def random_blocks(n, seed):
     """Two unrelated complex N x N blocks: neither Hermitian nor symmetric."""
     re, im = np.random.default_rng(seed).standard_normal((2, 2, n, n))
@@ -589,7 +569,7 @@ def test_planned_average_matches_the_unique_oracle(points, seed, exact):
     else:
         ec = random_blocks(arr.n, seed)
     vo = virtual_observation(ec, lag_plan(arr))
-    lags, want = averaged_r_so(ec, arr)
+    lags, want = reference.averaged_r_so(ec, arr)
     np.testing.assert_array_equal(vo.lags, lags)
     scale = max(np.abs(ec.r_s).max(), np.abs(ec.r_hat).max())
     np.testing.assert_allclose(vo.values, want, rtol=0, atol=arr.n * EPS * scale)
