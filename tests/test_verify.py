@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from coarraylab import coarray, geometry, verify
+from coarraylab import coarray, coupling, geometry, verify
+from coarraylab.cli import EXIT_OK, main
 from coarraylab.geometry import sensor_counts
 from coarraylab.verify import (
     LEMMA_FAMILIES,
@@ -290,6 +292,43 @@ RUN_ALL_64_SHA256 = "d3b0b58c025a2cdb3cb5f3510f70332af39a7bf4819f47dc4ceaf99a183
 def test_run_all_reports_are_unchanged():
     text = "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in run_all(64))
     assert hashlib.sha256(text.encode()).hexdigest() == RUN_ALL_64_SHA256
+
+
+#: sha256 of two large-N CLI outputs, captured before the co-array bitmaps
+#: were filled in place: a sweep of every generated family at n 1000-1004,
+#: and the full TSAULAs(1024) analysis, whose dc, sc and sdc lists and
+#: mirrored negative sensor exercise the bitmap offsets.  Each coupling
+#: leakage is blanked before hashing: it is a BLAS dot product whose last
+#: bits depend on the BLAS thread count, and it is checked on its own.
+LARGE_N_SHA256 = {
+    "sweep_n1000": (
+        ["sweep", "--families", "aulas,saulas,tsaulas,cotsaulas,ula",
+         "--n-min", "1000", "--n-max", "1004", "--format", "json"],
+        "e2bc0970784f1c38beeb79e7026a67bf4cb7aac4a567025f948be891d05e1c74",
+    ),
+    "analyze_tsaulas1024": (
+        ["analyze", "--family", "tsaulas", "--n", "1024", "--format", "json"],
+        "31006648179ec92b7a0c6c7407b0a594679653687caa826320315911a10d1b0f",
+    ),
+}
+LEAKAGE = re.compile(rb'("coupling_leakage": )[^,\n]+')
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_N_SHA256))
+def test_large_n_outputs_are_unchanged(name, tmp_path):
+    argv, digest = LARGE_N_SHA256[name]
+    target = tmp_path / "out.json"
+    assert main([*argv, "--output", str(target)]) == EXIT_OK
+    text = target.read_bytes()
+    assert hashlib.sha256(LEAKAGE.sub(rb"\1_", text)).hexdigest() == digest
+    rows = json.loads(text)
+    if isinstance(rows, dict):
+        rows = [{**rows, "family": argv[argv.index("--family") + 1]}]
+    model = coupling.get_preset("paper-v")
+    assert [r["coupling_leakage"] for r in rows] == [
+        coupling.coupling_leakage(coupling.coupling_matrix(geometry.design(r["family"], r["n"]), model))
+        for r in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
