@@ -4,11 +4,17 @@ Lag sets are plain sorted numpy int64 vectors with duplicates removed.  The
 second-order statistics of strictly non-circular sources expose both the
 difference set {m_u - m_v} and the symmetric sum set +/-{m_u + m_v}, so the
 central object here is their union (the sum-difference co-array).  Every
-sensor pair is enumerated: the pair differences and sums are scattered into
-a boolean occupancy bitmap over [min, max], and the sorted lags, the
-zero-centred contiguous segment and the holes are all read off that bitmap.
-Values too sparse for a bitmap (span above BITMAP_SLOTS_PER_VALUE slots per
-value, e.g. raw positions [0, 10**12]) are deduplicated by np.unique instead.
+sensor pair is enumerated, and each pair matrix is formed once: the span
+[lo, hi] of its values follows from the extreme positions, so the offset -lo
+goes into the length-N factor and (p - lo)[:, None] -/+ p is already the
+bitmap index.  It is scattered into a boolean occupancy bitmap over
+[lo, hi], and the sorted lags are read off the bitmap and shifted back in
+place; the zero-centred contiguous segment and the holes are read off the
+same bitmap.  A set symmetric about 0 (the sum set, the union) is scattered
+once and mirrored.  Only arrays formed here are written to: a caller's
+positions and lags are read, never offset in place.  Values too sparse for a
+bitmap (span above BITMAP_SLOTS_PER_VALUE slots per value, e.g. raw
+positions [0, 10**12]) are deduplicated by np.unique instead.
 Closed-form claims elsewhere in the package are checked against these
 routines, never the other way around.
 """
@@ -46,26 +52,43 @@ def _positions(a) -> np.ndarray:
     return np.asarray(_integer_positions(a), dtype=np.int64)
 
 
-def _values(*parts) -> np.ndarray:
-    """All the given value arrays as one flat int64 vector (not empty)."""
-    values = np.concatenate([np.asarray(v, dtype=np.int64).ravel() for v in parts])
+def _extent(a) -> tuple[np.ndarray, int, int]:
+    """The positions of ``a`` with their min and max (a SensorArray's are
+    sorted)."""
+    p = _positions(a)
+    if isinstance(a, SensorArray):
+        return p, int(p[0]), int(p[-1])
+    return p, int(p.min()), int(p.max())
+
+
+def _lags(lags) -> np.ndarray:
+    """A caller's lags as a flat int64 vector (not empty).  It may be the
+    caller's own array, so it is only ever read."""
+    values = np.asarray(lags, dtype=np.int64).ravel()
     if values.size == 0:
         raise ValueError("empty lag set")
     return values
 
 
-def _occupancy(lo: int, hi: int, *parts) -> np.ndarray:
-    """occ[k] is True iff lag lo + k occurs in one of the parts; every value
-    must lie in [lo, hi]."""
-    occ = np.zeros(hi - lo + 1, dtype=bool)
-    for values in parts:
-        occ[values - lo] = True
+def _dense(lo: int, hi: int, count: int) -> bool:
+    """The one density guard: ``count`` values over [lo, hi] go into a
+    bitmap, not np.unique."""
+    return hi - lo < BITMAP_SLOTS_PER_VALUE * count
+
+
+def _bitmap(size: int, slots: np.ndarray) -> np.ndarray:
+    """occ[k] is True iff k is one of the slots, lags already offset into
+    [0, size)."""
+    occ = np.zeros(size, dtype=bool)
+    occ[slots] = True
     return occ
 
 
 def _marked(occ: np.ndarray, lo: int) -> LagSet:
     """The lags lo + k whose slot k of a bitmap over [lo, ...] is set, sorted."""
-    return occ.nonzero()[0] + lo
+    lags = occ.nonzero()[0]
+    lags += lo
+    return lags
 
 
 def _listable_span(lo: int, hi: int) -> None:
@@ -88,43 +111,60 @@ def _segment(occ: np.ndarray, zero: int) -> tuple[int, int]:
     return 2 * m + 1, 2 * m
 
 
-def _lagset(*parts, span: tuple[int, int] | None = None) -> LagSet:
-    """The distinct lags of all the given value arrays together, sorted;
-    ``span`` is their (min, max) where the caller knows it."""
-    values = _values(*parts)
-    lo, hi = span or (int(values.min()), int(values.max()))
-    if hi - lo >= BITMAP_SLOTS_PER_VALUE * values.size:  # the one density guard
-        return np.unique(values)
-    return _marked(_occupancy(lo, hi, values), lo)
+def _nonnegative(lags: LagSet) -> LagSet:
+    """The lags >= 0 of a sorted lag set symmetric about 0, as a view."""
+    return lags[lags.size // 2:]
 
 
 def difference_set(a, b=None) -> LagSet:
     """All pairwise differences {m_v - m_u : m_v in b, m_u in a}.
 
     With one argument this is the (self-)difference co-array, which is always
-    symmetric about 0 and contains 0; a SensorArray's sorted positions give
-    its span [-aperture, aperture].
+    symmetric about 0 and contains 0.  The span [min b - max a, max b - min a]
+    follows from the positions, and the pair matrix is formed once with the
+    offset -lo already in it: (b - lo)[:, None] - a.
     """
-    pa = _positions(a)
-    if b is None and isinstance(a, SensorArray):
-        aperture = int(pa[-1] - pa[0])
-        return _lagset(pa[:, None] - pa[None, :], span=(-aperture, aperture))
-    pb = pa if b is None else _positions(b)
-    return _lagset(pb[:, None] - pa[None, :])
+    pa, a_lo, a_hi = _extent(a)
+    pb, b_lo, b_hi = (pa, a_lo, a_hi) if b is None else _extent(b)
+    lo, hi = b_lo - a_hi, b_hi - a_lo
+    if not _dense(lo, hi, pa.size * pb.size):
+        return np.unique(pb[:, None] - pa)
+    return _marked(_bitmap(hi - lo + 1, (pb - lo)[:, None] - pa), lo)
 
 
 def sum_set(a, b=None) -> LagSet:
     """The symmetric sum co-array +/-{m_u + m_v} over unordered pairs
-    (u = v included)."""
-    pa = _positions(a)
-    pb = pa if b is None else _positions(b)
-    sums = pa[:, None] + pb[None, :]
-    return _lagset(sums, -sums)
+    (u = v included).
+
+    It is symmetric about 0 and reaches top = max(|min sum|, max sum), so
+    the sums (offset by top as they are formed) are scattered once into a
+    bitmap over [-top, top] that is then mirrored; a sparse one takes the
+    distinct |sums| and mirrors those."""
+    pa, a_lo, a_hi = _extent(a)
+    pb, b_lo, b_hi = (pa, a_lo, a_hi) if b is None else _extent(b)
+    top = max(a_hi + b_hi, -(a_lo + b_lo))
+    if not _dense(-top, top, 2 * pa.size * pb.size):
+        sums = pa[:, None] + pb
+        half = np.unique(np.abs(sums, out=sums))
+        return np.concatenate((-half[::-1], half[int(half[0] == 0):]))
+    occ = _bitmap(2 * top + 1, (pa + top)[:, None] + pb)
+    occ |= occ[::-1]
+    return _marked(occ, -top)
 
 
 def sum_difference_coarray(a) -> LagSet:
-    """Union of the self-difference set and the symmetric self-sum set."""
-    return _lagset(difference_set(a), sum_set(a))
+    """Union of the self-difference set and the symmetric self-sum set.
+
+    Both are symmetric about 0, so their lags >= 0 are marked in a bitmap
+    over [0, top] and mirrored."""
+    dc, sc = difference_set(a), sum_set(a)
+    top = int(max(dc[-1], sc[-1]))
+    if not _dense(-top, top, dc.size + sc.size):
+        return np.unique(np.concatenate((dc, sc)))
+    occ = _bitmap(top + 1, _nonnegative(dc))
+    occ[_nonnegative(sc)] = True
+    half = occ.nonzero()[0]
+    return np.concatenate((-half[:0:-1], half))
 
 
 def contiguous_stats(lags) -> tuple[int, int]:
@@ -133,21 +173,23 @@ def contiguous_stats(lags) -> tuple[int, int]:
     With m the largest integer such that every lag in [-m, m] is present,
     uDOFs = 2m + 1 and CVA (consecutive virtual aperture) = 2m.
     """
-    values = _values(lags)
+    values = _lags(lags)
     # 2m + 1 distinct lags fit in the values, so the segment and the lag
     # that ends it lie in [-reach, reach] however sparse the rest is
     reach = values.size
     near = values[(values >= -reach) & (values <= reach)]
-    return _segment(_occupancy(-reach, reach, near), reach)
+    near += reach
+    return _segment(_bitmap(2 * reach + 1, near), reach)
 
 
 def holes(lags) -> LagSet:
     """Integers missing from a lag set between its min and max (at most
     MAX_SPAN of them)."""
-    values = _values(lags)
+    values = _lags(lags)
     lo, hi = int(values.min()), int(values.max())
     _listable_span(lo, hi)
-    return _marked(~_occupancy(lo, hi, values), lo)
+    occ = _bitmap(hi - lo + 1, values - lo)
+    return _marked(~occ, lo)
 
 
 def spatial_efficiency(lags) -> float:
@@ -156,7 +198,7 @@ def spatial_efficiency(lags) -> float:
     1.0 for a hole-free lag set; degenerate single-lag {0} counts as fully
     efficient.
     """
-    values = _values(lags)
+    values = _lags(lags)
     return _efficiency(contiguous_stats(values)[0], int(values.max()))
 
 
@@ -237,18 +279,22 @@ def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -
     Both sets are symmetric about 0 and reach at most top = max(aperture,
     2 * max|m|), which is known from the positions alone, so a span over
     MAX_SPAN lags is refused before anything span-sized is allocated.  dc is
-    ``difference_set``'s; the pair sums are scattered into one occupancy
-    bitmap over [-top, top], mirrored for sc, and dc is added to it for the
-    union, its contiguous segment and its holes.  That is the range the hole
-    list covers anyway, so the bitmap needs no density guard."""
-    p = array.as_array()
-    top = max(int(p[-1] - p[0]), 2 * max(int(p[-1]), -int(p[0])))
+    ``difference_set``'s; the pair sums, offset by top as they are formed,
+    are scattered into one occupancy bitmap over [-top, top], mirrored for
+    sc, and the lags >= 0 of dc are marked on both sides of lag 0 through
+    views of it for the union, its contiguous segment and its holes.  That
+    is the range the hole list covers anyway, so the bitmap needs no
+    density guard."""
+    p, lo, hi = _extent(array)
+    top = max(hi - lo, 2 * max(hi, -lo))
     _listable_span(-top, top)
     dc = difference_set(array)
-    occ = _occupancy(-top, top, p[:, None] + p[None, :])
+    occ = _bitmap(2 * top + 1, (p + top)[:, None] + p)
     occ |= occ[::-1]
     sc = _marked(occ, -top)
-    occ[dc + top] = True
+    half = _nonnegative(dc)
+    occ[top:][half] = True
+    occ[top::-1][half] = True
     udofs, cva = _segment(occ, top)
     hole_set = _marked(~occ, -top)
     return CoarrayReport(

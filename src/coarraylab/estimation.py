@@ -375,11 +375,18 @@ def _real_subspaces(ops: Sequence[SmoothedCovariance], num_sources: int) -> Iter
             for trial_values, vectors in zip(values, w))
 
 
-def _check_model_order(num_sources: int, length: int) -> None:
+def _check_model_order(num_sources: int, length: int, windows: int) -> None:
+    """K sources need a window length L > K and at least K windows: with
+    fewer, R_ss has rank below K and E_s is arbitrary."""
     if num_sources >= length:
         raise ValueError(
             f"insufficient uDOFs: {num_sources} sources need a smoothed "
             f"subarray longer than {num_sources}, got {length}"
+        )
+    if windows < num_sources:
+        raise ValueError(
+            f"smoothing length L = {length} leaves a window count of {max(windows, 0)}, "
+            f"below the {num_sources} sources: R_ss would have rank below {num_sources}"
         )
 
 
@@ -392,7 +399,7 @@ def _operator_subspaces(
     by its own real form; below it the block's real forms go through one
     stacked eigh at the call."""
     length = ops[0].length
-    _check_model_order(num_sources, length)
+    _check_model_order(num_sources, length, ops[0].windows)
     if length < SIZE_RATIO * (num_sources + SIZE_PAD):
         return _real_subspaces(ops, num_sources)
     # a Subspace is a non-empty tuple, so only a None from the iteration falls back
@@ -676,7 +683,9 @@ def trial_results(
     """The trial loop of a study: the results of trials 0 .. trials-1,
     lazily and in order.  It checks the trial count and builds the array's
     ``lag_plan`` once, and returns None, before any draw, when the smoothed
-    subarray is too short for the source count; otherwise it builds the
+    subarray is too short for the source count; an explicit smoothing
+    length that leaves fewer windows than sources is refused there too.
+    Otherwise it builds the
     coupled steering matrix once, and the trials run in blocks of
     ``_block_size``.  Each trial is drawn as the real planes [Re X; Im X]
     (2N x T) of ``simulate_snapshots`` and reduced at once to its
@@ -690,8 +699,10 @@ def trial_results(
     snapshot dump."""
     trials = integer_field(trials, "trials", 1)
     plan = lag_plan(array)
-    if required_subarray_length(plan, config) <= config.num_sources:
+    length = required_subarray_length(plan, config)
+    if length <= config.num_sources:
         return None
+    _check_model_order(config.num_sources, length, 2 * plan.half_width + 2 - length)
     steering = source_steering(array, scenario, coupling)
     size = _block_size(plan, config)
 

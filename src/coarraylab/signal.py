@@ -460,10 +460,14 @@ class LagPlan:
 
 def lag_plan(array: SensorArray) -> LagPlan:
     """The lag bookkeeping of ``virtual_observation`` for one array: the
-    co-array is enumerated here, once, and every trial reuses the plan."""
-    udofs, _ = coarray.contiguous_stats(coarray.sum_difference_coarray(array))
+    co-array is enumerated here, once, and every trial reuses the plan.
+    Only the N x 2N upper blocks of ``extended_lag_matrix`` are formed; the
+    lower blocks carry their lags negated, so the contiguous segment is read
+    off the upper lags together with their negations."""
+    pos = array.as_array()
+    upper = (pos[:, None] - np.concatenate([pos, -pos])).ravel()
+    udofs, _ = coarray.contiguous_stats(np.concatenate([upper, -upper]))
     half = (udofs - 1) // 2
-    upper = extended_lag_matrix(array)[: array.n].ravel()
     index = np.flatnonzero(np.abs(upper) <= half)
     bins = upper[index] + half
     counts = np.bincount(bins, minlength=2 * half + 1)

@@ -84,10 +84,10 @@ def count_calls(monkeypatch):
 @pytest.fixture
 def bounded_bitmaps(monkeypatch):
     """Fail instead of allocating a co-array bitmap wider than MAX_SPAN."""
-    occupancy = coarray._occupancy
+    bitmap = coarray._bitmap
 
-    def bounded(lo, hi, *parts):
-        assert hi - lo + 1 <= coarray.MAX_SPAN, f"bitmap over [{lo}, {hi}] allocated"
-        return occupancy(lo, hi, *parts)
+    def bounded(size, slots):
+        assert size <= coarray.MAX_SPAN, f"bitmap of {size} slots allocated"
+        return bitmap(size, slots)
 
-    monkeypatch.setattr(coarray, "_occupancy", bounded)
+    monkeypatch.setattr(coarray, "_bitmap", bounded)

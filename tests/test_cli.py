@@ -644,10 +644,11 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
     assert counts["signal.planes_gram"] == 3
     assert counts["signal.extended_covariance"] == 0
     assert counts["signal.snapshots_from_planes"] == 1
-    # one lag plan serves the insufficient-DOF check and every trial, and
-    # one coupling matrix every draw
+    # one lag plan, read off its own upper blocks, serves the
+    # insufficient-DOF check and every trial, and one coupling matrix every
+    # draw
     assert counts["signal.lag_plan"] == 1
-    assert counts["coarray.sum_difference_coarray"] == 1
+    assert counts["coarray.sum_difference_coarray"] == 0
     assert counts["coarray.contiguous_stats"] == 1
     assert counts["coupling.coupling_matrix"] == 1
     assert numpy_calls["np.unique"] == 0 and numpy_calls["np.add.at"] == 0

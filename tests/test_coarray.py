@@ -342,11 +342,11 @@ def test_run_all_lag_sets_take_the_bitmap_path(numpy_calls):
 
 @pytest.mark.parametrize("past_guard", [False, True])
 def test_density_guard_sits_at_its_threshold(numpy_calls, past_guard):
-    # ten values whose max - min is one short of, or exactly, the guard's
-    # BITMAP_SLOTS_PER_VALUE slots per value
+    # ten differences from 0 whose max - min is one short of, or exactly,
+    # the guard's BITMAP_SLOTS_PER_VALUE slots per value
     top = BITMAP_SLOTS_PER_VALUE * 10 - 1 + past_guard
     values = [0, top, 3, 3, 7, 1, top - 2, 0, 5, 9]
-    assert coarray._lagset(values).tolist() == sorted(set(values))
+    assert difference_set([0], values).tolist() == sorted(set(values))
     # two sensors: four differences over [-a, a]
     a = 2 * BITMAP_SLOTS_PER_VALUE - 1 + past_guard
     assert weight_table([0, a]) == {-a: 1, 0: 2, a: 1}
@@ -363,6 +363,54 @@ def test_sparse_raw_geometry_skips_the_bitmap(numpy_calls):
     assert weight_table(points) == {-(10**12): 1, 0: 2, 10**12: 1}
     # dc, sc, two sum-difference co-arrays of three sets each, the weights
     assert numpy_calls["np.unique"] == 9
+
+
+#: Caller-owned positions, and whether any set takes the np.unique path:
+#: negative ones (all bitmaps), a single sensor (its sums +/-10 are two
+#: values over 21 slots, past the guard) and a sparse span.
+CALLER_POSITIONS = {
+    "negative": ([-7, -3, 0, 2, 9], False),
+    "single": ([5], True),
+    "sparse": ([-2, 0, 3, 10**5], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALLER_POSITIONS))
+def test_caller_arrays_are_never_written(case, numpy_calls):
+    """The bitmaps offset and shift only arrays the co-array code formed
+    itself: a caller's int64 positions and lags stay bit for bit as they
+    were, and every figure still matches the Python-set oracle."""
+    raw, sparse = CALLER_POSITIONS[case]
+    points = np.array(raw, dtype=np.int64)
+    other = points[::-1] * 2 + 1
+    want = brute_coarray(points.tolist())
+    lags = np.array(want["sdc"], dtype=np.int64)
+    owned = [(x, x.copy()) for x in (points, other, lags)]
+    array = from_positions(case, points)
+    positions = array.positions
+
+    assert difference_set(points).tolist() == want["dc"]
+    assert difference_set(array).tolist() == want["dc"]
+    pairs = [(u, v) for u in points.tolist() for v in other.tolist()]
+    assert difference_set(points, other).tolist() == sorted({v - u for u, v in pairs})
+    assert sum_set(points).tolist() == want["sc"]
+    assert sum_set(array).tolist() == want["sc"]
+    assert sum_set(points, other).tolist() == sorted({s * (u + v) for u, v in pairs
+                                                      for s in (1, -1)})
+    assert sum_difference_coarray(array).tolist() == want["sdc"]
+    assert contiguous_stats(lags) == want["udofs"]
+    assert holes(lags).tolist() == want["holes"]
+    assert spatial_efficiency(lags) == want["se"]
+    report = coarray_report(array)
+    assert (report.dc.tolist(), report.sc.tolist(), report.sdc.tolist()) == (
+        want["dc"], want["sc"], want["sdc"])
+    assert list(report.hole_positions) == want["holes"]
+
+    for given_array, before in owned:
+        assert given_array.dtype == before.dtype
+        assert given_array.tobytes() == before.tobytes()
+    assert array.positions == positions
+    assert (numpy_calls["np.unique"] > 0) == sparse
 
 
 @pytest.mark.parametrize("empty_lags", [[], np.array([], dtype=np.int64)])

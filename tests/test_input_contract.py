@@ -23,7 +23,14 @@ from hypothesis import strategies as st
 from coarraylab import signal
 from coarraylab.cli import EXIT_OK, EXIT_USAGE, main
 from coarraylab.coupling import CouplingModel
-from coarraylab.estimation import MAX_GRID_POINTS, MusicConfig, trial_results
+from coarraylab.estimation import (
+    MAX_GRID_POINTS,
+    MusicConfig,
+    SmoothedCovariance,
+    monte_carlo,
+    signal_subspace,
+    trial_results,
+)
 from coarraylab.geometry import design, design_nested, design_ula, from_positions, sensor_counts
 from coarraylab.inputs import integer_field
 from coarraylab.signal import (
@@ -136,6 +143,25 @@ def test_grid_bound_is_checked_before_the_grid_is_built(no_allocation):
     assert largest.grid_points == MAX_GRID_POINTS
     with pytest.raises(ValueError, match=f"^grid_points must be at most {MAX_GRID_POINTS}, got"):
         MusicConfig(num_sources=1, grid_points=MAX_GRID_POINTS + 1)
+
+
+def test_fewer_windows_than_sources_are_refused_before_the_first_draw(no_allocation):
+    """ULA(3) has the segment m = 4, so L = 9 leaves 2m + 2 - L = 1 window
+    for K = 2 sources: R_ss would have rank 1 and E_s would be arbitrary."""
+    scenario = Scenario(angles_deg=(-10.0, 20.0), snapshots=8)
+    config = MusicConfig(num_sources=2, smoothing_length=9)
+    refused = r"^smoothing length L = 9 leaves a window count of 1, below the 2 sources"
+    with pytest.raises(ValueError, match=refused):
+        trial_results(design_ula(3), scenario, config, 3)
+    with pytest.raises(ValueError, match=refused):
+        monte_carlo(design_ula(3), scenario, config, 3)
+    samples = VirtualObservation(np.arange(-4, 5), np.ones(9, complex))
+    with pytest.raises(ValueError, match=refused):
+        signal_subspace(SmoothedCovariance(samples, 9), 2)
+    # L = 8 leaves the two windows two sources need, and reaches the draw
+    admitted = MusicConfig(num_sources=2, smoothing_length=8)
+    with pytest.raises(_Drew):
+        list(trial_results(design_ula(3), scenario, admitted, 1))
 
 
 def _run(argv) -> tuple[int, str]:

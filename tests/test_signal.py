@@ -590,6 +590,47 @@ def test_lag_plan_reads_the_subarray_length_and_is_read_only():
         assert not shared.flags.writeable
 
 
+def _lag_plan_oracle(arr):
+    """The lag plan the long way: uDOFs from a separate
+    sum_difference_coarray pass, and the upper rows kept from the full
+    2N x 2N extended_lag_matrix."""
+    udofs, _ = coarray.contiguous_stats(coarray.sum_difference_coarray(arr))
+    half = (udofs - 1) // 2
+    upper = extended_lag_matrix(arr)[: arr.n].ravel()
+    index = np.flatnonzero(np.abs(upper) <= half)
+    bins = upper[index] + half
+    counts = np.bincount(bins, minlength=2 * half + 1)
+    counts = counts + counts[::-1]
+    return np.arange(-half, half + 1, dtype=np.int64), index, bins, counts
+
+
+def _assert_plan_matches_the_oracle(arr):
+    plan = lag_plan(arr)
+    assert plan.positions == arr.positions
+    for got, want in zip((plan.lags, plan.index, plan.bins, plan.counts), _lag_plan_oracle(arr)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", geometry.GENERATED_FAMILIES)
+def test_lag_plan_matches_the_full_matrix_oracle(family):
+    for n in geometry.sensor_counts(family, 0, 64):
+        _assert_plan_matches_the_oracle(geometry.design(family, n))
+
+
+def test_lag_plan_of_nested_arrays_matches_the_full_matrix_oracle():
+    for n_dense in range(1, 9):
+        for n_sparse in range(1, 9):
+            _assert_plan_matches_the_oracle(geometry.design_nested(n_dense, n_sparse))
+
+
+@given(st.sets(st.integers(-60, 60), min_size=1, max_size=12))
+@example({0})
+@example({-5, 3})
+def test_lag_plan_of_raw_geometries_matches_the_full_matrix_oracle(points):
+    _assert_plan_matches_the_oracle(geometry.from_positions("rand", points))
+
+
 def test_virtual_observation_lag_axis():
     arr = geometry.design_saulas(12)
     sc = Scenario(angles_deg=(10.0,), snapshots=16, seed=1)
