@@ -685,9 +685,8 @@ def trial_results(
     ``lag_plan`` once, and returns None, before any draw, when the smoothed
     subarray is too short for the source count; an explicit smoothing
     length that leaves fewer windows than sources is refused there too.
-    Otherwise it builds the
-    coupled steering matrix once, and the trials run in blocks of
-    ``_block_size``.  Each trial is drawn as the real planes [Re X; Im X]
+    Otherwise it builds the coupled steering matrix once, and the trials
+    run in blocks of ``_block_size``.  Each trial is drawn as the real planes [Re X; Im X]
     (2N x T) of ``simulate_snapshots`` and reduced at once to its
     ``planes_gram``, so no complex X is formed and its planes are gone
     before the next draw; the block's Grams then go through the rest of the
