@@ -4,6 +4,7 @@ error scoring, and the trial loop, against the reference pipeline of
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -1473,6 +1474,36 @@ def test_insufficient_dofs_is_read_off_the_plan(count_calls):
 # ---------------------------------------------------------------------------
 # The one trial loop
 # ---------------------------------------------------------------------------
+
+
+#: sha256 of estimate_doas' spectra and estimates, captured before it became
+#: a one-trial study of ``trial_results``: per family, n 9-16, without
+#: coupling and with PAPER_V, the default L and L = 24, trials 0 and 3, the
+#: raw bytes of each spectrum and then its estimates, in that loop order.
+#: The default L runs 17-159, so both eigen routes are covered.
+ESTIMATE_DOAS_SHA256 = {
+    "aulas": "b6d63141f10b7fd34cf376e7c2ec108e7894cdbe2294d89fd05616a97bb95c13",
+    "saulas": "b64b3a637eb9d1b325134bb55b96dff7485323768ce704ea43637d9508dde6ea",
+    "tsaulas": "c535bf4e636149fa7ff8985162d247765eda62356ecfb72e3d78bc60f6fa9229",
+    "cotsaulas": "7910a2d611257a115383458e9526272f3d1157d29a77a4d1217b9fdb6383f0a0",
+    "ula": "16a972ffcced64e39dd8b9351bf051ed0695ab4f89674129f647ec7874e7d61f",
+}
+
+
+@pytest.mark.parametrize("family", sorted(ESTIMATE_DOAS_SHA256))
+def test_estimate_doas_outputs_are_unchanged(family):
+    sc = Scenario(angles_deg=(-30.2, 5.3, 41.7), snapshots=200, snr_db=0.0, seed=11)
+    digest = hashlib.sha256()
+    for n in range(9, 17):
+        arr = geometry.design(family, n)
+        for model in (None, PAPER_V):
+            for length in (None, 24):
+                cfg = MusicConfig.for_step(3, 0.05, smoothing_length=length)
+                for trial in (0, 3):
+                    result = estimate_doas(arr, sc, cfg, coupling=model, trial=trial)
+                    digest.update(result.spectrum.tobytes())
+                    digest.update(result.estimates.tobytes())
+    assert digest.hexdigest() == ESTIMATE_DOAS_SHA256[family]
 
 
 @pytest.mark.parametrize("model", [None, PAPER_V])
