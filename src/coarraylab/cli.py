@@ -10,6 +10,7 @@ byte-identical across reruns of the same invocation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -141,9 +142,7 @@ def _resolve_scenario(args):
     else:
         scenario, model = signal.load_scenario(args.scenario)
         if args.seed is not None:
-            scenario = signal.Scenario.from_dict(
-                {**scenario.to_dict(), "seed": args.seed}
-            )
+            scenario = dataclasses.replace(scenario, seed=args.seed)
         music = estimation.MusicConfig.for_step(
             scenario.num_sources, 0.01 if args.grid_step is None else args.grid_step
         )
@@ -162,11 +161,6 @@ def cmd_music(args) -> int:
 
     results = estimation.trial_results(array, scenario, music, trials, coupling=model,
                                        first_planes=dump if args.dump_snapshots else None)
-    if results is None:
-        raise ValueError(
-            f"insufficient uDOFs: array {array.name} cannot resolve "
-            f"{music.num_sources} sources"
-        )
     first = next(results)
     summary = {
         "array": array.name,
@@ -188,15 +182,10 @@ def cmd_music(args) -> int:
         summary["rmse_deg"] = round(mc.rmse_deg, 6)
         summary["detection_rate"] = mc.detection_rate
 
-    spectrum_csv = estimation.spectrum_to_csv(first.angles, first.spectrum)
     if args.output:
-        base = args.output
-        with open(f"{base}.spectrum.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(spectrum_csv)
-        with open(f"{base}.estimates.json", "w", encoding="utf-8", newline="") as fh:
-            fh.write(_json_dumps(summary))
-    else:
-        sys.stdout.write(_json_dumps(summary))
+        _emit(estimation.spectrum_to_csv(first.angles, first.spectrum),
+              f"{args.output}.spectrum.csv")
+    _emit(_json_dumps(summary), args.output and f"{args.output}.estimates.json")
     return EXIT_OK
 
 

@@ -4,8 +4,9 @@ The virtual observation behaves like a single-snapshot measurement of a long
 virtual ULA, so rank is restored by spatial smoothing before the usual
 noise-subspace spectrum search.  Peak picking, sorted-order RMSE and the
 trial loop live here too: ``trial_results`` runs the trials of a study in
-blocks, for ``monte_carlo`` and for the ``music`` CLI alike, so a "single
-run" and "trial 0 of a Monte Carlo" are one path.
+blocks, for ``estimate_doas`` (a study of one), ``monte_carlo`` and the
+``music`` CLI alike, so a "single run" and "trial 0 of a Monte Carlo" are
+one path, with one model-order gate before any draw.
 """
 
 from __future__ import annotations
@@ -375,11 +376,17 @@ def _real_subspaces(ops: Sequence[SmoothedCovariance], num_sources: int) -> Iter
             for trial_values, vectors in zip(values, w))
 
 
+class InsufficientDofs(ValueError):
+    """The smoothed subarray is too short for the source count: L <= K."""
+
+
 def _check_model_order(num_sources: int, length: int, windows: int) -> None:
-    """K sources need a window length L > K and at least K windows: with
-    fewer, R_ss has rank below K and E_s is arbitrary."""
+    """The one model-order gate, run by each entry before any work: K
+    sources need a window length L > K (else ``InsufficientDofs``) and at
+    least K windows; with fewer, R_ss has rank below K and E_s is
+    arbitrary."""
     if num_sources >= length:
-        raise ValueError(
+        raise InsufficientDofs(
             f"insufficient uDOFs: {num_sources} sources need a smoothed "
             f"subarray longer than {num_sources}, got {length}"
         )
@@ -397,10 +404,8 @@ def _operator_subspaces(
     order.  From L >= SIZE_RATIO * (K + SIZE_PAD) each trial is solved on
     its own when it is asked for, by its iteration or, where that gives up,
     by its own real form; below it the block's real forms go through one
-    stacked eigh at the call."""
-    length = ops[0].length
-    _check_model_order(num_sources, length, ops[0].windows)
-    if length < SIZE_RATIO * (num_sources + SIZE_PAD):
+    stacked eigh at the call.  The caller has checked the model order."""
+    if ops[0].length < SIZE_RATIO * (num_sources + SIZE_PAD):
         return _real_subspaces(ops, num_sources)
     # a Subspace is a non-empty tuple, so only a None from the iteration falls back
     return (_ritz_subspace(op, num_sources) or next(_real_subspaces([op], num_sources))
@@ -410,8 +415,10 @@ def _operator_subspaces(
 def signal_subspace(r_ss: SmoothedCovariance, num_sources: int) -> Subspace:
     """E_s, the num_sources principal eigenvectors of R_ss as an L x K
     matrix in ascending eigenvalue order, and the eigenvalues the solver
-    knows, ascending.  The operator is solved as a block of one (see
-    ``_operator_subspaces``), by the first of two solvers that serves:
+    knows, ascending.  The model order is checked first (``InsufficientDofs``
+    for L <= K, a ValueError for fewer than K windows); the operator is then
+    solved as a block of one (see ``_operator_subspaces``), by the first of
+    two solvers that serves:
 
     - From L >= SIZE_RATIO * (K + SIZE_PAD): block subspace
       iteration with Rayleigh-Ritz on K + OVERSAMPLE real vectors (rounded
@@ -426,7 +433,9 @@ def signal_subspace(r_ss: SmoothedCovariance, num_sources: int) -> Subspace:
       L x L real form of R_ss, gathered from the samples at any window
       length (see ``_real_subspaces``); the values are all L eigenvalues.
     """
-    return next(_operator_subspaces([r_ss], integer_field(num_sources, "num_sources", 1)))
+    num_sources = integer_field(num_sources, "num_sources", 1)
+    _check_model_order(num_sources, r_ss.length, r_ss.windows)
+    return next(_operator_subspaces([r_ss], num_sources))
 
 
 #: The null polynomial f = sum_{|d|<L} h_d e^{j d omega} of ``music_spectrum``
@@ -616,10 +625,10 @@ def estimate_doas(
     trial: int = 0,
 ) -> EstimationResult:
     """Run the full single-trial pipeline and score it against the scenario:
-    one trial drawn as its real planes and estimated as a block of one."""
-    planes = simulate_snapshots(array, scenario, coupling=coupling, trial=trial, planes=True)
-    ec = gram_covariance(planes_gram(planes))
-    return next(_estimate_block(ec, lag_plan(array), scenario, config))
+    a study of the one trial ``trial`` (see ``trial_results``), so it is
+    refused by the same gate before its draw and estimated as a block of
+    one."""
+    return next(trial_results(array, scenario, config, 1, coupling, start=trial))
 
 
 def _estimate_block(
@@ -679,44 +688,46 @@ def trial_results(
     trials: int,
     coupling: CouplingModel | None = None,
     first_planes: Callable[[np.ndarray], object] | None = None,
-) -> Iterator[EstimationResult] | None:
-    """The trial loop of a study: the results of trials 0 .. trials-1,
-    lazily and in order.  It checks the trial count and builds the array's
-    ``lag_plan`` once, and returns None, before any draw, when the smoothed
-    subarray is too short for the source count; an explicit smoothing
-    length that leaves fewer windows than sources is refused there too.
-    Otherwise it builds the coupled steering matrix once, and the trials
-    run in blocks of ``_block_size``.  Each trial is drawn as the real planes [Re X; Im X]
-    (2N x T) of ``simulate_snapshots`` and reduced at once to its
-    ``planes_gram``, so no complex X is formed and its planes are gone
-    before the next draw; the block's Grams then go through the rest of the
-    pipeline together (see ``_estimate_block``).  Every result is the one
-    ``estimate_doas`` gives for its trial alone, byte for byte.
+    start: int = 0,
+) -> Iterator[EstimationResult]:
+    """The trial loop of a study, and of ``estimate_doas`` as a study of
+    one: the results of trials start .. start + trials - 1, lazily and in
+    order.  At the call, before any draw, it checks the trial numbers,
+    builds the array's ``lag_plan`` once and runs the one model-order gate:
+    a smoothed subarray too short for the source count raises
+    ``InsufficientDofs``, and an explicit smoothing length that leaves
+    fewer windows than sources a ValueError.  It then builds the coupled
+    steering matrix once, and the trials run in blocks of ``_block_size``.
+    Each trial is drawn as the real planes [Re X; Im X] (2N x T) of
+    ``simulate_snapshots`` and reduced at once to its ``planes_gram``, so
+    no complex X is formed and its planes are gone before the next draw;
+    the block's Grams then go through the rest of the pipeline together
+    (see ``_estimate_block``).  Every result is byte for byte the one its
+    trial gives alone.
 
-    ``first_planes``, when given, is called with trial 0's planes once
-    their Gram has passed its check, as the ``music`` CLI writes its
+    ``first_planes``, when given, is called with trial ``start``'s planes
+    once their Gram has passed its check, as the ``music`` CLI writes its
     snapshot dump."""
     trials = integer_field(trials, "trials", 1)
+    start = integer_field(start, "trial", 0)
     plan = lag_plan(array)
     length = required_subarray_length(plan, config)
-    if length <= config.num_sources:
-        return None
     _check_model_order(config.num_sources, length, 2 * plan.half_width + 2 - length)
     steering = source_steering(array, scenario, coupling)
-    size = _block_size(plan, config)
+    size, stop = _block_size(plan, config), start + trials
 
     def gram(t: int) -> np.ndarray:
         planes = simulate_snapshots(array, scenario, trial=t, steering=steering, planes=True)
         checked = planes_gram(planes)
-        if t == 0 and first_planes is not None:
+        if t == start and first_planes is not None:
             first_planes(planes)
         return checked
 
     def block(top: int) -> Iterator[EstimationResult]:
-        grams = np.stack([gram(t) for t in range(top, min(top + size, trials))])
+        grams = np.stack([gram(t) for t in range(top, min(top + size, stop))])
         return _estimate_block(gram_covariance(grams), plan, scenario, config)
 
-    return itertools.chain.from_iterable(map(block, range(0, trials, size)))
+    return itertools.chain.from_iterable(map(block, range(start, stop, size)))
 
 
 def monte_carlo(
@@ -730,12 +741,15 @@ def monte_carlo(
     ``aggregate_trials`` over ``trial_results``.
 
     A geometry whose smoothed subarray cannot support the requested source
-    count does not abort the comparison: every trial is recorded as fully
-    under-detected (capped errors, zero detections) so aggregate RMSE remains
-    comparable across geometries.
+    count, which ``trial_results`` refuses with ``InsufficientDofs`` before
+    any draw, does not abort the comparison: every trial is recorded as
+    fully under-detected (capped errors, zero detections) so aggregate RMSE
+    remains comparable across geometries.  Fewer windows than sources is
+    still an error.
     """
-    results = trial_results(array, scenario, config, trials, coupling)
-    if results is None:
+    try:
+        results = trial_results(array, scenario, config, trials, coupling)
+    except InsufficientDofs:
         trials = int(trials)  # trial_results has checked that it is integral
         return MonteCarloResult(
             rmse_deg=config.error_cap_deg,

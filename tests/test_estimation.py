@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import reference
 from coarraylab import estimation, geometry, nufft, presets
+from coarraylab.cli import EXIT_USAGE, main
 from coarraylab.coupling import PAPER_V
 from coarraylab.estimation import (
     MusicConfig,
@@ -1540,10 +1542,51 @@ def test_trial_results_simulates_only_when_iterated(count_calls):
     assert counts["estimation.music_spectrum"] == 1
 
 
-def test_trial_results_is_none_without_enough_dofs(count_calls):
+def test_trial_results_refuses_without_enough_dofs(count_calls):
     arr, sc, cfg = _nine_sources_on_na22()
     counts = count_calls(PLAN_STAGES)
-    assert trial_results(arr, sc, cfg, 3, first_planes=pytest.fail) is None
+    refused = "^insufficient uDOFs: 9 sources need a smoothed subarray longer than 9, got 8$"
+    with pytest.raises(estimation.InsufficientDofs, match=refused):
+        trial_results(arr, sc, cfg, 3, first_planes=pytest.fail)
+    assert counts["signal.lag_plan"] == 1 and counts["signal.simulate_snapshots"] == 0
+
+
+#: ULA(3) has the segment m = 4: its default L = 5 is too short for six
+#: sources, and an explicit L = 9 leaves 2m + 2 - L = 1 window for two.
+#: The CLI sets no explicit L, so ``music`` meets only the first.
+REFUSED_MODEL_ORDERS = {
+    "short_subarray": (tuple(range(-50, 60, 20)), None, estimation.InsufficientDofs),
+    "few_windows": ((-10.0, 20.0), 9, ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_MODEL_ORDERS))
+def test_every_entry_refuses_before_its_draw(case, count_calls, tmp_path, capsys):
+    """estimate_doas, trial_results, monte_carlo and music run one gate
+    before any draw and give one message."""
+    angles, length, kind = REFUSED_MODEL_ORDERS[case]
+    arr = geometry.design_ula(3)
+    sc = Scenario(angles_deg=angles, snapshots=100)
+    cfg = MusicConfig.for_step(len(angles), 0.5, smoothing_length=length)
+    counts = count_calls(["signal.simulate_snapshots"])
+    with pytest.raises(kind) as refused:
+        estimate_doas(arr, sc, cfg, trial=3)
+    message = str(refused.value)
+    assert (type(refused.value) is estimation.InsufficientDofs) == (length is None)
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+        trial_results(arr, sc, cfg, 2, first_planes=pytest.fail)
+    if length is None:
+        assert message.startswith("insufficient uDOFs")
+        assert monte_carlo(arr, sc, cfg, 2).insufficient_dofs
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"angles_deg": list(angles), "snapshots": 100}))
+        code = main(["music", "--family", "ula", "--n", "3", "--scenario", str(path),
+                     "--grid-step", "0.5", "--output", str(tmp_path / "run")])
+        assert code == EXIT_USAGE and capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            monte_carlo(arr, sc, cfg, 2)
     assert counts["signal.simulate_snapshots"] == 0
 
 
