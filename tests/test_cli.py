@@ -615,6 +615,7 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
             "estimation.trial_results",
             "estimation.estimate_doas",
             "estimation.music_spectrum",
+            "estimation.spectrum_to_csv",
             "signal.simulate_snapshots",
             "signal.planes_gram",
             "signal.extended_covariance",
@@ -653,6 +654,11 @@ def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
     assert counts["coupling.coupling_matrix"] == 1
     assert numpy_calls["np.unique"] == 0 and numpy_calls["np.add.at"] == 0
     assert numpy_calls["np.linspace"] == 1
+    assert counts["estimation.spectrum_to_csv"] == 1
+    # with the summary on stdout, no spectrum CSV is formatted
+    code, _, _ = run_cli(capsys, "music", "--family", "saulas", "--n", "9",
+                         "--scenario", str(scenario_file), "--grid-step", "0.5")
+    assert code == EXIT_OK and counts["estimation.spectrum_to_csv"] == 1
 
 
 def test_music_never_builds_the_dense_smoothed_covariance(tmp_path, capsys, count_calls):
