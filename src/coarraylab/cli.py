@@ -178,7 +178,7 @@ def cmd_music(args) -> int:
         },
     }
     if trials > 1:
-        mc = estimation.aggregate_trials(itertools.chain([first], results), scenario, music)
+        mc = estimation.aggregate_trials(itertools.chain([first], results))
         summary["rmse_deg"] = round(mc.rmse_deg, 6)
         summary["detection_rate"] = mc.detection_rate
 

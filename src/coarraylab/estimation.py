@@ -556,25 +556,38 @@ def rmse(
     true_angles_deg: Sequence[float],
     error_cap_deg: float = 90.0,
 ) -> float:
-    """Root mean squared error over trials with sorted-order matching.
-
-    Every under-detected trial charges the cap for each of its sources, so
-    missed detections cannot shrink the average.
-    """
+    """Root mean squared error over trials of raw estimates: each trial is
+    scored by ``_errors_against_truth``, so a trial whose estimate count
+    differs from the truth's charges the cap on every source and missed
+    detections cannot shrink the average, and the errors are pooled by
+    ``_root_mean_square``, as a study pools its trials'."""
     truth = np.sort(np.asarray(true_angles_deg, dtype=float))
-    z = truth.size
-    if z == 0:
+    if truth.size == 0:
         raise ValueError("need at least one true angle")
-    if len(estimates_per_trial) == 0:
+    return _root_mean_square([_errors_against_truth(np.asarray(e, dtype=float), truth, error_cap_deg)
+                              for e in estimates_per_trial])
+
+
+def _errors_against_truth(estimates: np.ndarray, truth: np.ndarray, cap: float) -> np.ndarray:
+    """The one scoring rule: the per-source errors of one trial's estimates
+    against the truth, which is given sorted ascending.  The estimates are
+    matched to it in sorted order; when the counts differ, every source is
+    charged the cap."""
+    if estimates.size == truth.size:
+        return np.abs(np.sort(estimates) - truth)
+    return np.full(truth.size, cap)
+
+
+def _root_mean_square(errors_per_trial: Sequence[np.ndarray]) -> float:
+    """The one pooling of trials scored against one truth: their squared
+    per-source errors summed trial by trial, in trial order, over the count
+    of errors.  No trials is a ValueError."""
+    if len(errors_per_trial) == 0:
         raise ValueError("need at least one trial")
     total = 0.0
-    for est in estimates_per_trial:
-        est = np.sort(np.asarray(est, dtype=float))
-        if est.size == z:
-            total += float(np.sum((est - truth) ** 2))
-        else:
-            total += z * error_cap_deg**2
-    return float(np.sqrt(total / (len(estimates_per_trial) * z)))
+    for errors in errors_per_trial:
+        total += float(np.sum(errors**2))
+    return math.sqrt(total / (len(errors_per_trial) * errors_per_trial[0].size))
 
 
 @dataclass(frozen=True)
@@ -607,14 +620,6 @@ class MonteCarloResult:
             "insufficient_dofs": self.insufficient_dofs,
             "estimates_per_trial": [list(e) for e in self.estimates_per_trial],
         }
-
-
-def _errors_against_truth(
-    estimates: np.ndarray, truth: np.ndarray, cap: float
-) -> np.ndarray:
-    if estimates.size == truth.size:
-        return np.abs(np.sort(estimates) - np.sort(truth))
-    return np.full(truth.size, cap)
 
 
 def estimate_doas(
@@ -654,7 +659,7 @@ def _estimate_block(
             estimates=estimates,
             under_detected=under,
             per_source_error=errors,
-            rmse_deg=float(np.sqrt(np.mean(errors**2))),
+            rmse_deg=_root_mean_square([errors]),
         )
 
 
@@ -738,7 +743,9 @@ def monte_carlo(
     coupling: CouplingModel | None = None,
 ) -> MonteCarloResult:
     """Repeat the single-trial pipeline with independent per-trial streams:
-    ``aggregate_trials`` over ``trial_results``.
+    ``aggregate_trials`` over ``trial_results``, so each trial is matched
+    to the truth once, as it finishes, and the study pools the errors its
+    results carry.
 
     A geometry whose smoothed subarray cannot support the requested source
     count, which ``trial_results`` refuses with ``InsufficientDofs`` before
@@ -758,25 +765,22 @@ def monte_carlo(
             estimates_per_trial=((),) * trials,
             insufficient_dofs=True,
         )
-    return aggregate_trials(results, scenario, config)
+    return aggregate_trials(results)
 
 
-def aggregate_trials(
-    results: Iterable[EstimationResult], scenario: Scenario, config: MusicConfig
-) -> MonteCarloResult:
+def aggregate_trials(results: Iterable[EstimationResult]) -> MonteCarloResult:
     """RMSE, detection rate and per-trial estimates over single-trial
-    results, in trial order."""
-    estimates_per_trial = []
-    detected = 0
-    for result in results:
-        estimates_per_trial.append(tuple(float(e) for e in result.estimates))
-        detected += not result.under_detected
-    trials = len(estimates_per_trial)
+    results, in trial order.  The RMSE pools the ``per_source_error`` each
+    result already carries, so no trial is matched to the truth again; no
+    results is a ValueError.  Only those small parts of each result are
+    kept, never its spectrum."""
+    kept = [(tuple(r.estimates.tolist()), r.per_source_error, r.under_detected) for r in results]
+    rmse_deg = _root_mean_square([errors for _, errors, _ in kept])
     return MonteCarloResult(
-        rmse_deg=rmse(estimates_per_trial, scenario.angles_deg, config.error_cap_deg),
-        detection_rate=detected / trials,
-        trials=trials,
-        estimates_per_trial=tuple(estimates_per_trial),
+        rmse_deg=rmse_deg,
+        detection_rate=sum(not under for *_, under in kept) / len(kept),
+        trials=len(kept),
+        estimates_per_trial=tuple(estimates for estimates, *_ in kept),
     )
 
 

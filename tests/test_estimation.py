@@ -1241,6 +1241,46 @@ def test_rmse_rejects_empty_inputs():
         rmse([(10.0,)], ())
 
 
+def test_a_count_mismatch_charges_the_cap_on_every_source():
+    arr, sc, cfg = _mismatched_study()
+    result = estimate_doas(arr, sc, cfg)
+    assert result.estimates.size == 3 and not result.under_detected
+    assert cfg.error_cap_deg == 89.5
+    assert result.per_source_error.tolist() == [89.5, 89.5]
+    assert result.rmse_deg == 89.5
+
+
+def test_aggregate_trials_pools_what_rmse_scores():
+    """A study that mixes matched and count-mismatched trials: pooling the
+    errors the results carry gives rmse of their estimates."""
+    arr, sc, cfg = _mismatched_study()
+    matched = trial_results(arr, sc, MusicConfig.for_step(2, 0.5), 4)
+    results = [r for pair in zip(matched, trial_results(arr, sc, cfg, 4)) for r in pair]
+    assert [r.estimates.size for r in results] == [2, 3] * 4
+    got = estimation.aggregate_trials(results)
+    want = rmse([r.estimates for r in results], sc.angles_deg, cfg.error_cap_deg)
+    assert 0.0 < want < cfg.error_cap_deg
+    assert got.rmse_deg == pytest.approx(want, rel=1e-15, abs=0)
+    assert (got.trials, got.detection_rate) == (8, 1.0)
+    with pytest.raises(ValueError, match="need at least one trial"):
+        estimation.aggregate_trials([])
+
+
+def test_a_study_scores_each_trial_once(count_calls, tmp_path, capsys):
+    """monte_carlo and music match each trial to the truth once, and pool
+    those errors without calling rmse."""
+    arr, sc, cfg = _tiny_mc_setup()
+    counts = count_calls(["estimation._errors_against_truth", "estimation.rmse"])
+    assert monte_carlo(arr, sc, cfg, 5).trials == 5
+    assert (counts["estimation._errors_against_truth"], counts["estimation.rmse"]) == (5, 0)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"angles_deg": list(sc.angles_deg), "snapshots": 200}))
+    code = main(["music", "--family", "aulas", "--n", "9", "--scenario", str(path),
+                 "--grid-step", "0.5", "--trials", "3"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["detection_rate"] == 1.0
+    assert (counts["estimation._errors_against_truth"], counts["estimation.rmse"]) == (8, 0)
+
+
 # ---------------------------------------------------------------------------
 # Full single-trial pipeline
 # ---------------------------------------------------------------------------
@@ -1718,7 +1758,7 @@ def test_blocked_monte_carlo_is_estimate_doas_trial_by_trial(case, monkeypatch):
     assert len(ritz) == (7 if iterating else 0)
     gave_up = [k for k, found in enumerate(ritz) if found is None]
     assert gave_up == ([2] if case is _iterated_with_a_fallback else [])
-    want = estimation.aggregate_trials(alone, sc, cfg)
+    want = estimation.aggregate_trials(alone)
     assert got.estimates_per_trial == want.estimates_per_trial
     assert got.rmse_deg == want.rmse_deg
     assert got.detection_rate == want.detection_rate
