@@ -4,10 +4,10 @@ Each geometry family ships with closed-form expressions for its contiguous
 lag range, total usable DOFs, hole layout and small-lag weights.  Each
 checker sizes its array once, builds it from those AulasParams, enumerates
 it once by raw pair enumeration (one ``coarray_report``) and compares; the
-closed forms under test are never used to produce the reference side.  ``run_all`` hands the w(1..3) each lemma
-check counted, and the AulasParams it built, on to the weight check of the
-same array, so every array is enumerated once and its weight check sizes
-nothing again.
+closed forms under test are never used to produce the reference side.
+``run_all`` hands the w(1..3) each lemma check counted, and the AulasParams
+it built, on to the weight check of the same array, so every array is
+enumerated once and its weight check sizes nothing again.
 """
 
 from __future__ import annotations
@@ -288,18 +288,16 @@ def run_all(n_max: int = N_MAX, n_min: Mapping[str, int] | None = None) -> list[
     check runs, and ranges that hold no sensor count at all are an error.
 
     Each (family, n) array is designed and enumerated once, by its lemma
-    check's one ``coarray_report``; the weight check of the same array reads
-    the w(1..3) that report counted and the AulasParams of the lemma check,
-    which its LemmaReport carries."""
+    check's one ``coarray_report``.  Every family is a lemma's family, so
+    each weight check is paired with the lemma report of its array and
+    reads the w(1..3) that report counted and the AulasParams it carries;
+    the weight checks follow the lemma reports in the same order."""
     n_min = n_min or {}
     sizes = selected_sensor_counts({f: n_min.get(f, 0) for f in FAMILIES}, n_max)
-    reports: list[LemmaReport] = []
-    for check, family in LEMMA_FAMILIES.items():
-        reports.extend(run_lemma_sweep(check, sizes[family]))
-    shared = {(LEMMA_FAMILIES[r.check], r.n): (r.weights, r.params) for r in reports}
-    for family, counts in sizes.items():
-        reports.extend(check_weights(family, n, *shared.get((family, n), ())) for n in counts)
-    return reports
+    lemmas = [r for check, family in LEMMA_FAMILIES.items()
+              for r in run_lemma_sweep(check, sizes[family])]
+    return lemmas + [check_weights(LEMMA_FAMILIES[r.check], r.n, r.weights, r.params)
+                     for r in lemmas]
 
 
 def shift_study(n: int, shift: int) -> CoarrayReport:

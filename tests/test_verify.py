@@ -263,6 +263,12 @@ def test_run_all_enumerates_each_lemma_array_once(count_calls, monkeypatch):
                                    len(lemmas))
 
 
+def test_the_lemma_families_are_the_families_in_order():
+    """run_all pairs each family's weight checks with its lemma reports and
+    keeps the family order of the weight checks."""
+    assert tuple(LEMMA_FAMILIES.values()) == tuple(geometry.FAMILIES)
+
+
 def test_run_all_reports_equal_the_standalone_checks():
     families = {spec.display_name: name for name, spec in geometry.FAMILIES.items()}
     for r in run_all(24):
