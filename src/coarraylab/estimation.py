@@ -772,15 +772,19 @@ def aggregate_trials(results: Iterable[EstimationResult]) -> MonteCarloResult:
     """RMSE, detection rate and per-trial estimates over single-trial
     results, in trial order.  The RMSE pools the ``per_source_error`` each
     result already carries, so no trial is matched to the truth again; no
-    results is a ValueError.  Only those small parts of each result are
-    kept, never its spectrum."""
-    kept = [(tuple(r.estimates.tolist()), r.per_source_error, r.under_detected) for r in results]
-    rmse_deg = _root_mean_square([errors for _, errors, _ in kept])
+    results is a ValueError."""
+    estimates_per_trial, errors_per_trial, detected = [], [], 0
+    for result in results:
+        estimates_per_trial.append(tuple(float(e) for e in result.estimates))
+        errors_per_trial.append(result.per_source_error)
+        detected += not result.under_detected
+    rmse_deg = _root_mean_square(errors_per_trial)
+    trials = len(errors_per_trial)
     return MonteCarloResult(
         rmse_deg=rmse_deg,
-        detection_rate=sum(not under for *_, under in kept) / len(kept),
-        trials=len(kept),
-        estimates_per_trial=tuple(estimates for estimates, *_ in kept),
+        detection_rate=detected / trials,
+        trials=trials,
+        estimates_per_trial=tuple(estimates_per_trial),
     )
 
 
