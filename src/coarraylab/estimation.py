@@ -564,7 +564,7 @@ def rmse(
     truth = np.sort(np.asarray(true_angles_deg, dtype=float))
     if truth.size == 0:
         raise ValueError("need at least one true angle")
-    return _root_mean_square([_errors_against_truth(np.asarray(e, dtype=float), truth, error_cap_deg)
+    return _root_mean_square([_errors_against_truth(np.asarray(e, float), truth, error_cap_deg)
                               for e in estimates_per_trial])
 
 
