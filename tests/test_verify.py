@@ -227,6 +227,18 @@ def test_failing_lemma3_and_lemma4_claims_name_their_first_lag(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("change, lag", [("drop_last", 60), ("add_31", 61)])
+def test_a_wrong_lemma3_span_names_its_end(monkeypatch, change, lag):
+    # TSAULAs(9) spans 60: without its last sensor (30) the co-array stops
+    # short of 60, and a sensor at 31 carries it one lag past
+    tsaulas = geometry.design_tsaulas(9).positions  # (-26, 3, ..., 28, 30)
+    positions = tsaulas[:-1] if change == "drop_last" else tsaulas + (31,)
+    _substitute(monkeypatch, "tsaulas", positions)
+    report = check_lemma3(9)
+    assert not report.claims["span_matches"]
+    assert report.details["first_disagreement"]["span_matches"] == lag
+
+
 def test_run_all_enumerates_each_lemma_array_once(count_calls, monkeypatch):
     counts = count_calls(["geometry.design", "coarray.difference_set", "coarray.sum_set",
                           "coarray.sum_difference_coarray", "coarray.weight_table"])
