@@ -87,20 +87,53 @@ def _first_difference(lags: np.ndarray, lo: int, hi: int, expected) -> int | Non
     return None if got.size == want.size else int(max(got, want, key=len)[k])
 
 
-def _segment_miss(udofs: int, closed_udofs: int) -> int:
-    """The first lag where two contiguous segments 2m + 1 lags wide differ."""
-    return (min(udofs, closed_udofs) + 1) // 2
+#: What a failing claim that names no lag maps to in a lemma check.
+_NO_LAG = object()
 
 
-def _lemma_report(check: str, rep: CoarrayReport, p: AulasParams, claims: dict, details: dict,
-                  first_lag: dict) -> LemmaReport:
-    """The report of a lemma check.  ``first_lag`` maps a claim to a callable
-    giving the first lag where brute force and the closed form disagree; it
-    runs for failing claims only, so a passing report's details stay as they
-    are."""
-    missed = {c: first_lag[c]() for c, ok in claims.items() if not ok and c in first_lag}
-    if missed:
-        details["first_disagreement"] = missed
+def _window_miss(lags: np.ndarray, lo: int, hi: int, holes: tuple[int, ...] = (),
+                 to_end: bool = False) -> int | None:
+    """None when the sorted lag set, read over [lo, hi] (or, with ``to_end``,
+    from lo up to its largest lag), holds every lag of [lo, hi] but the
+    ``holes``; otherwise the first lag where it differs from those lags.
+    Holes lie strictly inside a window read to the end.  The expected lags
+    are built only on a miss."""
+    want = hi - lo + 1 - len(holes)
+    if to_end:
+        # a set that ends at hi holds all want lags of [lo, hi] if the
+        # want-th lag from its end is lo
+        held = int(lags[-1]) == hi and lags.size >= want and int(lags[-want]) == lo
+    else:
+        held = int(lags.searchsorted(hi, "right") - lags.searchsorted(lo)) == want
+    # a window that holds no lag holds no hole either
+    if held and not (want and holes and any(_count_in(lags, h, h) for h in holes)):
+        return None
+    end = max(int(lags[-1]), hi) if to_end else hi
+    return _first_difference(lags, lo, end, np.setdiff1d(np.arange(lo, hi + 1), holes))
+
+
+def _segment_miss(udofs: int, closed_udofs: int) -> int | None:
+    """None when two contiguous segments 2m + 1 lags wide agree, otherwise
+    the first lag where they differ."""
+    return None if udofs == closed_udofs else (min(udofs, closed_udofs) + 1) // 2
+
+
+def _earliest(first: int | None, second: int | None) -> int | None:
+    """The smaller lag of two misses, or None when neither missed."""
+    return second if first is None else first if second is None else min(first, second)
+
+
+def _lemma_report(check: str, rep: CoarrayReport, p: AulasParams, misses: dict,
+                  details: dict) -> LemmaReport:
+    """The report of a lemma check.  ``misses`` maps each claim to None when
+    it holds and otherwise to the first lag where brute force and the closed
+    form disagree (``_NO_LAG`` for a claim that names no lag); the failing
+    claims' lags go to the details, so a passing report's stay as they are."""
+    claims = {c: lag is None for c, lag in misses.items()}
+    if not all(claims.values()):
+        missed = {c: lag for c, lag in misses.items() if lag is not None and lag is not _NO_LAG}
+        if missed:
+            details["first_disagreement"] = missed
     return LemmaReport(check, rep.array_name, p.n, claims, details, rep.weights, p)
 
 
@@ -115,38 +148,26 @@ def _check_augmented(check: str, rep: CoarrayReport, p: AulasParams, shift: int)
     lo, hi = band = (n1m - half + 2 * shift, 2 * n1m + p.m - 2 + 2 * shift)
     closed_udofs = 4 * n1m + 2 * p.m - 3 + 4 * shift
     plugs = (n1m + 1, n1m + 2)
-    claims = {
-        # the lags 0..top less n1m are dc's nonnegative part: dc ends at top,
-        # holds top lags of [0, top] and not n1m
-        "dc_contiguous_single_hole": (int(dc[-1]) == top and _count_in(dc, 0, top) == top
-                                      and _count_in(dc, n1m, n1m) == 0),
-        "sc_band_contiguous": _count_in(sc, lo, hi) == hi - lo + 1,
-        "sc_max_is_twice_aperture": int(sc[-1]) == hi,
-        "sum_lag_fills_dc_hole": _count_in(sc, n1m, n1m) == 1,
+    misses = {
+        # dc's nonnegative part is the lags 0..top less n1m
+        "dc_contiguous_single_hole": _window_miss(dc, 0, top, (n1m,), to_end=True),
+        "sc_band_contiguous": _window_miss(sc, lo, hi),
+        "sc_max_is_twice_aperture": _window_miss(sc, hi, hi, to_end=True),
+        "sum_lag_fills_dc_hole": _window_miss(sc, n1m, n1m),
     }
     if shift:
         # both plugs n1m + 1, n1m + 2 are differences and neither is a sum
-        claims["dc_fills_sc_holes"] = _count_in(dc, *plugs) == 2 and _count_in(sc, *plugs) == 0
-    claims["sdc_hole_free"] = rep.hole_count == 0
-    claims["udofs_matches_closed_form"] = rep.udofs == closed_udofs
+        misses["dc_fills_sc_holes"] = _earliest(_window_miss(dc, *plugs),
+                                                _window_miss(sc, *plugs, plugs))
+    misses["sdc_hole_free"] = rep.hole_positions[0] if rep.hole_count else None
+    misses["udofs_matches_closed_form"] = _segment_miss(rep.udofs, closed_udofs)
     details = {
         "udofs_brute": rep.udofs,
         "udofs_closed": closed_udofs,
         "dc_hole": n1m,
         "sc_band": band,
     }
-    first_lag = {
-        "dc_contiguous_single_hole": lambda: _first_difference(
-            dc, 0, max(int(dc[-1]), top), np.delete(np.arange(top + 1), n1m)),
-        "sc_band_contiguous": lambda: _first_difference(sc, lo, hi, np.arange(lo, hi + 1)),
-        "sc_max_is_twice_aperture": lambda: _first_difference(sc, hi, max(int(sc[-1]), hi), [hi]),
-        "sum_lag_fills_dc_hole": lambda: n1m,
-        "dc_fills_sc_holes": lambda: next(
-            f for f in plugs if _count_in(dc, f, f) == 0 or _count_in(sc, f, f) == 1),
-        "sdc_hole_free": lambda: rep.hole_positions[0],
-        "udofs_matches_closed_form": lambda: _segment_miss(rep.udofs, closed_udofs),
-    }
-    return _lemma_report(check, rep, p, claims, details, first_lag)
+    return _lemma_report(check, rep, p, misses, details)
 
 
 def check_lemma1(n: int) -> LemmaReport:
@@ -182,13 +203,12 @@ def check_lemma3(n: int) -> LemmaReport:
     l_t1 = 2 * n1m + 2 * p.m - 4
     closed_udofs = 4 * n1m + 4 * p.m - 7
     span = 2 * n1m + 3 * p.m - 6
-    inside = [h for h in rep.hole_positions if abs(h) <= l_t1]
-    claims = {
-        "contiguous_through_l_t1": (rep.udofs - 1) // 2 == l_t1,
-        "udofs_matches_closed_form": rep.udofs == closed_udofs,
-        "holes_outside_segment": not inside,
-        "hole_count_matches": rep.hole_count == p.m - 2,
-        "span_matches": int(rep.sdc[-1]) == span,
+    misses = {
+        "contiguous_through_l_t1": _segment_miss(rep.udofs, 2 * l_t1 + 1),
+        "udofs_matches_closed_form": _segment_miss(rep.udofs, closed_udofs),
+        "holes_outside_segment": next((h for h in rep.hole_positions if abs(h) <= l_t1), None),
+        "hole_count_matches": None if rep.hole_count == p.m - 2 else _NO_LAG,
+        "span_matches": _window_miss(rep.sdc, span, span, to_end=True),
     }
     details = {
         "udofs_brute": rep.udofs,
@@ -196,14 +216,7 @@ def check_lemma3(n: int) -> LemmaReport:
         "l_t1": l_t1,
         "holes": rep.hole_positions,
     }
-    first_lag = {
-        "contiguous_through_l_t1": lambda: _segment_miss(rep.udofs, 2 * l_t1 + 1),
-        "udofs_matches_closed_form": lambda: _segment_miss(rep.udofs, closed_udofs),
-        "holes_outside_segment": lambda: inside[0],
-        "span_matches": lambda: _first_difference(
-            rep.sdc, span, max(int(rep.sdc[-1]), span), [span]),
-    }
-    return _lemma_report("lemma3", rep, p, claims, details, first_lag)
+    return _lemma_report("lemma3", rep, p, misses, details)
 
 
 def check_lemma4(n: int) -> LemmaReport:
@@ -215,19 +228,13 @@ def check_lemma4(n: int) -> LemmaReport:
 
     closed_udofs = 4 * n1m + 6 * p.m - 7
     span = 2 * n1m + 3 * p.m - 4
-    claims = {
-        "sdc_hole_free": rep.hole_count == 0,
-        "udofs_matches_closed_form": rep.udofs == closed_udofs,
-        "span_matches": int(rep.sdc[-1]) == span and rep.udofs == 2 * span + 1,
+    misses = {
+        "sdc_hole_free": rep.hole_positions[0] if rep.hole_count else None,
+        "udofs_matches_closed_form": _segment_miss(rep.udofs, closed_udofs),
+        "span_matches": _window_miss(rep.sdc, 0, span, to_end=True),
     }
     details = {"udofs_brute": rep.udofs, "udofs_closed": closed_udofs, "span": span}
-    first_lag = {
-        "sdc_hole_free": lambda: rep.hole_positions[0],
-        "udofs_matches_closed_form": lambda: _segment_miss(rep.udofs, closed_udofs),
-        "span_matches": lambda: _first_difference(
-            rep.sdc, 0, max(int(rep.sdc[-1]), span), np.arange(span + 1)),
-    }
-    return _lemma_report("lemma4", rep, p, claims, details, first_lag)
+    return _lemma_report("lemma4", rep, p, misses, details)
 
 
 def closed_form_weights(family: str, n: int, params: AulasParams | None = None) -> dict[int, int]:

@@ -146,6 +146,26 @@ def test_first_difference_is_the_smallest_lag_in_one_set_only(lags, expected, lo
     assert got == (min(odd) if odd else None)
 
 
+@given(st.sets(st.integers(-30, 30), min_size=1, max_size=20), st.integers(-35, 35),
+       st.integers(0, 12), st.sets(st.integers(0, 12), max_size=3), st.booleans())
+@example({3, 4, 5, 6}, 3, 3, {1}, True)     # the hole held
+@example({3, 5, 6, 7}, 3, 3, {1}, True)     # a lag past the end
+@example({0, 9}, 9, 0, set(), True)         # a single-lag window that ends the set
+@example({8, 10}, 9, 0, set(), True)        # ... and one that does not
+@example({-5, 30}, 9, 1, {0, 1}, False)     # a window of holes that holds no lag
+def test_window_miss_is_the_first_lag_in_one_set_only(lags, lo, width, offsets, to_end):
+    """The fast verdict of _window_miss against the window compared whole:
+    the lags of [lo, hi], or with to_end of [lo, max(largest lag, hi)],
+    against the lags of [lo, hi] but the holes (strictly inside [lo, hi]
+    when read to the end)."""
+    hi = lo + width
+    holes = tuple(lo + f for f in sorted(offsets) if f <= width and not (to_end and f in (0, width)))
+    end = max(max(lags), hi) if to_end else hi
+    odd = {f for f in lags if lo <= f <= end} ^ (set(range(lo, hi + 1)) - set(holes))
+    got = verify._window_miss(np.array(sorted(lags), dtype=np.int64), lo, hi, holes, to_end)
+    assert got == (min(odd) if odd else None)
+
+
 @given(st.integers(9, 64), st.booleans(),
        st.sets(st.tuples(st.sampled_from(["zero", "hole", "top"]), st.integers(-2, 2)),
                max_size=3))
