@@ -74,14 +74,18 @@ class MusicConfig:
     @classmethod
     def for_step(cls, num_sources: int, step_deg: float, **kwargs) -> "MusicConfig":
         """Config whose grid covers (-90, 90) exclusive at the given pitch,
-        which must divide 180 degrees (to a relative 1e-9)."""
-        if not step_deg > 0:
-            raise ValueError("grid step must be positive")
+        which must be finite, divide 180 degrees (to a relative 1e-9) and
+        leave at least two grid points, so at most 60 degrees."""
+        if not (step_deg > 0 and math.isfinite(step_deg)):
+            raise ValueError(f"grid step must be positive and finite, got {step_deg}")
         intervals = 180.0 / step_deg
         if not (math.isfinite(intervals)
                 and math.isclose(intervals, round(intervals), rel_tol=1e-9)):
             raise ValueError(f"grid step {step_deg} does not divide 180 degrees")
         points = int(round(intervals)) - 1
+        if points < 2:
+            raise ValueError(f"grid step {step_deg} leaves {points} grid points in (-90, 90); "
+                             "a grid needs at least 2, so a step of at most 60 degrees")
         edge = 90.0 - step_deg
         return cls(num_sources=num_sources, grid_start=-edge, grid_stop=edge,
                    grid_points=points, **kwargs)

@@ -608,6 +608,17 @@ def test_music_rejects_grid_step_that_does_not_divide_180(capsys, scenario_file,
     assert "error:" in err
 
 
+@pytest.mark.parametrize("step", ["inf", "90", "180"])
+def test_music_names_a_grid_step_that_leaves_no_grid(capsys, scenario_file, step):
+    code, _, err = run_cli(
+        capsys,
+        "music", "--family", "aulas", "--n", "9",
+        "--scenario", str(scenario_file), "--grid-step", step,
+    )
+    assert code == EXIT_USAGE
+    assert "grid step" in err and str(float(step)) in err
+
+
 def test_music_runs_each_trial_stage_once(tmp_path, capsys, scenario_file,
                                           count_calls, numpy_calls):
     counts = count_calls(

@@ -122,6 +122,13 @@ def test_for_step_rejects_nonpositive_step():
         MusicConfig.for_step(2, 0.0)
 
 
+@pytest.mark.parametrize("step", [float("inf"), 90.0, 180.0])
+def test_for_step_rejects_a_step_that_leaves_no_grid(step):
+    # 180 / inf = 0 "divides" 180, and steps past 60 leave under 2 grid points
+    with pytest.raises(ValueError, match=f"grid step.* {step}"):
+        MusicConfig.for_step(2, step)
+
+
 @pytest.mark.parametrize(("step", "points"), [(0.01, 17999), (0.05, 3599), (0.5, 359), (1.0, 179)])
 def test_for_step_accepts_pitches_that_divide_180(step, points):
     assert MusicConfig.for_step(2, step).grid_points == points

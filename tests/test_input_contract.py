@@ -312,7 +312,8 @@ FLAGS = st.sampled_from([
     (["--grid-step", "-1"], ["grid step"]),
     (["--grid-step", "0.07"], ["grid step"]),
     (["--grid-step", "nan"], ["grid step"]),
-    (["--grid-step", "inf"], ["grid_points"]),
+    (["--grid-step", "inf"], ["grid step"]),
+    (["--grid-step", "90"], ["grid step"]),
     (["--grid-step", "1e-320"], ["grid step"]),
     (["--grid-step", "1e-6"], ["grid_points"]),
     (["--seed", "-1"], ["seed"]),
