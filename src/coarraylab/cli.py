@@ -10,11 +10,12 @@ byte-identical across reruns of the same invocation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import coarray, coupling, estimation, geometry, presets, signal, verify
 
@@ -23,16 +24,21 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_text(payload) -> Iterator[str]:
+    """The indented, key-sorted JSON text of ``payload`` and a final
+    newline, piece by piece, so a large payload is never one string."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    yield "\n"
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: str | Iterable[str], output: str | None) -> None:
+    """Write a text, or the pieces of one a batch of pieces at a time, to the
+    file ``output`` or to stdout."""
+    pieces = iter((text,) if isinstance(text, str) else text)
+    with (open(output, "w", encoding="utf-8", newline="") if output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for batch in iter(lambda: list(itertools.islice(pieces, 4096)), []):
+            fh.write("".join(batch))
 
 
 def _add_output(parser: argparse.ArgumentParser, formats: bool = True) -> None:
@@ -76,7 +82,7 @@ def _resolve_array(args) -> geometry.SensorArray:
 
 def cmd_design(args) -> int:
     array = _resolve_array(args)
-    _emit(_json_dumps(array.to_dict()), args.output)
+    _emit(_json_text(array.to_dict()), args.output)
     return EXIT_OK
 
 
@@ -93,7 +99,7 @@ def cmd_analyze(args) -> int:
     if args.format == "json":
         payload = report.to_dict()
         payload["coupling_leakage"] = leakage
-        _emit(_json_dumps(payload), args.output)
+        _emit(_json_text(payload), args.output)
     else:
         header = ",".join(coarray.REPORT_COLUMNS + ("l_c",))
         row = ",".join(str(c) for c in coarray.report_row(report)) + f",{leakage:.4f}"
@@ -118,7 +124,7 @@ def cmd_sweep(args) -> int:
             {**report.figures(), "family": fam, "coupling_leakage": leakage}
             for fam, n, report, leakage in rows
         ]
-        _emit(_json_dumps(payload), args.output)
+        _emit(_json_text(payload), args.output)
     else:
         lines = ["family,n,udofs,cva,holes,se,l_c"]
         for fam, n, report, leakage in rows:
@@ -185,7 +191,7 @@ def cmd_music(args) -> int:
     if args.output:
         _emit(estimation.spectrum_to_csv(first.angles, first.spectrum),
               f"{args.output}.spectrum.csv")
-    _emit(_json_dumps(summary), args.output and f"{args.output}.estimates.json")
+    _emit(_json_text(summary), args.output and f"{args.output}.estimates.json")
     return EXIT_OK
 
 
@@ -195,7 +201,7 @@ def cmd_verify_lemmas(args) -> int:
     reports = verify.run_all(args.n_max, n_min)
     failures = [r for r in reports if not r.passed]
     if args.format == "json":
-        _emit(_json_dumps([r.to_dict() for r in reports]), args.output)
+        _emit(_json_text([r.to_dict() for r in reports]), args.output)
     else:
         lines = ["check,family,n,passed,failed_claims"]
         for r in reports:
