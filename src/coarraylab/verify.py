@@ -102,9 +102,10 @@ def _window_miss(lags: np.ndarray, lo: int, hi: int, holes: tuple[int, ...] = ()
     if to_end:
         # a set that ends at hi holds all want lags of [lo, hi] if the
         # want-th lag from its end is lo
-        held = int(lags[-1]) == hi and lags.size >= want and int(lags[-want]) == lo
+        held = lags.item(-1) == hi and lags.size >= want and lags.item(-want) == lo
     else:
-        held = int(lags.searchsorted(hi, "right") - lags.searchsorted(lo)) == want
+        below, upto = lags.searchsorted((lo, hi + 1)).tolist()
+        held = upto - below == want
     # a window that holds no lag holds no hole either
     if held and not (want and holes and any(_count_in(lags, h, h) for h in holes)):
         return None
