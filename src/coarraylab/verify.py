@@ -109,7 +109,7 @@ def _window_miss(lags: np.ndarray, lo: int, hi: int, holes: tuple[int, ...] = ()
     # a window that holds no lag holds no hole either
     if held and not (want and holes and any(_count_in(lags, h, h) for h in holes)):
         return None
-    end = max(int(lags[-1]), hi) if to_end else hi
+    end = max(lags.item(-1), hi) if to_end else hi
     return _first_difference(lags, lo, end, np.setdiff1d(np.arange(lo, hi + 1), holes))
 
 
