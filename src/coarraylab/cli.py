@@ -32,8 +32,8 @@ def _json_text(payload) -> Iterator[str]:
 
 
 def _emit(text: str | Iterable[str], output: str | None) -> None:
-    """Write a text, or the pieces of one a batch of pieces at a time, to the
-    file ``output`` or to stdout."""
+    """Write a text, or its pieces joined in batches, to the file ``output``
+    or to stdout."""
     pieces = iter((text,) if isinstance(text, str) else text)
     with (open(output, "w", encoding="utf-8", newline="") if output
           else contextlib.nullcontext(sys.stdout)) as fh:
