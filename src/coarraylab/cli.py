@@ -17,6 +17,8 @@ import json
 import sys
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import coarray, coupling, estimation, geometry, presets, signal, verify
 
 EXIT_OK = 0
@@ -24,21 +26,61 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
+#: How many values of an integer array go into one piece of JSON text, and
+#: about how many characters of text are written at a time.
+_JSON_SLICE = 1 << 14
+_BATCH_CHARS = 1 << 20
+
+
 def _json_text(payload) -> Iterator[str]:
     """The indented, key-sorted JSON text of ``payload`` and a final
-    newline, piece by piece, so a large payload is never one string."""
-    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    newline, piece by piece, so a large payload is never one string.  The
+    values of a dict payload are encoded one by one, and an integer array
+    among them is written as the list it holds, a slice at a time, without
+    making that list."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    if not isinstance(payload, dict) or not payload:
+        yield from encoder.iterencode(payload)
+    else:
+        opener = "{"
+        for key in sorted(payload):
+            yield f"{opener}\n  {json.dumps(key)}: "
+            opener = ","
+            value = payload[key]
+            array = isinstance(value, np.ndarray)
+            for piece in _array_text(value) if array else encoder.iterencode(value):
+                yield piece.replace("\n", "\n  ")
+        yield "\n}"
     yield "\n"
 
 
+def _array_text(values: np.ndarray) -> Iterator[str]:
+    """The indented JSON text of a 1-D integer array, a slice at a time."""
+    if values.size == 0:
+        yield "[]"
+        return
+    separator = ",\n  "
+    yield "[\n  "
+    for start in range(0, values.size, _JSON_SLICE):
+        lead = separator if start else ""
+        yield lead + separator.join(map(str, values[start:start + _JSON_SLICE].tolist()))
+    yield "\n]"
+
+
 def _emit(text: str | Iterable[str], output: str | None) -> None:
-    """Write a text, or its pieces joined in batches, to the file ``output``
-    or to stdout."""
-    pieces = iter((text,) if isinstance(text, str) else text)
+    """Write a text, or its pieces joined in batches of about _BATCH_CHARS
+    characters, to the file ``output`` or to stdout."""
+    pieces = (text,) if isinstance(text, str) else text
     with (open(output, "w", encoding="utf-8", newline="") if output
           else contextlib.nullcontext(sys.stdout)) as fh:
-        for batch in iter(lambda: list(itertools.islice(pieces, 4096)), []):
-            fh.write("".join(batch))
+        batch, size = [], 0
+        for piece in pieces:
+            batch.append(piece)
+            size += len(piece)
+            if size >= _BATCH_CHARS:
+                fh.write("".join(batch))
+                batch, size = [], 0
+        fh.write("".join(batch))
 
 
 def _add_output(parser: argparse.ArgumentParser, formats: bool = True) -> None:
@@ -97,8 +139,7 @@ def cmd_analyze(args) -> int:
     model = coupling.get_preset(args.coupling)
     report, leakage = _analysis_payload(array, model)
     if args.format == "json":
-        payload = report.to_dict()
-        payload["coupling_leakage"] = leakage
+        payload = {**report.figures(), **report.lag_sets(), "coupling_leakage": leakage}
         _emit(_json_text(payload), args.output)
     else:
         header = ",".join(coarray.REPORT_COLUMNS + ("l_c",))
@@ -283,7 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as err:  # pragma: no cover - defensive
+    except Exception as err:
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -11,8 +11,11 @@ bitmap index.  It is scattered into a boolean occupancy bitmap over
 [lo, hi], and the sorted lags are read off the bitmap and shifted back in
 place; the zero-centred contiguous segment and the holes are read off the
 same bitmap.  A set symmetric about 0 (the sum set, the union) is scattered
-once and mirrored.  Only arrays formed here are written to: a caller's
-positions and lags are read, never offset in place.  Values too sparse for a
+once and mirrored.  ``coarray_report`` keeps its sum and union bitmaps:
+their sorted lags (``sc``, ``sdc``) and the hole list are read off them only
+when a caller first asks, so a caller that needs counts, windows or the
+contiguous segment never lists a lag.  Only arrays formed here are written
+to: a caller's positions and lags are read, never offset in place.  Values too sparse for a
 bitmap (span above BITMAP_SLOTS_PER_VALUE slots per value, e.g. raw
 positions [0, 10**12]) are deduplicated by np.unique instead.
 Closed-form claims elsewhere in the package are checked against these
@@ -22,6 +25,7 @@ routines, never the other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -89,6 +93,11 @@ def _marked(occ: np.ndarray, lo: int) -> LagSet:
     lags = occ.nonzero()[0]
     lags += lo
     return lags
+
+
+def _centred(occ: np.ndarray) -> LagSet:
+    """The sorted lags marked in a bitmap over [-top, top], top = size // 2."""
+    return _marked(occ, -(occ.size // 2))
 
 
 def _listable_span(lo: int, hi: int) -> None:
@@ -239,19 +248,38 @@ def weight_table(a, lags: Iterable[int] | None = None) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class CoarrayReport:
-    """Snapshot of every co-array figure of merit for one array."""
+    """Snapshot of every co-array figure of merit for one array.
+
+    ``sc_bitmap`` and ``sdc_bitmap`` mark the sum set and the sum-difference
+    co-array over [-top, top], top being the largest lag of both.  The
+    sorted ``sc``, ``sdc`` and ``hole_positions`` are read off them on first
+    use and then kept; ``dc`` is ``difference_set``'s, formed eagerly."""
 
     array_name: str
     n: int
     dc: LagSet
-    sc: LagSet
-    sdc: LagSet
+    sc_bitmap: np.ndarray
+    sdc_bitmap: np.ndarray
     udofs: int
     cva: int
     hole_count: int
-    hole_positions: tuple[int, ...]
     spatial_efficiency: float
     weights: dict[int, int]
+
+    @cached_property
+    def sc(self) -> LagSet:
+        """The symmetric sum set, sorted."""
+        return _centred(self.sc_bitmap)
+
+    @cached_property
+    def sdc(self) -> LagSet:
+        """The sum-difference co-array, sorted."""
+        return _centred(self.sdc_bitmap)
+
+    @cached_property
+    def hole_positions(self) -> tuple[int, ...]:
+        """The lags of [-top, top] missing from the co-array, ascending."""
+        return tuple(_centred(~self.sdc_bitmap).tolist())
 
     def figures(self) -> dict:
         """The JSON fields of every figure of merit, without the lag sets."""
@@ -266,9 +294,12 @@ class CoarrayReport:
             "weights": {str(k): v for k, v in sorted(self.weights.items())},
         }
 
+    def lag_sets(self) -> dict[str, LagSet]:
+        """The sorted lag sets by their JSON field names."""
+        return {"dc": self.dc, "sc": self.sc, "sdc": self.sdc}
+
     def to_dict(self) -> dict:
-        lags = {"dc": self.dc.tolist(), "sc": self.sc.tolist(), "sdc": self.sdc.tolist()}
-        return {**self.figures(), **lags}
+        return {**self.figures(), **{k: v.tolist() for k, v in self.lag_sets().items()}}
 
 
 def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -> CoarrayReport:
@@ -280,33 +311,31 @@ def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -
     2 * max|m|), which is known from the positions alone, so a span over
     MAX_SPAN lags is refused before anything span-sized is allocated.  dc is
     ``difference_set``'s; the pair sums, offset by top as they are formed,
-    are scattered into one occupancy bitmap over [-top, top], mirrored for
-    sc, and the lags >= 0 of dc are marked on both sides of lag 0 through
-    views of it for the union, its contiguous segment and its holes.  That
-    is the range the hole list covers anyway, so the bitmap needs no
+    are scattered into one occupancy bitmap over [-top, top] and mirrored
+    (the sum bitmap), and dc, offset by top, is marked in a copy of it for
+    the union, whose contiguous segment and hole count are read off it.
+    That is the range the hole list covers anyway, so the bitmaps need no
     density guard."""
     p, lo, hi = _extent(array)
     top = max(hi - lo, 2 * max(hi, -lo))
     _listable_span(-top, top)
     dc = difference_set(array)
-    occ = _bitmap(2 * top + 1, (p + top)[:, None] + p)
-    occ |= occ[::-1]
-    sc = _marked(occ, -top)
-    half = _nonnegative(dc)
-    occ[top:][half] = True
-    occ[top::-1][half] = True
-    udofs, cva = _segment(occ, top)
-    hole_set = _marked(~occ, -top)
+    sums = _bitmap(2 * top + 1, (p + top)[:, None] + p)
+    # the reversed view is copied first: ORed in place it makes NumPy
+    # buffer the overlap, about half as fast
+    sums |= sums[::-1].copy()
+    union = sums.copy()
+    union[dc + top] = True
+    udofs, cva = _segment(union, top)
     return CoarrayReport(
         array_name=array.name,
         n=array.n,
         dc=dc,
-        sc=sc,
-        sdc=_marked(occ, -top),
+        sc_bitmap=sums,
+        sdc_bitmap=union,
         udofs=udofs,
         cva=cva,
-        hole_count=int(hole_set.size),
-        hole_positions=tuple(hole_set.tolist()),
+        hole_count=union.size - int(np.count_nonzero(union)),
         spatial_efficiency=_efficiency(udofs, top),
         weights=weight_table(array, weight_lags),
     )

@@ -7,7 +7,9 @@ it once by raw pair enumeration (one ``coarray_report``) and compares; the
 closed forms under test are never used to produce the reference side.
 ``run_all`` hands the w(1..3) each lemma check counted, and the AulasParams
 it built, on to the weight check of the same array, so every array is
-enumerated once and its weight check sizes nothing again.
+enumerated once and its weight check sizes nothing again.  The windows of
+the sum set and of the co-array are counted on the report's bitmaps, so a
+passing check lists neither set.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .coarray import CoarrayReport, coarray_report, weight_table
+from .coarray import CoarrayReport, _centred, coarray_report, weight_table
 from .coarray import difference_set  # noqa: F401  (benchmarks/ reads verify.difference_set)
 from .geometry import (
     FAMILIES,
@@ -113,6 +115,20 @@ def _window_miss(lags: np.ndarray, lo: int, hi: int, holes: tuple[int, ...] = ()
     return _first_difference(lags, lo, end, np.setdiff1d(np.arange(lo, hi + 1), holes))
 
 
+def _bitmap_miss(occ: np.ndarray, lo: int, hi: int, holes: tuple[int, ...] = (),
+                 to_end: bool = False) -> int | None:
+    """``_window_miss`` of the lag set marked in a bitmap over [-top, top]
+    (top = size // 2), whose window is one slice count: a window read to
+    the end holds only if it ends at top, and one outside the bitmap never
+    does.  Only a miss lists the lags, for ``_window_miss`` to name it."""
+    top = occ.size // 2
+    if (-top <= lo and hi <= top and (hi == top or not to_end)
+            and np.count_nonzero(occ[lo + top:hi + top + 1]) == hi - lo + 1 - len(holes)
+            and not (holes and any(occ[h + top] for h in holes))):
+        return None
+    return _window_miss(_centred(occ), lo, hi, holes, to_end)
+
+
 def _segment_miss(udofs: int, closed_udofs: int) -> int | None:
     """None when two contiguous segments 2m + 1 lags wide agree, otherwise
     the first lag where they differ."""
@@ -143,7 +159,7 @@ def _check_augmented(check: str, rep: CoarrayReport, p: AulasParams, shift: int)
     slid up by ``shift``.  The difference set does not move; the sum set and
     its band move up by 2*shift."""
     n1m, half = p.n1 * p.m, p.m // 2
-    dc, sc = rep.dc, rep.sc
+    dc, sc = rep.dc, rep.sc_bitmap
 
     top = n1m + half - 1
     lo, hi = band = (n1m - half + 2 * shift, 2 * n1m + p.m - 2 + 2 * shift)
@@ -152,14 +168,14 @@ def _check_augmented(check: str, rep: CoarrayReport, p: AulasParams, shift: int)
     misses = {
         # dc's nonnegative part is the lags 0..top less n1m
         "dc_contiguous_single_hole": _window_miss(dc, 0, top, (n1m,), to_end=True),
-        "sc_band_contiguous": _window_miss(sc, lo, hi),
-        "sc_max_is_twice_aperture": _window_miss(sc, hi, hi, to_end=True),
-        "sum_lag_fills_dc_hole": _window_miss(sc, n1m, n1m),
+        "sc_band_contiguous": _bitmap_miss(sc, lo, hi),
+        "sc_max_is_twice_aperture": _bitmap_miss(sc, hi, hi, to_end=True),
+        "sum_lag_fills_dc_hole": _bitmap_miss(sc, n1m, n1m),
     }
     if shift:
         # both plugs n1m + 1, n1m + 2 are differences and neither is a sum
         misses["dc_fills_sc_holes"] = _earliest(_window_miss(dc, *plugs),
-                                                _window_miss(sc, *plugs, plugs))
+                                                _bitmap_miss(sc, *plugs, plugs))
     misses["sdc_hole_free"] = rep.hole_positions[0] if rep.hole_count else None
     misses["udofs_matches_closed_form"] = _segment_miss(rep.udofs, closed_udofs)
     details = {
@@ -209,7 +225,7 @@ def check_lemma3(n: int) -> LemmaReport:
         "udofs_matches_closed_form": _segment_miss(rep.udofs, closed_udofs),
         "holes_outside_segment": next((h for h in rep.hole_positions if abs(h) <= l_t1), None),
         "hole_count_matches": None if rep.hole_count == p.m - 2 else _NO_LAG,
-        "span_matches": _window_miss(rep.sdc, span, span, to_end=True),
+        "span_matches": _bitmap_miss(rep.sdc_bitmap, span, span, to_end=True),
     }
     details = {
         "udofs_brute": rep.udofs,
@@ -232,7 +248,7 @@ def check_lemma4(n: int) -> LemmaReport:
     misses = {
         "sdc_hole_free": rep.hole_positions[0] if rep.hole_count else None,
         "udofs_matches_closed_form": _segment_miss(rep.udofs, closed_udofs),
-        "span_matches": _window_miss(rep.sdc, 0, span, to_end=True),
+        "span_matches": _bitmap_miss(rep.sdc_bitmap, 0, span, to_end=True),
     }
     details = {"udofs_brute": rep.udofs, "udofs_closed": closed_udofs, "span": span}
     return _lemma_report("lemma4", rep, p, misses, details)

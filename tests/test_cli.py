@@ -167,6 +167,21 @@ def test_analyze_json_payload(capsys):
     assert payload["coupling_leakage"] == pytest.approx(0.1893462929, abs=1e-9)
 
 
+@pytest.mark.parametrize("payload", [
+    {"b": np.arange(-3, 4), "a": {"y": [1, 2], "x": 0.5}, "c": np.array([], dtype=np.int64),
+     "d": [], "e": {}, "f": "text\nline"},
+    {"lags": np.arange(-(cli._JSON_SLICE + 2), cli._JSON_SLICE + 3)},
+    {},
+    [{"a": 1}, []],
+])
+def test_json_text_writes_arrays_as_the_lists_they_hold(payload):
+    """A dict payload's integer arrays are written a slice at a time, and the
+    text is what the encoder makes of the same payload with lists."""
+    listed = ({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+              if isinstance(payload, dict) else payload)
+    assert "".join(cli._json_text(payload)) == json.dumps(listed, indent=2, sort_keys=True) + "\n"
+
+
 def test_analyze_external_positions_file(tmp_path, capsys):
     path = tmp_path / "oca.json"
     geometry.save_descriptor(
@@ -257,8 +272,9 @@ def test_sweep_starts_each_family_at_its_smallest_size(capsys):
 
 
 def test_sweep_drops_each_report_once_its_row_is_built(monkeypatch, capsys):
-    """A report holds the array's lag sets (about 25 MB at N = 1024), so the
-    sweep keeps at most the one before the report it is building."""
+    """A report holds the array's difference set and two bitmaps (about
+    6 MB at N = 1024), so the sweep keeps at most the one before the report
+    it is building."""
     made = []
     analyse = cli._analysis_payload
 
@@ -826,3 +842,13 @@ def test_verify_lemmas_reports_failures_with_runtime_exit(monkeypatch, capsys):
     assert code == EXIT_RUNTIME
     assert "false" in out
     assert "claim" in out
+
+
+def test_an_unexpected_error_exits_1_as_an_internal_error(monkeypatch, capsys):
+    """An exception that no input explains is reported, not raised."""
+    def broken(args):
+        raise RuntimeError("the handler broke")
+
+    monkeypatch.setattr(cli, "cmd_design", broken)
+    code, out, err = run_cli(capsys, "design", "--family", "ula", "--n", "4")
+    assert (code, out, err) == (EXIT_RUNTIME, "", "internal error: the handler broke\n")

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from coarraylab import coarray, coupling, geometry, verify
@@ -115,13 +115,24 @@ def test_checker_reads_the_direct_enumerations(case):
     report = verify._CHECKERS[check](n)
     array = geometry.design(verify.LEMMA_FAMILIES[check], n)
     rep = coarray.coarray_report(array)
-    sdc = coarray.sum_difference_coarray(array)
+    sc, sdc = coarray.sum_set(array), coarray.sum_difference_coarray(array)
     udofs, cva = coarray.contiguous_stats(sdc)
+    hole_list = coarray.holes(sdc)
     np.testing.assert_array_equal(rep.dc, coarray.difference_set(array))
-    np.testing.assert_array_equal(rep.sc, coarray.sum_set(array))
+    # both bitmaps span [-top, top], top the largest lag of either set
+    top = rep.sdc_bitmap.size // 2
+    assert rep.sc_bitmap.size == rep.sdc_bitmap.size and top == sc[-1] == sdc[-1]
+    np.testing.assert_array_equal(np.flatnonzero(rep.sc_bitmap) - top, sc)
+    np.testing.assert_array_equal(np.flatnonzero(rep.sdc_bitmap) - top, sdc)
+    assert rep.hole_count == hole_list.size
+    # the lazy fields are read off the bitmaps on first use, then kept
+    assert not {"sc", "sdc", "hole_positions"} & set(vars(rep))
+    np.testing.assert_array_equal(rep.sc, sc)
     np.testing.assert_array_equal(rep.sdc, sdc)
+    assert rep.sc.dtype == rep.sdc.dtype == np.int64
+    assert rep.sc is rep.sc and rep.sdc is rep.sdc
     assert (rep.udofs, rep.cva) == (udofs, cva)
-    assert rep.hole_positions == tuple(coarray.holes(sdc).tolist())
+    assert rep.hole_positions == tuple(hole_list.tolist())
     assert rep.spatial_efficiency == coarray.spatial_efficiency(sdc)
     assert report.details["udofs_brute"] == udofs
     if check == "lemma3":
@@ -164,6 +175,34 @@ def test_window_miss_is_the_first_lag_in_one_set_only(lags, lo, width, offsets, 
     odd = {f for f in lags if lo <= f <= end} ^ (set(range(lo, hi + 1)) - set(holes))
     got = verify._window_miss(np.array(sorted(lags), dtype=np.int64), lo, hi, holes, to_end)
     assert got == (min(odd) if odd else None)
+
+
+@given(st.integers(-30, 30), st.integers(0, 12), st.sets(st.integers(0, 12), max_size=3),
+       st.booleans(), st.booleans(), st.sets(st.integers(-30, 42), max_size=6),
+       st.integers(0, 3))
+@example(3, 3, {1}, True, True, set(), 0)        # read to the top, the hole held
+@example(0, 4, {2}, False, True, {2, 3}, 0)      # the count matches, but a hole is a lag
+@example(0, 4, set(), True, True, {6}, 0)        # a lag past the end of the window
+@example(2, 2, set(), True, True, set(), 2)      # ends below the top slot, which is empty
+@example(25, 12, set(), False, False, {0}, 1)    # a window above the bitmap
+@example(-30, 0, set(), False, True, set(), 0)   # the bitmap's lowest slot
+def test_bitmap_miss_is_window_miss_on_the_sorted_lags(lo, width, offsets, to_end, filled,
+                                                     toggles, margin):
+    """The bitmap window reader returns what _window_miss returns on the
+    sorted lags, for a lag set marked in a bitmap over [-top, top] (top at
+    least its largest |lag|), windows inside and outside that span, with
+    holes and read to the end.  The set starts as the window's expected
+    lags or as nothing, with a few lags toggled."""
+    hi = lo + width
+    holes = tuple(lo + f for f in sorted(offsets) if f <= width and not (to_end and f in (0, width)))
+    lags = (set(range(lo, hi + 1)) - set(holes) if filled else set()) ^ toggles
+    assume(lags)
+    values = np.array(sorted(lags), dtype=np.int64)
+    top = int(np.abs(values).max()) + margin
+    occ = np.zeros(2 * top + 1, dtype=bool)
+    occ[values + top] = True
+    got = verify._bitmap_miss(occ, lo, hi, holes, to_end)
+    assert got == verify._window_miss(values, lo, hi, holes, to_end)
 
 
 @given(st.integers(9, 64), st.booleans(),
@@ -259,16 +298,25 @@ def test_a_wrong_lemma3_span_names_its_end(monkeypatch, change, lag):
     assert report.details["first_disagreement"]["span_matches"] == lag
 
 
-def test_run_all_enumerates_each_lemma_array_once(count_calls, monkeypatch):
-    counts = count_calls(["geometry.design", "coarray.difference_set", "coarray.sum_set",
-                          "coarray.sum_difference_coarray", "coarray.weight_table"])
-    enumerated = []
+@pytest.fixture
+def made_reports(monkeypatch):
+    """Every CoarrayReport that coarray_report makes while the test runs, in
+    order, whether verify or the CLI asks for it."""
+    made = []
     report = coarray.coarray_report
 
     def recording(array, *args, **kwargs):
-        enumerated.append((array.name, array.n))
-        return report(array, *args, **kwargs)
+        made.append(report(array, *args, **kwargs))
+        return made[-1]
 
+    monkeypatch.setattr(coarray, "coarray_report", recording)
+    monkeypatch.setattr(verify, "coarray_report", recording)
+    return made
+
+
+def test_run_all_enumerates_each_lemma_array_once(count_calls, monkeypatch, made_reports):
+    counts = count_calls(["geometry.design", "coarray.difference_set", "coarray.sum_set",
+                          "coarray.sum_difference_coarray", "coarray.weight_table"])
     sized = []
     for_family = geometry.AulasParams.for_family
 
@@ -276,8 +324,6 @@ def test_run_all_enumerates_each_lemma_array_once(count_calls, monkeypatch):
         sized.append((geometry.FAMILIES[family].display_name, n))
         return for_family(family, n)
 
-    monkeypatch.setattr(coarray, "coarray_report", recording)
-    monkeypatch.setattr(verify, "coarray_report", recording)
     monkeypatch.setattr(geometry.AulasParams, "for_family", staticmethod(sizing))
     reports = run_all(16)
     lemmas = [(r.family, r.n) for r in reports if r.check.startswith("lemma")]
@@ -285,7 +331,7 @@ def test_run_all_enumerates_each_lemma_array_once(count_calls, monkeypatch):
     # one report per (family, n), and the weight checks read its counts;
     # each array is sized once, by its lemma check, which builds it from
     # those AulasParams
-    assert enumerated == lemmas
+    assert [(rep.array_name, rep.n) for rep in made_reports] == lemmas
     assert sized == lemmas
     assert sorted((r.family, r.n) for r in reports if r.check == "weights") == sorted(lemmas)
     # each report takes dc from difference_set and counts w(1..3) once; the
@@ -293,6 +339,21 @@ def test_run_all_enumerates_each_lemma_array_once(count_calls, monkeypatch):
     # geometry.design), and sum_set and sum_difference_coarray never run
     assert counts == dict.fromkeys(("coarray.difference_set", "coarray.weight_table"),
                                    len(lemmas))
+
+
+def test_a_passing_run_and_a_csv_sweep_list_no_lag_set(made_reports, tmp_path):
+    """A passing run_all and a CSV sweep read counts, windows and segments
+    off each report's bitmaps: no report lists its sum set or co-array, and
+    only lemma3's reports (TSAULAs) list their holes."""
+    assert all(r.passed for r in run_all(16))
+    checked = len(made_reports)
+    assert main(["sweep", "--families", ",".join(geometry.GENERATED_FAMILIES), "--n-min", "1",
+                 "--n-max", "16", "--output", str(tmp_path / "sweep.csv")]) == EXIT_OK
+    assert checked < len(made_reports)
+    for i, rep in enumerate(made_reports):
+        listed = {"sc", "sdc", "hole_positions"} & set(vars(rep))
+        assert listed == ({"hole_positions"} if i < checked and rep.array_name == "TSAULAs"
+                          else set()), (rep.array_name, rep.n)
 
 
 def test_the_lemma_families_are_the_families_in_order():
