@@ -16,7 +16,6 @@ from .coarray import (
     spatial_efficiency,
     sum_difference_coarray,
     sum_set,
-    weight_function,
     weight_table,
 )
 from .coupling import (
@@ -54,12 +53,10 @@ from .signal import (
     LagPlan,
     Scenario,
     VirtualObservation,
-    exact_extended_covariance,
     extended_covariance,
     lag_plan,
     simulate_snapshots,
     steering_matrix,
-    steering_vector,
     virtual_observation,
 )
 from .verify import (
@@ -107,7 +104,6 @@ __all__ = [
     "design_ula",
     "difference_set",
     "estimate_doas",
-    "exact_extended_covariance",
     "extended_covariance",
     "from_positions",
     "holes",
@@ -123,10 +119,8 @@ __all__ = [
     "simulate_snapshots",
     "spatial_efficiency",
     "steering_matrix",
-    "steering_vector",
     "sum_difference_coarray",
     "sum_set",
     "virtual_observation",
-    "weight_function",
     "weight_table",
 ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -157,7 +157,9 @@ def sum_set(a, b=None) -> LagSet:
         half = np.unique(np.abs(sums, out=sums))
         return np.concatenate((-half[::-1], half[int(half[0] == 0):]))
     occ = _bitmap(2 * top + 1, (pa + top)[:, None] + pb)
-    occ |= occ[::-1]
+    # the reversed view is copied first: ORed in place it makes NumPy
+    # buffer the overlap, about half as fast
+    occ |= occ[::-1].copy()
     return _marked(occ, -top)
 
 
@@ -215,19 +217,10 @@ def _efficiency(udofs: int, top: int) -> float:
     return 1.0 if top == 0 else ((udofs - 1) // 2) / top
 
 
-def weight_function(a, f: int) -> int:
-    """Number of sensor pairs (m1, m2) with m1 - m2 = f.
-
-    Counting ordered pairs at signed lag f equals counting unordered pairs at
-    |f|, so this single definition serves both conventions (w(f) = w(-f), and
-    w(0) = N).
-    """
-    (count,) = weight_table(a, (f,)).values()
-    return count
-
-
 def weight_table(a, lags: Iterable[int] | None = None) -> dict[int, int]:
-    """w(f) for each requested lag (default: every lag in the difference set).
+    """w(f), the number of ordered sensor pairs (m1, m2) with m1 - m2 = f,
+    for each requested lag (default: every lag in the difference set).
+    w(f) = w(-f), and w(0) = N.
 
     The full table counts the N^2 differences with np.unique.  Requested lags
     are counted without enumerating them: w(f) sums, over each position m_u,
@@ -302,10 +295,15 @@ class CoarrayReport:
         return {**self.figures(), **{k: v.tolist() for k, v in self.lag_sets().items()}}
 
 
-def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -> CoarrayReport:
+#: The small lags whose weights a report counts.
+WEIGHT_LAGS = (1, 2, 3)
+
+
+def coarray_report(array: SensorArray) -> CoarrayReport:
     """Compute difference / sum / sum-difference sets and the derived merit
-    figures (uDOFs, CVA, holes, spatial efficiency, small-lag weights) in one
-    pass that forms each pair difference and each pair sum once.
+    figures (uDOFs, CVA, holes, spatial efficiency, the weights at
+    WEIGHT_LAGS) in one pass that forms each pair difference and each pair
+    sum once.
 
     Both sets are symmetric about 0 and reach at most top = max(aperture,
     2 * max|m|), which is known from the positions alone, so a span over
@@ -321,9 +319,7 @@ def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -
     _listable_span(-top, top)
     dc = difference_set(array)
     sums = _bitmap(2 * top + 1, (p + top)[:, None] + p)
-    # the reversed view is copied first: ORed in place it makes NumPy
-    # buffer the overlap, about half as fast
-    sums |= sums[::-1].copy()
+    sums |= sums[::-1].copy()  # as in sum_set
     union = sums.copy()
     union[dc + top] = True
     udofs, cva = _segment(union, top)
@@ -337,16 +333,15 @@ def coarray_report(array: SensorArray, weight_lags: Sequence[int] = (1, 2, 3)) -
         cva=cva,
         hole_count=union.size - int(np.count_nonzero(union)),
         spatial_efficiency=_efficiency(udofs, top),
-        weights=weight_table(array, weight_lags),
+        weights=weight_table(array, WEIGHT_LAGS),
     )
 
 
-REPORT_COLUMNS = ("array", "N", "udofs", "cva", "holes", "se", "w1", "w2", "w3")
+REPORT_COLUMNS = ("array", "N", "udofs", "cva", "holes", "se", *(f"w{f}" for f in WEIGHT_LAGS))
 
 
 def report_row(report: CoarrayReport) -> list:
     """One CSV row of Table-style metrics; se is a percentage with 2 decimals."""
-    w = report.weights
     return [
         report.array_name,
         report.n,
@@ -354,7 +349,5 @@ def report_row(report: CoarrayReport) -> list:
         report.cva,
         report.hole_count,
         f"{100.0 * report.spatial_efficiency:.2f}",
-        w.get(1, 0),
-        w.get(2, 0),
-        w.get(3, 0),
+        *(report.weights[f] for f in WEIGHT_LAGS),
     ]

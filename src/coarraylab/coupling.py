@@ -55,10 +55,6 @@ class CouplingModel:
         phase = self.c1_phase - (q - 1) * self.phase_decrement
         return self.c1_magnitude * complex(math.cos(phase), math.sin(phase)) / q
 
-    def coefficients(self, max_q: int) -> np.ndarray:
-        """Vector [c_0, c_1, ..., c_max_q]."""
-        return np.array([self.coefficient(q) for q in range(max_q + 1)])
-
     def to_dict(self) -> dict:
         return {
             "c1_magnitude": self.c1_magnitude,
@@ -114,5 +110,6 @@ def coupling_leakage(c: np.ndarray) -> float:
     total = np.linalg.norm(c, "fro")
     if total == 0:
         raise ValueError("coupling matrix is identically zero")
-    off = c - np.diag(np.diag(c))
+    off = c.copy()
+    np.fill_diagonal(off, 0)
     return float(np.linalg.norm(off, "fro") / total)

@@ -285,7 +285,7 @@ def _real_form(u: np.ndarray, length: int) -> np.ndarray:
     K + L is even, so K and L have the same parity.  With a = Re u,
     b = Im u, rows p over the halves ceil(K / 2), floor(K / 2) of K and
     columns r over those of L, each block is a Toeplitz part plus or minus
-    a Hankel part gathered from the samples: Y = [[P, C], [D, N]] with
+    a Hankel part read from the samples: Y = [[P, C], [D, N]] with
     P[p, r] = s_p s_r (a_{L-1+p-r} + a_{p+r}),
     C[p, r] = s_p (b_{p+r} - b_{L-1+p-r}),
     D[p, r] = s_r (b_{p+r} + b_{L-1+p-r}) and
@@ -295,23 +295,26 @@ def _real_form(u: np.ndarray, length: int) -> np.ndarray:
     Y is the real form Q^H T Q of the Hermitian Toeplitz
     T[i, k] = u_{m+i-k}, since W = T Pi and Pi Q = Q J.  Samples stacked on
     leading axes give their Y stacked the same way.
+
+    Both parts are views of the windows V[i, r] = u_{i+r} of width
+    ceil(L / 2): the Hankel part is V[p, r], and the Toeplitz part, with
+    L - 1 + p - r = (floor(L / 2) + p) + (ceil(L / 2) - 1 - r), is V read
+    from row floor(L / 2) on with its columns reversed.
     """
     windows = u.shape[-1] + 1 - length
     half, odd = divmod(length, 2)
     bottom = windows // 2
     top = bottom + odd
-    rows = np.arange(top)[:, None]
-    cols = np.arange(half + odd)
-    toeplitz = rows - cols + (length - 1)
-    hankel = rows + cols
-    a, b = u.real, u.imag
+    view = np.lib.stride_tricks.sliding_window_view
+    a, b = view(u.real, half + odd, axis=-1), view(u.imag, half + odd, axis=-1)
+    a_h, b_h = a[..., :top, :], b[..., :top, :]
+    a_t, b_t = a[..., half : half + top, ::-1], b[..., half : half + top, ::-1]
     real = np.empty((*u.shape[:-1], windows, length))
     left, right = slice(None, half + odd), slice(half + odd, None)
-    np.add(a[..., toeplitz], a[..., hankel], out=real[..., :top, left])
-    np.subtract(b[..., hankel[:, :half]], b[..., toeplitz[:, :half]], out=real[..., :top, right])
-    np.add(b[..., hankel[:bottom]], b[..., toeplitz[:bottom]], out=real[..., top:, left])
-    np.subtract(a[..., toeplitz[:bottom, :half]], a[..., hankel[:bottom, :half]],
-                out=real[..., top:, right])
+    np.add(a_t, a_h, out=real[..., :top, left])
+    np.subtract(b_h[..., :half], b_t[..., :half], out=real[..., :top, right])
+    np.add(b_h[..., :bottom, :], b_t[..., :bottom, :], out=real[..., top:, left])
+    np.subtract(a_t[..., :bottom, :half], a_h[..., :bottom, :half], out=real[..., top:, right])
     if odd:
         real[..., top - 1, :] /= math.sqrt(2)
         real[..., half] /= math.sqrt(2)

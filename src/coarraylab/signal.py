@@ -163,12 +163,9 @@ def load_scenario(path) -> tuple[Scenario, CouplingModel | None]:
     return scenario, None if coupling is None else CouplingModel.from_dict(coupling)
 
 
-def steering_vector(array: SensorArray, theta_deg: float) -> np.ndarray:
-    """a(theta) with a_u = exp(-j*pi*m_u*sin(theta)) at half-wavelength pitch."""
-    return steering_matrix(array, [theta_deg])[:, 0]
-
-
 def steering_matrix(array: SensorArray, angles_deg: Sequence[float]) -> np.ndarray:
+    """The N x Z matrix of steering vectors a(theta), one column per angle,
+    with a_u = exp(-j*pi*m_u*sin(theta)) at half-wavelength pitch."""
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
     if not np.all(np.abs(angles) < 90.0):
         raise ValueError("source angles must lie strictly inside (-90, 90)")
@@ -300,16 +297,6 @@ class ExtendedCovariance:
     def n(self) -> int:
         return self.r_s.shape[-1]
 
-    @property
-    def r_so(self) -> np.ndarray:
-        """2N x 2N block matrix [[R_s, R_hat], [R_hat*, R_s*]]."""
-        return np.block(
-            [
-                [self.r_s, self.r_hat],
-                [np.conj(self.r_hat), np.conj(self.r_s)],
-            ]
-        )
-
 
 def planes_gram(planes: np.ndarray) -> np.ndarray:
     """The real Gram matrix G = P P^T / T (2N x 2N) of the real planes
@@ -377,26 +364,6 @@ def extended_covariance(x: np.ndarray) -> ExtendedCovariance:
     planes[:n] = x.real
     planes[n:] = x.imag
     return gram_covariance(planes_gram(planes))
-
-
-def exact_extended_covariance(
-    array: SensorArray,
-    scenario: Scenario,
-    coupling: CouplingModel | None = None,
-) -> ExtendedCovariance:
-    """Ensemble (infinite-snapshot) covariance blocks for a scenario.
-
-    R_s = A diag(p) A^H + p_n I and R_hat = A diag(p e^{j 2 phi}) A^T with
-    A the (possibly coupled) steering matrix.  Useful when a test needs the
-    model identities to hold to machine precision rather than within
-    sampling error.
-    """
-    a = source_steering(array, scenario, coupling)
-    p = np.asarray(scenario.powers)
-    phi = np.asarray(scenario.nc_phases)
-    r_s = (a * p) @ a.conj().T + scenario.noise_power * np.eye(array.n)
-    r_hat = (a * (p * np.exp(2j * phi))) @ a.T
-    return ExtendedCovariance(r_s=r_s, r_hat=r_hat)
 
 
 @dataclass(frozen=True)

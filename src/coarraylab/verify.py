@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .coarray import CoarrayReport, _centred, coarray_report, weight_table
+from .coarray import WEIGHT_LAGS, CoarrayReport, _centred, coarray_report, weight_table
 from .coarray import difference_set  # noqa: F401  (benchmarks/ reads verify.difference_set)
 from .geometry import (
     FAMILIES,
@@ -255,27 +255,30 @@ def check_lemma4(n: int) -> LemmaReport:
 
 
 def closed_form_weights(family: str, n: int, params: AulasParams | None = None) -> dict[int, int]:
-    """Predicted pair counts at lags 1..3 for each generated family;
-    ``params``, when given, are the family's AulasParams at n."""
+    """Predicted pair counts w(1), w(2), w(3) at the WEIGHT_LAGS (1, 2, 3)
+    for each generated family; ``params``, when given, are the family's
+    AulasParams at n."""
     family = family.lower()
     m = (params or AulasParams.for_family(family, n)).m
     if family in ("aulas", "saulas"):
-        return {1: m - 3, 2: m - 4, 3: (m - 5 if m > 6 else m // 2)}
-    if family == "tsaulas":
-        return {1: 0, 2: m - 3, 3: 1}
-    return {1: 1, 2: m - 3, 3: 2}
+        counts = (m - 3, m - 4, m - 5 if m > 6 else m // 2)
+    elif family == "tsaulas":
+        counts = (0, m - 3, 1)
+    else:
+        counts = (1, m - 3, 2)
+    return dict(zip(WEIGHT_LAGS, counts))
 
 
 def check_weights(family: str, n: int, counted: Mapping[int, int] | None = None,
                   params: AulasParams | None = None) -> LemmaReport:
     """Compare closed-form w(1..3) against direct pair counting.  ``counted``
-    and ``params`` take the w(1..3) that a check which enumerated the same
+    and ``params`` take the weights that a check which enumerated the same
     array counted and the AulasParams it built; without them the array is
     designed and counted here."""
     predicted = closed_form_weights(family, n, params)
     if counted is None:
-        counted = weight_table(design(family, n), (1, 2, 3))
-    claims = {f"w{f}_matches": counted[f] == predicted[f] for f in (1, 2, 3)}
+        counted = weight_table(design(family, n), WEIGHT_LAGS)
+    claims = {f"w{f}_matches": counted[f] == predicted[f] for f in WEIGHT_LAGS}
     details = {"counted": dict(counted), "closed_form": predicted}
     return LemmaReport("weights", FAMILIES[family.lower()].display_name, n, claims, details)
 

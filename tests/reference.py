@@ -12,10 +12,14 @@ takes:
 - the null spectrum ||E_n^H a(theta)||^2 from an L x G steering matrix.
 
 ``trial_spectrum`` runs them in order for one trial, and each stage also
-serves alone as the oracle of the fast stage it mirrors.
+serves alone as the oracle of the fast stage it mirrors.  Beside them sit
+the ensemble covariance a trial's sample covariance tends to, and the real
+form of the smoothed covariance gathered by index matrices.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,13 +34,32 @@ def covariances(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x @ x.conj().T / t, x @ x.T / t
 
 
+def exact_extended_covariance(array, scenario, coupling=None) -> ExtendedCovariance:
+    """Ensemble (infinite-snapshot) covariance blocks for a scenario:
+    R_s = A diag(p) A^H + p_n I and R_hat = A diag(p e^{j 2 phi}) A^T with
+    A the (possibly coupled) steering matrix, for a test that needs the
+    model identities to hold to machine precision rather than within
+    sampling error."""
+    a = signal.source_steering(array, scenario, coupling)
+    p = np.asarray(scenario.powers)
+    phi = np.asarray(scenario.nc_phases)
+    r_s = (a * p) @ a.conj().T + scenario.noise_power * np.eye(array.n)
+    r_hat = (a * (p * np.exp(2j * phi))) @ a.T
+    return ExtendedCovariance(r_s=r_s, r_hat=r_hat)
+
+
+def r_so(ec: ExtendedCovariance) -> np.ndarray:
+    """The 2N x 2N extended covariance [[R_s, R_hat], [R_hat*, R_s*]]."""
+    return np.block([[ec.r_s, ec.r_hat], [np.conj(ec.r_hat), np.conj(ec.r_s)]])
+
+
 def averaged_r_so(ec: ExtendedCovariance, array) -> tuple[np.ndarray, np.ndarray]:
     """Every distinct lag of r_so averaged with np.unique and np.add.at, cut
     to the contiguous segment [-m, m] of the sum-difference co-array: the
     segment's lags and the mean at each."""
     lags, inverse = np.unique(signal.extended_lag_matrix(array).ravel(), return_inverse=True)
     sums = np.zeros(lags.size, dtype=complex)
-    np.add.at(sums, inverse, ec.r_so.ravel())
+    np.add.at(sums, inverse, r_so(ec).ravel())
     means = sums / np.bincount(inverse, minlength=lags.size)
     udofs, _ = coarray.contiguous_stats(lags)
     half = (udofs - 1) // 2
@@ -51,6 +74,31 @@ def window_product(v: VirtualObservation, length: int) -> np.ndarray:
     u = np.asarray(v.values, dtype=np.clongdouble)
     windows = np.lib.stride_tricks.sliding_window_view(u, length)
     return windows.T @ windows.conj() / windows.shape[0]
+
+
+def real_form(u: np.ndarray, length: int) -> np.ndarray:
+    """``estimation._real_form`` with its Toeplitz and Hankel parts gathered
+    by the index matrices L - 1 + p - r and p + r."""
+    windows = u.shape[-1] + 1 - length
+    half, odd = divmod(length, 2)
+    bottom = windows // 2
+    top = bottom + odd
+    rows = np.arange(top)[:, None]
+    cols = np.arange(half + odd)
+    toeplitz = rows - cols + (length - 1)
+    hankel = rows + cols
+    a, b = u.real, u.imag
+    real = np.empty((*u.shape[:-1], windows, length))
+    left, right = slice(None, half + odd), slice(half + odd, None)
+    np.add(a[..., toeplitz], a[..., hankel], out=real[..., :top, left])
+    np.subtract(b[..., hankel[:, :half]], b[..., toeplitz[:, :half]], out=real[..., :top, right])
+    np.add(b[..., hankel[:bottom]], b[..., toeplitz[:bottom]], out=real[..., top:, left])
+    np.subtract(a[..., toeplitz[:bottom, :half]], a[..., hankel[:bottom, :half]],
+                out=real[..., top:, right])
+    if odd:
+        real[..., top - 1, :] /= math.sqrt(2)
+        real[..., half] /= math.sqrt(2)
+    return real
 
 
 def spatial_smoothing(v: VirtualObservation, subarray_len: int | None = None) -> np.ndarray:

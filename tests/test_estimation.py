@@ -38,7 +38,6 @@ from coarraylab.signal import (
     ExtendedCovariance,
     Scenario,
     VirtualObservation,
-    exact_extended_covariance,
     extended_covariance,
     gram_covariance,
     lag_plan,
@@ -405,7 +404,7 @@ def test_spectrum_peaks_at_on_grid_sources_exactly():
     cfg = MusicConfig.for_step(3, 0.05)
     truth = (-20.15, 0.0, 33.3)  # all multiples of the 0.05-degree pitch
     sc = Scenario(angles_deg=truth, snapshots=10, snr_db=None)
-    vo = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
+    vo = virtual_observation(reference.exact_extended_covariance(arr, sc), lag_plan(arr))
     angles, spec = music_spectrum(SmoothedCovariance(vo), cfg)
     estimates, under = pick_peaks(angles, spec, 3)
     assert not under
@@ -962,7 +961,7 @@ def _toeplitz(v):
 
 @pytest.mark.parametrize("length", range(2, 14))
 def test_toeplitz_real_form_is_the_unitary_transform_of_t(length):
-    """At the default length K = L the gathered real form is Q^H T Q with
+    """At the default length K = L the real form is Q^H T Q with
     Q = Q I from ``_from_real_basis``, for even and odd L."""
     v = _conjugate_symmetric_observation(length - 1, length)
     q = estimation._from_real_basis(np.eye(length))
@@ -981,7 +980,7 @@ def test_toeplitz_real_form_is_the_unitary_transform_of_t(length):
      (30, 2), (30, 31), (30, 61), (94, 87), (94, 90), (94, 95), (95, 32), (110, 7)],
 )
 def test_real_form_is_the_unitary_transform_of_the_window_matrix(m, length):
-    """The gathered K x L real form against Q_K^H W Q_L J for the window
+    """The K x L real form against Q_K^H W Q_L J for the window
     matrix W[i, k] = u_{i+k}, from two windows of length 2 to one window
     of length 2m + 1, and Y^T Y / K against Q_L^H R_ss Q_L."""
     v = _conjugate_symmetric_observation(m, 1000 * m + length)
@@ -1000,6 +999,21 @@ def test_real_form_is_the_unitary_transform_of_the_window_matrix(m, length):
     r = q_l.conj().T @ reference.spatial_smoothing(v, length) @ q_l
     np.testing.assert_allclose(got.T @ got / windows, r.real, rtol=0,
                                atol=8 * np.finfo(float).eps * length * scale**2)
+
+
+@pytest.mark.parametrize(
+    ("m", "length", "stack"),
+    [(4, 5, ()), (5, 6, ()), (556, 32, ()), (3, 2, ()), (94, 95, ()),
+     (94, 32, (3,)), (5, 6, (2, 3)), (4, 5, (4,)), (3, 2, (5,))],
+)
+def test_real_form_from_windows_is_the_gathered_form_byte_for_byte(m, length, stack):
+    """The strided views give the index-matrix gather's bytes, 1-D and
+    stacked, at K = L odd and even, K >> L and L = 2."""
+    rng = np.random.default_rng(m * length)
+    u = np.stack([_conjugate_symmetric_observation(m, seed).values
+                  for seed in rng.integers(2**32, size=math.prod(stack))]).reshape(*stack, -1)
+    got, want = estimation._real_form(u, length), reference.real_form(u, length)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(deadline=None, max_examples=150)
@@ -1126,7 +1140,7 @@ def test_noiseless_operator_takes_the_iteration(family):
     spans the complex eigh's of the dense R_ss."""
     arr = geometry.design(family, 12)
     sc = Scenario(angles_deg=(37.0,), snapshots=1, snr_db=None)
-    v = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
+    v = virtual_observation(reference.exact_extended_covariance(arr, sc), lag_plan(arr))
     found = signal_subspace(SmoothedCovariance(v), 1)
     assert found.values.size == 1 + estimation.OVERSAMPLE
     _, vectors = np.linalg.eigh(reference.spatial_smoothing(v))
@@ -1144,7 +1158,7 @@ def test_noiseless_null_peaks_exactly_at_its_grid_point(family, theta):
     arr = geometry.design(family, 12)
     cfg = MusicConfig(num_sources=1)
     sc = Scenario(angles_deg=(theta,), snapshots=1, snr_db=None)
-    v = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
+    v = virtual_observation(reference.exact_extended_covariance(arr, sc), lag_plan(arr))
     op = SmoothedCovariance(v)
     for found in (reference.subspace(reference.spatial_smoothing(v), 1), signal_subspace(op, 1)):
         angles, spec = music_spectrum(op, cfg, found)

@@ -19,7 +19,6 @@ from coarraylab.signal import (
     ExtendedCovariance,
     Scenario,
     SNAPSHOT_MAGIC,
-    exact_extended_covariance,
     extended_covariance,
     extended_lag_matrix,
     lag_plan,
@@ -28,7 +27,6 @@ from coarraylab.signal import (
     simulate_snapshots,
     source_steering,
     steering_matrix,
-    steering_vector,
     trial_rng,
     virtual_observation,
     write_snapshots,
@@ -180,27 +178,27 @@ def test_load_scenario_rejects_garbage(tmp_path):
 
 def test_steering_vector_closed_form_at_30_degrees():
     arr = geometry.from_positions("pair", [0, 1])
-    a = steering_vector(arr, 30.0)
+    a = steering_matrix(arr, [30.0])[:, 0]
     np.testing.assert_allclose(a, [1.0, -1.0j], atol=1e-12)
 
 
 def test_steering_vector_at_broadside_is_all_ones():
     arr = geometry.design_aulas(12)
-    np.testing.assert_array_equal(steering_vector(arr, 0.0), np.ones(12))
+    np.testing.assert_array_equal(steering_matrix(arr, [0.0])[:, 0], np.ones(12))
 
 
 def test_steering_vector_has_unit_modulus():
     arr = geometry.design_tsaulas(9)
-    a = steering_vector(arr, -37.25)
+    a = steering_matrix(arr, [-37.25])[:, 0]
     np.testing.assert_allclose(np.abs(a), 1.0, rtol=1e-14)
 
 
 def test_steering_vector_rejects_endfire():
     arr = geometry.design_ula(4)
     with pytest.raises(ValueError):
-        steering_vector(arr, 90.0)
+        steering_matrix(arr, [90.0])
     with pytest.raises(ValueError):
-        steering_vector(arr, -93.0)
+        steering_matrix(arr, [-93.0])
 
 
 def test_steering_matrix_columns_match_vectors():
@@ -209,7 +207,7 @@ def test_steering_matrix_columns_match_vectors():
     a = steering_matrix(arr, angles)
     assert a.shape == (9, 3)
     for z, angle in enumerate(angles):
-        np.testing.assert_array_equal(a[:, z], steering_vector(arr, angle))
+        np.testing.assert_array_equal(a[:, z], steering_matrix(arr, [angle])[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +266,7 @@ def test_sources_are_strictly_non_circular():
         angles_deg=(33.0,), snapshots=200, snr_db=None, nc_phases=(phi,), seed=11
     )
     x = simulate_snapshots(arr, sc)
-    v = np.exp(1j * phi) * steering_vector(arr, 33.0)
+    v = np.exp(1j * phi) * steering_matrix(arr, [33.0])[:, 0]
     ratios = x / v[:, None]
     np.testing.assert_allclose(ratios.imag, 0.0, atol=1e-13)
     assert np.allclose(ratios, ratios[0][None, :], rtol=1e-12, atol=1e-13)
@@ -416,7 +414,7 @@ def test_sample_covariance_converges_to_ensemble_covariance():
         seed=17,
     )
     sample = extended_covariance(simulate_snapshots(arr, sc))
-    exact = exact_extended_covariance(arr, sc)
+    exact = reference.exact_extended_covariance(arr, sc)
     for got, want in ((sample.r_s, exact.r_s), (sample.r_hat, exact.r_hat)):
         rel = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert rel < 0.02
@@ -432,7 +430,7 @@ def test_extended_covariance_blocks_and_stack():
     sc = Scenario(angles_deg=(10.0,), snapshots=32, seed=2)
     ec = extended_covariance(simulate_snapshots(arr, sc))
     assert ec.n == 9
-    r_so = ec.r_so
+    r_so = reference.r_so(ec)
     assert r_so.shape == (18, 18)
     np.testing.assert_array_equal(r_so[:9, :9], ec.r_s)
     np.testing.assert_array_equal(r_so[:9, 9:], ec.r_hat)
@@ -493,8 +491,8 @@ def test_exact_extended_covariance_single_source():
     sc = Scenario(
         angles_deg=(25.0,), snapshots=10, snr_db=3.0, powers=(2.0,), nc_phases=(phi,)
     )
-    ec = exact_extended_covariance(arr, sc)
-    a = steering_vector(arr, 25.0)
+    ec = reference.exact_extended_covariance(arr, sc)
+    a = steering_matrix(arr, [25.0])[:, 0]
     want_rs = 2.0 * np.outer(a, a.conj()) + sc.noise_power * np.eye(9)
     want_rh = 2.0 * np.exp(2j * phi) * np.outer(a, a)
     np.testing.assert_allclose(ec.r_s, want_rs, atol=1e-14)
@@ -536,7 +534,7 @@ def test_exact_covariance_gives_ideal_virtual_observation(points, angles, powers
     arr = geometry.from_positions("rand", sorted(points))
     sc = Scenario(angles_deg=tuple(angles), snapshots=1, snr_db=None,
                   powers=tuple(powers[: len(angles)]))
-    vo = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
+    vo = virtual_observation(reference.exact_extended_covariance(arr, sc), lag_plan(arr))
     sines = np.sin(np.deg2rad(sc.angles_deg))
     ideal = np.exp(-1j * np.pi * vo.lags[:, None] * sines[None, :]) @ np.asarray(sc.powers)
     np.testing.assert_allclose(vo.values, ideal, rtol=0, atol=1e-12 * sum(sc.powers))
@@ -565,7 +563,7 @@ def test_planned_average_matches_the_unique_oracle(points, seed, exact):
         angles = tuple(np.unique(np.round(rng.uniform(-80, 80, 3), 2)))
         sc = Scenario(angles_deg=angles, snapshots=1, snr_db=5.0,
                       nc_phases=tuple(rng.uniform(-3, 3, len(angles))))
-        ec = exact_extended_covariance(arr, sc)
+        ec = reference.exact_extended_covariance(arr, sc)
     else:
         ec = random_blocks(arr.n, seed)
     vo = virtual_observation(ec, lag_plan(arr))
@@ -645,7 +643,7 @@ def test_virtual_observation_from_ensemble_covariance_is_pure_phase():
     arr = geometry.design_saulas(12)
     theta = 20.0
     sc = Scenario(angles_deg=(theta,), snapshots=10, snr_db=None)
-    vo = virtual_observation(exact_extended_covariance(arr, sc), lag_plan(arr))
+    vo = virtual_observation(reference.exact_extended_covariance(arr, sc), lag_plan(arr))
     expected = np.exp(-1j * np.pi * vo.lags * np.sin(np.deg2rad(theta)))
     np.testing.assert_allclose(vo.values, expected, atol=1e-12)
 

@@ -1,10 +1,11 @@
-"""Count the code lines of each ``src/coarraylab`` module.
+"""Count the physical and the code lines of each ``src/coarraylab`` module.
 
 A code line is a physical line that holds part of a statement other than a
 docstring: blank lines, comment lines and the lines of module, class and
 function docstrings are not counted.  A line a multi-line token spans, such
-as a triple-quoted string that is not a docstring, counts.  Prints one
-``<lines>  <module>`` row per module and then the total::
+as a triple-quoted string that is not a docstring, counts.  Prints a
+header, one ``<physical lines>  <code lines>  <module>`` row per module and
+then both totals::
 
     python tools/code_lines.py [package directory]
 """
@@ -44,14 +45,21 @@ def code_lines(path: Path) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def physical_lines(path: Path) -> int:
+    with path.open("rb") as handle:
+        return sum(1 for _ in handle)
+
+
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else PACKAGE
-    total = 0
+    print(f"{'lines':>6}  {'code':>6}  module")
+    total_lines = total_code = 0
     for path in sorted(package.glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        lines, code = physical_lines(path), code_lines(path)
+        total_lines += lines
+        total_code += code
+        print(f"{lines:6d}  {code:6d}  {path.name}")
+    print(f"{total_lines:6d}  {total_code:6d}  total")
     return 0
 
 
